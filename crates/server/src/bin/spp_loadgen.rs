@@ -8,7 +8,7 @@
 //!             [--smoke] [--shutdown] [--inject-garbage]
 //!             [--sweep-threads 1,2,4,8] [--flush-wait-ns 15000]
 //!             [--pipeline 8] [--throttle-us 0]
-//!             [--io-mode threads|epoll] [--reactors 2] [--idle-conns 2000]
+//!             [--reactors 2] [--idle-conns 2000]
 //!             [--addrs HOST:PORT,HOST:PORT,...] [--local-shards N]
 //! ```
 //!
@@ -20,13 +20,12 @@
 //! the skew (max/mean ops); `--local-shards N` spawns N in-process
 //! single-shard servers instead, for the self-contained CI smoke.
 //!
-//! `--io-mode`/`--reactors` select the in-process server's front end for
-//! any mode. `--idle-conns N` switches to idle-scaling mode (see
-//! [`run_idle`]): N open-but-quiet connections are parked on the server
-//! while a small hot core drives pipelined load; the run reports
-//! process thread count and RSS with the idle fleet attached, and — in
-//! epoll mode — self-validates that threads stayed O(reactors + workers),
-//! not O(connections).
+//! `--reactors` sizes the in-process server's front end for any mode.
+//! `--idle-conns N` switches to idle-scaling mode (see [`run_idle`]): N
+//! open-but-quiet connections are parked on the server while a small hot
+//! core drives pipelined load; the run reports process thread count and
+//! RSS with the idle fleet attached, and self-validates that threads
+//! stayed O(reactors + workers), not O(connections).
 //!
 //! `--sweep-threads` switches to thread-sweep mode: one fresh in-process
 //! server per connection count on device-wait media, reporting ops/s per
@@ -58,8 +57,8 @@ use std::time::{Duration, Instant};
 use spp_bench::{banner, validate_rows, write_text_artifact, Args, Json};
 use spp_pm::contention;
 use spp_server::{
-    fresh_server_pool, fresh_server_pool_wait, raise_nofile_limit, Client, ClientError, IoMode,
-    KvEngine, PolicyKind, Reply, Request, Ring, Server, ServerConfig,
+    fresh_server_pool, fresh_server_pool_wait, raise_nofile_limit, Client, ClientError, KvEngine,
+    PolicyKind, Reply, Request, Ring, Server, ServerConfig,
 };
 
 const KEY_SIZE: usize = 16;
@@ -520,6 +519,24 @@ fn run_multi(
     Ok(())
 }
 
+/// An in-process server on an ephemeral port over a fresh pool of
+/// `--pool-mb` (default `pool_mb`), tuned by the shared flags.
+fn local_server(args: &Args, policy: PolicyKind, pool_mb: u64) -> Result<Server, String> {
+    let pool = fresh_server_pool(args.get("pool-mb", pool_mb) << 20, 16, false)
+        .map_err(|e| format!("pool create: {e}"))?;
+    let engine = KvEngine::create(pool, policy, args.get("nbuckets", 4096))
+        .map_err(|e| format!("engine create: {e}"))?;
+    let cfg = ServerConfig {
+        workers: args.get("workers", 4),
+        max_conns: args.get("max-conns", 64),
+        queue_depth: args.get("queue-depth", 128),
+        reactors: args.get("reactors", 2),
+        ..ServerConfig::default()
+    };
+    Server::start(Arc::new(engine), ("127.0.0.1", 0), cfg)
+        .map_err(|e| format!("in-process server: {e}"))
+}
+
 struct PhaseOut {
     elapsed_s: f64,
     puts: Lats,
@@ -548,22 +565,7 @@ fn run_phase(
 ) -> Result<PhaseOut, String> {
     let mut local: Option<Server> = None;
     let addr: std::net::SocketAddr = if addr_arg.is_empty() {
-        let pool = fresh_server_pool(args.get("pool-mb", 64u64) << 20, 16, false)
-            .map_err(|e| format!("pool create: {e}"))?;
-        let engine = Arc::new(
-            KvEngine::create(pool, policy, args.get("nbuckets", 4096))
-                .map_err(|e| format!("engine create: {e}"))?,
-        );
-        let cfg = ServerConfig {
-            workers: args.get("workers", 4),
-            max_conns: args.get("max-conns", 64),
-            queue_depth: args.get("queue-depth", 128),
-            io: args.get("io-mode", IoMode::Threads),
-            reactors: args.get("reactors", 2),
-            ..ServerConfig::default()
-        };
-        let server = Server::start(engine, ("127.0.0.1", 0), cfg)
-            .map_err(|e| format!("in-process server: {e}"))?;
+        let server = local_server(args, policy, 64)?;
         let addr = server.local_addr();
         local = Some(server);
         addr
@@ -804,7 +806,6 @@ fn run_sweep(args: &Args, sweep_csv: &str) -> Result<(), String> {
             workers: args.get("workers", 8),
             max_conns: args.get("max-conns", 64),
             queue_depth: args.get("queue-depth", 256),
-            io: args.get("io-mode", IoMode::Threads),
             reactors: args.get("reactors", 2),
             ..ServerConfig::default()
         };
@@ -938,16 +939,12 @@ fn proc_status() -> (u64, u64) {
 /// over a small hot core and report what the idle fleet actually cost —
 /// process thread count and RSS with the fleet attached, plus hot-path
 /// p50/p99 — and finally ping every idle connection to prove the fleet
-/// stayed serviceable. In epoll mode the run **self-validates** the
-/// headline claim: total threads stay within `reactors + workers +
-/// hot + slack`, i.e. O(reactors + workers), not O(connections). In
-/// threads mode the same row is reported without a budget (each idle
-/// connection pins a blocked thread — the baseline the reactor exists
-/// to beat), which is what the `EXPERIMENTS.md` comparison table plots.
+/// stayed serviceable. The run **self-validates** the headline claim:
+/// total threads stay within `reactors + workers + hot + slack`, i.e.
+/// O(reactors + workers), not O(connections).
 fn run_idle(args: &Args, idle_conns: u32) -> Result<(), String> {
     let smoke = args.flag("smoke");
     let policy: PolicyKind = args.get("policy", PolicyKind::Spp);
-    let io: IoMode = args.get("io-mode", IoMode::Epoll);
     let reactors: usize = args.get("reactors", 2);
     let workers: usize = args.get("workers", 4);
     let hot: u32 = args.get("conns", 2);
@@ -967,7 +964,7 @@ fn run_idle(args: &Args, idle_conns: u32) -> Result<(), String> {
     }
 
     banner(&format!(
-        "spp-loadgen idle-scaling: io={io} policy={} idle={idle_conns} hot={hot} \
+        "spp-loadgen idle-scaling: policy={} idle={idle_conns} hot={hot} \
          depth={depth} ops/hot-conn={ops}",
         policy.label()
     ));
@@ -982,7 +979,6 @@ fn run_idle(args: &Args, idle_conns: u32) -> Result<(), String> {
         workers,
         max_conns: idle_conns as usize + hot as usize + 8,
         queue_depth: args.get("queue-depth", 128),
-        io,
         reactors,
         ..ServerConfig::default()
     };
@@ -1058,26 +1054,23 @@ fn run_idle(args: &Args, idle_conns: u32) -> Result<(), String> {
     drop(idle);
     server.shutdown();
 
-    // Self-validation: with epoll reactors, idle connections are epoll
-    // registrations, so total process threads are bounded by the fixed
-    // staff — reactors + workers + hot client threads + slack for main,
-    // committer, and runtime helpers. 5000 idle conns vs a budget of
-    // ~hot+reactors+workers+8 leaves no room for an O(conns) regression
-    // to hide.
+    // Self-validation: idle connections are epoll registrations, so total
+    // process threads are bounded by the fixed staff — reactors + workers
+    // + hot client threads + slack for main, committer, and runtime
+    // helpers. 5000 idle conns vs a budget of ~hot+reactors+workers+8
+    // leaves no room for an O(conns) regression to hide.
     let budget = (reactors + workers + hot as usize + 8) as u64;
-    if io == IoMode::Epoll {
-        if threads_load == 0 {
-            return Err("procfs unavailable: cannot validate the thread budget".into());
-        }
-        if threads_load > budget {
-            return Err(format!(
-                "thread count {threads_load} exceeds budget {budget} \
-                 (reactors={reactors} workers={workers} hot={hot}): \
-                 threads are scaling with connections"
-            ));
-        }
-        println!("thread budget holds: {threads_load} <= {budget}");
+    if threads_load == 0 {
+        return Err("procfs unavailable: cannot validate the thread budget".into());
     }
+    if threads_load > budget {
+        return Err(format!(
+            "thread count {threads_load} exceeds budget {budget} \
+             (reactors={reactors} workers={workers} hot={hot}): \
+             threads are scaling with connections"
+        ));
+    }
+    println!("thread budget holds: {threads_load} <= {budget}");
 
     let mut rows = vec![lat_row(policy, "idle_hot_put", &puts, elapsed)];
     if gets.count > 0 {
@@ -1095,7 +1088,7 @@ fn run_idle(args: &Args, idle_conns: u32) -> Result<(), String> {
     let doc = Json::Obj(vec![
         ("name", Json::Str("server_loadgen".to_string())),
         ("mode", Json::Str("idle_scaling".to_string())),
-        ("io_mode", Json::Str(io.to_string())),
+        ("io_mode", Json::Str("epoll".to_string())),
         ("policy", Json::Str(policy.label().to_string())),
         ("idle_conns", Json::Int(u64::from(idle_conns))),
         ("hot_conns", Json::Int(u64::from(hot))),
@@ -1165,22 +1158,7 @@ fn run() -> Result<(), String> {
         let mut servers = Vec::with_capacity(local_shards as usize);
         let mut endpoints = Vec::with_capacity(local_shards as usize);
         for s in 0..local_shards {
-            let pool = fresh_server_pool(args.get("pool-mb", 32u64) << 20, 16, false)
-                .map_err(|e| format!("shard {s} pool create: {e}"))?;
-            let engine = Arc::new(
-                KvEngine::create(pool, policy, args.get("nbuckets", 4096))
-                    .map_err(|e| format!("shard {s} engine create: {e}"))?,
-            );
-            let cfg = ServerConfig {
-                workers: args.get("workers", 4),
-                max_conns: args.get("max-conns", 64),
-                queue_depth: args.get("queue-depth", 128),
-                io: args.get("io-mode", IoMode::Threads),
-                reactors: args.get("reactors", 2),
-                ..ServerConfig::default()
-            };
-            let server = Server::start(engine, ("127.0.0.1", 0), cfg)
-                .map_err(|e| format!("shard {s} server: {e}"))?;
+            let server = local_server(&args, policy, 32).map_err(|e| format!("shard {s}: {e}"))?;
             endpoints.push(server.local_addr());
             servers.push(server);
         }
@@ -1204,22 +1182,7 @@ fn run() -> Result<(), String> {
     // Either measure an external server or spawn one in-process.
     let mut local: Option<Server> = None;
     let addr: std::net::SocketAddr = if addr_arg.is_empty() {
-        let pool = fresh_server_pool(args.get("pool-mb", 64u64) << 20, 16, false)
-            .map_err(|e| format!("pool create: {e}"))?;
-        let engine = Arc::new(
-            KvEngine::create(pool, policy, args.get("nbuckets", 4096))
-                .map_err(|e| format!("engine create: {e}"))?,
-        );
-        let cfg = ServerConfig {
-            workers: args.get("workers", 4),
-            max_conns: args.get("max-conns", 64),
-            queue_depth: args.get("queue-depth", 128),
-            io: args.get("io-mode", IoMode::Threads),
-            reactors: args.get("reactors", 2),
-            ..ServerConfig::default()
-        };
-        let server = Server::start(engine, ("127.0.0.1", 0), cfg)
-            .map_err(|e| format!("in-process server: {e}"))?;
+        let server = local_server(&args, policy, 64)?;
         let addr = server.local_addr();
         println!("spawned in-process server on {addr}");
         local = Some(server);

@@ -5,7 +5,7 @@
 //!            [--pool-mb 64] [--lanes 16] [--nbuckets 4096] [--shards 1]
 //!            [--workers 4] [--max-conns 64] [--queue-depth 128]
 //!            [--group-max-batch 64] [--group-hold-us 0]
-//!            [--io-mode threads|epoll] [--reactors 2] [--idle-timeout-ms 0]
+//!            [--reactors 2] [--idle-timeout-ms 0]
 //!            [--pool-file PATH] [--ready-file PATH]
 //!            [--repl-to ADDR] [--repl-ack-mode sync|async]
 //!            [--repl-drop-batch N]
@@ -21,11 +21,11 @@
 //! recovery and the durable image is saved back on graceful shutdown. A
 //! wire `SHUTDOWN` quiesces the server and the process exits 0.
 //!
-//! `--io-mode epoll` swaps the blocking thread-per-connection front end
-//! for sharded epoll reactors (`--reactors N`), so thousands of idle
-//! connections are held by readiness state instead of parked threads;
-//! the daemon also raises `RLIMIT_NOFILE` to its hard cap in that mode.
-//! `--idle-timeout-ms N` (epoll mode) closes connections quiet for N ms.
+//! Connections are served by sharded epoll reactors (`--reactors N`), so
+//! thousands of idle connections are held by readiness state instead of
+//! parked threads; the daemon raises `RLIMIT_NOFILE` to its hard cap so
+//! the soft fd limit is not what caps them. `--idle-timeout-ms N` closes
+//! connections quiet for N ms.
 //!
 //! `--shards N` runs N independent pools behind the crate's consistent
 //! hash ring; with `--pool-file PATH`, shard 0 uses `PATH` and shard `i`
@@ -47,7 +47,7 @@ use spp_bench::Args;
 use spp_pm::{PmPool, PoolConfig};
 use spp_pmdk::ObjPool;
 use spp_server::{
-    fresh_server_pool, raise_nofile_limit, GroupConfig, IoMode, KvEngine, PolicyKind, ReplAckMode,
+    fresh_server_pool, raise_nofile_limit, GroupConfig, KvEngine, PolicyKind, ReplAckMode,
     ReplConfig, Server, ServerConfig,
 };
 
@@ -74,7 +74,6 @@ fn run() -> Result<(), String> {
     let shards: usize = args.get("shards", 1);
     let pool_file: String = args.get("pool-file", String::new());
     let ready_file: String = args.get("ready-file", String::new());
-    let io: IoMode = args.get("io-mode", IoMode::Threads);
     let idle_timeout_ms: u64 = args.get("idle-timeout-ms", 0);
     let repl_to: String = args.get("repl-to", String::new());
     let repl_ack_mode: ReplAckMode = args.get("repl-ack-mode", ReplAckMode::Sync);
@@ -105,16 +104,14 @@ fn run() -> Result<(), String> {
             max_batch: args.get("group-max-batch", 64),
             max_hold: Duration::from_micros(args.get("group-hold-us", 0)),
         },
-        io,
         reactors: args.get("reactors", 2),
         idle_timeout: (idle_timeout_ms > 0).then(|| Duration::from_millis(idle_timeout_ms)),
         repl,
+        ..ServerConfig::default()
     };
-    if io == IoMode::Epoll {
-        // Idle connections are cheap now; don't let the default soft
-        // fd limit be the thing that caps concurrency.
-        let _ = raise_nofile_limit();
-    }
+    // Idle connections are cheap; don't let the default soft fd limit be
+    // the thing that caps concurrency.
+    let _ = raise_nofile_limit();
 
     // Shard i's image path: `PATH` for shard 0, `PATH.shard{i}` after —
     // so a single-shard deployment keeps its historical file name.
@@ -152,7 +149,7 @@ fn run() -> Result<(), String> {
         .map_err(|e| format!("bind {addr}:{port} or connect --repl-to: {e}"))?;
     println!("spp-server listening on {}", server.local_addr());
     println!(
-        "spp-server policy={} io={io} shards={shards} pool_mb={pool_mb} nbuckets={nbuckets} {}{}",
+        "spp-server policy={} shards={shards} pool_mb={pool_mb} nbuckets={nbuckets} {}{}",
         policy.label(),
         if reopening {
             "reopened=true"

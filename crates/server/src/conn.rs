@@ -1,13 +1,9 @@
-//! Connection-level protocol state shared by both server front ends.
+//! Connection-level protocol state.
 //!
-//! The blocking front end ([`crate::server`]) and the epoll reactor
-//! ([`crate::reactor`]) execute the *same* run discipline: every complete
-//! frame already buffered is decoded into one ordered run
-//! ([`decode_run`]), the run executes as a single worker job, and replies
-//! are encoded back in request order. Keeping the decode step in one
-//! function is what lets the crash-restart and group-commit atomicity
-//! proofs carry over to the reactor unchanged — both front ends feed
-//! byte-identical runs into [`crate::server`]'s `execute_ops`.
+//! The run discipline: every complete frame already buffered is decoded
+//! into one ordered run ([`decode_run`]), the run executes as a single
+//! worker job ([`crate::server`]'s `execute_ops`), and replies are encoded
+//! back in request order.
 //!
 //! [`Conn`] is the reactor's per-connection state machine: receive/send
 //! buffers with partial-write positions, the in-flight or parked run, and
@@ -85,8 +81,6 @@ pub(crate) enum OwnedResponse {
     Stats(String),
     /// `PING` reply.
     Pong,
-    /// Explicit backpressure rejection.
-    Busy,
     /// Replies to a `MULTI` batch, in order.
     Multi(Vec<OwnedResponse>),
     /// `REPL_BATCH` applied and durable on this side.
@@ -154,7 +148,6 @@ pub(crate) fn response_of(resp: &OwnedResponse) -> Response<'_> {
         OwnedResponse::Err(m) => Response::Err(m),
         OwnedResponse::Stats(s) => Response::Stats(s),
         OwnedResponse::Pong => Response::Pong,
-        OwnedResponse::Busy => Response::Busy,
         OwnedResponse::ReplAck { shard, seq } => Response::ReplAck {
             shard: *shard,
             seq: *seq,
@@ -257,7 +250,7 @@ pub(crate) enum ConnState {
     Idle,
     /// One run is executing on the worker pool; reads are disarmed until
     /// its completion comes back (one job in flight per connection keeps
-    /// ordering structural, exactly like the blocking front end).
+    /// ordering structural).
     Running,
     /// A decoded run could not be queued (pool saturated): reads stay
     /// disarmed and the run is retried when capacity frees up — pausing

@@ -372,30 +372,6 @@ impl KvEngine {
     pub fn fence(&self) {
         self.pool().pm().fence();
     }
-
-    /// Render the STATS response body: UTF-8 `key=value` lines.
-    ///
-    /// # Errors
-    ///
-    /// Device errors.
-    pub fn render_stats(&self) -> Result<String> {
-        let s = self.stats()?;
-        let occupied_stripes = s.stripe_occupancy.iter().filter(|&&n| n > 0).count();
-        let max_stripe = s.stripe_occupancy.iter().copied().max().unwrap_or(0);
-        Ok(format!(
-            "policy={}\nkeys={}\nresident_bytes={}\nnbuckets={}\nnonempty_buckets={}\n\
-             max_chain={}\noccupied_stripes={}\nmax_stripe_occupancy={}\npool_bytes={}\n",
-            self.kind().label(),
-            s.keys,
-            s.resident_bytes,
-            s.nbuckets,
-            s.nonempty_buckets,
-            s.max_chain,
-            occupied_stripes,
-            max_stripe,
-            self.pool().pm().size(),
-        ))
-    }
 }
 
 fn check_key(key: &[u8]) -> Result<()> {
@@ -434,11 +410,7 @@ mod tests {
             assert_eq!(out, b"v1");
             assert!(engine.remove(&key(1)).unwrap());
             assert!(!engine.remove(&key(1)).unwrap());
-            let stats = engine.render_stats().unwrap();
-            assert!(
-                stats.contains(&format!("policy={}", kind.label())),
-                "{stats}"
-            );
+            assert_eq!(engine.stats().unwrap().keys, 0);
         }
     }
 

@@ -3,11 +3,10 @@
 //!
 //! This crate turns the [`spp_kvstore`] cmap-analogue into something a
 //! `memcached`-style deployment would actually run: a compact
-//! length-prefixed [wire protocol](wire), a TCP [server] with two
-//! selectable front ends (blocking thread-per-connection, or sharded
-//! epoll reactors via `--io-mode epoll` so idle connections stop costing
-//! threads), a bounded worker pool with explicit backpressure, a
-//! closed-loop [client], and (as binaries) the `spp-server` daemon plus
+//! length-prefixed [wire protocol](wire), a TCP [server] whose sockets
+//! are read by sharded epoll reactors (idle connections cost no threads),
+//! a bounded worker pool whose saturation backs up into TCP flow control,
+//! a closed-loop [client], and (as binaries) the `spp-server` daemon plus
 //! the `spp-loadgen` load generator. The served store is selected per
 //! process with `--policy pmdk|spp|safepm`, so the three policies are
 //! compared end-to-end — syscalls, framing, and fences included — rather

@@ -1,9 +1,9 @@
 //! A bounded MPMC job queue and the worker pool draining it.
 //!
-//! The queue is the server's backpressure point: connection threads
-//! [`try_push`](BoundedQueue::try_push) requests and answer `BUSY` on the
-//! wire when it is full, so a saturated engine degrades into explicit
-//! rejection instead of unbounded buffering. Workers block on
+//! The queue is the server's backpressure point: reactors
+//! [`try_push`](BoundedQueue::try_push) runs and, when it is full, park the
+//! run and stop reading its socket, so a saturated engine degrades into
+//! TCP flow control instead of unbounded buffering. Workers block on
 //! [`pop`](BoundedQueue::pop); closing the queue drains the remaining jobs
 //! (graceful quiesce) before the workers exit.
 
@@ -56,7 +56,7 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Non-blocking push. Returns the item back when the queue is full or
-    /// closed — the caller turns that into a `BUSY` (or drops the job).
+    /// closed — the caller parks it for a retry (or drops the job).
     ///
     /// # Errors
     ///

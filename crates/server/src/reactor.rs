@@ -1,4 +1,4 @@
-//! The epoll front end: sharded reactor threads driving many connections
+//! The front end: sharded epoll reactor threads driving many connections
 //! each, so mostly-idle connections cost a slab entry instead of an OS
 //! thread.
 //!
@@ -10,18 +10,17 @@
 //! * reactor 0 additionally owns the nonblocking listener. Accepted
 //!   sockets are dealt round-robin: locally registered, or pushed onto the
 //!   target reactor's `inbox` followed by an [`EventFd`] wakeup;
-//! * workers never touch sockets. A run's job executes through the same
-//!   `execute_ops` → [`crate::group::GroupCommitter`] path as the blocking
-//!   front end and then pushes `(token, replies)` onto the owning
-//!   reactor's `completions` queue and rings its eventfd — the reactor
-//!   patches the reply slots and writes back in request order.
+//! * workers never touch sockets. A run's job executes through
+//!   `execute_ops` → [`crate::group::GroupCommitter`] and then pushes
+//!   `(token, replies)` onto the owning reactor's `completions` queue and
+//!   rings its eventfd — the reactor patches the reply slots and writes
+//!   back in request order.
 //!
-//! Because runs are decoded by the shared [`decode_run`] and executed by
-//! the shared `execute_ops`, the Raad-et-al-style ordering rules (writes
-//! batch up to a shared flush+fence boundary; reads and `MULTI` bodies are
-//! batch barriers; acks only after the boundary) are *identical* across
-//! front ends — the crash-restart and group-commit atomicity proofs run
-//! against both.
+//! Every run is decoded by [`decode_run`] and executed by `execute_ops`,
+//! which is where the Raad-et-al-style ordering rules live (writes batch
+//! up to a shared flush+fence boundary; reads and `MULTI` bodies are batch
+//! barriers; acks only after the boundary) — the crash-restart and
+//! group-commit atomicity proofs run against exactly this path.
 //!
 //! Backpressure is by readiness interest, not by refusal: a saturated
 //! worker queue parks the decoded run (keeping the built job) and drops
@@ -29,6 +28,8 @@
 //! client. The parked job is retried on every completion/wakeup and on a
 //! short tick, so capacity is never left idle. A send backlog past the
 //! high-water mark likewise drops read interest until the peer drains it.
+//! The one refusal is at the door: a connection over `max_conns` is
+//! answered `BUSY` and closed.
 //!
 //! Slab slots carry a generation, and the epoll token is
 //! `slot << 32 | generation` — stale readiness events and stale worker
@@ -36,7 +37,7 @@
 //! discarded.
 
 use std::collections::VecDeque;
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
@@ -46,7 +47,7 @@ use std::time::{Duration, Instant};
 use crate::conn::{decode_run, encode_owned, Conn, ConnState, OwnedRequest, OwnedResponse, Stop};
 use crate::poll::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 use crate::queue::{Job, PushError};
-use crate::server::{execute_ops, reject_busy, Shared};
+use crate::server::{execute_ops, Shared};
 use crate::wire::{encode_response, Response};
 
 /// Token for the reactor's own wakeup eventfd.
@@ -59,6 +60,13 @@ const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
 fn conn_token(idx: usize, generation: u32) -> u64 {
     ((idx as u64) << 32) | generation as u64
+}
+
+/// Connection-limit rejection: one `BUSY` frame, then close.
+fn reject_busy(mut stream: TcpStream) {
+    let mut out = Vec::with_capacity(8);
+    encode_response(&mut out, &Response::Busy);
+    let _ = stream.write_all(&out);
 }
 
 /// The cross-thread face of one reactor: what other threads (the acceptor
@@ -303,7 +311,7 @@ impl Reactor {
                 }
                 if run.execs.is_empty() {
                     // Inline-only run (PONGs, body errors) — answer without
-                    // a worker round trip, exactly like the blocking path.
+                    // a worker round trip.
                     for reply in &run.replies {
                         encode_owned(
                             &mut conn.wbuf,
@@ -377,8 +385,8 @@ impl Reactor {
         }
     }
 
-    /// Build the worker job for a run: execute through the shared
-    /// group-commit path, then post the replies back to the owning reactor
+    /// Build the worker job for a run: execute through the group-commit
+    /// path, then post the replies back to the owning reactor
     /// and ring its doorbell.
     fn make_job(
         shared: &Arc<Shared>,

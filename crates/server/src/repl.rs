@@ -155,9 +155,7 @@ impl ReplSink {
                 if sz > REPL_MAX_ENTRY_BYTES || key_len > u16::MAX as usize {
                     *guard = None;
                     self.failed.fetch_add(1, Ordering::Relaxed);
-                    return Err(format!(
-                        "replication entry of {sz} bytes cannot be framed"
-                    ));
+                    return Err(format!("replication entry of {sz} bytes cannot be framed"));
                 }
                 if end > start && bytes + sz > REPL_MAX_ENTRY_BYTES {
                     break;
@@ -225,7 +223,10 @@ mod tests {
             .collect();
         sinks[0].ship(&ops).unwrap();
         let stats = sinks[0].stats();
-        assert!(stats.shipped >= 3, "one frame per ~1MiB expected: {stats:?}");
+        assert!(
+            stats.shipped >= 3,
+            "one frame per ~1MiB expected: {stats:?}"
+        );
         assert_eq!(stats.failed, 0);
 
         // The stream stays usable: a follow-up batch continues the dense

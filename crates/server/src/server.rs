@@ -1,108 +1,69 @@
-//! The TCP server: two selectable front ends (blocking threads or epoll
-//! reactors) over one shared execution core.
+//! The TCP server: epoll reactors in front of one shared execution core.
 //!
-//! Threading model, blocking mode ([`IoMode::Threads`]):
+//! Threading model — `reactors + workers + committers` threads, whatever
+//! the connection count:
 //!
-//! * one **acceptor** owns the listener; over-limit connections are
-//!   answered with a `BUSY` frame and closed immediately;
-//! * one **connection thread** per accepted socket does buffered framing.
-//!   Connections are **pipelined**: every complete frame already buffered
-//!   is decoded into one ordered *run* (`conn::decode_run`), the
-//!   run executes as a single worker job, and the responses are written
-//!   back in request order — ordering stays structural (one job in flight
-//!   per connection);
+//! * `cfg.reactors` **reactor** threads (`reactor.rs`) own the sockets.
+//!   Reactor 0 also owns the listener; over-limit connections are answered
+//!   with a `BUSY` frame and closed immediately. Connections are
+//!   **pipelined**: every complete frame already buffered is decoded into
+//!   one ordered *run* (`conn::decode_run`), the run executes as a single
+//!   worker job, and the responses are written back in request order —
+//!   ordering stays structural (one job in flight per connection);
 //! * a fixed **worker pool** (the only threads touching the engine) drains
-//!   the bounded request queue. When the queue is full the connection
-//!   thread answers `BUSY` itself — saturation degrades into explicit
-//!   rejection, never unbounded buffering;
-//! * one **group-commit thread** ([`crate::group::GroupCommitter`]):
-//!   consecutive `PUT`/`DEL`s in a run (and whole `MULTI` bodies) are
-//!   submitted as write batches that share a single flush+fence boundary,
-//!   coalescing across connections under load.
+//!   the bounded request queue. When the queue is full the reactor *parks*
+//!   the run and stops reading that socket — saturation degrades into TCP
+//!   flow control, never unbounded buffering and never a `BUSY`-failed run;
+//! * one **group-commit thread** per shard
+//!   ([`crate::group::GroupCommitter`]): consecutive `PUT`/`DEL`s in a run
+//!   (and whole `MULTI` bodies) are submitted as write batches that share
+//!   a single flush+fence boundary, coalescing across connections under
+//!   load.
 //!
-//! Epoll mode ([`IoMode::Epoll`], see `reactor.rs`) replaces the
-//! acceptor and the per-connection threads with `cfg.reactors` event-loop
-//! threads; total thread count becomes `reactors + workers + committer`
-//! regardless of connection count. The worker pool, group committer, and
-//! run discipline are identical — only who reads the sockets changes. In
-//! epoll mode a saturated queue *parks* the run and pauses reads instead
-//! of answering `BUSY`: readiness backpressure replaces rejection.
+//! Durability contract: `PUT`/`DEL` acks are written only after the batch
+//! containing them has flushed and fenced — **every acked write survives a
+//! crash**, and a batch is atomic across a crash (the root crash-restart
+//! tests drive both over real sockets). Within a run, a read is never
+//! reordered before an earlier write: the pending write batch is committed
+//! before any `GET`/`STATS`/`FLUSH` executes.
 //!
-//! Durability contract (both modes): `PUT`/`DEL` acks are written only
-//! after the batch (or single-op transaction) containing them has flushed
-//! and fenced — **every acked write survives a crash**, and a batch is
-//! atomic across a crash (the root crash-restart tests drive both over
-//! real sockets, in both io modes). Within a run, a read is never
-//! reordered before an earlier write: the pending write batch is
-//! committed before any `GET`/`STATS`/`FLUSH` executes.
-//!
-//! Sharding ([`Server::start_multi`]): the execution core behind both
-//! front ends is a `ShardSet` — N engines over N independent pools, one
-//! group-commit thread per shard, routed by a consistent-hash
-//! [`Ring`] over raw key bytes. Replication
+//! Sharding ([`Server::start_multi`]): the execution core is a `ShardSet`
+//! — N engines over N independent pools, one group-commit thread per
+//! shard, routed by a consistent-hash [`Ring`] over raw key bytes; a
+//! single-engine server is the N = 1 case of the same code. Replication
 //! ([`ReplConfig`]): each shard's committer ships its committed batches to
 //! a backup server as `REPL_BATCH` frames; [`ReplAckMode::Sync`] makes the
 //! client ack wait for the backup's `REPL_ACK`, so an acked write is
 //! durable on both sides. A `PROMOTE` frame flips a backup into a primary.
 //!
 //! Graceful shutdown (a `SHUTDOWN` frame or [`Server::shutdown`]) stops
-//! accepting, quiesces the front end (connection threads drain, or
-//! reactors finish in-flight runs and flush acks), then the worker pool
-//! (queued jobs all run), then the group committer, and leaves the pool
-//! quiescent for a clean reopen.
+//! accepting, quiesces the reactors (in-flight runs finish and flush their
+//! acks), then the worker pool (queued jobs all run), then the group
+//! committers, and leaves the pools quiescent for a clean reopen.
 
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::conn::{decode_run, encode_owned, OwnedRequest, OwnedResponse, Stop};
+use crate::conn::{OwnedRequest, OwnedResponse};
 use crate::engine::{KvEngine, WriteOp, WriteReply};
 use crate::group::{GroupCommitter, GroupConfig};
 use crate::poll::Epoll;
-use crate::queue::{BoundedQueue, Job, PushError, WorkerPool};
+use crate::queue::{BoundedQueue, Job, WorkerPool};
 use crate::reactor::{reactor_main, ReactorShared};
 use crate::repl::ReplSink;
 use crate::ring::Ring;
-use crate::wire::{encode_response, Response, MAX_FRAME, PREFIX};
 
-/// Poll granularity for blocking reads: how quickly connection threads
-/// notice a shutdown.
-const READ_TICK: Duration = Duration::from_millis(50);
-
-/// Which I/O front end serves connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The I/O front end. There is one: sharded epoll reactors, where a
+/// connection costs a slab entry, not a thread (`reactor.rs`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoMode {
-    /// Blocking accept + one thread per connection (the PR-3 front end).
-    Threads,
-    /// Sharded epoll reactors: connections cost a slab entry, not a
-    /// thread (`reactor.rs`).
+    /// The reactor front end.
+    #[default]
     Epoll,
-}
-
-impl FromStr for IoMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<IoMode, String> {
-        match s {
-            "threads" | "blocking" => Ok(IoMode::Threads),
-            "epoll" => Ok(IoMode::Epoll),
-            other => Err(format!("unknown io mode `{other}` (threads|epoll)")),
-        }
-    }
-}
-
-impl std::fmt::Display for IoMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            IoMode::Threads => "threads",
-            IoMode::Epoll => "epoll",
-        })
-    }
 }
 
 /// When a primary with a configured backup acks a client write.
@@ -174,17 +135,17 @@ pub struct ServerConfig {
     /// Maximum simultaneously served connections; excess connections get
     /// `BUSY` and are closed.
     pub max_conns: usize,
-    /// Bounded request-queue depth; a full queue answers `BUSY` per
-    /// request (blocking mode) or parks the run (epoll mode).
+    /// Bounded request-queue depth; a full queue parks the run and pauses
+    /// reads on its connection.
     pub queue_depth: usize,
     /// Group-commit tuning for batched `PUT`/`DEL` durability boundaries.
     pub group: GroupConfig,
-    /// Which front end reads the sockets.
+    /// The front end reading the sockets (one value).
     pub io: IoMode,
-    /// Reactor threads in [`IoMode::Epoll`] (ignored in blocking mode).
+    /// Reactor threads.
     pub reactors: usize,
-    /// Close connections idle longer than this (epoll mode only; `None`
-    /// disables the timeout).
+    /// Close connections idle longer than this (`None` disables the
+    /// timeout).
     pub idle_timeout: Option<Duration>,
     /// Ship acked write batches to a backup server (`None` disables
     /// replication).
@@ -198,7 +159,7 @@ impl Default for ServerConfig {
             max_conns: 64,
             queue_depth: 128,
             group: GroupConfig::default(),
-            io: IoMode::Threads,
+            io: IoMode::Epoll,
             reactors: 2,
             idle_timeout: None,
             repl: None,
@@ -213,9 +174,9 @@ pub(crate) struct Shard {
     pub(crate) committer: Arc<GroupCommitter>,
 }
 
-/// The sharded execution core both front ends route into: per-shard
-/// engine + committer behind a consistent-hash [`Ring`], plus the
-/// promotion flag that flips a backup into a primary.
+/// The sharded execution core the reactors route into: per-shard engine +
+/// committer behind a consistent-hash [`Ring`], plus the promotion flag
+/// that flips a backup into a primary.
 pub(crate) struct ShardSet {
     pub(crate) shards: Vec<Shard>,
     pub(crate) ring: Ring,
@@ -229,11 +190,6 @@ pub(crate) struct ShardSet {
 }
 
 impl ShardSet {
-    /// The shard owning `key` under the ring.
-    fn shard_for(&self, key: &[u8]) -> &Shard {
-        &self.shards[self.ring.shard_of(key) as usize]
-    }
-
     /// Whether any shard's committer has been closed — once one has, a
     /// parked run can never be served and must fail cleanly.
     pub(crate) fn any_committer_closed(&self) -> bool {
@@ -244,6 +200,21 @@ impl ShardSet {
     fn fence_all(&self) {
         for s in &self.shards {
             s.engine.fence();
+        }
+    }
+
+    /// Layout handshake on a replication connection: refuse a primary whose
+    /// shard numbering would not map onto ours.
+    fn repl_hello(&self, n: u32) -> OwnedResponse {
+        if self.promoted.load(Ordering::SeqCst) {
+            OwnedResponse::Err("promoted: no longer accepting replication".to_string())
+        } else if n as usize == self.shards.len() {
+            OwnedResponse::Ok
+        } else {
+            OwnedResponse::Err(format!(
+                "replication shard count mismatch: primary ships {n} shards, this backup serves {}",
+                self.shards.len()
+            ))
         }
     }
 
@@ -263,21 +234,33 @@ impl ShardSet {
         self.promoted.store(true, Ordering::SeqCst);
     }
 
-    /// The `STATS` body: shard 0's engine stats, plus (multi-shard only)
-    /// the shard count and per-shard key counts.
+    /// The `STATS` body, UTF-8 `key=value` lines: totals over every shard
+    /// (sums, and maxima for the `max_*` fields), then the shard count and
+    /// each shard's key count — the same lines for any shard count.
     fn render_stats(&self) -> Result<String, String> {
-        let mut body = self.shards[0]
-            .engine
-            .render_stats()
-            .map_err(|e| e.to_string())?;
-        if self.shards.len() > 1 {
-            body.push_str(&format!("shards={}\n", self.shards.len()));
-            for (i, s) in self.shards.iter().enumerate() {
-                let keys = s.engine.count().map_err(|e| e.to_string())?;
-                body.push_str(&format!("shard{i}_keys={keys}\n"));
-            }
+        let (mut keys, mut resident_bytes, mut nbuckets, mut nonempty_buckets) = (0, 0, 0, 0);
+        let (mut max_chain, mut occupied_stripes, mut max_stripe, mut pool_bytes) = (0, 0, 0, 0);
+        let mut shard_lines = String::new();
+        for (i, shard) in self.shards.iter().enumerate() {
+            let s = shard.engine.stats().map_err(|e| e.to_string())?;
+            keys += s.keys;
+            resident_bytes += s.resident_bytes;
+            nbuckets += s.nbuckets;
+            nonempty_buckets += s.nonempty_buckets;
+            max_chain = max_chain.max(s.max_chain);
+            occupied_stripes += s.stripe_occupancy.iter().filter(|&&n| n > 0).count();
+            max_stripe = max_stripe.max(s.stripe_occupancy.iter().copied().max().unwrap_or(0));
+            pool_bytes += shard.engine.pool().pm().size();
+            shard_lines.push_str(&format!("shard{i}_keys={}\n", s.keys));
         }
-        Ok(body)
+        Ok(format!(
+            "policy={}\nkeys={keys}\nresident_bytes={resident_bytes}\nnbuckets={nbuckets}\n\
+             nonempty_buckets={nonempty_buckets}\nmax_chain={max_chain}\n\
+             occupied_stripes={occupied_stripes}\nmax_stripe_occupancy={max_stripe}\n\
+             pool_bytes={pool_bytes}\nshards={}\n{shard_lines}",
+            self.shards[0].engine.kind().label(),
+            self.shards.len(),
+        ))
     }
 }
 
@@ -288,7 +271,6 @@ pub(crate) struct Shared {
     pub(crate) queue: Arc<BoundedQueue<Job>>,
     pub(crate) shutdown: AtomicBool,
     pub(crate) conns: AtomicUsize,
-    pub(crate) conn_handles: Mutex<Vec<JoinHandle<()>>>,
     pub(crate) reactors: Vec<Arc<ReactorShared>>,
     pub(crate) done: Mutex<bool>,
     pub(crate) done_cv: Condvar,
@@ -301,18 +283,10 @@ impl Shared {
         }
         *self.done.lock().expect("done lock") = true;
         self.done_cv.notify_all();
-        match self.cfg.io {
-            // Wake the acceptor out of its blocking accept.
-            IoMode::Threads => {
-                let _ = TcpStream::connect(self.addr);
-            }
-            // Ring every reactor's doorbell; they observe the flag and
-            // start draining.
-            IoMode::Epoll => {
-                for r in &self.reactors {
-                    r.wake.signal();
-                }
-            }
+        // Ring every reactor's doorbell; they observe the flag and start
+        // draining.
+        for r in &self.reactors {
+            r.wake.signal();
         }
     }
 }
@@ -322,19 +296,17 @@ impl Shared {
 /// quiesce.
 pub struct Server {
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
     reactor_handles: Vec<JoinHandle<()>>,
     workers: Option<WorkerPool>,
 }
 
 impl Server {
     /// Bind `addr` (port 0 picks an ephemeral port) and start serving
-    /// `engine` with the front end selected by `cfg.io`. Single-shard
-    /// convenience over [`Server::start_multi`].
+    /// `engine`: [`Server::start_multi`] with one shard.
     ///
     /// # Errors
     ///
-    /// Socket errors (and, in epoll mode, epoll/eventfd creation errors).
+    /// As [`Server::start_multi`].
     pub fn start(
         engine: Arc<KvEngine>,
         addr: impl ToSocketAddrs,
@@ -346,9 +318,9 @@ impl Server {
     /// Bind `addr` and serve `engines` as shards behind a consistent-hash
     /// ring: each engine keeps its own pool, recovery path, and generation
     /// index, and gets its own group-commit thread, so shards never share
-    /// a durability boundary. Both front ends route every key to its
-    /// owning shard via [`Ring::shard_of`] over the raw key bytes — the
-    /// same ring a client can mirror from nothing but the shard count.
+    /// a durability boundary. Every key is routed to its owning shard via
+    /// [`Ring::shard_of`] over the raw key bytes — the same ring a client
+    /// can mirror from nothing but the shard count.
     ///
     /// With `cfg.repl` set, every shard opens a replication connection to
     /// the backup before serving starts and ships each committed batch as
@@ -357,7 +329,7 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Socket errors, epoll/eventfd creation errors (epoll mode), and
+    /// Socket errors, epoll/eventfd creation errors, and
     /// replication-connection errors when `cfg.repl` is set.
     ///
     /// # Panics
@@ -396,22 +368,15 @@ impl Server {
             promoted: AtomicBool::new(false),
             repl_expect: (0..nshards).map(|_| AtomicU64::new(1)).collect(),
         });
-        let io = cfg.io;
+        // Kernel objects are created up front so setup errors surface
+        // here as io::Error instead of panicking a thread.
         let n_reactors = cfg.reactors.max(1);
-
-        // Epoll-mode kernel objects are created up front so setup errors
-        // surface here as io::Error instead of panicking a thread.
-        let (reactor_shareds, epolls) = if io == IoMode::Epoll {
-            let mut shareds = Vec::with_capacity(n_reactors);
-            let mut epolls = Vec::with_capacity(n_reactors);
-            for _ in 0..n_reactors {
-                shareds.push(Arc::new(ReactorShared::new()?));
-                epolls.push(Epoll::new()?);
-            }
-            (shareds, epolls)
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        let mut reactor_shareds = Vec::with_capacity(n_reactors);
+        let mut epolls = Vec::with_capacity(n_reactors);
+        for _ in 0..n_reactors {
+            reactor_shareds.push(Arc::new(ReactorShared::new()?));
+            epolls.push(Epoll::new()?);
+        }
 
         let shared = Arc::new(Shared {
             shards: shard_set,
@@ -420,43 +385,28 @@ impl Server {
             queue,
             shutdown: AtomicBool::new(false),
             conns: AtomicUsize::new(0),
-            conn_handles: Mutex::new(Vec::new()),
             reactors: reactor_shareds,
             done: Mutex::new(false),
             done_cv: Condvar::new(),
         });
 
-        let mut acceptor = None;
-        let mut reactor_handles = Vec::new();
-        match io {
-            IoMode::Threads => {
-                let shared2 = Arc::clone(&shared);
-                acceptor = Some(
-                    std::thread::Builder::new()
-                        .name("spp-server-acceptor".into())
-                        .spawn(move || accept_loop(&listener, &shared2))?,
-                );
-            }
-            IoMode::Epoll => {
-                let mut listener = Some(listener);
-                for (i, epoll) in epolls.into_iter().enumerate() {
-                    let shared2 = Arc::clone(&shared);
-                    let me = Arc::clone(&shared.reactors[i]);
-                    let peers = shared.reactors.clone();
-                    // Reactor 0 owns the listener and deals accepted
-                    // sockets round-robin to its peers.
-                    let l = if i == 0 { listener.take() } else { None };
-                    reactor_handles.push(
-                        std::thread::Builder::new()
-                            .name(format!("spp-server-reactor-{i}"))
-                            .spawn(move || reactor_main(i, epoll, l, shared2, me, peers))?,
-                    );
-                }
-            }
+        let mut reactor_handles = Vec::with_capacity(n_reactors);
+        let mut listener = Some(listener);
+        for (i, epoll) in epolls.into_iter().enumerate() {
+            let shared2 = Arc::clone(&shared);
+            let me = Arc::clone(&shared.reactors[i]);
+            let peers = shared.reactors.clone();
+            // Reactor 0 owns the listener and deals accepted sockets
+            // round-robin to its peers.
+            let l = if i == 0 { listener.take() } else { None };
+            reactor_handles.push(
+                std::thread::Builder::new()
+                    .name(format!("spp-server-reactor-{i}"))
+                    .spawn(move || reactor_main(i, epoll, l, shared2, me, peers))?,
+            );
         }
         Ok(Server {
             shared,
-            acceptor,
             reactor_handles,
             workers: Some(workers),
         })
@@ -536,7 +486,7 @@ impl Server {
     }
 
     /// Close every shard's group committer without shutting the server
-    /// down, leaving front ends and workers running. Test-only hook for
+    /// down, leaving reactors and workers running. Test-only hook for
     /// the parked-run regression tests.
     #[doc(hidden)]
     pub fn debug_close_committers(&self) {
@@ -572,22 +522,15 @@ impl Server {
     }
 
     /// Trigger + complete a graceful shutdown: stop accepting, drain the
-    /// front end (connection threads, or reactors finishing in-flight
-    /// runs), quiesce the worker pool (all queued jobs run), and join
-    /// everything. Idempotent with a wire-initiated `SHUTDOWN`.
+    /// reactors (in-flight runs finish), quiesce the worker pool (all
+    /// queued jobs run), and join everything. Idempotent with a
+    /// wire-initiated `SHUTDOWN`.
     pub fn shutdown(mut self) {
         self.shared.trigger_shutdown();
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
         // Reactors quiesce BEFORE the workers: they stop feeding the
         // queue, finish parked/in-flight runs, and flush acks; only then
         // is the pool drained and closed.
         for h in std::mem::take(&mut self.reactor_handles) {
-            let _ = h.join();
-        }
-        let handles = std::mem::take(&mut *self.shared.conn_handles.lock().expect("conn handles"));
-        for h in handles {
             let _ = h.join();
         }
         if let Some(w) = self.workers.take() {
@@ -601,106 +544,7 @@ impl Server {
         // Leave every device quiescent: a final fence so any straggling
         // flushed-but-unfenced stores are promoted before the pools are
         // dropped or their images saved.
-        for s in &self.shared.shards.shards {
-            s.engine.pool().pm().fence();
-        }
-    }
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((s, _)) => s,
-            Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        if shared.conns.load(Ordering::SeqCst) >= shared.cfg.max_conns {
-            reject_busy(stream);
-            continue;
-        }
-        shared.conns.fetch_add(1, Ordering::SeqCst);
-        let shared2 = Arc::clone(shared);
-        let handle = std::thread::Builder::new()
-            .name("spp-server-conn".into())
-            .spawn(move || {
-                serve_conn(stream, &shared2);
-                shared2.conns.fetch_sub(1, Ordering::SeqCst);
-            });
-        match handle {
-            Ok(h) => shared.conn_handles.lock().expect("conn handles").push(h),
-            Err(_) => {
-                shared.conns.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-    }
-}
-
-/// Connection-limit rejection: one `BUSY` frame, then close.
-pub(crate) fn reject_busy(mut stream: TcpStream) {
-    let mut out = Vec::with_capacity(8);
-    encode_response(&mut out, &Response::Busy);
-    let _ = stream.write_all(&out);
-}
-
-/// Execute one non-write request directly against its owning shard
-/// (writes go through the shard's group committer — see [`execute_ops`]).
-fn execute(shards: &ShardSet, req: OwnedRequest) -> OwnedResponse {
-    match req {
-        OwnedRequest::Put { key, value } => match shards.shard_for(&key).engine.put(&key, &value) {
-            Ok(()) => OwnedResponse::Ok,
-            Err(e) => OwnedResponse::Err(e.to_string()),
-        },
-        OwnedRequest::Del { key } => match shards.shard_for(&key).engine.remove(&key) {
-            Ok(true) => OwnedResponse::Ok,
-            Ok(false) => OwnedResponse::NotFound,
-            Err(e) => OwnedResponse::Err(e.to_string()),
-        },
-        OwnedRequest::Get { key } => {
-            let mut out = Vec::new();
-            match shards.shard_for(&key).engine.get(&key, &mut out) {
-                Ok(true) => OwnedResponse::Value(out),
-                Ok(false) => OwnedResponse::NotFound,
-                Err(e) => OwnedResponse::Err(e.to_string()),
-            }
-        }
-        OwnedRequest::Stats => match shards.render_stats() {
-            Ok(body) => OwnedResponse::Stats(body),
-            Err(m) => OwnedResponse::Err(m),
-        },
-        OwnedRequest::Flush => {
-            shards.fence_all();
-            OwnedResponse::Ok
-        }
-        OwnedRequest::Ping => OwnedResponse::Pong,
-        OwnedRequest::ReplHello { shards: n } => {
-            // Layout handshake on a replication connection: refuse a
-            // primary whose shard numbering would not map onto ours.
-            if shards.promoted.load(Ordering::SeqCst) {
-                OwnedResponse::Err("promoted: no longer accepting replication".to_string())
-            } else if n as usize == shards.shards.len() {
-                OwnedResponse::Ok
-            } else {
-                OwnedResponse::Err(format!(
-                    "replication shard count mismatch: primary ships {n} shards, this backup serves {}",
-                    shards.shards.len()
-                ))
-            }
-        }
-        // Wire validation rejects nested MULTI; `execute_ops` handles the
-        // outer level. Answer defensively rather than panic a worker.
-        OwnedRequest::Multi(_) => OwnedResponse::Err("nested MULTI".to_string()),
-        // Handled in `execute_ops` (they need the staging barrier there);
-        // defensive here for the same reason as Multi.
-        OwnedRequest::ReplBatch { .. } | OwnedRequest::Promote => {
-            OwnedResponse::Err("replication frame outside run context".to_string())
-        }
+        self.shared.shards.fence_all();
     }
 }
 
@@ -769,49 +613,65 @@ fn apply_repl_batch(shards: &ShardSet, shard: u32, seq: u64, ops: Vec<WriteOp>) 
 /// those writes (a read, `STATS`, `FLUSH`) and at `MULTI` boundaries, so
 /// responses are exactly what sequential execution would produce. (On a
 /// multi-shard server a `MULTI` is atomic *per shard* — each shard's slice
-/// of the batch shares one boundary — not across shards.) Both front ends
-/// call this — and only this — to run a run.
+/// of the batch shares one boundary — not across shards.) This is the only
+/// way a run reaches the engines.
 pub(crate) fn execute_ops(shards: &ShardSet, reqs: Vec<OwnedRequest>) -> Vec<OwnedResponse> {
     let nshards = shards.shards.len();
     let mut out: Vec<Option<OwnedResponse>> = Vec::with_capacity(reqs.len());
     let mut staged: Vec<Vec<(usize, WriteOp)>> = vec![Vec::new(); nshards];
     for req in reqs {
-        match req {
+        // Writes are staged and a PING touches nothing; everything else is
+        // a barrier. A read, `STATS` or `FLUSH` must observe every earlier
+        // write in the run; a `MULTI` body is its own (per-shard) atomic
+        // batch, so batch boundaries align with the frame boundary on both
+        // sides; replication applies whole batches in shipping order, never
+        // interleaved with this run's staged writes.
+        if !matches!(
+            req,
+            OwnedRequest::Put { .. } | OwnedRequest::Del { .. } | OwnedRequest::Ping
+        ) {
+            flush_staged(shards, &mut out, &mut staged);
+        }
+        let reply = match req {
             OwnedRequest::Put { key, value } => {
                 let s = shards.ring.shard_of(&key) as usize;
                 staged[s].push((out.len(), WriteOp::Put { key, value }));
-                out.push(None);
+                None
             }
             OwnedRequest::Del { key } => {
                 let s = shards.ring.shard_of(&key) as usize;
                 staged[s].push((out.len(), WriteOp::Del { key }));
-                out.push(None);
+                None
             }
-            OwnedRequest::Ping => out.push(Some(OwnedResponse::Pong)),
-            OwnedRequest::Multi(nested) => {
-                // A MULTI body is its own (per-shard) atomic batch: align
-                // batch boundaries with the frame boundary on both sides.
-                flush_staged(shards, &mut out, &mut staged);
-                let replies = execute_ops(shards, nested);
-                out.push(Some(OwnedResponse::Multi(replies)));
-            }
+            OwnedRequest::Ping => Some(OwnedResponse::Pong),
+            OwnedRequest::Multi(nested) => Some(OwnedResponse::Multi(execute_ops(shards, nested))),
             OwnedRequest::ReplBatch { shard, seq, ops } => {
-                // Replication applies whole batches in shipping order;
-                // never interleave them with this run's staged writes.
-                flush_staged(shards, &mut out, &mut staged);
-                out.push(Some(apply_repl_batch(shards, shard, seq, ops)));
+                Some(apply_repl_batch(shards, shard, seq, ops))
             }
             OwnedRequest::Promote => {
-                flush_staged(shards, &mut out, &mut staged);
                 shards.promote();
-                out.push(Some(OwnedResponse::Ok));
+                Some(OwnedResponse::Ok)
             }
-            req => {
-                // Reads must observe every earlier write in the run.
-                flush_staged(shards, &mut out, &mut staged);
-                out.push(Some(execute(shards, req)));
+            OwnedRequest::Get { key } => {
+                let engine = &shards.shards[shards.ring.shard_of(&key) as usize].engine;
+                let mut value = Vec::new();
+                Some(match engine.get(&key, &mut value) {
+                    Ok(true) => OwnedResponse::Value(value),
+                    Ok(false) => OwnedResponse::NotFound,
+                    Err(e) => OwnedResponse::Err(e.to_string()),
+                })
             }
-        }
+            OwnedRequest::Stats => Some(match shards.render_stats() {
+                Ok(body) => OwnedResponse::Stats(body),
+                Err(m) => OwnedResponse::Err(m),
+            }),
+            OwnedRequest::Flush => {
+                shards.fence_all();
+                Some(OwnedResponse::Ok)
+            }
+            OwnedRequest::ReplHello { shards: n } => Some(shards.repl_hello(n)),
+        };
+        out.push(reply);
     }
     flush_staged(shards, &mut out, &mut staged);
     out.into_iter()
@@ -852,119 +712,6 @@ fn flush_staged(
                     out[slot] = Some(OwnedResponse::Err(e.to_string()));
                 }
             }
-        }
-    }
-}
-
-fn serve_conn(mut stream: TcpStream, shared: &Arc<Shared>) {
-    use std::io::Read;
-
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(READ_TICK));
-    let mut rbuf: Vec<u8> = Vec::with_capacity(4096);
-    let mut wbuf: Vec<u8> = Vec::with_capacity(4096);
-    let mut chunk = [0u8; 16 * 1024];
-    // Reused per-connection reply channel; capacity 1 because at most one
-    // run job is in flight per connection.
-    let (reply_tx, reply_rx): (SyncSender<Vec<OwnedResponse>>, Receiver<Vec<OwnedResponse>>) =
-        sync_channel(1);
-
-    loop {
-        // The shared run decoder: every complete frame already buffered
-        // becomes one ordered run (see `crate::conn::decode_run`).
-        let run = decode_run(&rbuf);
-        if run.consumed > 0 {
-            rbuf.drain(..run.consumed);
-        }
-        let mut replies = run.replies;
-        let execs = run.execs;
-        let exec_slots = run.exec_slots;
-        let stop = run.stop;
-
-        // Execute the run: one worker job for all engine requests in it.
-        wbuf.clear();
-        let mut close_after: Option<&str> = None;
-        if !execs.is_empty() {
-            let shards = Arc::clone(&shared.shards);
-            let tx = reply_tx.clone();
-            let job: Job = Box::new(move || {
-                // A hung/vanished connection must not wedge the worker:
-                // drop the reply instead of blocking.
-                let _ = tx.try_send(execute_ops(&shards, execs));
-            });
-            match shared.queue.try_push(job) {
-                Ok(()) => match reply_rx.recv() {
-                    Ok(run_replies) => {
-                        debug_assert_eq!(run_replies.len(), exec_slots.len());
-                        for (slot, reply) in exec_slots.into_iter().zip(run_replies) {
-                            replies[slot] = Some(reply);
-                        }
-                    }
-                    Err(_) => close_after = Some("worker pool terminated"),
-                },
-                Err(PushError::Full(_)) => {
-                    // Saturated: reject the whole run's engine work with
-                    // BUSY (inline answers still stand) — explicit
-                    // backpressure, never unbounded buffering. (The epoll
-                    // front end parks the run instead.)
-                    for slot in exec_slots {
-                        replies[slot] = Some(OwnedResponse::Busy);
-                    }
-                }
-                Err(PushError::Closed(_)) => close_after = Some("server shutting down"),
-            }
-        }
-        for reply in &replies {
-            match reply {
-                Some(resp) => encode_owned(&mut wbuf, resp),
-                // Unanswered tail after a fatal pool error; the error
-                // frame below closes the connection.
-                None => break,
-            }
-        }
-        if let Some(msg) = close_after {
-            encode_response(&mut wbuf, &Response::Err(msg));
-            let _ = stream.write_all(&wbuf);
-            if matches!(stop, Some(Stop::Shutdown)) {
-                shared.trigger_shutdown();
-            }
-            return;
-        }
-        match stop {
-            Some(Stop::Shutdown) => {
-                encode_response(&mut wbuf, &Response::Ok);
-                let _ = stream.write_all(&wbuf);
-                shared.trigger_shutdown();
-                return;
-            }
-            Some(Stop::Envelope(msg)) => {
-                encode_response(&mut wbuf, &Response::Err(&msg));
-                let _ = stream.write_all(&wbuf);
-                return;
-            }
-            None => {}
-        }
-        if !wbuf.is_empty() && stream.write_all(&wbuf).is_err() {
-            return;
-        }
-        // Oversized-but-incomplete frames never get here (decode_frame
-        // rejects the prefix immediately), so rbuf growth is bounded by
-        // MAX_FRAME plus one read chunk.
-        debug_assert!(rbuf.len() <= MAX_FRAME + PREFIX + chunk.len());
-
-        // Pull more bytes, ticking the shutdown flag.
-        match stream.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => rbuf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) => return,
         }
     }
 }

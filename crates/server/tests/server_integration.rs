@@ -1,19 +1,13 @@
 //! End-to-end service tests over real sockets: every policy, malformed
-//! frames, connection-limit backpressure, and graceful shutdown — each
-//! scenario driven against **both** I/O front ends (`threads` and
-//! `epoll`), since the wire contract must not depend on who reads the
-//! sockets.
+//! frames, connection-limit backpressure, and graceful shutdown.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use spp_server::{
-    fresh_server_pool, Client, ClientError, GroupConfig, IoMode, KvEngine, PolicyKind, ReplAckMode,
+    fresh_server_pool, Client, ClientError, GroupConfig, KvEngine, PolicyKind, ReplAckMode,
     ReplConfig, ReplOp, Reply, Request, RespKind, Server, ServerConfig,
 };
-
-/// Every front end each scenario must behave identically under.
-const IO_MODES: [IoMode; 2] = [IoMode::Threads, IoMode::Epoll];
 
 fn key(i: u64) -> [u8; 16] {
     let mut k = [0u8; 16];
@@ -27,43 +21,37 @@ fn start(kind: PolicyKind, cfg: ServerConfig) -> Server {
     Server::start(engine, ("127.0.0.1", 0), cfg).unwrap()
 }
 
-fn start_io(kind: PolicyKind, io: IoMode, cfg: ServerConfig) -> Server {
-    start(kind, ServerConfig { io, ..cfg })
-}
-
 fn connect(server: &Server) -> Client {
     Client::connect_retry(server.local_addr(), Duration::from_secs(5)).unwrap()
 }
 
 #[test]
 fn full_roundtrip_under_every_policy() {
-    for io in IO_MODES {
-        for kind in PolicyKind::ALL {
-            let server = start_io(kind, io, ServerConfig::default());
-            let mut c = connect(&server);
-            c.ping().unwrap();
-            for i in 0..50u64 {
-                c.put(&key(i), format!("value-{i}").as_bytes()).unwrap();
-            }
-            let mut out = Vec::new();
-            assert!(c.get(&key(17), &mut out).unwrap());
-            assert_eq!(out, b"value-17");
-            out.clear();
-            assert!(!c.get(&key(999), &mut out).unwrap());
-            assert!(c.del(&key(17)).unwrap());
-            assert!(!c.del(&key(17)).unwrap());
-            out.clear();
-            assert!(!c.get(&key(17), &mut out).unwrap());
-            c.flush().unwrap();
-            let stats = c.stats().unwrap();
-            assert!(
-                stats.contains(&format!("policy={}", kind.label())),
-                "{stats}"
-            );
-            assert!(stats.contains("keys=49"), "{stats}");
-            c.shutdown().unwrap();
-            server.shutdown();
+    for kind in PolicyKind::ALL {
+        let server = start(kind, ServerConfig::default());
+        let mut c = connect(&server);
+        c.ping().unwrap();
+        for i in 0..50u64 {
+            c.put(&key(i), format!("value-{i}").as_bytes()).unwrap();
         }
+        let mut out = Vec::new();
+        assert!(c.get(&key(17), &mut out).unwrap());
+        assert_eq!(out, b"value-17");
+        out.clear();
+        assert!(!c.get(&key(999), &mut out).unwrap());
+        assert!(c.del(&key(17)).unwrap());
+        assert!(!c.del(&key(17)).unwrap());
+        out.clear();
+        assert!(!c.get(&key(17), &mut out).unwrap());
+        c.flush().unwrap();
+        let stats = c.stats().unwrap();
+        assert!(
+            stats.contains(&format!("policy={}", kind.label())),
+            "{stats}"
+        );
+        assert!(stats.contains("keys=49"), "{stats}");
+        c.shutdown().unwrap();
+        server.shutdown();
     }
 }
 
@@ -96,212 +84,196 @@ fn values_cross_policy_engines_identically() {
 
 #[test]
 fn malformed_body_gets_err_and_stream_resyncs() {
-    for io in IO_MODES {
-        let server = start_io(PolicyKind::Spp, io, ServerConfig::default());
-        let mut c = connect(&server);
+    let server = start(PolicyKind::Spp, ServerConfig::default());
+    let mut c = connect(&server);
 
-        // Unknown opcode: ERR, connection stays usable.
-        c.send_raw(&{
-            let mut b = 3u32.to_le_bytes().to_vec();
-            b.extend_from_slice(&[0x7F, 1, 2]);
-            b
-        })
-        .unwrap();
-        assert!(matches!(c.recv_response_kind().unwrap(), RespKind::Err(_)));
-        c.ping().unwrap();
+    // Unknown opcode: ERR, connection stays usable.
+    c.send_raw(&{
+        let mut b = 3u32.to_le_bytes().to_vec();
+        b.extend_from_slice(&[0x7F, 1, 2]);
+        b
+    })
+    .unwrap();
+    assert!(matches!(c.recv_response_kind().unwrap(), RespKind::Err(_)));
+    c.ping().unwrap();
 
-        // PUT whose declared key length overruns the payload: ERR, resync.
-        c.send_raw(&{
-            let mut b = 4u32.to_le_bytes().to_vec();
-            b.extend_from_slice(&[0x01]);
-            b.extend_from_slice(&500u16.to_le_bytes());
-            b.push(b'k');
-            b
-        })
-        .unwrap();
-        assert!(matches!(c.recv_response_kind().unwrap(), RespKind::Err(_)));
-        c.ping().unwrap();
+    // PUT whose declared key length overruns the payload: ERR, resync.
+    c.send_raw(&{
+        let mut b = 4u32.to_le_bytes().to_vec();
+        b.extend_from_slice(&[0x01]);
+        b.extend_from_slice(&500u16.to_le_bytes());
+        b.push(b'k');
+        b
+    })
+    .unwrap();
+    assert!(matches!(c.recv_response_kind().unwrap(), RespKind::Err(_)));
+    c.ping().unwrap();
 
-        // Wrong key size is an engine error, not a panic; still usable after.
-        match c.put(b"short", b"v") {
-            Err(ClientError::Remote(msg)) => assert!(msg.contains("16 bytes"), "{msg}"),
-            other => panic!("expected Remote error, got {other:?}"),
-        }
-        c.ping().unwrap();
-        server.shutdown();
+    // Wrong key size is an engine error, not a panic; still usable after.
+    match c.put(b"short", b"v") {
+        Err(ClientError::Remote(msg)) => assert!(msg.contains("16 bytes"), "{msg}"),
+        other => panic!("expected Remote error, got {other:?}"),
     }
+    c.ping().unwrap();
+    server.shutdown();
 }
 
 #[test]
 fn envelope_garbage_closes_connection_with_err() {
-    for io in IO_MODES {
-        let server = start_io(PolicyKind::Pmdk, io, ServerConfig::default());
-        let mut c = connect(&server);
-        // Length prefix far beyond MAX_FRAME: ERR, then the server hangs up.
-        c.send_raw(&u32::MAX.to_le_bytes()).unwrap();
-        match c.recv_response_kind().unwrap() {
-            RespKind::Err(msg) => assert!(msg.contains("exceeds maximum"), "{msg}"),
-            other => panic!("expected Err, got {other:?}"),
-        }
-        match c.recv_response_kind() {
-            Err(ClientError::Io(_)) => {}
-            other => panic!("expected closed connection, got {other:?}"),
-        }
-        // A fresh connection is unaffected.
-        let mut c2 = connect(&server);
-        c2.ping().unwrap();
-        server.shutdown();
+    let server = start(PolicyKind::Pmdk, ServerConfig::default());
+    let mut c = connect(&server);
+    // Length prefix far beyond MAX_FRAME: ERR, then the server hangs up.
+    c.send_raw(&u32::MAX.to_le_bytes()).unwrap();
+    match c.recv_response_kind().unwrap() {
+        RespKind::Err(msg) => assert!(msg.contains("exceeds maximum"), "{msg}"),
+        other => panic!("expected Err, got {other:?}"),
     }
+    match c.recv_response_kind() {
+        Err(ClientError::Io(_)) => {}
+        other => panic!("expected closed connection, got {other:?}"),
+    }
+    // A fresh connection is unaffected.
+    let mut c2 = connect(&server);
+    c2.ping().unwrap();
+    server.shutdown();
 }
 
 #[test]
 fn connection_limit_answers_busy() {
-    for io in IO_MODES {
-        let server = start_io(
-            PolicyKind::Spp,
-            io,
-            ServerConfig {
-                workers: 2,
-                max_conns: 1,
-                queue_depth: 8,
-                ..ServerConfig::default()
-            },
-        );
-        let mut first = connect(&server);
-        first.ping().unwrap();
-        // The slot is taken: the next connection is told BUSY and hung up on.
-        let mut second = connect(&server);
-        match second.recv_response_kind().unwrap() {
-            RespKind::Busy => {}
-            other => panic!("expected Busy ({io}), got {other:?}"),
-        }
-        // The admitted connection keeps full service.
-        first.put(&key(1), b"v").unwrap();
-        drop(second);
-        server.shutdown();
+    let server = start(
+        PolicyKind::Spp,
+        ServerConfig {
+            workers: 2,
+            max_conns: 1,
+            queue_depth: 8,
+            ..ServerConfig::default()
+        },
+    );
+    let mut first = connect(&server);
+    first.ping().unwrap();
+    // The slot is taken: the next connection is told BUSY and hung up on.
+    let mut second = connect(&server);
+    match second.recv_response_kind().unwrap() {
+        RespKind::Busy => {}
+        other => panic!("expected Busy, got {other:?}"),
     }
+    // The admitted connection keeps full service.
+    first.put(&key(1), b"v").unwrap();
+    drop(second);
+    server.shutdown();
 }
 
 #[test]
 fn wire_shutdown_quiesces_and_refuses_new_work() {
-    for io in IO_MODES {
-        let server = start_io(PolicyKind::SafePm, io, ServerConfig::default());
-        let addr = server.local_addr();
-        let mut c = connect(&server);
-        c.put(&key(7), b"survives").unwrap();
-        c.shutdown().unwrap();
-        server.shutdown();
-        // The listener is gone: connecting now fails (or is immediately reset).
-        let refused = match Client::connect(addr) {
-            Err(_) => true,
-            Ok(mut c2) => c2.ping().is_err(),
-        };
-        assert!(
-            refused,
-            "server accepted work after graceful shutdown ({io})"
-        );
-    }
+    let server = start(PolicyKind::SafePm, ServerConfig::default());
+    let addr = server.local_addr();
+    let mut c = connect(&server);
+    c.put(&key(7), b"survives").unwrap();
+    c.shutdown().unwrap();
+    server.shutdown();
+    // The listener is gone: connecting now fails (or is immediately reset).
+    let refused = match Client::connect(addr) {
+        Err(_) => true,
+        Ok(mut c2) => c2.ping().is_err(),
+    };
+    assert!(refused, "server accepted work after graceful shutdown");
 }
 
 #[test]
 fn multi_roundtrip_under_every_policy() {
-    for io in IO_MODES {
-        for kind in PolicyKind::ALL {
-            let server = start_io(kind, io, ServerConfig::default());
-            let mut c = connect(&server);
-            // One atomic batch mixing writes and reads of its own writes.
-            let (k1, k2, k3) = (key(1), key(2), key(3));
-            let replies = c
-                .multi(&[
-                    Request::Put {
-                        key: &k1,
-                        value: b"alpha",
-                    },
-                    Request::Put {
-                        key: &k2,
-                        value: b"beta",
-                    },
-                    Request::Get { key: &k1 },
-                    Request::Del { key: &k3 },
-                    Request::Ping,
-                ])
-                .unwrap();
-            assert_eq!(
-                replies,
-                vec![
-                    Reply::Ok,
-                    Reply::Ok,
-                    Reply::Value(b"alpha".to_vec()),
-                    Reply::NotFound,
-                    Reply::Pong,
-                ],
-                "{} ({io})",
-                kind.label()
-            );
-            // The batch's writes are visible to plain requests afterwards.
-            let mut out = Vec::new();
-            assert!(c.get(&k2, &mut out).unwrap());
-            assert_eq!(out, b"beta");
-            // An invalid key inside a batch errors that slot only.
-            let replies = c
-                .multi(&[
-                    Request::Put {
-                        key: b"short",
-                        value: b"x",
-                    },
-                    Request::Put {
-                        key: &k3,
-                        value: b"gamma",
-                    },
-                ])
-                .unwrap();
-            assert!(matches!(replies[0], Reply::Err(_)), "{replies:?}");
-            assert_eq!(replies[1], Reply::Ok);
-            out.clear();
-            assert!(c.get(&k3, &mut out).unwrap());
-            assert_eq!(out, b"gamma");
-            server.shutdown();
-        }
+    for kind in PolicyKind::ALL {
+        let server = start(kind, ServerConfig::default());
+        let mut c = connect(&server);
+        // One atomic batch mixing writes and reads of its own writes.
+        let (k1, k2, k3) = (key(1), key(2), key(3));
+        let replies = c
+            .multi(&[
+                Request::Put {
+                    key: &k1,
+                    value: b"alpha",
+                },
+                Request::Put {
+                    key: &k2,
+                    value: b"beta",
+                },
+                Request::Get { key: &k1 },
+                Request::Del { key: &k3 },
+                Request::Ping,
+            ])
+            .unwrap();
+        assert_eq!(
+            replies,
+            vec![
+                Reply::Ok,
+                Reply::Ok,
+                Reply::Value(b"alpha".to_vec()),
+                Reply::NotFound,
+                Reply::Pong,
+            ],
+            "{}",
+            kind.label()
+        );
+        // The batch's writes are visible to plain requests afterwards.
+        let mut out = Vec::new();
+        assert!(c.get(&k2, &mut out).unwrap());
+        assert_eq!(out, b"beta");
+        // An invalid key inside a batch errors that slot only.
+        let replies = c
+            .multi(&[
+                Request::Put {
+                    key: b"short",
+                    value: b"x",
+                },
+                Request::Put {
+                    key: &k3,
+                    value: b"gamma",
+                },
+            ])
+            .unwrap();
+        assert!(matches!(replies[0], Reply::Err(_)), "{replies:?}");
+        assert_eq!(replies[1], Reply::Ok);
+        out.clear();
+        assert!(c.get(&k3, &mut out).unwrap());
+        assert_eq!(out, b"gamma");
+        server.shutdown();
     }
 }
 
 #[test]
 fn pipelined_frames_are_answered_in_order() {
-    for io in IO_MODES {
-        let server = start_io(PolicyKind::Spp, io, ServerConfig::default());
-        let mut c = connect(&server);
-        // 40 back-to-back frames without waiting: interleaved PUTs, GETs of
-        // keys written earlier in the same pipeline, and pings.
-        let keys: Vec<[u8; 16]> = (0..16).map(key).collect();
-        let values: Vec<Vec<u8>> = (0..16u64).map(|i| i.to_le_bytes().to_vec()).collect();
-        let mut reqs: Vec<Request<'_>> = Vec::new();
-        for i in 0..16 {
-            reqs.push(Request::Put {
-                key: &keys[i],
-                value: &values[i],
-            });
-            if i % 4 == 3 {
-                // Reads a key PUT earlier in this same pipelined burst.
-                reqs.push(Request::Get { key: &keys[i - 2] });
-            }
-            if i % 8 == 7 {
-                reqs.push(Request::Ping);
-            }
+    let server = start(PolicyKind::Spp, ServerConfig::default());
+    let mut c = connect(&server);
+    // 40 back-to-back frames without waiting: interleaved PUTs, GETs of
+    // keys written earlier in the same pipeline, and pings.
+    let keys: Vec<[u8; 16]> = (0..16).map(key).collect();
+    let values: Vec<Vec<u8>> = (0..16u64).map(|i| i.to_le_bytes().to_vec()).collect();
+    let mut reqs: Vec<Request<'_>> = Vec::new();
+    for i in 0..16 {
+        reqs.push(Request::Put {
+            key: &keys[i],
+            value: &values[i],
+        });
+        if i % 4 == 3 {
+            // Reads a key PUT earlier in this same pipelined burst.
+            reqs.push(Request::Get { key: &keys[i - 2] });
         }
-        let replies = c.pipeline(&reqs).unwrap();
-        assert_eq!(replies.len(), reqs.len());
-        for (req, reply) in reqs.iter().zip(&replies) {
-            match (req, reply) {
-                (Request::Put { .. }, Reply::Ok) | (Request::Ping, Reply::Pong) => {}
-                (Request::Get { key }, Reply::Value(v)) => {
-                    let i = u64::from_be_bytes(key[..8].try_into().unwrap());
-                    assert_eq!(v, &i.to_le_bytes(), "GET {i} out of order ({io})");
-                }
-                other => panic!("mismatched pipelined reply ({io}): {other:?}"),
-            }
+        if i % 8 == 7 {
+            reqs.push(Request::Ping);
         }
-        server.shutdown();
     }
+    let replies = c.pipeline(&reqs).unwrap();
+    assert_eq!(replies.len(), reqs.len());
+    for (req, reply) in reqs.iter().zip(&replies) {
+        match (req, reply) {
+            (Request::Put { .. }, Reply::Ok) | (Request::Ping, Reply::Pong) => {}
+            (Request::Get { key }, Reply::Value(v)) => {
+                let i = u64::from_be_bytes(key[..8].try_into().unwrap());
+                assert_eq!(v, &i.to_le_bytes(), "GET {i} out of order");
+            }
+            other => panic!("mismatched pipelined reply: {other:?}"),
+        }
+    }
+    server.shutdown();
 }
 
 #[test]
@@ -309,31 +281,29 @@ fn fragmented_byte_at_a_time_frames_are_served() {
     // Reactor-style ingestion must reassemble frames split at arbitrary
     // byte boundaries — including mid-length-prefix — without desync. The
     // client dribbles a 3-frame pipeline one byte per write.
-    for io in IO_MODES {
-        let server = start_io(PolicyKind::Spp, io, ServerConfig::default());
-        let mut c = connect(&server);
-        let k = key(42);
-        let mut bytes = Vec::new();
-        for req in [
-            Request::Put {
-                key: &k,
-                value: b"dribbled",
-            },
-            Request::Ping,
-            Request::Get { key: &k },
-        ] {
-            let mut one = Vec::new();
-            spp_server::wire::encode_request(&mut one, &req);
-            bytes.extend_from_slice(&one);
-        }
-        for b in &bytes {
-            c.send_raw(std::slice::from_ref(b)).unwrap();
-        }
-        assert_eq!(c.recv_response_kind().unwrap(), RespKind::Ok);
-        assert_eq!(c.recv_response_kind().unwrap(), RespKind::Pong);
-        assert_eq!(c.recv_response_kind().unwrap(), RespKind::Value);
-        server.shutdown();
+    let server = start(PolicyKind::Spp, ServerConfig::default());
+    let mut c = connect(&server);
+    let k = key(42);
+    let mut bytes = Vec::new();
+    for req in [
+        Request::Put {
+            key: &k,
+            value: b"dribbled",
+        },
+        Request::Ping,
+        Request::Get { key: &k },
+    ] {
+        let mut one = Vec::new();
+        spp_server::wire::encode_request(&mut one, &req);
+        bytes.extend_from_slice(&one);
     }
+    for b in &bytes {
+        c.send_raw(std::slice::from_ref(b)).unwrap();
+    }
+    assert_eq!(c.recv_response_kind().unwrap(), RespKind::Ok);
+    assert_eq!(c.recv_response_kind().unwrap(), RespKind::Pong);
+    assert_eq!(c.recv_response_kind().unwrap(), RespKind::Value);
+    server.shutdown();
 }
 
 /// Saturate a 1-worker/depth-1 pool with sleeper jobs, retrying until both
@@ -352,13 +322,12 @@ fn stall_pool(server: &Server, hold: Duration) {
 
 #[test]
 fn stalled_pool_parks_runs_in_epoll_mode_never_busy() {
-    // THE backpressure-semantics fix: with the worker pool saturated
-    // mid-run, the epoll front end must pause reading and resume once
-    // capacity frees up — the pipelined run completes with zero BUSY and
-    // in order, nothing dropped.
-    let server = start_io(
+    // The backpressure contract: with the worker pool saturated mid-run,
+    // the reactor must pause reading and resume once capacity frees up —
+    // the pipelined run completes with zero BUSY and in order, nothing
+    // dropped.
+    let server = start(
         PolicyKind::Spp,
-        IoMode::Epoll,
         ServerConfig {
             workers: 1,
             queue_depth: 1,
@@ -394,42 +363,9 @@ fn stalled_pool_parks_runs_in_epoll_mode_never_busy() {
 }
 
 #[test]
-fn stalled_pool_answers_busy_in_threads_mode() {
-    // The blocking front end keeps its PR-3 contract: a full queue fails
-    // the run's engine work with explicit BUSY (documented contrast with
-    // the epoll mode's park-and-resume).
-    let server = start_io(
-        PolicyKind::Spp,
-        IoMode::Threads,
-        ServerConfig {
-            workers: 1,
-            queue_depth: 1,
-            ..ServerConfig::default()
-        },
-    );
-    let mut c = connect(&server);
-    stall_pool(&server, Duration::from_millis(400));
-
-    let k = key(1);
-    let replies = c
-        .pipeline(&[
-            Request::Put {
-                key: &k,
-                value: b"v",
-            },
-            Request::Ping,
-        ])
-        .unwrap();
-    assert_eq!(replies[0], Reply::Busy, "threads mode rejects with BUSY");
-    assert_eq!(replies[1], Reply::Pong, "inline answers still stand");
-    server.shutdown();
-}
-
-#[test]
 fn idle_timeout_closes_quiet_connections_but_not_active_ones() {
-    let server = start_io(
+    let server = start(
         PolicyKind::Spp,
-        IoMode::Epoll,
         ServerConfig {
             idle_timeout: Some(Duration::from_millis(150)),
             ..ServerConfig::default()
@@ -457,100 +393,94 @@ fn idle_timeout_closes_quiet_connections_but_not_active_ones() {
 
 #[test]
 fn concurrent_multi_writers_share_commit_boundaries() {
-    for io in IO_MODES {
-        // A hold window makes cross-connection coalescing deterministic
-        // enough to observe: many single-connection batches must land in
-        // fewer committer boundaries than submissions.
-        let server = start_io(
-            PolicyKind::Spp,
-            io,
-            ServerConfig {
-                group: GroupConfig {
-                    max_batch: 256,
-                    max_hold: Duration::from_millis(3),
-                },
-                ..ServerConfig::default()
+    // A hold window makes cross-connection coalescing deterministic
+    // enough to observe: many single-connection batches must land in
+    // fewer committer boundaries than submissions.
+    let server = start(
+        PolicyKind::Spp,
+        ServerConfig {
+            group: GroupConfig {
+                max_batch: 256,
+                max_hold: Duration::from_millis(3),
             },
-        );
-        let addr = server.local_addr();
-        let threads: Vec<_> = (0..4u64)
-            .map(|t| {
-                std::thread::spawn(move || {
-                    let mut c = Client::connect_retry(addr, Duration::from_secs(5)).unwrap();
-                    for b in 0..10u64 {
-                        let keys: Vec<[u8; 16]> =
-                            (0..4).map(|i| key(t * 1_000 + b * 4 + i)).collect();
-                        let reqs: Vec<Request<'_>> = keys
-                            .iter()
-                            .map(|k| Request::Put {
-                                key: k,
-                                value: b"grouped",
-                            })
-                            .collect();
-                        loop {
-                            match c.multi(&reqs) {
-                                Ok(replies) => {
-                                    assert!(replies.iter().all(|r| *r == Reply::Ok));
-                                    break;
-                                }
-                                Err(ClientError::Busy) => {
-                                    std::thread::sleep(Duration::from_micros(100))
-                                }
-                                Err(e) => panic!("multi: {e}"),
+            ..ServerConfig::default()
+        },
+    );
+    let addr = server.local_addr();
+    let threads: Vec<_> = (0..4u64)
+        .map(|t| {
+            std::thread::spawn(move || {
+                let mut c = Client::connect_retry(addr, Duration::from_secs(5)).unwrap();
+                for b in 0..10u64 {
+                    let keys: Vec<[u8; 16]> = (0..4).map(|i| key(t * 1_000 + b * 4 + i)).collect();
+                    let reqs: Vec<Request<'_>> = keys
+                        .iter()
+                        .map(|k| Request::Put {
+                            key: k,
+                            value: b"grouped",
+                        })
+                        .collect();
+                    loop {
+                        match c.multi(&reqs) {
+                            Ok(replies) => {
+                                assert!(replies.iter().all(|r| *r == Reply::Ok));
+                                break;
                             }
+                            Err(ClientError::Busy) => {
+                                std::thread::sleep(Duration::from_micros(100))
+                            }
+                            Err(e) => panic!("multi: {e}"),
                         }
                     }
-                })
+                }
             })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let (batches, ops) = server.group_stats();
-        assert_eq!(ops, 160, "every batched PUT must go through the committer");
-        assert!(
-            batches < 40,
-            "40 MULTI submissions never shared a boundary ({batches} batches, {io})"
-        );
-        assert_eq!(server.engine().count().unwrap(), 160);
-        server.shutdown();
+        })
+        .collect();
+    for t in threads {
+        t.join().unwrap();
     }
+    let (batches, ops) = server.group_stats();
+    assert_eq!(ops, 160, "every batched PUT must go through the committer");
+    assert!(
+        batches < 40,
+        "40 MULTI submissions never shared a boundary ({batches} batches)"
+    );
+    assert_eq!(server.engine().count().unwrap(), 160);
+    server.shutdown();
 }
 
 #[test]
 fn concurrent_clients_see_consistent_store() {
-    for io in IO_MODES {
-        let server = start_io(PolicyKind::Spp, io, ServerConfig::default());
-        let addr = server.local_addr();
-        let threads: Vec<_> = (0..4u64)
-            .map(|t| {
-                std::thread::spawn(move || {
-                    let mut c = Client::connect_retry(addr, Duration::from_secs(5)).unwrap();
-                    for i in 0..100u64 {
-                        let k = key(t * 1_000 + i);
-                        loop {
-                            match c.put(&k, &i.to_le_bytes()) {
-                                Ok(()) => break,
-                                Err(ClientError::Busy) => {
-                                    std::thread::sleep(Duration::from_micros(100))
-                                }
-                                Err(e) => panic!("put: {e}"),
+    let server = start(PolicyKind::Spp, ServerConfig::default());
+    let addr = server.local_addr();
+    let threads: Vec<_> = (0..4u64)
+        .map(|t| {
+            std::thread::spawn(move || {
+                let mut c = Client::connect_retry(addr, Duration::from_secs(5)).unwrap();
+                for i in 0..100u64 {
+                    let k = key(t * 1_000 + i);
+                    loop {
+                        match c.put(&k, &i.to_le_bytes()) {
+                            Ok(()) => break,
+                            Err(ClientError::Busy) => {
+                                std::thread::sleep(Duration::from_micros(100))
                             }
+                            Err(e) => panic!("put: {e}"),
                         }
                     }
-                })
+                }
             })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let mut c = connect(&server);
-        assert_eq!(server.engine().count().unwrap(), 400);
-        let mut out = Vec::new();
-        assert!(c.get(&key(2_042), &mut out).unwrap());
-        assert_eq!(out, 42u64.to_le_bytes());
-        server.shutdown();
+        })
+        .collect();
+    for t in threads {
+        t.join().unwrap();
     }
+    let mut c = connect(&server);
+    assert_eq!(server.engine().count().unwrap(), 400);
+    let mut out = Vec::new();
+    assert!(c.get(&key(2_042), &mut out).unwrap());
+    assert_eq!(out, 42u64.to_le_bytes());
+    server.shutdown();
 }
 
 #[test]
@@ -558,9 +488,8 @@ fn epoll_serves_many_idle_connections_without_per_conn_threads() {
     // Small in-test version of the loadgen idle sweep: 60 open-but-idle
     // connections on a 2-reactor server must all stay serviceable, and
     // none of them may cost a thread (coarse check via /proc).
-    let server = start_io(
+    let server = start(
         PolicyKind::Spp,
-        IoMode::Epoll,
         ServerConfig {
             max_conns: 128,
             reactors: 2,
@@ -586,87 +515,138 @@ fn epoll_serves_many_idle_connections_without_per_conn_threads() {
     server.shutdown();
 }
 
-fn start_sharded(kind: PolicyKind, io: IoMode, nshards: usize, cfg: ServerConfig) -> Server {
+/// The value of `name=` in a `STATS` body.
+fn stat(stats: &str, name: &str) -> u64 {
+    let line = stats
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix('='));
+    line.unwrap_or_else(|| panic!("no `{name}=` in {stats}"))
+        .parse()
+        .unwrap()
+}
+
+fn start_sharded(kind: PolicyKind, nshards: usize, cfg: ServerConfig) -> Server {
     let engines = (0..nshards)
         .map(|_| {
             let pool = fresh_server_pool(16 << 20, 4, false).unwrap();
             Arc::new(KvEngine::create(pool, kind, 256).unwrap())
         })
         .collect();
-    Server::start_multi(engines, ("127.0.0.1", 0), ServerConfig { io, ..cfg }).unwrap()
+    Server::start_multi(engines, ("127.0.0.1", 0), cfg).unwrap()
 }
 
 #[test]
 fn sharded_server_routes_by_ring_and_serves_all_keys() {
-    for io in IO_MODES {
-        let server = start_sharded(PolicyKind::Spp, io, 3, ServerConfig::default());
-        let mut c = connect(&server);
-        for i in 0..90u64 {
-            c.put(&key(i), &i.to_le_bytes()).unwrap();
-        }
-        // Every key reads back through the front door, whichever shard
-        // owns it.
-        let mut out = Vec::new();
-        for i in 0..90u64 {
-            out.clear();
-            assert!(c.get(&key(i), &mut out).unwrap(), "key {i} lost ({io})");
-            assert_eq!(out, i.to_le_bytes());
-        }
-        // Per-shard placement matches the public ring exactly.
-        let ring = server.ring();
-        let engines = server.engines();
-        let mut expected = vec![0u64; engines.len()];
-        for i in 0..90u64 {
-            expected[ring.shard_of(&key(i)) as usize] += 1;
-        }
-        for (s, engine) in engines.iter().enumerate() {
-            assert_eq!(
-                engine.count().unwrap(),
-                expected[s],
-                "shard {s} holds keys the ring does not assign it ({io})"
-            );
-        }
-        assert!(
-            expected.iter().all(|&n| n > 0),
-            "degenerate ring: {expected:?}"
-        );
-        // STATS reports the shard layout.
-        let stats = c.stats().unwrap();
-        assert!(stats.contains("shards=3"), "{stats}");
-        // A MULTI spanning shards still answers every slot in order.
-        let (k1, k2, k3) = (key(200), key(201), key(202));
-        let replies = c
-            .multi(&[
-                Request::Put {
-                    key: &k1,
-                    value: b"a",
-                },
-                Request::Put {
-                    key: &k2,
-                    value: b"b",
-                },
-                Request::Get { key: &k1 },
-                Request::Del { key: &k3 },
-            ])
-            .unwrap();
-        assert_eq!(
-            replies,
-            vec![
-                Reply::Ok,
-                Reply::Ok,
-                Reply::Value(b"a".to_vec()),
-                Reply::NotFound
-            ]
-        );
-        server.shutdown();
+    let server = start_sharded(PolicyKind::Spp, 3, ServerConfig::default());
+    let mut c = connect(&server);
+    for i in 0..90u64 {
+        c.put(&key(i), &i.to_le_bytes()).unwrap();
     }
+    // Every key reads back through the front door, whichever shard
+    // owns it.
+    let mut out = Vec::new();
+    for i in 0..90u64 {
+        out.clear();
+        assert!(c.get(&key(i), &mut out).unwrap(), "key {i} lost");
+        assert_eq!(out, i.to_le_bytes());
+    }
+    // Per-shard placement matches the public ring exactly.
+    let ring = server.ring();
+    let engines = server.engines();
+    let mut expected = vec![0u64; engines.len()];
+    for i in 0..90u64 {
+        expected[ring.shard_of(&key(i)) as usize] += 1;
+    }
+    for (s, engine) in engines.iter().enumerate() {
+        assert_eq!(
+            engine.count().unwrap(),
+            expected[s],
+            "shard {s} holds keys the ring does not assign it"
+        );
+    }
+    assert!(
+        expected.iter().all(|&n| n > 0),
+        "degenerate ring: {expected:?}"
+    );
+    // STATS reports the shard layout, and its headline count is the whole
+    // store's, not shard 0's.
+    let stats = c.stats().unwrap();
+    assert_eq!(stat(&stats, "shards"), 3, "{stats}");
+    let per_shard: u64 = (0..3)
+        .map(|i| stat(&stats, &format!("shard{i}_keys")))
+        .sum();
+    assert_eq!(stat(&stats, "keys"), per_shard, "{stats}");
+    assert_eq!(per_shard, 90, "{stats}");
+    // A MULTI spanning shards still answers every slot in order.
+    let (k1, k2, k3) = (key(200), key(201), key(202));
+    let replies = c
+        .multi(&[
+            Request::Put {
+                key: &k1,
+                value: b"a",
+            },
+            Request::Put {
+                key: &k2,
+                value: b"b",
+            },
+            Request::Get { key: &k1 },
+            Request::Del { key: &k3 },
+        ])
+        .unwrap();
+    assert_eq!(
+        replies,
+        vec![
+            Reply::Ok,
+            Reply::Ok,
+            Reply::Value(b"a".to_vec()),
+            Reply::NotFound
+        ]
+    );
+    server.shutdown();
+}
+
+#[test]
+fn stats_under_write_churn_never_errors() {
+    // Regression: STATS used to count each shard's keys with no stripe
+    // lock, so a walk racing a DEL could dereference a just-freed node —
+    // a spurious temporal violation, answered as ERR. Every chain walk now
+    // holds its stripe read lock.
+    let server = start_sharded(PolicyKind::Spp, 2, ServerConfig::default());
+    let addr = server.local_addr();
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let writers: Vec<_> = (0..4u64)
+        .map(|t| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut c = Client::connect_retry(addr, Duration::from_secs(5)).unwrap();
+                let mut i = 0u64;
+                while !stop.load(std::sync::atomic::Ordering::SeqCst) {
+                    let k = key(t * 1_000 + i % 32);
+                    c.put(&k, b"churn").unwrap();
+                    c.del(&k).unwrap();
+                    i += 1;
+                }
+            })
+        })
+        .collect();
+    let mut c = connect(&server);
+    for i in 0..200 {
+        if let Err(e) = c.stats() {
+            panic!("STATS {i} under churn: {e}");
+        }
+    }
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    for w in writers {
+        w.join().unwrap();
+    }
+    server.shutdown();
 }
 
 #[test]
 fn repl_batch_applies_on_backup_and_promote_fences_it() {
     // Drive the backup role directly over the wire: REPL_BATCH frames
     // apply through the shard committer, PROMOTE stops further ones.
-    let server = start_sharded(PolicyKind::Spp, IoMode::Threads, 2, ServerConfig::default());
+    let server = start_sharded(PolicyKind::Spp, 2, ServerConfig::default());
     let mut c = connect(&server);
     let (k1, k2) = (key(1), key(2));
     // A real primary ships each batch to the shard the ring owns the
@@ -742,7 +722,7 @@ fn repl_sequence_gaps_poison_the_shard_stream() {
     // The backup validates dense per-shard sequences: a gap is rejected
     // and poisons that shard's stream — even the "missing" seq is refused
     // afterwards — while other shards and the front door stay live.
-    let server = start_sharded(PolicyKind::Spp, IoMode::Threads, 2, ServerConfig::default());
+    let server = start_sharded(PolicyKind::Spp, 2, ServerConfig::default());
     let mut c = connect(&server);
     let k = key(1);
     let put = [ReplOp::Put {
@@ -778,7 +758,7 @@ fn repl_sequence_gaps_poison_the_shard_stream() {
 
 #[test]
 fn repl_hello_verifies_shard_count() {
-    let server = start_sharded(PolicyKind::Spp, IoMode::Threads, 2, ServerConfig::default());
+    let server = start_sharded(PolicyKind::Spp, 2, ServerConfig::default());
     let mut c = connect(&server);
     c.repl_hello(2).unwrap();
     match c.repl_hello(3) {
@@ -798,7 +778,7 @@ fn repl_hello_verifies_shard_count() {
 fn mismatched_shard_layouts_refuse_to_replicate() {
     // A 1-shard primary pointed at a 2-shard backup must fail at startup
     // (the REPL_HELLO handshake), not misplace batches silently.
-    let backup = start_sharded(PolicyKind::Spp, IoMode::Threads, 2, ServerConfig::default());
+    let backup = start_sharded(PolicyKind::Spp, 2, ServerConfig::default());
     let pool = fresh_server_pool(16 << 20, 4, false).unwrap();
     let engine = Arc::new(KvEngine::create(pool, PolicyKind::Spp, 256).unwrap());
     let err = match Server::start_multi(
@@ -822,58 +802,51 @@ fn mismatched_shard_layouts_refuse_to_replicate() {
 
 #[test]
 fn sync_replication_mirrors_every_acked_write_onto_backup() {
-    for io in IO_MODES {
-        let backup = start_sharded(PolicyKind::Spp, io, 2, ServerConfig::default());
-        let primary = start_sharded(
-            PolicyKind::Spp,
-            io,
-            2,
-            ServerConfig {
-                repl: Some(ReplConfig {
-                    backup: backup.local_addr(),
-                    ack_mode: ReplAckMode::Sync,
-                    drop_batch: None,
-                }),
-                ..ServerConfig::default()
-            },
-        );
-        let mut c = connect(&primary);
-        for i in 0..60u64 {
-            c.put(&key(i), &i.to_le_bytes()).unwrap();
-        }
-        assert!(c.del(&key(0)).unwrap());
-        // Sync mode: each ack above already waited for the backup's
-        // REPL_ACK, so the backup must hold everything right now.
-        let mut b = connect(&backup);
-        let mut out = Vec::new();
-        for i in 1..60u64 {
-            out.clear();
-            assert!(
-                b.get(&key(i), &mut out).unwrap(),
-                "backup lost key {i} ({io})"
-            );
-            assert_eq!(out, i.to_le_bytes());
-        }
-        assert!(
-            !b.get(&key(0), &mut out).unwrap(),
-            "deleted key resurrected"
-        );
-        let rs = primary.repl_stats().expect("primary has repl sinks");
-        assert!(rs.shipped > 0, "{rs:?}");
-        assert_eq!(rs.dropped, 0);
-        assert_eq!(rs.failed, 0);
-        primary.shutdown();
-        backup.shutdown();
+    let backup = start_sharded(PolicyKind::Spp, 2, ServerConfig::default());
+    let primary = start_sharded(
+        PolicyKind::Spp,
+        2,
+        ServerConfig {
+            repl: Some(ReplConfig {
+                backup: backup.local_addr(),
+                ack_mode: ReplAckMode::Sync,
+                drop_batch: None,
+            }),
+            ..ServerConfig::default()
+        },
+    );
+    let mut c = connect(&primary);
+    for i in 0..60u64 {
+        c.put(&key(i), &i.to_le_bytes()).unwrap();
     }
+    assert!(c.del(&key(0)).unwrap());
+    // Sync mode: each ack above already waited for the backup's
+    // REPL_ACK, so the backup must hold everything right now.
+    let mut b = connect(&backup);
+    let mut out = Vec::new();
+    for i in 1..60u64 {
+        out.clear();
+        assert!(b.get(&key(i), &mut out).unwrap(), "backup lost key {i}");
+        assert_eq!(out, i.to_le_bytes());
+    }
+    assert!(
+        !b.get(&key(0), &mut out).unwrap(),
+        "deleted key resurrected"
+    );
+    let rs = primary.repl_stats().expect("primary has repl sinks");
+    assert!(rs.shipped > 0, "{rs:?}");
+    assert_eq!(rs.dropped, 0);
+    assert_eq!(rs.failed, 0);
+    primary.shutdown();
+    backup.shutdown();
 }
 
 #[test]
 fn async_replication_catches_up_and_cut_stream_fails_sync_acks() {
     // Async mode: acks don't wait, but the backup converges.
-    let backup = start_sharded(PolicyKind::Spp, IoMode::Threads, 2, ServerConfig::default());
+    let backup = start_sharded(PolicyKind::Spp, 2, ServerConfig::default());
     let primary = start_sharded(
         PolicyKind::Spp,
-        IoMode::Threads,
         2,
         ServerConfig {
             repl: Some(ReplConfig {
@@ -905,10 +878,9 @@ fn async_replication_catches_up_and_cut_stream_fails_sync_acks() {
 
     // Sync mode with the stream cut: the client must NOT get OK for a
     // write the backup never saw.
-    let backup = start_sharded(PolicyKind::Spp, IoMode::Threads, 1, ServerConfig::default());
+    let backup = start_sharded(PolicyKind::Spp, 1, ServerConfig::default());
     let primary = start_sharded(
         PolicyKind::Spp,
-        IoMode::Threads,
         1,
         ServerConfig {
             repl: Some(ReplConfig {
@@ -935,9 +907,8 @@ fn parked_epoll_run_fails_cleanly_when_committer_closes() {
     // The BUSY-gap cousin: a run parked on a saturated queue whose shard
     // committer then shuts down must get explicit errors and a clean
     // close — not a parked-forever hang.
-    let server = start_io(
+    let server = start(
         PolicyKind::Spp,
-        IoMode::Epoll,
         ServerConfig {
             workers: 1,
             queue_depth: 1,

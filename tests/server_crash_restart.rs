@@ -12,10 +12,6 @@
 //! not appear (a concurrent transaction may be mid-flight); recovery must
 //! still leave the heap structurally sound either way, which the inline
 //! lane-quiescence and heap-walk oracles enforce.
-//!
-//! Every rig runs under **both** I/O front ends: the blocking
-//! thread-per-connection mode and the sharded epoll reactors. Which
-//! threads read the sockets must not change what survives a crash.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -24,12 +20,9 @@ use std::time::Duration;
 use spp::pm::{CrashImage, CrashSpec, PmPool, PoolConfig};
 use spp::pmdk::ObjPool;
 use spp::server::{
-    fresh_server_pool, Client, ClientError, IoMode, KvEngine, PolicyKind, Reply, Request, Server,
+    fresh_server_pool, Client, ClientError, KvEngine, PolicyKind, Reply, Request, Server,
     ServerConfig, WriteOp, WriteReply,
 };
-
-/// The durability contract must hold under both I/O front ends.
-const IO_MODES: [IoMode; 2] = [IoMode::Threads, IoMode::Epoll];
 
 const CLIENTS: u32 = 2;
 const OPS_PER_CLIENT: u64 = 250;
@@ -61,7 +54,7 @@ struct Captured {
 /// durability boundary after load start, and return it with the
 /// acked-before-capture log. Falls back to a quiescent `KeepAll` image if
 /// the workload finishes before the boundary is reached.
-fn crash_under_load(kind: PolicyKind, io: IoMode, target: u64) -> Captured {
+fn crash_under_load(kind: PolicyKind, target: u64) -> Captured {
     let pool = fresh_server_pool(32 << 20, 8, true).unwrap();
     let engine = Arc::new(KvEngine::create(Arc::clone(&pool), kind, 512).unwrap());
     let server = Server::start(
@@ -71,7 +64,6 @@ fn crash_under_load(kind: PolicyKind, io: IoMode, target: u64) -> Captured {
             workers: 3,
             max_conns: 8,
             queue_depth: 32,
-            io,
             ..ServerConfig::default()
         },
     )
@@ -162,7 +154,7 @@ fn crash_under_load(kind: PolicyKind, io: IoMode, target: u64) -> Captured {
 /// boundary; a batch's members are logged as acked only when the whole
 /// batch acked. The crash lands at a live boundary exactly as in
 /// [`crash_under_load`].
-fn crash_under_batched_load(kind: PolicyKind, io: IoMode, target: u64) -> Captured {
+fn crash_under_batched_load(kind: PolicyKind, target: u64) -> Captured {
     let pool = fresh_server_pool(32 << 20, 8, true).unwrap();
     let engine = Arc::new(KvEngine::create(Arc::clone(&pool), kind, 512).unwrap());
     let server = Server::start(
@@ -172,7 +164,6 @@ fn crash_under_batched_load(kind: PolicyKind, io: IoMode, target: u64) -> Captur
             workers: 3,
             max_conns: 8,
             queue_depth: 32,
-            io,
             ..ServerConfig::default()
         },
     )
@@ -361,29 +352,23 @@ fn recover_and_verify(kind: PolicyKind, cap: &Captured) {
 
 #[test]
 fn acked_writes_survive_crash_restart_pmdk() {
-    for io in IO_MODES {
-        let cap = crash_under_load(PolicyKind::Pmdk, io, 60);
-        assert!(!cap.acked.is_empty(), "rig crashed before any ack ({io})");
-        recover_and_verify(PolicyKind::Pmdk, &cap);
-    }
+    let cap = crash_under_load(PolicyKind::Pmdk, 60);
+    assert!(!cap.acked.is_empty(), "rig crashed before any ack");
+    recover_and_verify(PolicyKind::Pmdk, &cap);
 }
 
 #[test]
 fn acked_writes_survive_crash_restart_spp() {
-    for io in IO_MODES {
-        let cap = crash_under_load(PolicyKind::Spp, io, 137);
-        assert!(!cap.acked.is_empty(), "rig crashed before any ack ({io})");
-        recover_and_verify(PolicyKind::Spp, &cap);
-    }
+    let cap = crash_under_load(PolicyKind::Spp, 137);
+    assert!(!cap.acked.is_empty(), "rig crashed before any ack");
+    recover_and_verify(PolicyKind::Spp, &cap);
 }
 
 #[test]
 fn acked_writes_survive_crash_restart_safepm() {
-    for io in IO_MODES {
-        let cap = crash_under_load(PolicyKind::SafePm, io, 401);
-        assert!(!cap.acked.is_empty(), "rig crashed before any ack ({io})");
-        recover_and_verify(PolicyKind::SafePm, &cap);
-    }
+    let cap = crash_under_load(PolicyKind::SafePm, 401);
+    assert!(!cap.acked.is_empty(), "rig crashed before any ack");
+    recover_and_verify(PolicyKind::SafePm, &cap);
 }
 
 /// Differential variant of the contract: the acked wire log is replayed
@@ -394,7 +379,7 @@ fn acked_writes_survive_crash_restart_safepm() {
 /// an in-flight un-acked write from the run, never a foreign record.
 #[test]
 fn recovered_gets_match_reference_model_after_midload_crash() {
-    let cap = crash_under_load(PolicyKind::Spp, IoMode::Epoll, 90);
+    let cap = crash_under_load(PolicyKind::Spp, 90);
     assert!(!cap.acked.is_empty(), "rig crashed before any ack");
 
     // Each ack is a committed KV put; acks are applied in wire order so
@@ -452,41 +437,26 @@ fn recovered_gets_match_reference_model_after_midload_crash() {
 
 #[test]
 fn group_commit_batches_survive_crash_whole_pmdk() {
-    for io in IO_MODES {
-        let cap = crash_under_batched_load(PolicyKind::Pmdk, io, 40);
-        assert!(
-            !cap.acked.is_empty(),
-            "rig crashed before any batch ack ({io})"
-        );
-        recover_and_verify(PolicyKind::Pmdk, &cap);
-        verify_batch_atomicity(PolicyKind::Pmdk, &cap);
-    }
+    let cap = crash_under_batched_load(PolicyKind::Pmdk, 40);
+    assert!(!cap.acked.is_empty(), "rig crashed before any batch ack");
+    recover_and_verify(PolicyKind::Pmdk, &cap);
+    verify_batch_atomicity(PolicyKind::Pmdk, &cap);
 }
 
 #[test]
 fn group_commit_batches_survive_crash_whole_spp() {
-    for io in IO_MODES {
-        let cap = crash_under_batched_load(PolicyKind::Spp, io, 95);
-        assert!(
-            !cap.acked.is_empty(),
-            "rig crashed before any batch ack ({io})"
-        );
-        recover_and_verify(PolicyKind::Spp, &cap);
-        verify_batch_atomicity(PolicyKind::Spp, &cap);
-    }
+    let cap = crash_under_batched_load(PolicyKind::Spp, 95);
+    assert!(!cap.acked.is_empty(), "rig crashed before any batch ack");
+    recover_and_verify(PolicyKind::Spp, &cap);
+    verify_batch_atomicity(PolicyKind::Spp, &cap);
 }
 
 #[test]
 fn group_commit_batches_survive_crash_whole_safepm() {
-    for io in IO_MODES {
-        let cap = crash_under_batched_load(PolicyKind::SafePm, io, 260);
-        assert!(
-            !cap.acked.is_empty(),
-            "rig crashed before any batch ack ({io})"
-        );
-        recover_and_verify(PolicyKind::SafePm, &cap);
-        verify_batch_atomicity(PolicyKind::SafePm, &cap);
-    }
+    let cap = crash_under_batched_load(PolicyKind::SafePm, 260);
+    assert!(!cap.acked.is_empty(), "rig crashed before any batch ack");
+    recover_and_verify(PolicyKind::SafePm, &cap);
+    verify_batch_atomicity(PolicyKind::SafePm, &cap);
 }
 
 /// Deterministic all-or-nothing: capture a crash image at EVERY durability
@@ -585,7 +555,7 @@ fn batched_commit_all_or_nothing_at_every_boundary() {
 fn late_crash_still_recovers_every_ack() {
     // A crash deep into the run: most writes acked, several transactions
     // already retired lanes many times over.
-    let cap = crash_under_load(PolicyKind::Spp, IoMode::Epoll, 2_500);
+    let cap = crash_under_load(PolicyKind::Spp, 2_500);
     assert!(cap.acked.len() > 10, "expected a deep run before the crash");
     recover_and_verify(PolicyKind::Spp, &cap);
 }

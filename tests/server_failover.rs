@@ -41,12 +41,9 @@ use std::time::Duration;
 use spp::pm::{CrashImage, CrashSpec, PmPool, PoolConfig};
 use spp::pmdk::ObjPool;
 use spp::server::{
-    fresh_server_pool, Client, ClientError, IoMode, KvEngine, PolicyKind, ReplAckMode, ReplConfig,
-    Ring, Server, ServerConfig,
+    fresh_server_pool, Client, ClientError, KvEngine, PolicyKind, ReplAckMode, ReplConfig, Ring,
+    Server, ServerConfig,
 };
-
-/// The failover contract must hold under both I/O front ends.
-const IO_MODES: [IoMode; 2] = [IoMode::Threads, IoMode::Epoll];
 
 /// Shards per server. Two is the smallest count where routing, per-shard
 /// replication streams, and per-shard crash images can all diverge.
@@ -79,7 +76,6 @@ const PROBE_VALUE: &[u8] = b"post-promote-probe";
 /// One pool + engine per shard, served behind a consistent-hash ring.
 fn start_sharded(
     kind: PolicyKind,
-    io: IoMode,
     tracked: bool,
     repl: Option<ReplConfig>,
 ) -> (Vec<Arc<ObjPool>>, Server) {
@@ -99,7 +95,6 @@ fn start_sharded(
             workers: 3,
             max_conns: 8,
             queue_depth: 32,
-            io,
             repl,
             ..ServerConfig::default()
         },
@@ -162,15 +157,13 @@ fn model_of(acked: &[(u32, u64)]) -> spp::oracle::Model {
 /// every op is acked (the dropped-batch test wants maximal coverage).
 fn run_failover(
     kind: PolicyKind,
-    io: IoMode,
     ack_mode: ReplAckMode,
     target: u64,
     drop_batch: Option<u64>,
 ) -> Result<(), String> {
-    let (_backup_pools, backup) = start_sharded(kind, io, false, None);
+    let (_backup_pools, backup) = start_sharded(kind, false, None);
     let (primary_pools, primary) = start_sharded(
         kind,
-        io,
         true,
         Some(ReplConfig {
             backup: backup.local_addr(),
@@ -237,7 +230,7 @@ fn run_failover(
     let verdict = verify_promoted(kind, ack_mode, &backup, &mut c, &log);
     if verdict.is_ok() {
         eprintln!(
-            "failover {} {io} {ack_mode}: {} acked writes verified on promoted backup \
+            "failover {} {ack_mode}: {} acked writes verified on promoted backup \
              ({} batches shipped)",
             kind.label(),
             log.len(),
@@ -347,11 +340,10 @@ fn verify_promoted(
 /// the snapshot — each REPL_ACK (and hence each client ack) happened
 /// only after the backup's own commit fence, so the snapshot is durable
 /// in the images by construction.
-fn backup_crash_rig(kind: PolicyKind, io: IoMode, target: u64) {
-    let (backup_pools, backup) = start_sharded(kind, io, true, None);
+fn backup_crash_rig(kind: PolicyKind, target: u64) {
+    let (backup_pools, backup) = start_sharded(kind, true, None);
     let (_primary_pools, primary) = start_sharded(
         kind,
-        io,
         false,
         Some(ReplConfig {
             backup: backup.local_addr(),
@@ -419,7 +411,7 @@ fn backup_crash_rig(kind: PolicyKind, io: IoMode, target: u64) {
             .collect();
         (snapshot, images)
     });
-    assert!(!snapshot.is_empty(), "rig crashed before any ack ({io})");
+    assert!(!snapshot.is_empty(), "rig crashed before any ack");
 
     // Recover every backup shard through the full stack.
     let mut engines = Vec::new();
@@ -450,7 +442,7 @@ fn backup_crash_rig(kind: PolicyKind, io: IoMode, target: u64) {
             .expect("GET after backup recovery errored (temporal false positive?)");
         assert!(
             hit,
-            "{}: synchronously-acked PUT {k:?} missing from the recovered backup ({io})",
+            "{}: synchronously-acked PUT {k:?} missing from the recovered backup",
             kind.label()
         );
         assert_eq!(&out, want, "recovered backup diverges from the model");
@@ -490,7 +482,7 @@ fn backup_crash_rig(kind: PolicyKind, io: IoMode, target: u64) {
             .unwrap();
     }
     eprintln!(
-        "backup-crash {} {io}: {} acked writes verified across {} recovered shard images",
+        "backup-crash {}: {} acked writes verified across {} recovered shard images",
         kind.label(),
         snapshot.len(),
         engines.len()
@@ -514,44 +506,35 @@ fn kill_target(default: u64) -> u64 {
 
 #[test]
 fn sync_failover_preserves_acked_writes_pmdk() {
-    for io in IO_MODES {
-        run_failover(
-            PolicyKind::Pmdk,
-            io,
-            ReplAckMode::Sync,
-            kill_target(2501),
-            env_drop(),
-        )
-        .unwrap_or_else(|e| panic!("({io}) {e}"));
-    }
+    run_failover(
+        PolicyKind::Pmdk,
+        ReplAckMode::Sync,
+        kill_target(2501),
+        env_drop(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]
 fn sync_failover_preserves_acked_writes_spp() {
-    for io in IO_MODES {
-        run_failover(
-            PolicyKind::Spp,
-            io,
-            ReplAckMode::Sync,
-            kill_target(2501),
-            env_drop(),
-        )
-        .unwrap_or_else(|e| panic!("({io}) {e}"));
-    }
+    run_failover(
+        PolicyKind::Spp,
+        ReplAckMode::Sync,
+        kill_target(2501),
+        env_drop(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]
 fn sync_failover_preserves_acked_writes_safepm() {
-    for io in IO_MODES {
-        run_failover(
-            PolicyKind::SafePm,
-            io,
-            ReplAckMode::Sync,
-            kill_target(2501),
-            env_drop(),
-        )
-        .unwrap_or_else(|e| panic!("({io}) {e}"));
-    }
+    run_failover(
+        PolicyKind::SafePm,
+        ReplAckMode::Sync,
+        kill_target(2501),
+        env_drop(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// Async acks trade the inclusion guarantee for latency; what survives
@@ -559,37 +542,23 @@ fn sync_failover_preserves_acked_writes_safepm() {
 /// with exact bytes, on ring-owned shards, never a foreign record.
 #[test]
 fn async_failover_promotes_a_consistent_prefix() {
-    for io in IO_MODES {
-        run_failover(
-            PolicyKind::Spp,
-            io,
-            ReplAckMode::Async,
-            kill_target(2501),
-            None,
-        )
-        .unwrap_or_else(|e| panic!("({io}) {e}"));
-    }
+    run_failover(PolicyKind::Spp, ReplAckMode::Async, kill_target(2501), None)
+        .unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]
 fn backup_crash_at_boundary_preserves_synced_acks_pmdk() {
-    for io in IO_MODES {
-        backup_crash_rig(PolicyKind::Pmdk, io, kill_target(2501));
-    }
+    backup_crash_rig(PolicyKind::Pmdk, kill_target(2501));
 }
 
 #[test]
 fn backup_crash_at_boundary_preserves_synced_acks_spp() {
-    for io in IO_MODES {
-        backup_crash_rig(PolicyKind::Spp, io, kill_target(2501));
-    }
+    backup_crash_rig(PolicyKind::Spp, kill_target(2501));
 }
 
 #[test]
 fn backup_crash_at_boundary_preserves_synced_acks_safepm() {
-    for io in IO_MODES {
-        backup_crash_rig(PolicyKind::SafePm, io, kill_target(2501));
-    }
+    backup_crash_rig(PolicyKind::SafePm, kill_target(2501));
 }
 
 /// The rig must have teeth: silently dropping one replicated batch (the
@@ -598,13 +567,7 @@ fn backup_crash_at_boundary_preserves_synced_acks_safepm() {
 /// every op is acked and the hole cannot hide among un-acked writes.
 #[test]
 fn lost_replication_batch_is_caught() {
-    let res = run_failover(
-        PolicyKind::Spp,
-        IoMode::Threads,
-        ReplAckMode::Sync,
-        u64::MAX,
-        Some(2),
-    );
+    let res = run_failover(PolicyKind::Spp, ReplAckMode::Sync, u64::MAX, Some(2));
     let err = res.expect_err("rig failed to catch a dropped replication batch");
     assert!(
         err.contains("missing after failover"),
