@@ -4,7 +4,7 @@
 //! ```text
 //! spp-loadgen [--addr HOST:PORT] [--policy pmdk|spp|safepm]
 //!             [--conns 4] [--ops 20000] [--value-size 100] [--read-pct 50]
-//!             [--pool-mb 64] [--workers 4] [--nbuckets 4096]
+//!             [--pool-mb 64] [--nbuckets 4096]
 //!             [--smoke] [--shutdown] [--inject-garbage]
 //!             [--sweep-threads 1,2,4,8] [--flush-wait-ns 15000]
 //!             [--pipeline 8] [--throttle-us 0]
@@ -25,7 +25,7 @@
 //! open-but-quiet connections are parked on the server while a small hot
 //! core drives pipelined load; the run reports process thread count and
 //! RSS with the idle fleet attached, and self-validates that threads
-//! stayed O(reactors + workers), not O(connections).
+//! stayed O(reactors + shards), not O(connections).
 //!
 //! `--sweep-threads` switches to thread-sweep mode: one fresh in-process
 //! server per connection count on device-wait media, reporting ops/s per
@@ -44,7 +44,8 @@
 //! spawned and measured — the one-command mode CI and `EXPERIMENTS.md`
 //! use. Each connection runs a closed loop of `--ops` operations
 //! (`--read-pct`% GETs over previously-written keys, the rest durable
-//! PUTs), retrying on `BUSY`. The run reports throughput and p50/p95/p99
+//! PUTs); an admitted connection is never answered `BUSY`, so one is an
+//! error like any other. The run reports throughput and p50/p95/p99
 //! latency per operation class, writes `results/server_loadgen.json`, and
 //! self-validates the rows through `spp-bench`'s `validate_rows` — empty
 //! or non-finite results exit nonzero (`--inject-garbage` deliberately
@@ -57,8 +58,8 @@ use std::time::{Duration, Instant};
 use spp_bench::{banner, validate_rows, write_text_artifact, Args, Json};
 use spp_pm::contention;
 use spp_server::{
-    fresh_server_pool, fresh_server_pool_wait, raise_nofile_limit, Client, ClientError, KvEngine,
-    PolicyKind, Reply, Request, Ring, Server, ServerConfig,
+    fresh_server_pool, fresh_server_pool_wait, raise_nofile_limit, Client, KvEngine, PolicyKind,
+    Reply, Request, Ring, Server, ServerConfig,
 };
 
 const KEY_SIZE: usize = 16;
@@ -145,7 +146,6 @@ impl Lats {
 struct ConnResult {
     puts: Lats,
     gets: Lats,
-    busy_retries: u64,
 }
 
 fn key_of(conn: u32, seq: u64) -> [u8; KEY_SIZE] {
@@ -156,7 +156,7 @@ fn key_of(conn: u32, seq: u64) -> [u8; KEY_SIZE] {
 }
 
 /// Closed-loop worker: `ops` operations, `read_pct`% GETs over keys this
-/// connection already wrote, retrying `BUSY` with a short backoff.
+/// connection already wrote.
 fn run_conn(
     addr: std::net::SocketAddr,
     conn_id: u32,
@@ -169,7 +169,6 @@ fn run_conn(
     let mut res = ConnResult {
         puts: Lats::default(),
         gets: Lats::default(),
-        busy_retries: 0,
     };
     let mut written: u64 = 0;
     // Per-connection xorshift for the op mix and GET key choice.
@@ -187,7 +186,8 @@ fn run_conn(
             let key = key_of(conn_id, rng() % written);
             let start = Instant::now();
             out.clear();
-            let hit = retry_busy(&mut res.busy_retries, || client.get(&key, &mut out))
+            let hit = client
+                .get(&key, &mut out)
                 .map_err(|e| format!("conn {conn_id}: GET: {e}"))?;
             res.gets.push(start.elapsed());
             if !hit {
@@ -196,7 +196,8 @@ fn run_conn(
         } else {
             let key = key_of(conn_id, written);
             let start = Instant::now();
-            retry_busy(&mut res.busy_retries, || client.put(&key, value))
+            client
+                .put(&key, value)
                 .map_err(|e| format!("conn {conn_id}: PUT: {e}"))?;
             res.puts.push(start.elapsed());
             written += 1;
@@ -205,27 +206,11 @@ fn run_conn(
     Ok(res)
 }
 
-fn retry_busy<R>(
-    busy: &mut u64,
-    mut f: impl FnMut() -> Result<R, ClientError>,
-) -> Result<R, ClientError> {
-    loop {
-        match f() {
-            Err(ClientError::Busy) => {
-                *busy += 1;
-                std::thread::sleep(Duration::from_micros(200));
-            }
-            other => return other,
-        }
-    }
-}
-
 /// Pipelined worker: the same op mix as [`run_conn`], but shipped in
 /// batches of `depth` without waiting per op. Batches alternate between a
 /// `MULTI` frame (one atomic, group-committed unit) and raw back-to-back
-/// pipelined frames, so both server paths are measured. A `BUSY` (whole
-/// batch or any slot) retries the batch — PUTs are idempotent here. Batch
-/// latency is attributed evenly across the batch's ops.
+/// pipelined frames, so both framings are measured. Batch latency is
+/// attributed evenly across the batch's ops.
 fn run_conn_pipelined(
     addr: std::net::SocketAddr,
     conn_id: u32,
@@ -240,7 +225,6 @@ fn run_conn_pipelined(
     let mut res = ConnResult {
         puts: Lats::default(),
         gets: Lats::default(),
-        busy_retries: 0,
     };
     let mut written: u64 = 0;
     let mut x: u64 = 0x9e37_79b9 ^ u64::from(conn_id) << 17 | 1;
@@ -279,25 +263,12 @@ fn run_conn_pipelined(
             })
             .collect();
         let start = Instant::now();
-        let replies = loop {
-            let attempt = if batch_no.is_multiple_of(2) {
-                client.multi(&reqs)
-            } else {
-                client.pipeline(&reqs)
-            };
-            match attempt {
-                Ok(rs) if rs.iter().any(|r| matches!(r, Reply::Busy)) => {
-                    res.busy_retries += 1;
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-                Ok(rs) => break rs,
-                Err(ClientError::Busy) => {
-                    res.busy_retries += 1;
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-                Err(e) => return Err(format!("conn {conn_id}: batch: {e}")),
-            }
-        };
+        let replies = if batch_no.is_multiple_of(2) {
+            client.multi(&reqs)
+        } else {
+            client.pipeline(&reqs)
+        }
+        .map_err(|e| format!("conn {conn_id}: batch: {e}"))?;
         let per_op = start.elapsed() / n as u32;
         for ((is_get, _), reply) in plan.iter().zip(&replies) {
             match (is_get, reply) {
@@ -320,16 +291,11 @@ fn run_conn_pipelined(
     Ok(res)
 }
 
-struct MultiConnResult {
-    /// All-op latency distribution per endpoint, in endpoint order.
-    per_shard: Vec<Lats>,
-    busy_retries: u64,
-}
-
 /// Multi-endpoint worker: the [`run_conn`] op mix, but each key is routed
 /// through the client-side [`Ring`] to the endpoint that owns it — one
 /// open connection per endpoint. Routing is deterministic, so a GET for a
 /// previously-acked key always lands on the endpoint that took the PUT.
+/// Returns the all-op latency distribution per endpoint, in endpoint order.
 fn run_conn_multi(
     endpoints: Arc<Vec<std::net::SocketAddr>>,
     ring: Arc<Ring>,
@@ -337,7 +303,7 @@ fn run_conn_multi(
     ops: u64,
     value: &[u8],
     read_pct: u32,
-) -> Result<MultiConnResult, String> {
+) -> Result<Vec<Lats>, String> {
     let mut clients = Vec::with_capacity(endpoints.len());
     for (s, addr) in endpoints.iter().enumerate() {
         clients.push(
@@ -345,10 +311,7 @@ fn run_conn_multi(
                 .map_err(|e| format!("conn {conn_id}: connect shard {s} ({addr}): {e}"))?,
         );
     }
-    let mut res = MultiConnResult {
-        per_shard: (0..endpoints.len()).map(|_| Lats::default()).collect(),
-        busy_retries: 0,
-    };
+    let mut per_shard: Vec<Lats> = (0..endpoints.len()).map(|_| Lats::default()).collect();
     let mut written: u64 = 0;
     let mut x: u64 = 0x9e37_79b9 ^ u64::from(conn_id) << 17 | 1;
     let mut rng = move || {
@@ -370,7 +333,8 @@ fn run_conn_multi(
         let start = Instant::now();
         if is_get {
             out.clear();
-            let hit = retry_busy(&mut res.busy_retries, || client.get(&key, &mut out))
+            let hit = client
+                .get(&key, &mut out)
                 .map_err(|e| format!("conn {conn_id}: GET shard {shard}: {e}"))?;
             if !hit {
                 return Err(format!(
@@ -379,13 +343,14 @@ fn run_conn_multi(
                 ));
             }
         } else {
-            retry_busy(&mut res.busy_retries, || client.put(&key, value))
+            client
+                .put(&key, value)
                 .map_err(|e| format!("conn {conn_id}: PUT shard {shard}: {e}"))?;
             written += 1;
         }
-        res.per_shard[shard].push(start.elapsed());
+        per_shard[shard].push(start.elapsed());
     }
-    Ok(res)
+    Ok(per_shard)
 }
 
 /// Multi-endpoint mode (`--addrs a,b,c` / `--local-shards N`): drive a
@@ -430,13 +395,11 @@ fn run_multi(
         })
         .collect();
     let mut per_shard: Vec<Lats> = (0..nshards).map(|_| Lats::default()).collect();
-    let mut busy_retries = 0u64;
     for h in handles {
         let r = h.join().map_err(|_| "loadgen thread panicked")??;
-        for (acc, lats) in per_shard.iter_mut().zip(&r.per_shard) {
+        for (acc, lats) in per_shard.iter_mut().zip(&r) {
             acc.merge(lats);
         }
-        busy_retries += r.busy_retries;
     }
     let elapsed = start.elapsed().as_secs_f64();
 
@@ -454,8 +417,7 @@ fn run_multi(
         );
     }
     println!(
-        "total: {total} ops in {elapsed:.3}s = {:.0} ops/s  shard skew (max/mean): {skew:.2} \
-         ({busy_retries} BUSY retries)",
+        "total: {total} ops in {elapsed:.3}s = {:.0} ops/s  shard skew (max/mean): {skew:.2}",
         total as f64 / elapsed
     );
     if let Some(starved) = counts.iter().position(|&c| c == 0) {
@@ -497,7 +459,6 @@ fn run_multi(
             Json::Arr(counts.iter().map(|&c| Json::Int(c)).collect()),
         ),
         ("shard_skew_max_over_mean", Json::Num(skew)),
-        ("busy_retries", Json::Int(busy_retries)),
         ("rows", Json::Arr(rows)),
     ]);
     let dir = std::path::Path::new("results");
@@ -527,9 +488,7 @@ fn local_server(args: &Args, policy: PolicyKind, pool_mb: u64) -> Result<Server,
     let engine = KvEngine::create(pool, policy, args.get("nbuckets", 4096))
         .map_err(|e| format!("engine create: {e}"))?;
     let cfg = ServerConfig {
-        workers: args.get("workers", 4),
         max_conns: args.get("max-conns", 64),
-        queue_depth: args.get("queue-depth", 128),
         reactors: args.get("reactors", 2),
         ..ServerConfig::default()
     };
@@ -541,7 +500,6 @@ struct PhaseOut {
     elapsed_s: f64,
     puts: Lats,
     gets: Lats,
-    busy_retries: u64,
     /// `(batches, ops)` group-commit counters — in-process servers only.
     group: Option<(u64, u64)>,
 }
@@ -590,12 +548,10 @@ fn run_phase(
         .collect();
     let mut puts = Lats::default();
     let mut gets = Lats::default();
-    let mut busy_retries = 0u64;
     for h in handles {
         let r = h.join().map_err(|_| "loadgen thread panicked")??;
         puts.merge(&r.puts);
         gets.merge(&r.gets);
-        busy_retries += r.busy_retries;
     }
     let elapsed_s = start.elapsed().as_secs_f64();
     let group = local.as_ref().map(Server::group_stats);
@@ -606,7 +562,6 @@ fn run_phase(
         elapsed_s,
         puts,
         gets,
-        busy_retries,
         group,
     })
 }
@@ -647,10 +602,9 @@ fn run_pipeline(args: &Args, depth: usize) -> Result<(), String> {
     )?;
     let rt_tput = (rt.puts.count + rt.gets.count) as f64 / rt.elapsed_s;
     println!(
-        "round-trip: {rt_tput:>10.0} ops/s  p50={:.1}us p99={:.1}us ({} BUSY retries)",
+        "round-trip: {rt_tput:>10.0} ops/s  p50={:.1}us p99={:.1}us",
         rt.puts.percentile_us(0.50),
         rt.puts.percentile_us(0.99),
-        rt.busy_retries
     );
 
     let pl = run_phase(
@@ -667,10 +621,9 @@ fn run_pipeline(args: &Args, depth: usize) -> Result<(), String> {
     )?;
     let pl_tput = (pl.puts.count + pl.gets.count) as f64 / pl.elapsed_s;
     println!(
-        "pipelined:  {pl_tput:>10.0} ops/s  p50={:.1}us p99={:.1}us ({} BUSY retries)",
+        "pipelined:  {pl_tput:>10.0} ops/s  p50={:.1}us p99={:.1}us",
         pl.puts.percentile_us(0.50),
         pl.puts.percentile_us(0.99),
-        pl.busy_retries
     );
     if let Some((batches, gops)) = pl.group {
         let avg = if batches > 0 {
@@ -729,7 +682,6 @@ fn run_pipeline(args: &Args, depth: usize) -> Result<(), String> {
         ("pipeline_speedup", Json::Num(speedup)),
         ("group_batches", Json::Int(group_batches)),
         ("group_batched_ops", Json::Int(group_ops)),
-        ("busy_retries", Json::Int(rt.busy_retries + pl.busy_retries)),
         ("rows", Json::Arr(rows)),
     ]);
     let dir = std::path::Path::new("results");
@@ -803,9 +755,7 @@ fn run_sweep(args: &Args, sweep_csv: &str) -> Result<(), String> {
                 .map_err(|e| format!("engine create: {e}"))?,
         );
         let cfg = ServerConfig {
-            workers: args.get("workers", 8),
             max_conns: args.get("max-conns", 64),
-            queue_depth: args.get("queue-depth", 256),
             reactors: args.get("reactors", 2),
             ..ServerConfig::default()
         };
@@ -822,20 +772,17 @@ fn run_sweep(args: &Args, sweep_csv: &str) -> Result<(), String> {
             })
             .collect();
         let mut all = Lats::default();
-        let mut busy_retries = 0u64;
         for h in handles {
             let r = h.join().map_err(|_| "loadgen thread panicked")??;
             all.merge(&r.puts);
             all.merge(&r.gets);
-            busy_retries += r.busy_retries;
         }
         let elapsed = start.elapsed().as_secs_f64();
         server.shutdown();
 
         let tput = all.count as f64 / elapsed;
         println!(
-            "  conns={conns:<3} {tput:>10.0} ops/s  p50={:>8.1}us  p99={:>8.1}us  \
-             ({busy_retries} BUSY retries)",
+            "  conns={conns:<3} {tput:>10.0} ops/s  p50={:>8.1}us  p99={:>8.1}us",
             all.percentile_us(0.50),
             all.percentile_us(0.99),
         );
@@ -940,13 +887,14 @@ fn proc_status() -> (u64, u64) {
 /// process thread count and RSS with the fleet attached, plus hot-path
 /// p50/p99 — and finally ping every idle connection to prove the fleet
 /// stayed serviceable. The run **self-validates** the headline claim:
-/// total threads stay within `reactors + workers + hot + slack`, i.e.
-/// O(reactors + workers), not O(connections).
+/// total threads stay within `reactors + shards + hot + slack`, i.e.
+/// O(reactors + shards), not O(connections).
 fn run_idle(args: &Args, idle_conns: u32) -> Result<(), String> {
     let smoke = args.flag("smoke");
     let policy: PolicyKind = args.get("policy", PolicyKind::Spp);
     let reactors: usize = args.get("reactors", 2);
-    let workers: usize = args.get("workers", 4);
+    // This mode serves one engine: one shard, so one committer thread.
+    let shards: usize = 1;
     let hot: u32 = args.get("conns", 2);
     let ops: u64 = args.get("ops", if smoke { 400 } else { 4_000 });
     let depth: usize = args.get("pipeline", 8usize).max(1);
@@ -976,9 +924,7 @@ fn run_idle(args: &Args, idle_conns: u32) -> Result<(), String> {
             .map_err(|e| format!("engine create: {e}"))?,
     );
     let cfg = ServerConfig {
-        workers,
         max_conns: idle_conns as usize + hot as usize + 8,
-        queue_depth: args.get("queue-depth", 128),
         reactors,
         ..ServerConfig::default()
     };
@@ -1029,17 +975,15 @@ fn run_idle(args: &Args, idle_conns: u32) -> Result<(), String> {
     let (threads_load, rss_load_kb) = proc_status();
     let mut puts = Lats::default();
     let mut gets = Lats::default();
-    let mut busy_retries = 0u64;
     for h in handles {
         let r = h.join().map_err(|_| "loadgen thread panicked")??;
         puts.merge(&r.puts);
         gets.merge(&r.gets);
-        busy_retries += r.busy_retries;
     }
     let elapsed = start.elapsed().as_secs_f64();
     let tput = (puts.count + gets.count) as f64 / elapsed;
     println!(
-        "hot core: {tput:>10.0} ops/s  p50={:.1}us p99={:.1}us ({busy_retries} BUSY retries)  \
+        "hot core: {tput:>10.0} ops/s  p50={:.1}us p99={:.1}us  \
          threads under load: {threads_load}  rss: {rss_load_kb} kB",
         puts.percentile_us(0.50),
         puts.percentile_us(0.99),
@@ -1055,18 +999,19 @@ fn run_idle(args: &Args, idle_conns: u32) -> Result<(), String> {
     server.shutdown();
 
     // Self-validation: idle connections are epoll registrations, so total
-    // process threads are bounded by the fixed staff — reactors + workers
-    // + hot client threads + slack for main, committer, and runtime
-    // helpers. 5000 idle conns vs a budget of ~hot+reactors+workers+8
-    // leaves no room for an O(conns) regression to hide.
-    let budget = (reactors + workers + hot as usize + 8) as u64;
+    // process threads are bounded by the fixed staff — reactors + one
+    // committer per shard + hot client threads + slack for main and
+    // runtime helpers. 5000 idle conns vs a budget of
+    // ~hot+reactors+shards+8 leaves no room for an O(conns) regression to
+    // hide.
+    let budget = (reactors + shards + hot as usize + 8) as u64;
     if threads_load == 0 {
         return Err("procfs unavailable: cannot validate the thread budget".into());
     }
     if threads_load > budget {
         return Err(format!(
             "thread count {threads_load} exceeds budget {budget} \
-             (reactors={reactors} workers={workers} hot={hot}): \
+             (reactors={reactors} shards={shards} hot={hot}): \
              threads are scaling with connections"
         ));
     }
@@ -1093,7 +1038,7 @@ fn run_idle(args: &Args, idle_conns: u32) -> Result<(), String> {
         ("idle_conns", Json::Int(u64::from(idle_conns))),
         ("hot_conns", Json::Int(u64::from(hot))),
         ("reactors", Json::Int(reactors as u64)),
-        ("workers", Json::Int(workers as u64)),
+        ("shards", Json::Int(shards as u64)),
         ("pipeline_depth", Json::Int(depth as u64)),
         ("ops_per_conn", Json::Int(ops)),
         ("value_size", Json::Int(value_size as u64)),
@@ -1107,7 +1052,6 @@ fn run_idle(args: &Args, idle_conns: u32) -> Result<(), String> {
         ("vm_rss_kb_idle", Json::Int(rss_idle_kb)),
         ("vm_rss_kb_load", Json::Int(rss_load_kb)),
         ("hot_ops_s", Json::Num(tput)),
-        ("busy_retries", Json::Int(busy_retries)),
         ("rows", Json::Arr(rows)),
     ]);
     // A sibling artifact, not `server_loadgen.json`: the pipeline and
@@ -1203,12 +1147,10 @@ fn run() -> Result<(), String> {
         .collect();
     let mut puts = Lats::default();
     let mut gets = Lats::default();
-    let mut busy_retries = 0u64;
     for h in handles {
         let r = h.join().map_err(|_| "loadgen thread panicked")??;
         puts.merge(&r.puts);
         gets.merge(&r.gets);
-        busy_retries += r.busy_retries;
     }
     let elapsed = start.elapsed().as_secs_f64();
 
@@ -1228,7 +1170,7 @@ fn run() -> Result<(), String> {
 
     let total_ops = (puts.count + gets.count) as f64;
     println!(
-        "total: {total_ops:.0} ops in {elapsed:.3}s = {:.0} ops/s ({busy_retries} BUSY retries)",
+        "total: {total_ops:.0} ops in {elapsed:.3}s = {:.0} ops/s",
         total_ops / elapsed
     );
     let mut rows = vec![lat_row(policy, "put", &puts, elapsed)];
@@ -1263,7 +1205,6 @@ fn run() -> Result<(), String> {
         ("ops_per_conn", Json::Int(ops)),
         ("value_size", Json::Int(value_size as u64)),
         ("read_pct", Json::Int(u64::from(read_pct))),
-        ("busy_retries", Json::Int(busy_retries)),
         ("elapsed_s", Json::Num(elapsed)),
         ("rows", Json::Arr(rows)),
     ]);

@@ -3,7 +3,7 @@
 //! ```text
 //! spp-server [--addr 127.0.0.1] [--port 7877] [--policy pmdk|spp|safepm]
 //!            [--pool-mb 64] [--lanes 16] [--nbuckets 4096] [--shards 1]
-//!            [--workers 4] [--max-conns 64] [--queue-depth 128]
+//!            [--max-conns 64]
 //!            [--group-max-batch 64] [--group-hold-us 0]
 //!            [--reactors 2] [--idle-timeout-ms 0]
 //!            [--pool-file PATH] [--ready-file PATH]
@@ -21,9 +21,9 @@
 //! recovery and the durable image is saved back on graceful shutdown. A
 //! wire `SHUTDOWN` quiesces the server and the process exits 0.
 //!
-//! Connections are served by sharded epoll reactors (`--reactors N`), so
-//! thousands of idle connections are held by readiness state instead of
-//! parked threads; the daemon raises `RLIMIT_NOFILE` to its hard cap so
+//! Connections are served — read, executed and answered — by sharded epoll
+//! reactors (`--reactors N`), so thousands of idle connections are held by
+//! readiness state instead of parked threads; the daemon raises `RLIMIT_NOFILE` to its hard cap so
 //! the soft fd limit is not what caps them. `--idle-timeout-ms N` closes
 //! connections quiet for N ms.
 //!
@@ -97,9 +97,7 @@ fn run() -> Result<(), String> {
         .as_ref()
         .map(|r| format!(" repl_to={} repl_ack_mode={}", r.backup, r.ack_mode));
     let cfg = ServerConfig {
-        workers: args.get("workers", 4),
         max_conns: args.get("max-conns", 64),
-        queue_depth: args.get("queue-depth", 128),
         group: GroupConfig {
             max_batch: args.get("group-max-batch", 64),
             max_hold: Duration::from_micros(args.get("group-hold-us", 0)),

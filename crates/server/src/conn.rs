@@ -1,15 +1,17 @@
 //! Connection-level protocol state.
 //!
 //! The run discipline: every complete frame already buffered is decoded
-//! into one ordered run ([`decode_run`]), the run executes as a single
-//! worker job ([`crate::server`]'s `execute_ops`), and replies are encoded
-//! back in request order.
+//! into one ordered [`Run`] ([`decode_run`]) — a flat program of requests
+//! and batch barriers plus one reply slot per request — which the owning
+//! reactor interprets ([`crate::server`]'s `advance`), and the replies are
+//! encoded back in request order once every slot is answered.
 //!
 //! [`Conn`] is the reactor's per-connection state machine: receive/send
-//! buffers with partial-write positions, the in-flight or parked run, and
-//! the bookkeeping (interest mask, idle clock, generation) the reactor
-//! needs to drive it off readiness events.
+//! buffers with partial-write positions, the in-flight run, and the
+//! bookkeeping (interest mask, idle clock, generation) the reactor needs
+//! to drive it off readiness events.
 
+use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
@@ -20,20 +22,11 @@ use crate::wire::{
     Response,
 };
 
-/// A request copied out of the receive buffer so it can cross to a worker.
+/// A non-write request copied out of the receive buffer, so it outlives
+/// the buffer while its run waits on a commit. (`PUT`/`DEL` become
+/// [`WriteOp`]s, `PING` is answered at decode time and a `MULTI` is
+/// flattened into its members, so none of them appears here.)
 pub(crate) enum OwnedRequest {
-    /// `PUT key value`.
-    Put {
-        /// Key bytes.
-        key: Vec<u8>,
-        /// Value bytes.
-        value: Vec<u8>,
-    },
-    /// `DEL key`.
-    Del {
-        /// Key bytes.
-        key: Vec<u8>,
-    },
     /// `GET key`.
     Get {
         /// Key bytes.
@@ -43,10 +36,6 @@ pub(crate) enum OwnedRequest {
     Stats,
     /// `FLUSH` (fence).
     Flush,
-    /// `PING`.
-    Ping,
-    /// An atomic `MULTI` batch.
-    Multi(Vec<OwnedRequest>),
     /// One replicated batch shipped from a primary, applied behind this
     /// server's own durability boundary.
     ReplBatch {
@@ -67,7 +56,7 @@ pub(crate) enum OwnedRequest {
     },
 }
 
-/// A worker's reply, written back on the connection in request order.
+/// One request's reply, written back on the connection in request order.
 pub(crate) enum OwnedResponse {
     /// Success.
     Ok,
@@ -81,8 +70,6 @@ pub(crate) enum OwnedResponse {
     Stats(String),
     /// `PING` reply.
     Pong,
-    /// Replies to a `MULTI` batch, in order.
-    Multi(Vec<OwnedResponse>),
     /// `REPL_BATCH` applied and durable on this side.
     ReplAck {
         /// The acknowledged shard.
@@ -101,46 +88,7 @@ pub(crate) enum Stop {
     Envelope(String),
 }
 
-pub(crate) fn owned_of(req: &Request<'_>) -> Option<OwnedRequest> {
-    match req {
-        Request::Put { key, value } => Some(OwnedRequest::Put {
-            key: key.to_vec(),
-            value: value.to_vec(),
-        }),
-        Request::Get { key } => Some(OwnedRequest::Get { key: key.to_vec() }),
-        Request::Del { key } => Some(OwnedRequest::Del { key: key.to_vec() }),
-        Request::Stats => Some(OwnedRequest::Stats),
-        Request::Flush => Some(OwnedRequest::Flush),
-        Request::Ping => Some(OwnedRequest::Ping),
-        Request::Multi(mb) => Some(OwnedRequest::Multi(
-            mb.requests()
-                .map(|r| owned_of(&r).expect("validated: no SHUTDOWN inside MULTI"))
-                .collect(),
-        )),
-        Request::ReplBatch(rb) => Some(OwnedRequest::ReplBatch {
-            shard: rb.shard,
-            seq: rb.seq,
-            ops: rb
-                .ops()
-                .map(|op| match op {
-                    ReplOp::Put { key, value } => WriteOp::Put {
-                        key: key.to_vec(),
-                        value: value.to_vec(),
-                    },
-                    ReplOp::Del { key } => WriteOp::Del { key: key.to_vec() },
-                })
-                .collect(),
-        }),
-        Request::Promote => Some(OwnedRequest::Promote),
-        Request::ReplHello { shards } => Some(OwnedRequest::ReplHello { shards: *shards }),
-        Request::Shutdown => None,
-    }
-}
-
-/// Borrow an [`OwnedResponse`] as a wire [`Response`]. Nested `Multi` is
-/// impossible (wire validation rejects it on the way in), so this only has
-/// to cover leaf responses.
-pub(crate) fn response_of(resp: &OwnedResponse) -> Response<'_> {
+fn response_of(resp: &OwnedResponse) -> Response<'_> {
     match resp {
         OwnedResponse::Ok => Response::Ok,
         OwnedResponse::Value(v) => Response::Value(v),
@@ -152,111 +100,195 @@ pub(crate) fn response_of(resp: &OwnedResponse) -> Response<'_> {
             shard: *shard,
             seq: *seq,
         },
-        OwnedResponse::Multi(_) => unreachable!("MULTI cannot nest"),
     }
 }
 
-pub(crate) fn encode_owned(out: &mut Vec<u8>, resp: &OwnedResponse) {
-    match resp {
-        OwnedResponse::Multi(rs) => {
-            let borrowed: Vec<Response<'_>> = rs.iter().map(response_of).collect();
-            // A MULTI of GETs can fan out past MAX_FRAME even though the
-            // request fit; degrade to an ERR frame (the batch's writes are
-            // already durable — only the reply couldn't be framed).
-            if !try_encode_multi_response(out, &borrowed) {
-                encode_response(out, &Response::Err("MULTI response exceeds frame limit"));
-            }
-        }
-        leaf => encode_response(out, &response_of(leaf)),
-    }
+/// How one decoded frame's replies are framed on the way back.
+pub(crate) enum Frame {
+    /// One reply slot, one response frame.
+    Leaf,
+    /// A `MULTI` of this many members: their reply slots, in order, travel
+    /// as one `MULTI_BODY` response.
+    Multi(usize),
 }
 
-/// One ordered run decoded out of a receive buffer: inline answers
-/// (`PONG`, body-error `ERR`) already sit in their reply slots; engine
-/// requests are in `execs` with their slot indices in `exec_slots`.
-pub(crate) struct DecodedRun {
+/// One step of a run's program.
+pub(crate) enum Step {
+    /// Stage `op` for its shard's next write batch; the batch's commit
+    /// answers reply slot `slot`.
+    Write {
+        /// Index into [`Run::replies`].
+        slot: usize,
+        /// The write.
+        op: WriteOp,
+    },
+    /// Execute `req` and answer reply slot `slot`.
+    Exec {
+        /// Index into [`Run::replies`].
+        slot: usize,
+        /// The request.
+        req: OwnedRequest,
+    },
+    /// A write-batch boundary with nothing to execute: the two ends of a
+    /// `MULTI` body, so its writes form batches of their own.
+    Barrier,
+}
+
+/// One ordered run decoded out of a receive buffer, and — while the run is
+/// in flight — the interpreter's position in it. Inline answers (`PONG`,
+/// body-error `ERR`) already sit in their reply slots; everything else is
+/// a [`Step`] still to execute.
+pub(crate) struct Run {
     /// Bytes of `rbuf` consumed by the decoded frames (drain these).
     pub(crate) consumed: usize,
-    /// One slot per decoded frame, in request order; `None` slots await
-    /// the worker's reply.
+    /// One entry per decoded frame, in request order.
+    pub(crate) frames: Vec<Frame>,
+    /// One slot per request, in request order (a `MULTI`'s members have
+    /// slots of their own); `None` slots await execution.
     pub(crate) replies: Vec<Option<OwnedResponse>>,
-    /// Engine-bound requests, in order.
-    pub(crate) execs: Vec<OwnedRequest>,
-    /// `replies` index for each entry of `execs`.
-    pub(crate) exec_slots: Vec<usize>,
+    /// The requests not yet executed, in order.
+    pub(crate) steps: VecDeque<Step>,
+    /// Committer submissions handed off and not yet answered; the
+    /// interpreter resumes when this returns to zero.
+    pub(crate) outstanding: usize,
     /// Early-stop condition (`SHUTDOWN` frame or envelope error), if any.
     pub(crate) stop: Option<Stop>,
 }
 
+impl Run {
+    /// Queue one non-`MULTI` request: `PING` is answered on the spot, a
+    /// write becomes a [`Step::Write`], anything else a [`Step::Exec`].
+    fn push(&mut self, req: &Request<'_>) {
+        let slot = self.replies.len();
+        let exec = |req| Step::Exec { slot, req };
+        let step = match req {
+            Request::Ping => {
+                self.replies.push(Some(OwnedResponse::Pong));
+                return;
+            }
+            Request::Put { key, value } => Step::Write {
+                slot,
+                op: WriteOp::Put {
+                    key: key.to_vec(),
+                    value: value.to_vec(),
+                },
+            },
+            Request::Del { key } => Step::Write {
+                slot,
+                op: WriteOp::Del { key: key.to_vec() },
+            },
+            Request::Get { key } => exec(OwnedRequest::Get { key: key.to_vec() }),
+            Request::Stats => exec(OwnedRequest::Stats),
+            Request::Flush => exec(OwnedRequest::Flush),
+            Request::ReplBatch(rb) => exec(OwnedRequest::ReplBatch {
+                shard: rb.shard,
+                seq: rb.seq,
+                ops: rb
+                    .ops()
+                    .map(|op| match op {
+                        ReplOp::Put { key, value } => WriteOp::Put {
+                            key: key.to_vec(),
+                            value: value.to_vec(),
+                        },
+                        ReplOp::Del { key } => WriteOp::Del { key: key.to_vec() },
+                    })
+                    .collect(),
+            }),
+            Request::Promote => exec(OwnedRequest::Promote),
+            Request::ReplHello { shards } => exec(OwnedRequest::ReplHello { shards: *shards }),
+            Request::Multi(_) | Request::Shutdown => {
+                unreachable!("decode_run flattens MULTI and stops at SHUTDOWN")
+            }
+        };
+        self.steps.push_back(step);
+        self.replies.push(None);
+    }
+
+    /// Encode the finished run's replies, in request order.
+    pub(crate) fn encode_replies(&self, out: &mut Vec<u8>) {
+        let mut replies = self
+            .replies
+            .iter()
+            .map(|r| response_of(r.as_ref().expect("finished run: every slot answered")));
+        for frame in &self.frames {
+            match frame {
+                Frame::Leaf => {
+                    encode_response(out, &replies.next().expect("a slot per leaf frame"));
+                }
+                Frame::Multi(n) => {
+                    let body: Vec<Response<'_>> = replies.by_ref().take(*n).collect();
+                    // A MULTI of GETs can fan out past MAX_FRAME even though
+                    // the request fit; degrade to an ERR frame (the batch's
+                    // writes are already durable — only the reply couldn't
+                    // be framed).
+                    if !try_encode_multi_response(out, &body) {
+                        encode_response(out, &Response::Err("MULTI response exceeds frame limit"));
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Decode EVERY complete frame already buffered into one ordered run —
 /// this is the pipelining: a client that streamed N requests gets them
-/// executed as a unit (writes group-committed) instead of N queue round
-/// trips. Incomplete trailing bytes are left untouched (`consumed` stops
-/// before them); fragmentation at any byte boundary only delays the frame
-/// until its last byte arrives.
-pub(crate) fn decode_run(rbuf: &[u8]) -> DecodedRun {
-    let mut consumed = 0;
-    let mut replies: Vec<Option<OwnedResponse>> = Vec::new();
-    let mut execs: Vec<OwnedRequest> = Vec::new();
-    let mut exec_slots: Vec<usize> = Vec::new();
-    let mut stop: Option<Stop> = None;
+/// executed as a unit (writes group-committed) instead of N round trips.
+/// A `MULTI` body is flattened into the same program between two barriers.
+/// Incomplete trailing bytes are left untouched (`consumed` stops before
+/// them); fragmentation at any byte boundary only delays the frame until
+/// its last byte arrives.
+pub(crate) fn decode_run(rbuf: &[u8]) -> Run {
+    let mut run = Run {
+        consumed: 0,
+        frames: Vec::new(),
+        replies: Vec::new(),
+        steps: VecDeque::new(),
+        outstanding: 0,
+        stop: None,
+    };
     loop {
-        let frame = match decode_frame(&rbuf[consumed..]) {
+        let frame = match decode_frame(&rbuf[run.consumed..]) {
             Ok(Some(f)) => f,
             Ok(None) => break,
             Err(e) => {
                 debug_assert!(e.is_envelope());
-                stop = Some(Stop::Envelope(e.to_string()));
+                run.stop = Some(Stop::Envelope(e.to_string()));
                 break;
             }
         };
-        consumed += frame.consumed;
+        run.consumed += frame.consumed;
         match parse_request(&frame) {
-            Ok(Request::Ping) => replies.push(Some(OwnedResponse::Pong)),
             Ok(Request::Shutdown) => {
-                stop = Some(Stop::Shutdown);
+                run.stop = Some(Stop::Shutdown);
                 break;
             }
+            Ok(Request::Multi(body)) => {
+                run.frames.push(Frame::Multi(body.count() as usize));
+                run.steps.push_back(Step::Barrier);
+                for req in body.requests() {
+                    run.push(&req);
+                }
+                run.steps.push_back(Step::Barrier);
+            }
             Ok(req) => {
-                exec_slots.push(replies.len());
-                execs.push(owned_of(&req).expect("Ping/Shutdown handled above"));
-                replies.push(None);
+                run.frames.push(Frame::Leaf);
+                run.push(&req);
             }
             Err(e) => {
                 // Body error: the frame boundary is known — answer ERR
                 // in place and keep the stream in sync.
                 debug_assert!(!e.is_envelope());
-                replies.push(Some(OwnedResponse::Err(e.to_string())));
+                run.frames.push(Frame::Leaf);
+                run.replies.push(Some(OwnedResponse::Err(e.to_string())));
             }
         }
     }
-    DecodedRun {
-        consumed,
-        replies,
-        execs,
-        exec_slots,
-        stop,
-    }
+    run
 }
 
 // ---------------------------------------------------------------------------
 // Reactor-side per-connection state
 // ---------------------------------------------------------------------------
-
-/// Where a reactor connection is in the run pipeline.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum ConnState {
-    /// No run in flight: readable bytes are decoded immediately.
-    Idle,
-    /// One run is executing on the worker pool; reads are disarmed until
-    /// its completion comes back (one job in flight per connection keeps
-    /// ordering structural).
-    Running,
-    /// A decoded run could not be queued (pool saturated): reads stay
-    /// disarmed and the run is retried when capacity frees up — pausing
-    /// instead of BUSY-failing the whole pipelined run.
-    Parked,
-}
 
 /// Once the send buffer backs up past this, read interest is dropped until
 /// the peer drains it — flow control by readiness, not by buffering.
@@ -272,17 +304,10 @@ pub(crate) struct Conn {
     pub(crate) wbuf: Vec<u8>,
     /// How far into `wbuf` the kernel has accepted (partial writes).
     pub(crate) wpos: usize,
-    /// Run-pipeline state.
-    pub(crate) state: ConnState,
-    /// The already-built worker job of a saturated-queue run, retried
-    /// verbatim when capacity frees up (`state == Parked`).
-    pub(crate) parked_job: Option<crate::queue::Job>,
-    /// Reply slots of the in-flight run, when `state == Running`.
-    pub(crate) pending_replies: Vec<Option<OwnedResponse>>,
-    /// Exec slot indices of the in-flight run.
-    pub(crate) pending_slots: Vec<usize>,
-    /// Stop to apply once the in-flight/parked run is written back.
-    pub(crate) pending_stop: Option<Stop>,
+    /// The run in flight, if any. At most one per connection, and reads
+    /// are disarmed while it is — that keeps ordering structural, and it is
+    /// the backpressure: a client with a run outstanding is not read from.
+    pub(crate) run: Option<Run>,
     /// Flush `wbuf`, then close (set by `SHUTDOWN` ack / envelope error).
     pub(crate) closing: bool,
     /// Peer sent FIN: stop arming reads, close once quiesced.
@@ -292,7 +317,7 @@ pub(crate) struct Conn {
     /// The epoll interest mask currently registered for this socket.
     pub(crate) interest: u32,
     /// Slab generation, embedded in the epoll token so stale events and
-    /// stale worker completions for a recycled slot are discarded.
+    /// stale committer completions for a recycled slot are discarded.
     pub(crate) generation: u32,
 }
 
@@ -303,11 +328,7 @@ impl Conn {
             rbuf: Vec::with_capacity(4096),
             wbuf: Vec::with_capacity(4096),
             wpos: 0,
-            state: ConnState::Idle,
-            parked_job: None,
-            pending_replies: Vec::new(),
-            pending_slots: Vec::new(),
-            pending_stop: None,
+            run: None,
             closing: false,
             peer_eof: false,
             last_activity: now,
@@ -375,14 +396,14 @@ impl Conn {
     }
 
     /// The interest mask this connection should be registered with right
-    /// now: reads only while idle (and not closing/EOF/backpressured),
+    /// now: reads only with no run in flight (and not closing/EOF/backpressured),
     /// writes only while a backlog exists.
     pub(crate) fn desired_interest(&self) -> u32 {
         let mut want = 0;
         if self.has_backlog() {
             want |= crate::poll::EPOLLOUT;
         }
-        let read_ok = self.state == ConnState::Idle
+        let read_ok = self.run.is_none()
             && !self.closing
             && !self.peer_eof
             && self.wbuf.len().saturating_sub(self.wpos) < WBUF_HIGH_WATER;
@@ -396,7 +417,7 @@ impl Conn {
     /// peer is gone (or we are closing) and nothing remains to execute or
     /// flush.
     pub(crate) fn drained(&self) -> bool {
-        let no_work = self.state == ConnState::Idle && !self.has_backlog();
+        let no_work = self.run.is_none() && !self.has_backlog();
         no_work && (self.closing || self.peer_eof)
     }
 }
@@ -428,8 +449,15 @@ mod tests {
         assert!(matches!(run.replies[0], Some(OwnedResponse::Pong)));
         assert!(run.replies[1].is_none());
         assert!(run.replies[2].is_none());
-        assert_eq!(run.execs.len(), 2);
-        assert_eq!(run.exec_slots, vec![1, 2]);
+        let slots: Vec<usize> = run
+            .steps
+            .iter()
+            .map(|s| match s {
+                Step::Write { slot, .. } | Step::Exec { slot, .. } => *slot,
+                Step::Barrier => panic!("no MULTI in this run"),
+            })
+            .collect();
+        assert_eq!(slots, vec![1, 2]);
         assert!(run.stop.is_none());
     }
 
@@ -444,7 +472,7 @@ mod tests {
         let run = decode_run(&buf);
         assert!(matches!(run.stop, Some(Stop::Shutdown)));
         assert_eq!(run.replies.len(), 1);
-        assert_eq!(run.execs.len(), 1);
+        assert_eq!(run.steps.len(), 1);
     }
 
     #[test]
@@ -486,7 +514,13 @@ mod tests {
             let run = decode_run(&rbuf);
             if run.consumed > 0 {
                 rbuf.drain(..run.consumed);
-                decoded += run.execs.len();
+                decoded += run.frames.len();
+                if let [Frame::Multi(n)] = run.frames[..] {
+                    // Flattened between two barriers, a slot per member.
+                    assert_eq!((n, run.replies.len(), run.steps.len()), (2, 2, 4));
+                    assert!(matches!(run.steps.front(), Some(Step::Barrier)));
+                    assert!(matches!(run.steps.back(), Some(Step::Barrier)));
+                }
                 assert!(run.stop.is_none(), "no stop at byte {i}");
             }
         }
@@ -504,10 +538,10 @@ mod tests {
 
         assert_eq!(conn.desired_interest(), crate::poll::EPOLLIN);
 
-        conn.state = ConnState::Running;
+        conn.run = Some(decode_run(&[]));
         assert_eq!(conn.desired_interest(), 0, "reads disarmed while running");
 
-        conn.state = ConnState::Idle;
+        conn.run = None;
         conn.wbuf = vec![0u8; 8];
         assert_eq!(
             conn.desired_interest(),

@@ -1,7 +1,7 @@
 //! Cross-connection group commit.
 //!
 //! Pipelined connections produce runs of consecutive PUT/DEL requests.
-//! Instead of each worker committing its own transaction per op, writes
+//! Instead of each connection committing its own transaction per op, writes
 //! funnel through a single [`GroupCommitter`] thread that drains every
 //! submission queued at that moment into **one** engine batch —
 //! [`crate::engine::KvEngine::apply_write_batch`], one transaction, one
@@ -14,15 +14,20 @@
 //! configurable `max_hold` (> 0) additionally stretches the gather window
 //! for deliberately bigger batches, bounded by `max_batch` ops.
 //!
-//! Ack ordering is the invariant the crash tests pin down: a submitter's
-//! `submit` only returns after the batch containing its ops has committed,
+//! Ack ordering is the invariant the crash tests pin down: a submission's
+//! completion only runs after the batch containing its ops has committed,
 //! so nothing is acked ahead of its durability boundary, and a batch is
 //! atomic — crash before the shared commit record and *none* of its ops
 //! survive recovery; after, *all* do.
+//!
+//! There is one way in, `enqueue`: it never blocks, and the submission's
+//! completion runs on the committer thread. The reactors use it directly;
+//! the blocking [`GroupCommitter::submit`] is "enqueue, then wait for the
+//! completion".
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -53,11 +58,36 @@ impl Default for GroupConfig {
     }
 }
 
-/// A queued submission: its ops and the channel the committed replies go
-/// back on.
+/// What a submission is answered with: the committed replies, index-aligned
+/// with its ops, or why it was not served (then nothing was applied).
+pub(crate) type Outcome = Result<Vec<WriteReply>, SubmitError>;
+
+/// A submission's completion. Runs exactly once, on whichever thread
+/// settles the submission — normally the committer's, so it must not block.
+pub(crate) type Completion = Box<dyn FnOnce(Outcome) + Send>;
+
+/// A queued submission: its ops and the completion the committed replies
+/// go to. Dropped unserved (the committer thread died and its exit guard
+/// cleared the queue), it completes with [`SubmitError::Closed`].
 struct Pending {
     ops: Vec<WriteOp>,
-    reply: SyncSender<Vec<WriteReply>>,
+    done: Option<Completion>,
+}
+
+impl Pending {
+    fn complete(mut self, outcome: Outcome) {
+        if let Some(done) = self.done.take() {
+            done(outcome);
+        }
+    }
+}
+
+impl Drop for Pending {
+    fn drop(&mut self) {
+        if let Some(done) = self.done.take() {
+            done(Err(SubmitError::Closed));
+        }
+    }
 }
 
 struct Inner {
@@ -70,9 +100,8 @@ struct Inner {
 
 /// Recover a lock (or condvar wait) result even if the mutex was poisoned
 /// by a panicking committer thread: the `Inner` state is a plain queue +
-/// flags with no invariant a panic can corrupt mid-update, and `is_closed`
-/// must keep working after a committer dies or parked epoll runs would
-/// never be failed over.
+/// flags with no invariant a panic can corrupt mid-update, and `enqueue`
+/// must keep refusing cleanly after a committer dies.
 fn relock<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
     r.unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -147,6 +176,51 @@ impl GroupCommitter {
         committer
     }
 
+    /// The one way into the committer: queue `ops` and return at once.
+    /// `done` runs after the batch containing them has committed — i.e.
+    /// once they are durable — with replies index-aligned with `ops`, or
+    /// with the reason they were refused: [`SubmitError::Closed`] once
+    /// [`close`](Self::close) has run or the committer thread has died,
+    /// and, for a replicated batch (`repl`), [`SubmitError::Sealed`] once
+    /// [`seal_repl`](Self::seal_repl) has. The seal is checked under the
+    /// same lock that enqueues, so no replication batch can slip in after
+    /// a promotion's seal+drain. A refused submission was not applied.
+    ///
+    /// Empty `ops` are a sentinel: the committer answers it in arrival
+    /// order, after everything queued before it.
+    pub(crate) fn enqueue(&self, ops: Vec<WriteOp>, repl: bool, done: Completion) {
+        let refused = {
+            let (lock, cv) = &*self.state;
+            let mut g = relock(lock.lock());
+            if g.closed {
+                SubmitError::Closed
+            } else if repl && g.repl_sealed {
+                SubmitError::Sealed
+            } else {
+                g.queue.push_back(Pending {
+                    ops,
+                    done: Some(done),
+                });
+                cv.notify_one();
+                return;
+            }
+        };
+        done(Err(refused));
+    }
+
+    /// [`enqueue`](Self::enqueue), then block until the completion ran.
+    fn enqueue_and_wait(&self, ops: Vec<WriteOp>, repl: bool) -> Outcome {
+        let (tx, rx) = sync_channel(1);
+        self.enqueue(
+            ops,
+            repl,
+            Box::new(move |outcome| {
+                let _ = tx.send(outcome);
+            }),
+        );
+        rx.recv().unwrap_or(Err(SubmitError::Closed))
+    }
+
     /// Submit writes and block until the batch containing them has
     /// committed — i.e. until they are durable. Replies are index-aligned
     /// with `ops`.
@@ -156,50 +230,12 @@ impl GroupCommitter {
     /// [`SubmitError::Closed`] once [`close`](Self::close) has run; the
     /// writes were not applied.
     pub fn submit(&self, ops: Vec<WriteOp>) -> Result<Vec<WriteReply>, SubmitError> {
-        self.submit_inner(ops, false)
+        self.enqueue_and_wait(ops, false)
     }
 
-    /// [`submit`](Self::submit) for replicated batches arriving from a
-    /// primary: additionally refused with [`SubmitError::Sealed`] once
-    /// [`seal_repl`](Self::seal_repl) has run. The seal is checked under
-    /// the same lock that enqueues, so no replication batch can slip in
-    /// after a promotion's seal+drain.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::Closed`] or [`SubmitError::Sealed`]; the writes were
-    /// not applied.
-    pub(crate) fn submit_repl(&self, ops: Vec<WriteOp>) -> Result<Vec<WriteReply>, SubmitError> {
-        self.submit_inner(ops, true)
-    }
-
-    fn submit_inner(&self, ops: Vec<WriteOp>, repl: bool) -> Result<Vec<WriteReply>, SubmitError> {
-        if ops.is_empty() {
-            return Ok(Vec::new());
-        }
-        let (tx, rx) = sync_channel(1);
-        {
-            let (lock, cv) = &*self.state;
-            let mut g = relock(lock.lock());
-            if g.closed {
-                return Err(SubmitError::Closed);
-            }
-            if repl && g.repl_sealed {
-                return Err(SubmitError::Sealed);
-            }
-            g.queue.push_back(Pending { ops, reply: tx });
-            cv.notify_one();
-        }
-        // The committer drains the queue before exiting (even on a panic,
-        // via its exit guard the senders are dropped), so a recv error
-        // means it died without serving us.
-        rx.recv().map_err(|_| SubmitError::Closed)
-    }
-
-    /// Refuse all future [`submit_repl`](Self::submit_repl) calls. Part of
-    /// the promotion fence: seal, then [`barrier`](Self::barrier), then
-    /// fence — anything replicated that beat the seal commits before the
-    /// barrier returns.
+    /// Refuse all future replicated submissions. Part of the promotion
+    /// fence: seal, then [`barrier`](Self::barrier), then fence — anything
+    /// replicated that beat the seal commits before the barrier returns.
     pub(crate) fn seal_repl(&self) {
         let (lock, cv) = &*self.state;
         let mut g = relock(lock.lock());
@@ -208,23 +244,10 @@ impl GroupCommitter {
     }
 
     /// Block until every submission enqueued before this call has been
-    /// served (or the committer is closed/dead). Implemented as an empty
-    /// sentinel submission: the committer answers it in arrival order.
+    /// served (or the committer is closed/dead): an empty sentinel
+    /// submission.
     pub(crate) fn barrier(&self) {
-        let (tx, rx) = sync_channel(1);
-        {
-            let (lock, cv) = &*self.state;
-            let mut g = relock(lock.lock());
-            if g.closed {
-                return;
-            }
-            g.queue.push_back(Pending {
-                ops: Vec::new(),
-                reply: tx,
-            });
-            cv.notify_one();
-        }
-        let _ = rx.recv();
+        let _ = self.enqueue_and_wait(Vec::new(), false);
     }
 
     /// (batches committed, ops committed through batches) so far.
@@ -247,14 +270,6 @@ impl GroupCommitter {
         }
     }
 
-    /// Whether the committer can no longer serve submissions — because
-    /// [`close`](Self::close) ran, or because the committer thread died
-    /// (its exit guard flips the flag even on a panic). Either way a run
-    /// parked on a full queue can never be served and must fail cleanly.
-    pub fn is_closed(&self) -> bool {
-        relock(self.state.0.lock()).closed
-    }
-
     /// Stop the committer: reject new submissions, drain what is queued,
     /// and join the thread. Idempotent.
     pub fn close(&self) {
@@ -272,32 +287,42 @@ impl GroupCommitter {
     fn run(&self, engine: &KvEngine) {
         // If this thread exits for ANY reason — including a panic in the
         // engine or replication path — the committer must read as closed
-        // and queued submitters must be released (dropping their reply
-        // senders errors them out). Without this, a dead committer would
-        // leave is_closed() false and wedge parked epoll runs forever.
+        // and queued submitters must be released: dropping a `Pending`
+        // completes it with `Closed`. Without this, a dead committer would
+        // leave its connections' runs outstanding forever.
         struct CloseOnExit<'a>(&'a GroupCommitter);
         impl Drop for CloseOnExit<'_> {
             fn drop(&mut self) {
                 let (lock, cv) = &*self.0.state;
-                let mut g = relock(lock.lock());
-                g.closed = true;
-                g.queue.clear();
-                cv.notify_all();
+                let unserved = {
+                    let mut g = relock(lock.lock());
+                    g.closed = true;
+                    cv.notify_all();
+                    std::mem::take(&mut g.queue)
+                };
+                // Completions run outside the lock.
+                drop(unserved);
             }
         }
         let _close_guard = CloseOnExit(self);
         loop {
-            let batch = match self.gather() {
+            let mut batch = match self.gather() {
                 Some(batch) => batch,
                 None => return, // closed and drained
             };
-            let total: usize = batch.iter().map(|p| p.ops.len()).sum();
             // One engine batch covering every submission gathered: one
-            // transaction, one shared durability boundary.
-            let mut all_ops = Vec::with_capacity(total);
-            for p in &batch {
-                all_ops.extend(p.ops.iter().cloned());
-            }
+            // transaction, one shared durability boundary. The ops are
+            // moved out of their submissions, never copied.
+            let mut all_ops = Vec::with_capacity(batch.iter().map(|p| p.ops.len()).sum());
+            let lens: Vec<usize> = batch
+                .iter_mut()
+                .map(|p| {
+                    let n = p.ops.len();
+                    all_ops.append(&mut p.ops);
+                    n
+                })
+                .collect();
+            let total = all_ops.len();
             let mut replies = engine.apply_write_batch(&all_ops);
             if total > 0 {
                 self.batches.fetch_add(1, Ordering::Relaxed);
@@ -311,15 +336,16 @@ impl GroupCommitter {
             // confirm — a client never sees OK for a write that is not
             // durable on both sides. Async mode acks first and ships after
             // (below), trading that guarantee away.
-            let to_ship: Vec<WriteOp> = if self.repl.is_some() {
+            let rejected = |r: &WriteReply| matches!(r, WriteReply::Err(_));
+            let to_ship = if self.repl.is_some() && replies.iter().any(rejected) {
                 all_ops
-                    .iter()
+                    .into_iter()
                     .zip(&replies)
-                    .filter(|(_, r)| !matches!(r, WriteReply::Err(_)))
-                    .map(|(op, _)| op.clone())
+                    .filter(|(_, r)| !rejected(r))
+                    .map(|(op, _)| op)
                     .collect()
             } else {
-                Vec::new()
+                all_ops
             };
             let mut ship_async = false;
             if let Some(repl) = &self.repl {
@@ -335,12 +361,10 @@ impl GroupCommitter {
                     ship_async = true;
                 }
             }
-            // Ack only now, after the boundary. A submitter that hung up
-            // (connection died) is skipped harmlessly.
+            // Ack only now, after the boundary.
             let mut replies = replies.into_iter();
-            for p in batch {
-                let share: Vec<WriteReply> = replies.by_ref().take(p.ops.len()).collect();
-                let _ = p.reply.send(share);
+            for (p, n) in batch.into_iter().zip(lens) {
+                p.complete(Ok(replies.by_ref().take(n).collect()));
             }
             if ship_async {
                 if let Some(repl) = &self.repl {
@@ -501,6 +525,18 @@ mod tests {
     }
 
     #[test]
+    fn submission_dropped_unserved_completes_closed() {
+        // What a dying committer's exit guard does to its queue: every
+        // completion still runs, with `Closed`, so no run waits forever.
+        let (tx, rx) = sync_channel(1);
+        drop(Pending {
+            ops: vec![WriteOp::Del { key: key(1) }],
+            done: Some(Box::new(move |outcome| tx.send(outcome).unwrap())),
+        });
+        assert_eq!(rx.try_recv().unwrap(), Err(SubmitError::Closed));
+    }
+
+    #[test]
     fn empty_submit_is_a_noop() {
         let gc = GroupCommitter::start(engine(), GroupConfig::default());
         assert_eq!(gc.submit(Vec::new()).unwrap(), Vec::new());
@@ -512,19 +548,25 @@ mod tests {
         let engine = engine();
         let gc = GroupCommitter::start(Arc::clone(&engine), GroupConfig::default());
         let replies = gc
-            .submit_repl(vec![WriteOp::Put {
-                key: key(1),
-                value: b"before-seal".to_vec(),
-            }])
+            .enqueue_and_wait(
+                vec![WriteOp::Put {
+                    key: key(1),
+                    value: b"before-seal".to_vec(),
+                }],
+                true,
+            )
             .unwrap();
         assert_eq!(replies, vec![WriteReply::Ok]);
 
         gc.seal_repl();
         let err = gc
-            .submit_repl(vec![WriteOp::Put {
-                key: key(2),
-                value: b"after-seal".to_vec(),
-            }])
+            .enqueue_and_wait(
+                vec![WriteOp::Put {
+                    key: key(2),
+                    value: b"after-seal".to_vec(),
+                }],
+                true,
+            )
             .unwrap_err();
         assert_eq!(err, SubmitError::Sealed);
 

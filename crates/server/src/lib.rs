@@ -3,10 +3,11 @@
 //!
 //! This crate turns the [`spp_kvstore`] cmap-analogue into something a
 //! `memcached`-style deployment would actually run: a compact
-//! length-prefixed [wire protocol](wire), a TCP [server] whose sockets
-//! are read by sharded epoll reactors (idle connections cost no threads),
-//! a bounded worker pool whose saturation backs up into TCP flow control,
-//! a closed-loop [client], and (as binaries) the `spp-server` daemon plus
+//! length-prefixed [wire protocol](wire), a TCP [server] whose sharded
+//! epoll reactors read the sockets and execute the requests (idle
+//! connections cost no threads; a connection with a run in flight is not
+//! read from, so load backs up into TCP flow control), one group-commit
+//! thread per shard, a closed-loop [client], and (as binaries) the `spp-server` daemon plus
 //! the `spp-loadgen` load generator. The served store is selected per
 //! process with `--policy pmdk|spp|safepm`, so the three policies are
 //! compared end-to-end — syscalls, framing, and fences included — rather
@@ -25,7 +26,6 @@ mod conn;
 pub mod engine;
 pub mod group;
 mod poll;
-pub mod queue;
 mod reactor;
 mod repl;
 pub mod ring;
@@ -38,7 +38,6 @@ pub use engine::{
 };
 pub use group::{GroupCommitter, GroupConfig, SubmitError};
 pub use poll::raise_nofile_limit;
-pub use queue::{BoundedQueue, Job, PushError, WorkerPool};
 pub use ring::Ring;
 pub use server::{IoMode, ReplAckMode, ReplConfig, ReplStats, Server, ServerConfig};
 pub use wire::{MultiBody, ReplBatchBody, ReplOp, Request, Response, WireError};

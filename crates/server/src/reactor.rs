@@ -1,6 +1,7 @@
-//! The front end: sharded epoll reactor threads driving many connections
-//! each, so mostly-idle connections cost a slab entry instead of an OS
-//! thread.
+//! The reactors: sharded epoll threads that each drive many connections —
+//! reading, executing and answering — so mostly-idle connections cost a
+//! slab entry instead of an OS thread and a request crosses no thread it
+//! does not have to.
 //!
 //! Ownership model — everything single-writer:
 //!
@@ -10,29 +11,27 @@
 //! * reactor 0 additionally owns the nonblocking listener. Accepted
 //!   sockets are dealt round-robin: locally registered, or pushed onto the
 //!   target reactor's `inbox` followed by an [`EventFd`] wakeup;
-//! * workers never touch sockets. A run's job executes through
-//!   `execute_ops` → [`crate::group::GroupCommitter`] and then pushes
-//!   `(token, replies)` onto the owning reactor's `completions` queue and
-//!   rings its eventfd — the reactor patches the reply slots and writes
-//!   back in request order.
+//! * committers never touch sockets. A write batch's completion pushes
+//!   `(token, answer)` onto the owning reactor's `completions` queue and
+//!   rings its eventfd — the reactor patches the reply slots, resumes the
+//!   run, and writes back in request order once it is finished.
 //!
-//! Every run is decoded by [`decode_run`] and executed by `execute_ops`,
-//! which is where the Raad-et-al-style ordering rules live (writes batch
-//! up to a shared flush+fence boundary; reads and `MULTI` bodies are batch
-//! barriers; acks only after the boundary) — the crash-restart and
-//! group-commit atomicity proofs run against exactly this path.
+//! Every run is decoded by [`decode_run`] and interpreted by
+//! [`advance`], which is where the Raad-et-al-style ordering rules live
+//! (writes batch up to a shared flush+fence boundary; reads and `MULTI`
+//! bodies are batch barriers; acks only after the boundary) — the
+//! crash-restart and group-commit atomicity proofs run against exactly
+//! this path. The reactor never blocks on a commit: a connection whose run
+//! is waiting for one simply has no read interest until the completion
+//! arrives, and the reactor serves its other connections meanwhile.
 //!
-//! Backpressure is by readiness interest, not by refusal: a saturated
-//! worker queue parks the decoded run (keeping the built job) and drops
-//! `EPOLLIN`; kernel socket buffers and TCP flow control push back on the
-//! client. The parked job is retried on every completion/wakeup and on a
-//! short tick, so capacity is never left idle. A send backlog past the
-//! high-water mark likewise drops read interest until the peer drains it.
-//! The one refusal is at the door: a connection over `max_conns` is
-//! answered `BUSY` and closed.
+//! Backpressure is by readiness interest, not by refusal (the contract is
+//! in `server.rs`): a connection with a run in flight, or a send backlog
+//! past the high-water mark, has no read interest; only a connection over
+//! `max_conns` is answered `BUSY`, at the door.
 //!
 //! Slab slots carry a generation, and the epoll token is
-//! `slot << 32 | generation` — stale readiness events and stale worker
+//! `slot << 32 | generation` — stale readiness events and stale committer
 //! completions for a recycled slot fail the generation check and are
 //! discarded.
 
@@ -44,10 +43,9 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::conn::{decode_run, encode_owned, Conn, ConnState, OwnedRequest, OwnedResponse, Stop};
+use crate::conn::{decode_run, Conn, Stop};
 use crate::poll::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
-use crate::queue::{Job, PushError};
-use crate::server::{execute_ops, Shared};
+use crate::server::{advance, Answer, Shared};
 use crate::wire::{encode_response, Response};
 
 /// Token for the reactor's own wakeup eventfd.
@@ -70,15 +68,15 @@ fn reject_busy(mut stream: TcpStream) {
 }
 
 /// The cross-thread face of one reactor: what other threads (the acceptor
-/// reactor, workers, shutdown) may touch.
+/// reactor, committers, shutdown) may touch.
 pub(crate) struct ReactorShared {
     /// Doorbell: readable whenever `inbox`/`completions` changed or a
     /// shutdown wants attention.
     pub(crate) wake: EventFd,
     /// Accepted sockets handed over by reactor 0.
     pub(crate) inbox: Mutex<Vec<TcpStream>>,
-    /// Finished runs: `(token, replies)` pushed by worker jobs.
-    pub(crate) completions: Mutex<VecDeque<(u64, Vec<OwnedResponse>)>>,
+    /// Answered submissions: `(token, answer)` pushed by committers.
+    pub(crate) completions: Mutex<VecDeque<(u64, Answer)>>,
 }
 
 impl ReactorShared {
@@ -88,6 +86,19 @@ impl ReactorShared {
             inbox: Mutex::new(Vec::new()),
             completions: Mutex::new(VecDeque::new()),
         })
+    }
+
+    /// Post a committer's answer for the run of connection `token` and
+    /// ring the doorbell. Called from committer threads — also while one
+    /// unwinds, when its unserved submissions are dropped — so it neither
+    /// blocks on the reactor nor panics on a poisoned lock (the queue is
+    /// valid at every step).
+    pub(crate) fn post(&self, token: u64, answer: Answer) {
+        self.completions
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .push_back((token, answer));
+        self.wake.signal();
     }
 }
 
@@ -102,7 +113,9 @@ struct Reactor {
     generations: Vec<u32>,
     free: Vec<usize>,
     rr: usize,
-    parked: usize,
+    /// This turn of the loop handed a closed-loop write to a committer:
+    /// a one-request run, whose client waits for exactly that commit.
+    handed_off: bool,
     draining: bool,
     drain_deadline: Option<Instant>,
     last_idle_sweep: Instant,
@@ -129,7 +142,7 @@ pub(crate) fn reactor_main(
         generations: Vec::new(),
         free: Vec::new(),
         rr: 0,
-        parked: 0,
+        handed_off: false,
         draining: false,
         drain_deadline: None,
         last_idle_sweep: Instant::now(),
@@ -167,7 +180,19 @@ impl Reactor {
             }
             self.adopt_inbox();
             self.apply_completions();
-            self.retry_parked();
+            if std::mem::take(&mut self.handed_off) {
+                // A commit is shorter than a sleep/wake cycle through epoll
+                // and the doorbell, and a closed-loop client is waiting for
+                // this one: offer the committer the CPU once and take what
+                // it has answered by then. With a core of its own the
+                // committer is not waiting for ours — the yield returns at
+                // once and the doorbell wakes us as usual. Pipelined runs
+                // have amortised the wake-up already, and yielding after
+                // each of their stages would commit it alone instead of
+                // letting other connections' writes join the boundary.
+                std::thread::yield_now();
+                self.apply_completions();
+            }
             self.sweep_idle();
             if self.shared.shutdown.load(Ordering::SeqCst) && self.drain_step() {
                 return;
@@ -175,13 +200,11 @@ impl Reactor {
         }
     }
 
-    /// How long the next wait may block: short ticks while work is parked
-    /// or draining, long ticks otherwise (wakeups cover the common paths).
+    /// How long the next wait may block: short ticks while draining, long
+    /// ticks otherwise (wakeups cover the common paths).
     fn wait_timeout_ms(&self) -> i32 {
         if self.draining {
             10
-        } else if self.parked > 0 {
-            5
         } else if self.shared.cfg.idle_timeout.is_some() {
             100
         } else {
@@ -297,48 +320,23 @@ impl Reactor {
     }
 
     /// Decode whatever is buffered on an idle connection into one run and
-    /// dispatch it; then pump writes, re-sync interest, and close if the
-    /// connection has quiesced.
+    /// start interpreting it; then pump writes, re-sync interest, and close
+    /// if the connection has quiesced.
     fn process_input(&mut self, idx: usize) {
         let dead = {
             let Some(conn) = self.slab.get_mut(idx).and_then(|s| s.as_mut()) else {
                 return;
             };
-            if conn.state == ConnState::Idle && !conn.closing {
+            if conn.run.is_none() && !conn.closing {
                 let run = decode_run(&conn.rbuf);
                 if run.consumed > 0 {
                     conn.rbuf.drain(..run.consumed);
-                }
-                if run.execs.is_empty() {
-                    // Inline-only run (PONGs, body errors) — answer without
-                    // a worker round trip.
-                    for reply in &run.replies {
-                        encode_owned(
-                            &mut conn.wbuf,
-                            reply.as_ref().expect("inline run: every slot answered"),
-                        );
-                    }
-                    if let Some(stop) = run.stop {
-                        Self::apply_stop(&self.shared, conn, stop);
-                    }
-                } else {
-                    conn.pending_replies = run.replies;
-                    conn.pending_slots = run.exec_slots;
-                    conn.pending_stop = run.stop;
-                    let token = conn_token(idx, conn.generation);
-                    let job = Self::make_job(&self.shared, &self.me, token, run.execs);
-                    match self.shared.queue.try_push(job) {
-                        Ok(()) => conn.state = ConnState::Running,
-                        Err(PushError::Full(job)) => {
-                            // Pool saturated: park the run and stop reading.
-                            // The client sees flow control, never a BUSY-
-                            // failed pipelined run.
-                            conn.parked_job = Some(job);
-                            conn.state = ConnState::Parked;
-                            self.parked += 1;
-                        }
-                        Err(PushError::Closed(_)) => Self::fail_pending(conn),
-                    }
+                    let closed_loop = run.replies.len() == 1;
+                    conn.run = Some(run);
+                    self.handed_off |=
+                        Self::drive(&self.shared, &self.me, idx, conn) && closed_loop;
+                } else if let Some(stop) = run.stop {
+                    Self::apply_stop(&self.shared, conn, stop);
                 }
             }
             let now = Instant::now();
@@ -346,8 +344,7 @@ impl Reactor {
                 true
             } else {
                 Self::sync_interest(&self.epoll, idx, conn);
-                conn.drained()
-                    || (self.draining && conn.state == ConnState::Idle && !conn.has_backlog())
+                conn.drained() || (self.draining && conn.run.is_none() && !conn.has_backlog())
             }
         };
         if dead {
@@ -355,17 +352,23 @@ impl Reactor {
         }
     }
 
-    /// Queue closed under us (shutdown race): answer the run's exec slots
-    /// with an error and close after flushing, acking nothing as durable.
-    fn fail_pending(conn: &mut Conn) {
-        for slot in std::mem::take(&mut conn.pending_slots) {
-            conn.pending_replies[slot] = Some(OwnedResponse::Err("server shutting down".into()));
+    /// Interpret the connection's run as far as it goes without waiting.
+    /// If it finishes, write its replies back in request order and apply
+    /// its stop; otherwise (`true`) it stays in flight, its socket unread,
+    /// until its committers' answers arrive through `apply_completions`.
+    fn drive(shared: &Arc<Shared>, me: &Arc<ReactorShared>, idx: usize, conn: &mut Conn) -> bool {
+        let Some(run) = conn.run.as_mut() else {
+            return false;
+        };
+        if !advance(&shared.shards, run, me, conn_token(idx, conn.generation)) {
+            return true;
         }
-        for reply in std::mem::take(&mut conn.pending_replies) {
-            encode_owned(&mut conn.wbuf, &reply.expect("every slot answered"));
+        let run = conn.run.take().expect("checked above");
+        run.encode_replies(&mut conn.wbuf);
+        if let Some(stop) = run.stop {
+            Self::apply_stop(shared, conn, stop);
         }
-        conn.pending_stop = None;
-        conn.closing = true;
+        false
     }
 
     /// Apply a decode-run stop once its run has fully answered: ack the
@@ -385,27 +388,6 @@ impl Reactor {
         }
     }
 
-    /// Build the worker job for a run: execute through the group-commit
-    /// path, then post the replies back to the owning reactor
-    /// and ring its doorbell.
-    fn make_job(
-        shared: &Arc<Shared>,
-        me: &Arc<ReactorShared>,
-        token: u64,
-        execs: Vec<OwnedRequest>,
-    ) -> Job {
-        let shards = Arc::clone(&shared.shards);
-        let me = Arc::clone(me);
-        Box::new(move || {
-            let replies = execute_ops(&shards, execs);
-            me.completions
-                .lock()
-                .expect("reactor completions")
-                .push_back((token, replies));
-            me.wake.signal();
-        })
-    }
-
     // -- completion path ----------------------------------------------------
 
     fn apply_completions(&mut self) {
@@ -416,99 +398,37 @@ impl Reactor {
                 .lock()
                 .expect("reactor completions")
                 .pop_front();
-            let Some((token, run_replies)) = item else {
+            let Some((token, answer)) = item else {
                 return;
             };
             let idx = (token >> 32) as usize;
             let generation = token as u32;
-            let dead = {
-                let Some(conn) = self.slab.get_mut(idx).and_then(|s| s.as_mut()) else {
-                    continue; // connection died while its run executed
-                };
-                if conn.generation != generation || conn.state != ConnState::Running {
-                    continue;
-                }
-                debug_assert_eq!(run_replies.len(), conn.pending_slots.len());
-                for (slot, reply) in std::mem::take(&mut conn.pending_slots)
-                    .into_iter()
-                    .zip(run_replies)
-                {
-                    conn.pending_replies[slot] = Some(reply);
-                }
-                for reply in std::mem::take(&mut conn.pending_replies) {
-                    encode_owned(&mut conn.wbuf, &reply.expect("every slot answered"));
-                }
-                conn.state = ConnState::Idle;
-                if let Some(stop) = conn.pending_stop.take() {
-                    Self::apply_stop(&self.shared, conn, stop);
-                }
-                if !conn.pump_writes(Instant::now()) {
-                    true
-                } else {
-                    Self::sync_interest(&self.epoll, idx, conn);
-                    conn.drained()
-                }
-            };
-            if dead {
-                self.close_conn(idx);
-            } else {
-                // More pipelined frames may already sit in rbuf alongside
-                // new kernel bytes; decode the next run immediately.
-                self.process_input(idx);
-            }
-        }
-    }
-
-    // -- parked runs --------------------------------------------------------
-
-    fn retry_parked(&mut self) {
-        if self.parked == 0 {
-            return;
-        }
-        for idx in 0..self.slab.len() {
-            if self.parked == 0 {
-                return;
-            }
-            let mut dead = false;
             {
-                let Some(conn) = self.slab[idx].as_mut() else {
+                let Some(conn) = self.slab.get_mut(idx).and_then(|s| s.as_mut()) else {
+                    continue; // connection died while its run was in flight
+                };
+                if conn.generation != generation {
+                    continue;
+                }
+                let Some(run) = conn.run.as_mut() else {
                     continue;
                 };
-                if conn.state != ConnState::Parked {
+                for (slot, reply) in answer.replies {
+                    run.replies[slot] = Some(reply);
+                }
+                if answer.committer_closed {
+                    // Nothing of the batch was applied and nothing more
+                    // can be: answer the rest of the run, then hang up.
+                    conn.closing = true;
+                }
+                run.outstanding -= 1;
+                if run.outstanding > 0 {
                     continue;
                 }
-                let job = conn.parked_job.take().expect("parked run keeps its job");
-                match self.shared.queue.try_push(job) {
-                    Ok(()) => {
-                        conn.state = ConnState::Running;
-                        self.parked -= 1;
-                    }
-                    Err(PushError::Full(job)) => {
-                        // A full queue normally means "wait for capacity" —
-                        // but if a shard committer has already shut down,
-                        // capacity will never come (workers would block
-                        // forever on submit). Fail the run and close
-                        // cleanly instead of hanging the parked client.
-                        if self.shared.shards.any_committer_closed() {
-                            self.parked -= 1;
-                            Self::fail_pending(conn);
-                            let _ = conn.pump_writes(Instant::now());
-                            dead = conn.drained();
-                        } else {
-                            conn.parked_job = Some(job);
-                        }
-                    }
-                    Err(PushError::Closed(_)) => {
-                        self.parked -= 1;
-                        Self::fail_pending(conn);
-                        let _ = conn.pump_writes(Instant::now());
-                        dead = conn.drained();
-                    }
-                }
+                Self::drive(&self.shared, &self.me, idx, conn);
             }
-            if dead {
-                self.close_conn(idx);
-            }
+            // Pump the replies out, re-arm reads, close if quiesced.
+            self.process_input(idx);
         }
     }
 
@@ -527,7 +447,7 @@ impl Reactor {
         for idx in 0..self.slab.len() {
             let timed_out = matches!(
                 &self.slab[idx],
-                Some(c) if c.state == ConnState::Idle
+                Some(c) if c.run.is_none()
                     && !c.has_backlog()
                     && now.duration_since(c.last_activity) >= limit
             );
@@ -541,8 +461,7 @@ impl Reactor {
 
     /// One drain step after the shutdown flag is up. Returns `true` when
     /// this reactor has fully quiesced: idle connections are closed
-    /// immediately, in-flight/parked runs finish and flush their acks
-    /// first, and a grace deadline force-closes stragglers.
+    /// immediately, in-flight runs finish and flush their acks first, and a grace deadline force-closes stragglers.
     fn drain_step(&mut self) -> bool {
         let now = Instant::now();
         if !self.draining {
@@ -555,7 +474,7 @@ impl Reactor {
         for idx in 0..self.slab.len() {
             let idle = matches!(
                 &self.slab[idx],
-                Some(c) if c.state == ConnState::Idle && !c.has_backlog()
+                Some(c) if c.run.is_none() && !c.has_backlog()
             );
             if idle {
                 self.close_conn(idx);
@@ -577,8 +496,8 @@ impl Reactor {
     // -- plumbing -----------------------------------------------------------
 
     /// Re-register the socket's interest if the desired mask changed.
-    /// Dropping `EPOLLIN` while a run executes (or a backlog grows) is the
-    /// backpressure mechanism; re-arming it resumes the flow.
+    /// Dropping `EPOLLIN` while a run is in flight (or a backlog grows) is
+    /// the backpressure mechanism; re-arming it resumes the flow.
     fn sync_interest(epoll: &Epoll, idx: usize, conn: &mut Conn) {
         let want = conn.desired_interest();
         if want != conn.interest {
@@ -590,10 +509,7 @@ impl Reactor {
     }
 
     fn close_conn(&mut self, idx: usize) {
-        if let Some(conn) = self.slab[idx].take() {
-            if conn.state == ConnState::Parked {
-                self.parked -= 1;
-            }
+        if self.slab[idx].take().is_some() {
             self.generations[idx] = self.generations[idx].wrapping_add(1);
             self.free.push(idx);
             self.shared.conns.fetch_sub(1, Ordering::SeqCst);

@@ -1,24 +1,30 @@
-//! The TCP server: epoll reactors in front of one shared execution core.
+//! The TCP server: epoll reactors that execute, and one committer per shard.
 //!
-//! Threading model — `reactors + workers + committers` threads, whatever
-//! the connection count:
+//! Threading model — `reactors + shards` threads, whatever the connection
+//! count:
 //!
-//! * `cfg.reactors` **reactor** threads (`reactor.rs`) own the sockets.
-//!   Reactor 0 also owns the listener; over-limit connections are answered
-//!   with a `BUSY` frame and closed immediately. Connections are
-//!   **pipelined**: every complete frame already buffered is decoded into
-//!   one ordered *run* (`conn::decode_run`), the run executes as a single
-//!   worker job, and the responses are written back in request order —
-//!   ordering stays structural (one job in flight per connection);
-//! * a fixed **worker pool** (the only threads touching the engine) drains
-//!   the bounded request queue. When the queue is full the reactor *parks*
-//!   the run and stops reading that socket — saturation degrades into TCP
-//!   flow control, never unbounded buffering and never a `BUSY`-failed run;
+//! * `cfg.reactors` **reactor** threads (`reactor.rs`) own the sockets
+//!   *and* execute the requests. Reactor 0 also owns the listener;
+//!   over-limit connections are answered with a `BUSY` frame and closed
+//!   immediately. Connections are **pipelined**: every complete frame
+//!   already buffered is decoded into one ordered *run*
+//!   (`conn::decode_run`) which the owning reactor interprets
+//!   (`advance`): reads, `STATS`, `FLUSH` and the replication handshake
+//!   run inline; writes are handed to a committer and the reactor moves on
+//!   to its other connections until the commit's completion comes back.
+//!   The responses are written back in request order — ordering stays
+//!   structural (one run in flight per connection, reads disarmed
+//!   meanwhile);
 //! * one **group-commit thread** per shard
 //!   ([`crate::group::GroupCommitter`]): consecutive `PUT`/`DEL`s in a run
 //!   (and whole `MULTI` bodies) are submitted as write batches that share
 //!   a single flush+fence boundary, coalescing across connections under
 //!   load.
+//!
+//! Backpressure is what already bounds the system: one run in flight per
+//! connection × `max_conns`, TCP flow control on a connection that is not
+//! being read, and the send-buffer high-water mark. `BUSY` is answered only
+//! at the connection limit, never to an admitted connection.
 //!
 //! Durability contract: `PUT`/`DEL` acks are written only after the batch
 //! containing them has flushed and fenced — **every acked write survives a
@@ -38,8 +44,8 @@
 //!
 //! Graceful shutdown (a `SHUTDOWN` frame or [`Server::shutdown`]) stops
 //! accepting, quiesces the reactors (in-flight runs finish and flush their
-//! acks), then the worker pool (queued jobs all run), then the group
-//! committers, and leaves the pools quiescent for a clean reopen.
+//! acks), then the group committers, and leaves the pools quiescent for a
+//! clean reopen.
 
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::str::FromStr;
@@ -48,11 +54,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::conn::{OwnedRequest, OwnedResponse};
+use crate::conn::{OwnedRequest, OwnedResponse, Run, Step};
 use crate::engine::{KvEngine, WriteOp, WriteReply};
-use crate::group::{GroupCommitter, GroupConfig};
+use crate::group::{GroupCommitter, GroupConfig, Outcome, SubmitError};
 use crate::poll::Epoll;
-use crate::queue::{BoundedQueue, Job, WorkerPool};
 use crate::reactor::{reactor_main, ReactorShared};
 use crate::repl::ReplSink;
 use crate::ring::Ring;
@@ -130,19 +135,14 @@ pub struct ReplStats {
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads executing engine requests.
-    pub workers: usize,
     /// Maximum simultaneously served connections; excess connections get
     /// `BUSY` and are closed.
     pub max_conns: usize,
-    /// Bounded request-queue depth; a full queue parks the run and pauses
-    /// reads on its connection.
-    pub queue_depth: usize,
     /// Group-commit tuning for batched `PUT`/`DEL` durability boundaries.
     pub group: GroupConfig,
     /// The front end reading the sockets (one value).
     pub io: IoMode,
-    /// Reactor threads.
+    /// Reactor threads: they read the sockets and execute the requests.
     pub reactors: usize,
     /// Close connections idle longer than this (`None` disables the
     /// timeout).
@@ -155,9 +155,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            workers: 4,
             max_conns: 64,
-            queue_depth: 128,
             group: GroupConfig::default(),
             io: IoMode::Epoll,
             reactors: 2,
@@ -190,12 +188,6 @@ pub(crate) struct ShardSet {
 }
 
 impl ShardSet {
-    /// Whether any shard's committer has been closed — once one has, a
-    /// parked run can never be served and must fail cleanly.
-    pub(crate) fn any_committer_closed(&self) -> bool {
-        self.shards.iter().any(|s| s.committer.is_closed())
-    }
-
     /// Flush + fence every shard's pool.
     fn fence_all(&self) {
         for s in &self.shards {
@@ -234,6 +226,79 @@ impl ShardSet {
         self.promoted.store(true, Ordering::SeqCst);
     }
 
+    /// Admit one replicated batch on the backup side: a promoted server
+    /// refuses (it is a primary now), and the per-shard sequence cursor must
+    /// match. On success the caller enqueues the redo ops on the returned
+    /// committer — so the batch commits behind the backup's *own*
+    /// durability boundary — and [`settle_repl`](Self::settle_repl) answers.
+    ///
+    /// Sequences are dense per shard, so any gap, duplicate, or reorder is
+    /// a protocol-visible fault: the batch is rejected and the shard's
+    /// stream is poisoned (every later batch on it errors too), rather than
+    /// silently applied with the primary and backup diverging. Batches
+    /// arrive on a single ordered connection per shard, and that connection
+    /// decodes nothing while its run is in flight, so exactly one
+    /// `REPL_BATCH` per (shard, seq) can be between admit and settle — the
+    /// load-validate-store never races with itself.
+    fn admit_repl(&self, shard: u32, seq: u64) -> Result<&GroupCommitter, OwnedResponse> {
+        if self.promoted.load(Ordering::SeqCst) {
+            return Err(OwnedResponse::Err(
+                "promoted: no longer accepting replication".to_string(),
+            ));
+        }
+        let Some(s) = self.shards.get(shard as usize) else {
+            return Err(OwnedResponse::Err(format!(
+                "no such shard {shard} (this server has {})",
+                self.shards.len()
+            )));
+        };
+        let cursor = &self.repl_expect[shard as usize];
+        let expect = cursor.load(Ordering::SeqCst);
+        if expect == u64::MAX {
+            return Err(OwnedResponse::Err(format!(
+                "replication stream for shard {shard} is poisoned by an earlier sequence error"
+            )));
+        }
+        if seq != expect {
+            cursor.store(u64::MAX, Ordering::SeqCst);
+            return Err(OwnedResponse::Err(format!(
+                "replication sequence broken on shard {shard}: expected {expect}, got {seq}"
+            )));
+        }
+        Ok(&s.committer)
+    }
+
+    /// The committer's verdict on an admitted batch: advance the shard's
+    /// cursor and ack with the batch's `(shard, seq)`, or poison the stream.
+    /// Runs in the submission's completion, so the cursor has moved before
+    /// the reply is posted — and therefore before the replication
+    /// connection's next run is decoded — even if that connection died
+    /// meanwhile.
+    fn settle_repl(&self, shard: u32, seq: u64, outcome: Outcome) -> OwnedResponse {
+        let cursor = &self.repl_expect[shard as usize];
+        // A per-op failure means the backup does NOT hold the batch
+        // verbatim; never ack it as replicated — and the stream has
+        // diverged, so poison it. (A delete's NotFound is fine — the
+        // tombstone state matches the primary either way.)
+        let failure = match outcome {
+            Ok(replies) => replies.into_iter().find_map(|r| match r {
+                WriteReply::Err(m) => Some(format!("replicated op failed: {m}")),
+                _ => None,
+            }),
+            Err(e) => Some(e.to_string()),
+        };
+        match failure {
+            None => {
+                cursor.store(seq + 1, Ordering::SeqCst);
+                OwnedResponse::ReplAck { shard, seq }
+            }
+            Some(m) => {
+                cursor.store(u64::MAX, Ordering::SeqCst);
+                OwnedResponse::Err(m)
+            }
+        }
+    }
+
     /// The `STATS` body, UTF-8 `key=value` lines: totals over every shard
     /// (sums, and maxima for the `max_*` fields), then the shard count and
     /// each shard's key count — the same lines for any shard count.
@@ -268,7 +333,6 @@ pub(crate) struct Shared {
     pub(crate) shards: Arc<ShardSet>,
     pub(crate) cfg: ServerConfig,
     pub(crate) addr: SocketAddr,
-    pub(crate) queue: Arc<BoundedQueue<Job>>,
     pub(crate) shutdown: AtomicBool,
     pub(crate) conns: AtomicUsize,
     pub(crate) reactors: Vec<Arc<ReactorShared>>,
@@ -297,7 +361,6 @@ impl Shared {
 pub struct Server {
     shared: Arc<Shared>,
     reactor_handles: Vec<JoinHandle<()>>,
-    workers: Option<WorkerPool>,
 }
 
 impl Server {
@@ -343,8 +406,6 @@ impl Server {
         assert!(!engines.is_empty(), "server needs at least one shard");
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let queue = Arc::new(BoundedQueue::new(cfg.queue_depth));
-        let workers = WorkerPool::start(Arc::clone(&queue), cfg.workers);
         let sinks = match &cfg.repl {
             Some(rc) => ReplSink::connect_all(rc, engines.len())
                 .map_err(|e| std::io::Error::other(e.to_string()))?,
@@ -382,7 +443,6 @@ impl Server {
             shards: shard_set,
             cfg,
             addr: local,
-            queue,
             shutdown: AtomicBool::new(false),
             conns: AtomicUsize::new(0),
             reactors: reactor_shareds,
@@ -408,7 +468,6 @@ impl Server {
         Ok(Server {
             shared,
             reactor_handles,
-            workers: Some(workers),
         })
     }
 
@@ -486,8 +545,8 @@ impl Server {
     }
 
     /// Close every shard's group committer without shutting the server
-    /// down, leaving reactors and workers running. Test-only hook for
-    /// the parked-run regression tests.
+    /// down, leaving the reactors running. Test-only hook for the
+    /// committer-closes-under-a-run regression test.
     #[doc(hidden)]
     pub fn debug_close_committers(&self) {
         for s in &self.shared.shards.shards {
@@ -505,39 +564,17 @@ impl Server {
         }
     }
 
-    /// Occupy worker-pool capacity with `jobs` sleeper jobs holding for
-    /// `hold` each; returns how many were accepted. Test-only hook for
-    /// saturating the queue deterministically (the stalled-pool
-    /// backpressure regression tests); real traffic never calls this.
-    #[doc(hidden)]
-    pub fn debug_stall_workers(&self, jobs: usize, hold: Duration) -> usize {
-        let mut accepted = 0;
-        for _ in 0..jobs {
-            let job: Job = Box::new(move || std::thread::sleep(hold));
-            if self.shared.queue.try_push(job).is_ok() {
-                accepted += 1;
-            }
-        }
-        accepted
-    }
-
     /// Trigger + complete a graceful shutdown: stop accepting, drain the
-    /// reactors (in-flight runs finish), quiesce the worker pool (all
-    /// queued jobs run), and join everything. Idempotent with a
-    /// wire-initiated `SHUTDOWN`.
-    pub fn shutdown(mut self) {
+    /// reactors (in-flight runs finish), close the committers, and join
+    /// everything. Idempotent with a wire-initiated `SHUTDOWN`.
+    pub fn shutdown(self) {
         self.shared.trigger_shutdown();
-        // Reactors quiesce BEFORE the workers: they stop feeding the
-        // queue, finish parked/in-flight runs, and flush acks; only then
-        // is the pool drained and closed.
-        for h in std::mem::take(&mut self.reactor_handles) {
+        // Reactors quiesce BEFORE the committers: they finish in-flight
+        // runs (which still need their commits) and flush the acks.
+        for h in self.reactor_handles {
             let _ = h.join();
         }
-        if let Some(w) = self.workers.take() {
-            w.shutdown();
-        }
-        // Workers are quiesced, so no job can submit any more: the
-        // committers drain and stop cleanly.
+        // No reactor is left to submit: the committers stop cleanly.
         for s in &self.shared.shards.shards {
             s.committer.close();
         }
@@ -548,170 +585,186 @@ impl Server {
     }
 }
 
-/// Apply one replicated batch on the backup side: validate the per-shard
-/// sequence cursor, submit the redo ops to the owning shard's committer
-/// (so the batch commits behind the backup's *own* durability boundary),
-/// and ack with the batch's `(shard, seq)` only after that boundary. A
-/// promoted server refuses — it is a primary now.
+/// A committer's answer to one of a run's submissions, as posted to the
+/// owning reactor: the reply slots it fills.
+pub(crate) struct Answer {
+    /// `(reply slot, reply)` pairs.
+    pub(crate) replies: Vec<(usize, OwnedResponse)>,
+    /// The committer is closed or dead — this server cannot write any
+    /// more, so the connection closes once the run is written back.
+    pub(crate) committer_closed: bool,
+}
+
+impl Answer {
+    fn of_writes(slots: Vec<usize>, outcome: Outcome) -> Answer {
+        let committer_closed = outcome == Err(SubmitError::Closed);
+        let replies = match outcome {
+            Ok(replies) => {
+                debug_assert_eq!(replies.len(), slots.len());
+                let reply = |r| match r {
+                    WriteReply::Ok => OwnedResponse::Ok,
+                    WriteReply::NotFound => OwnedResponse::NotFound,
+                    WriteReply::Err(m) => OwnedResponse::Err(m),
+                };
+                slots
+                    .into_iter()
+                    .zip(replies.into_iter().map(reply))
+                    .collect()
+            }
+            // Nothing applied, nothing acked as durable.
+            Err(e) => slots
+                .into_iter()
+                .map(|slot| (slot, OwnedResponse::Err(e.to_string())))
+                .collect(),
+        };
+        Answer {
+            replies,
+            committer_closed,
+        }
+    }
+}
+
+/// Interpret `run` from where it stopped, on the reactor that owns its
+/// connection, until it is finished (`true`: every reply slot is answered)
+/// or has handed writes to a committer (`false`: `run.outstanding`
+/// [`Answer`]s will be posted to `me` under `token`; call again once they
+/// have all been applied). This is the only way a run reaches the engines,
+/// and where the ordering rules live:
 ///
-/// Sequences are dense per shard, so any gap, duplicate, or reorder is a
-/// protocol-visible fault: the batch is rejected and the shard's stream is
-/// poisoned (every later batch on it errors too), rather than silently
-/// applied with the primary and backup diverging. Batches arrive on a
-/// single ordered connection per shard, so exactly one `REPL_BATCH` per
-/// (shard, seq) can be in flight here — the load-validate-store below
-/// never races with itself.
-fn apply_repl_batch(shards: &ShardSet, shard: u32, seq: u64, ops: Vec<WriteOp>) -> OwnedResponse {
-    if shards.promoted.load(Ordering::SeqCst) {
-        return OwnedResponse::Err("promoted: no longer accepting replication".to_string());
-    }
-    let Some(s) = shards.shards.get(shard as usize) else {
-        return OwnedResponse::Err(format!(
-            "no such shard {shard} (this server has {})",
-            shards.shards.len()
-        ));
-    };
-    let cursor = &shards.repl_expect[shard as usize];
-    let expect = cursor.load(Ordering::SeqCst);
-    if expect == u64::MAX {
-        return OwnedResponse::Err(format!(
-            "replication stream for shard {shard} is poisoned by an earlier sequence error"
-        ));
-    }
-    if seq != expect {
-        cursor.store(u64::MAX, Ordering::SeqCst);
-        return OwnedResponse::Err(format!(
-            "replication sequence broken on shard {shard}: expected {expect}, got {seq}"
-        ));
-    }
-    match s.committer.submit_repl(ops) {
-        Ok(replies) => {
-            // A per-op failure means the backup does NOT hold the batch
-            // verbatim; never ack it as replicated — and the stream has
-            // diverged, so poison it. (A delete's NotFound is fine — the
-            // tombstone state matches the primary either way.)
-            for r in &replies {
-                if let WriteReply::Err(m) = r {
-                    cursor.store(u64::MAX, Ordering::SeqCst);
-                    return OwnedResponse::Err(format!("replicated op failed: {m}"));
+/// * consecutive `PUT`/`DEL`s are staged per owning shard and submitted to
+///   each shard's group committer as one durability boundary per shard;
+///   two writes to the same key always share a shard, so per-key order is
+///   preserved even though shards commit independently;
+/// * everything else is a barrier — the stages are submitted and answered
+///   before it executes. A read, `STATS` or `FLUSH` must observe every
+///   earlier write in the run; a `MULTI` body sits between two barriers, so
+///   it is its own atomic batch (per shard, not across shards) and batch
+///   boundaries align with the frame boundary on both sides of a
+///   replication pair; a `REPL_BATCH` applies whole, in shipping order,
+///   never interleaved with this run's staged writes;
+/// * an ack is written only after the boundary: a slot is answered by the
+///   committer's completion, and the run is written back when all are.
+///
+/// Responses are exactly what sequential execution would produce. Nothing
+/// here blocks on a commit — a submission is enqueued and the reactor moves
+/// on to its other connections — with one exception: `PROMOTE` waits for
+/// the committers to drain (rare, and a committer never waits on a
+/// reactor, so it cannot deadlock).
+pub(crate) fn advance(
+    shards: &Arc<ShardSet>,
+    run: &mut Run,
+    me: &Arc<ReactorShared>,
+    token: u64,
+) -> bool {
+    debug_assert_eq!(run.outstanding, 0);
+    let mut staged: Vec<Vec<(usize, WriteOp)>> = vec![Vec::new(); shards.shards.len()];
+    while let Some(step) = run.steps.pop_front() {
+        match step {
+            Step::Write { slot, op } => {
+                staged[shards.ring.shard_of(op.key()) as usize].push((slot, op));
+            }
+            barrier => {
+                submit_staged(shards, run, &mut staged, me, token);
+                if run.outstanding > 0 {
+                    run.steps.push_front(barrier);
+                    return false;
+                }
+                if let Step::Exec { slot, req } = barrier {
+                    match execute(shards, slot, req, me, token) {
+                        Some(reply) => run.replies[slot] = Some(reply),
+                        None => {
+                            run.outstanding = 1;
+                            return false;
+                        }
+                    }
                 }
             }
-            cursor.store(expect + 1, Ordering::SeqCst);
-            OwnedResponse::ReplAck { shard, seq }
-        }
-        Err(e) => {
-            cursor.store(u64::MAX, Ordering::SeqCst);
-            OwnedResponse::Err(e.to_string())
         }
     }
+    submit_staged(shards, run, &mut staged, me, token);
+    run.outstanding == 0
 }
 
-/// Execute an ordered run of requests with sharded write batching:
-/// consecutive `PUT`/`DEL`s are staged per owning shard and committed
-/// through each shard's group committer as one shared durability boundary
-/// per shard; the stages are flushed before anything that must observe
-/// those writes (a read, `STATS`, `FLUSH`) and at `MULTI` boundaries, so
-/// responses are exactly what sequential execution would produce. (On a
-/// multi-shard server a `MULTI` is atomic *per shard* — each shard's slice
-/// of the batch shares one boundary — not across shards.) This is the only
-/// way a run reaches the engines.
-pub(crate) fn execute_ops(shards: &ShardSet, reqs: Vec<OwnedRequest>) -> Vec<OwnedResponse> {
-    let nshards = shards.shards.len();
-    let mut out: Vec<Option<OwnedResponse>> = Vec::with_capacity(reqs.len());
-    let mut staged: Vec<Vec<(usize, WriteOp)>> = vec![Vec::new(); nshards];
-    for req in reqs {
-        // Writes are staged and a PING touches nothing; everything else is
-        // a barrier. A read, `STATS` or `FLUSH` must observe every earlier
-        // write in the run; a `MULTI` body is its own (per-shard) atomic
-        // batch, so batch boundaries align with the frame boundary on both
-        // sides; replication applies whole batches in shipping order, never
-        // interleaved with this run's staged writes.
-        if !matches!(
-            req,
-            OwnedRequest::Put { .. } | OwnedRequest::Del { .. } | OwnedRequest::Ping
-        ) {
-            flush_staged(shards, &mut out, &mut staged);
+/// Execute one non-write request with nothing staged or outstanding before
+/// it. `None` means it went to a committer (a `REPL_BATCH`), whose
+/// completion will post the reply for `slot`.
+fn execute(
+    shards: &Arc<ShardSet>,
+    slot: usize,
+    req: OwnedRequest,
+    me: &Arc<ReactorShared>,
+    token: u64,
+) -> Option<OwnedResponse> {
+    Some(match req {
+        OwnedRequest::ReplBatch { shard, seq, ops } => match shards.admit_repl(shard, seq) {
+            Err(refusal) => refusal,
+            Ok(committer) => {
+                let (shards, me) = (Arc::clone(shards), Arc::clone(me));
+                committer.enqueue(
+                    ops,
+                    true,
+                    Box::new(move |outcome| {
+                        let committer_closed = outcome == Err(SubmitError::Closed);
+                        let reply = shards.settle_repl(shard, seq, outcome);
+                        me.post(
+                            token,
+                            Answer {
+                                replies: vec![(slot, reply)],
+                                committer_closed,
+                            },
+                        );
+                    }),
+                );
+                return None;
+            }
+        },
+        OwnedRequest::Promote => {
+            shards.promote();
+            OwnedResponse::Ok
         }
-        let reply = match req {
-            OwnedRequest::Put { key, value } => {
-                let s = shards.ring.shard_of(&key) as usize;
-                staged[s].push((out.len(), WriteOp::Put { key, value }));
-                None
+        OwnedRequest::Get { key } => {
+            let engine = &shards.shards[shards.ring.shard_of(&key) as usize].engine;
+            let mut value = Vec::new();
+            match engine.get(&key, &mut value) {
+                Ok(true) => OwnedResponse::Value(value),
+                Ok(false) => OwnedResponse::NotFound,
+                Err(e) => OwnedResponse::Err(e.to_string()),
             }
-            OwnedRequest::Del { key } => {
-                let s = shards.ring.shard_of(&key) as usize;
-                staged[s].push((out.len(), WriteOp::Del { key }));
-                None
-            }
-            OwnedRequest::Ping => Some(OwnedResponse::Pong),
-            OwnedRequest::Multi(nested) => Some(OwnedResponse::Multi(execute_ops(shards, nested))),
-            OwnedRequest::ReplBatch { shard, seq, ops } => {
-                Some(apply_repl_batch(shards, shard, seq, ops))
-            }
-            OwnedRequest::Promote => {
-                shards.promote();
-                Some(OwnedResponse::Ok)
-            }
-            OwnedRequest::Get { key } => {
-                let engine = &shards.shards[shards.ring.shard_of(&key) as usize].engine;
-                let mut value = Vec::new();
-                Some(match engine.get(&key, &mut value) {
-                    Ok(true) => OwnedResponse::Value(value),
-                    Ok(false) => OwnedResponse::NotFound,
-                    Err(e) => OwnedResponse::Err(e.to_string()),
-                })
-            }
-            OwnedRequest::Stats => Some(match shards.render_stats() {
-                Ok(body) => OwnedResponse::Stats(body),
-                Err(m) => OwnedResponse::Err(m),
-            }),
-            OwnedRequest::Flush => {
-                shards.fence_all();
-                Some(OwnedResponse::Ok)
-            }
-            OwnedRequest::ReplHello { shards: n } => Some(shards.repl_hello(n)),
-        };
-        out.push(reply);
-    }
-    flush_staged(shards, &mut out, &mut staged);
-    out.into_iter()
-        .map(|r| r.expect("every slot answered"))
-        .collect()
+        }
+        OwnedRequest::Stats => match shards.render_stats() {
+            Ok(body) => OwnedResponse::Stats(body),
+            Err(m) => OwnedResponse::Err(m),
+        },
+        OwnedRequest::Flush => {
+            shards.fence_all();
+            OwnedResponse::Ok
+        }
+        OwnedRequest::ReplHello { shards: n } => shards.repl_hello(n),
+    })
 }
 
-/// Commit each shard's staged writes as one group-commit submission to
-/// that shard's committer and patch the replies into their slots. Two
-/// writes to the same key always share a shard, so per-key ordering is
-/// preserved even though shards flush independently. No-op when nothing
+/// Hand each shard's staged writes to that shard's committer as one
+/// submission, counted in `run.outstanding`; its completion posts the
+/// replies for the stage's slots back to the reactor. No-op when nothing
 /// is staged.
-fn flush_staged(
+fn submit_staged(
     shards: &ShardSet,
-    out: &mut [Option<OwnedResponse>],
+    run: &mut Run,
     staged: &mut [Vec<(usize, WriteOp)>],
+    me: &Arc<ReactorShared>,
+    token: u64,
 ) {
-    for (shard, stage) in shards.shards.iter().zip(staged.iter_mut()) {
+    for (shard, stage) in shards.shards.iter().zip(staged) {
         if stage.is_empty() {
             continue;
         }
         let (slots, ops): (Vec<usize>, Vec<WriteOp>) = std::mem::take(stage).into_iter().unzip();
-        match shard.committer.submit(ops) {
-            Ok(replies) => {
-                debug_assert_eq!(replies.len(), slots.len());
-                for (slot, reply) in slots.into_iter().zip(replies) {
-                    out[slot] = Some(match reply {
-                        WriteReply::Ok => OwnedResponse::Ok,
-                        WriteReply::NotFound => OwnedResponse::NotFound,
-                        WriteReply::Err(m) => OwnedResponse::Err(m),
-                    });
-                }
-            }
-            Err(e) => {
-                // Committer closed mid-run (shutdown race): nothing
-                // applied, nothing acked as durable.
-                for slot in slots {
-                    out[slot] = Some(OwnedResponse::Err(e.to_string()));
-                }
-            }
-        }
+        let me = Arc::clone(me);
+        run.outstanding += 1;
+        shard.committer.enqueue(
+            ops,
+            false,
+            Box::new(move |outcome| me.post(token, Answer::of_writes(slots, outcome))),
+        );
     }
 }

@@ -25,6 +25,15 @@ fn connect(server: &Server) -> Client {
     Client::connect_retry(server.local_addr(), Duration::from_secs(5)).unwrap()
 }
 
+/// The wire bytes of `reqs`, back to back, for `Client::send_raw`.
+fn frames(reqs: &[Request<'_>]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for req in reqs {
+        spp_server::wire::encode_request(&mut out, req);
+    }
+    out
+}
+
 #[test]
 fn full_roundtrip_under_every_policy() {
     for kind in PolicyKind::ALL {
@@ -143,9 +152,7 @@ fn connection_limit_answers_busy() {
     let server = start(
         PolicyKind::Spp,
         ServerConfig {
-            workers: 2,
             max_conns: 1,
-            queue_depth: 8,
             ..ServerConfig::default()
         },
     );
@@ -284,19 +291,14 @@ fn fragmented_byte_at_a_time_frames_are_served() {
     let server = start(PolicyKind::Spp, ServerConfig::default());
     let mut c = connect(&server);
     let k = key(42);
-    let mut bytes = Vec::new();
-    for req in [
+    let bytes = frames(&[
         Request::Put {
             key: &k,
             value: b"dribbled",
         },
         Request::Ping,
         Request::Get { key: &k },
-    ] {
-        let mut one = Vec::new();
-        spp_server::wire::encode_request(&mut one, &req);
-        bytes.extend_from_slice(&one);
-    }
+    ]);
     for b in &bytes {
         c.send_raw(std::slice::from_ref(b)).unwrap();
     }
@@ -306,59 +308,51 @@ fn fragmented_byte_at_a_time_frames_are_served() {
     server.shutdown();
 }
 
-/// Saturate a 1-worker/depth-1 pool with sleeper jobs, retrying until both
-/// the executing slot and the queued slot are held.
-fn stall_pool(server: &Server, hold: Duration) {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let mut accepted = 0;
-    while accepted < 2 {
-        accepted += server.debug_stall_workers(2 - accepted, hold);
-        assert!(Instant::now() < deadline, "could not saturate worker pool");
-        if accepted < 2 {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    }
-}
-
 #[test]
-fn stalled_pool_parks_runs_in_epoll_mode_never_busy() {
-    // The backpressure contract: with the worker pool saturated mid-run,
-    // the reactor must pause reading and resume once capacity frees up —
-    // the pipelined run completes with zero BUSY and in order, nothing
-    // dropped.
+fn pending_commit_never_stalls_its_reactor() {
+    // One reactor, and a committer that holds every batch open for 300 ms:
+    // while connection A's PUT waits for its durability boundary, the same
+    // reactor must keep serving connection B. Any implementation that
+    // blocks the reactor on the commit answers B only after the hold.
     let server = start(
         PolicyKind::Spp,
         ServerConfig {
-            workers: 1,
-            queue_depth: 1,
+            reactors: 1,
+            group: GroupConfig {
+                max_batch: 256,
+                max_hold: Duration::from_millis(300),
+            },
             ..ServerConfig::default()
         },
     );
-    let mut c = connect(&server);
-    stall_pool(&server, Duration::from_millis(300));
-
-    let keys: Vec<[u8; 16]> = (0..10).map(key).collect();
-    let values: Vec<Vec<u8>> = (0..10u64).map(|i| i.to_le_bytes().to_vec()).collect();
-    let mut reqs: Vec<Request<'_>> = Vec::new();
-    for i in 0..10 {
-        reqs.push(Request::Put {
-            key: &keys[i],
-            value: &values[i],
-        });
-        reqs.push(Request::Get { key: &keys[i] });
-    }
-    let replies = c.pipeline(&reqs).unwrap();
-    assert_eq!(replies.len(), reqs.len());
-    for (i, pair) in replies.chunks(2).enumerate() {
-        assert_eq!(pair[0], Reply::Ok, "PUT {i} must not see BUSY");
-        assert_eq!(
-            pair[1],
-            Reply::Value((i as u64).to_le_bytes().to_vec()),
-            "GET {i} dropped or reordered"
-        );
-    }
-    // Every acked write really is in the store.
-    assert_eq!(server.engine().count().unwrap(), 10);
+    let mut a = connect(&server);
+    let mut b = connect(&server);
+    b.ping().unwrap();
+    let (ka, kb) = (key(1), key(2));
+    let sent = Instant::now();
+    a.send_raw(&frames(&[Request::Put {
+        key: &ka,
+        value: b"held",
+    }]))
+    .unwrap();
+    // B's round trips queue behind A's frame on the one reactor, so by the
+    // time they are answered A's PUT has been submitted and is being held.
+    b.ping().unwrap();
+    let mut out = Vec::new();
+    assert!(!b.get(&kb, &mut out).unwrap());
+    let waited = sent.elapsed();
+    assert!(
+        waited < Duration::from_millis(100),
+        "B waited {waited:?} behind A's pending commit"
+    );
+    // A's PUT still acks, after its boundary.
+    assert_eq!(a.recv_response_kind().unwrap(), RespKind::Ok);
+    assert!(
+        sent.elapsed() >= Duration::from_millis(250),
+        "the PUT was acked before the hold window closed"
+    );
+    assert!(b.get(&ka, &mut out).unwrap());
+    assert_eq!(out, b"held");
     server.shutdown();
 }
 
@@ -395,58 +389,57 @@ fn idle_timeout_closes_quiet_connections_but_not_active_ones() {
 fn concurrent_multi_writers_share_commit_boundaries() {
     // A hold window makes cross-connection coalescing deterministic
     // enough to observe: many single-connection batches must land in
-    // fewer committer boundaries than submissions.
-    let server = start(
-        PolicyKind::Spp,
-        ServerConfig {
-            group: GroupConfig {
-                max_batch: 256,
-                max_hold: Duration::from_millis(3),
+    // fewer committer boundaries than submissions. With one reactor this
+    // also proves that submissions from several connections of the same
+    // reactor pile up behind one commit — it is not serialised by it.
+    for reactors in [1, 2] {
+        let server = start(
+            PolicyKind::Spp,
+            ServerConfig {
+                reactors,
+                group: GroupConfig {
+                    max_batch: 256,
+                    max_hold: Duration::from_millis(3),
+                },
+                ..ServerConfig::default()
             },
-            ..ServerConfig::default()
-        },
-    );
-    let addr = server.local_addr();
-    let threads: Vec<_> = (0..4u64)
-        .map(|t| {
-            std::thread::spawn(move || {
-                let mut c = Client::connect_retry(addr, Duration::from_secs(5)).unwrap();
-                for b in 0..10u64 {
-                    let keys: Vec<[u8; 16]> = (0..4).map(|i| key(t * 1_000 + b * 4 + i)).collect();
-                    let reqs: Vec<Request<'_>> = keys
-                        .iter()
-                        .map(|k| Request::Put {
-                            key: k,
-                            value: b"grouped",
-                        })
-                        .collect();
-                    loop {
+        );
+        let addr = server.local_addr();
+        let threads: Vec<_> = (0..4u64)
+            .map(|t| {
+                std::thread::spawn(move || {
+                    let mut c = Client::connect_retry(addr, Duration::from_secs(5)).unwrap();
+                    for b in 0..10u64 {
+                        let keys: Vec<[u8; 16]> =
+                            (0..4).map(|i| key(t * 1_000 + b * 4 + i)).collect();
+                        let reqs: Vec<Request<'_>> = keys
+                            .iter()
+                            .map(|k| Request::Put {
+                                key: k,
+                                value: b"grouped",
+                            })
+                            .collect();
                         match c.multi(&reqs) {
-                            Ok(replies) => {
-                                assert!(replies.iter().all(|r| *r == Reply::Ok));
-                                break;
-                            }
-                            Err(ClientError::Busy) => {
-                                std::thread::sleep(Duration::from_micros(100))
-                            }
+                            Ok(replies) => assert!(replies.iter().all(|r| *r == Reply::Ok)),
+                            Err(ClientError::Busy) => panic!("BUSY on an admitted connection"),
                             Err(e) => panic!("multi: {e}"),
                         }
                     }
-                }
+                })
             })
-        })
-        .collect();
-    for t in threads {
-        t.join().unwrap();
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let (batches, ops) = server.group_stats();
+        assert_eq!(ops, 160, "every batched PUT must go through the committer");
+        assert!(
+            batches < 40,
+            "reactors={reactors}: 40 MULTI submissions never shared a boundary ({batches} batches)"
+        );
+        assert_eq!(server.engine().count().unwrap(), 160);
+        server.shutdown();
     }
-    let (batches, ops) = server.group_stats();
-    assert_eq!(ops, 160, "every batched PUT must go through the committer");
-    assert!(
-        batches < 40,
-        "40 MULTI submissions never shared a boundary ({batches} batches)"
-    );
-    assert_eq!(server.engine().count().unwrap(), 160);
-    server.shutdown();
 }
 
 #[test]
@@ -459,14 +452,10 @@ fn concurrent_clients_see_consistent_store() {
                 let mut c = Client::connect_retry(addr, Duration::from_secs(5)).unwrap();
                 for i in 0..100u64 {
                     let k = key(t * 1_000 + i);
-                    loop {
-                        match c.put(&k, &i.to_le_bytes()) {
-                            Ok(()) => break,
-                            Err(ClientError::Busy) => {
-                                std::thread::sleep(Duration::from_micros(100))
-                            }
-                            Err(e) => panic!("put: {e}"),
-                        }
+                    match c.put(&k, &i.to_le_bytes()) {
+                        Ok(()) => {}
+                        Err(ClientError::Busy) => panic!("BUSY on an admitted connection"),
+                        Err(e) => panic!("put: {e}"),
                     }
                 }
             })
@@ -501,10 +490,11 @@ fn epoll_serves_many_idle_connections_without_per_conn_threads() {
         c.ping().unwrap();
     }
     if let Some(threads) = proc_threads() {
-        // Process-wide: test harness + 2 reactors + 4 workers + committer.
-        // 60 idle conns must NOT have added 60 threads.
+        // Process-wide: every concurrently running test's harness thread
+        // and servers (this one: 2 reactors + 1 committer). 60 idle conns
+        // must NOT have added 60 threads.
         assert!(
-            threads < 40,
+            threads < 30,
             "thread count {threads} scales with idle connections"
         );
     }
@@ -903,50 +893,113 @@ fn async_replication_catches_up_and_cut_stream_fails_sync_acks() {
 }
 
 #[test]
-fn parked_epoll_run_fails_cleanly_when_committer_closes() {
-    // The BUSY-gap cousin: a run parked on a saturated queue whose shard
-    // committer then shuts down must get explicit errors and a clean
-    // close — not a parked-forever hang.
+fn committer_closing_under_an_in_flight_run_fails_the_rest_cleanly() {
+    // A committer that shuts down while a connection has a run in flight
+    // must leave that connection with explicit answers and a clean close —
+    // never a hang, and never an ack for a write that is not durable.
     let server = start(
         PolicyKind::Spp,
         ServerConfig {
-            workers: 1,
-            queue_depth: 1,
+            reactors: 1,
+            group: GroupConfig {
+                max_batch: 256,
+                max_hold: Duration::from_secs(2),
+            },
             ..ServerConfig::default()
         },
     );
-    let addr = server.local_addr();
-    stall_pool(&server, Duration::from_millis(1500));
+    let mut c = connect(&server);
+    let mut other = connect(&server);
+    let (k1, k2) = (key(1), key(2));
+    // Run 1: one PUT, which the hold window keeps outstanding.
+    c.send_raw(&frames(&[Request::Put {
+        key: &k1,
+        value: b"accepted",
+    }]))
+    .unwrap();
+    // The second round trip on the same reactor is answered a loop turn
+    // after the PUT's bytes landed: run 1 was decoded on its own by now.
+    other.ping().unwrap();
+    other.ping().unwrap();
+    // Run 2 waits in the socket: run 1's connection is not read.
+    c.send_raw(&frames(&[
+        Request::Put {
+            key: &k2,
+            value: b"too-late",
+        },
+        Request::Ping,
+    ]))
+    .unwrap();
 
     let (tx, rx) = std::sync::mpsc::channel();
-    let t = std::thread::spawn(move || {
-        let mut c = Client::connect_retry(addr, Duration::from_secs(5)).unwrap();
-        let k = key(1);
-        // This run parks: both worker slots are held by sleepers.
-        let result = c.pipeline(&[
-            Request::Put {
-                key: &k,
-                value: b"v",
-            },
-            Request::Ping,
-        ]);
-        let _ = tx.send(result);
+    let reader = std::thread::spawn(move || {
+        let kinds: Vec<_> = (0..4).map(|_| c.recv_response_kind()).collect();
+        let _ = tx.send(kinds);
     });
-    // Give the run time to reach the parked state, then shut the
-    // committer down underneath it.
-    std::thread::sleep(Duration::from_millis(300));
     server.debug_close_committers();
-    match rx.recv_timeout(Duration::from_secs(10)) {
-        Ok(Ok(replies)) => {
-            assert!(
-                matches!(&replies[0], Reply::Err(msg) if msg.contains("shutting down")),
-                "parked PUT must fail explicitly, got {replies:?}"
-            );
-        }
-        Ok(Err(e)) => panic!("pipeline errored instead of answering: {e}"),
-        Err(_) => panic!("parked run hung after committer shutdown"),
-    }
-    t.join().unwrap();
+    let kinds = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("in-flight run hung after committer shutdown");
+    reader.join().unwrap();
+    // Closing drains what the committer had accepted (cutting the hold
+    // short): run 1's PUT is acked, and it really is durable.
+    assert_eq!(kinds[0].as_ref().unwrap(), &RespKind::Ok);
+    let mut out = Vec::new();
+    assert!(server.engine().get(&k1, &mut out).unwrap());
+    // Run 2 reaches a closed committer: its PUT fails explicitly and was
+    // not applied, its PING is answered in order, then the server hangs up.
+    assert!(
+        matches!(kinds[1].as_ref().unwrap(), RespKind::Err(m) if m.contains("closed")),
+        "PUT after close must fail explicitly, got {:?}",
+        kinds[1]
+    );
+    assert!(!server.engine().get(&k2, &mut out).unwrap());
+    assert_eq!(kinds[2].as_ref().unwrap(), &RespKind::Pong);
+    assert!(
+        matches!(kinds[3], Err(ClientError::Io(_))),
+        "connection must close after the failed run, got {:?}",
+        kinds[3]
+    );
+    server.shutdown();
+}
+
+#[test]
+fn multi_reads_see_their_own_writes_across_shards() {
+    // A MULTI body is flattened into the run between two barriers, and a
+    // GET inside it is a barrier of its own: each GET must observe the PUT
+    // just before it whichever shard owns the key, and the four replies
+    // come back in order as one MULTI_BODY.
+    let server = start_sharded(PolicyKind::Spp, 2, ServerConfig::default());
+    let ring = server.ring();
+    let a = key(1);
+    let b = (2..)
+        .map(key)
+        .find(|k| ring.shard_of(k) != ring.shard_of(&a))
+        .unwrap();
+    let mut c = connect(&server);
+    let replies = c
+        .multi(&[
+            Request::Put {
+                key: &a,
+                value: b"va",
+            },
+            Request::Get { key: &a },
+            Request::Put {
+                key: &b,
+                value: b"vb",
+            },
+            Request::Get { key: &b },
+        ])
+        .unwrap();
+    assert_eq!(
+        replies,
+        vec![
+            Reply::Ok,
+            Reply::Value(b"va".to_vec()),
+            Reply::Ok,
+            Reply::Value(b"vb".to_vec()),
+        ]
+    );
     server.shutdown();
 }
 

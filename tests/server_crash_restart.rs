@@ -61,9 +61,7 @@ fn crash_under_load(kind: PolicyKind, target: u64) -> Captured {
         Arc::clone(&engine),
         ("127.0.0.1", 0),
         ServerConfig {
-            workers: 3,
             max_conns: 8,
-            queue_depth: 32,
             ..ServerConfig::default()
         },
     )
@@ -118,7 +116,9 @@ fn crash_under_load(kind: PolicyKind, target: u64) -> Captured {
                     }
                     match c.put(&key_of(cid, seq), &value_of(cid, seq)) {
                         Ok(()) => acked.lock().unwrap().push((cid, seq)),
-                        Err(ClientError::Busy) => continue,
+                        Err(ClientError::Busy) => {
+                            panic!("client {cid}: BUSY on an admitted connection")
+                        }
                         // Acceptable only while the rig winds down.
                         Err(_) if stop.load(Ordering::SeqCst) => break,
                         Err(e) => panic!("client {cid}: PUT failed mid-load: {e}"),
@@ -161,9 +161,7 @@ fn crash_under_batched_load(kind: PolicyKind, target: u64) -> Captured {
         Arc::clone(&engine),
         ("127.0.0.1", 0),
         ServerConfig {
-            workers: 3,
             max_conns: 8,
-            queue_depth: 32,
             ..ServerConfig::default()
         },
     )
@@ -228,9 +226,9 @@ fn crash_under_batched_load(kind: PolicyKind, target: u64) -> Captured {
                                 g.push((cid, b * BATCH + i));
                             }
                         }
-                        // The whole batch was rejected under backpressure;
-                        // nothing of it was acked, skip it.
-                        Err(ClientError::Busy) => continue,
+                        Err(ClientError::Busy) => {
+                            panic!("client {cid}: BUSY on an admitted connection")
+                        }
                         Err(_) if stop.load(Ordering::SeqCst) => break,
                         Err(e) => panic!("client {cid}: MULTI failed mid-load: {e}"),
                     }

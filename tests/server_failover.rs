@@ -92,9 +92,7 @@ fn start_sharded(
         engines,
         ("127.0.0.1", 0),
         ServerConfig {
-            workers: 3,
             max_conns: 8,
-            queue_depth: 32,
             repl,
             ..ServerConfig::default()
         },
@@ -123,7 +121,9 @@ fn drive_load(
                     }
                     match c.put(&key_of(cid, seq), &value_of(cid, seq)) {
                         Ok(()) => acked.lock().unwrap().push((cid, seq)),
-                        Err(ClientError::Busy) => continue,
+                        Err(ClientError::Busy) => {
+                            panic!("client {cid}: BUSY on an admitted connection")
+                        }
                         // Acceptable only while the rig winds down.
                         Err(_) if stop.load(Ordering::SeqCst) => break,
                         Err(e) => panic!("client {cid}: PUT failed mid-load: {e}"),
