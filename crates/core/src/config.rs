@@ -224,8 +224,16 @@ impl TagConfig {
     /// `deref_size` bytes (tag `+= deref_size - 1`) and mask for dereference.
     /// The *returned* address is the one to access; the caller's tagged
     /// pointer keeps its original tag.
+    ///
+    /// No object exceeds [`Self::max_object_size`] (allocation refuses it),
+    /// so a longer access is out of bounds whatever the tag says — and must
+    /// be flagged here, because the tag update wraps modulo
+    /// `2^(tag_bits + 1)` and such a length would alias a small one.
     #[inline]
     pub fn check_bound(self, ptr: u64, deref_size: u64) -> u64 {
+        if deref_size > self.max_object_size() {
+            return self.clean_tag(ptr) | OVERFLOW_BIT;
+        }
         self.clean_tag(self.update_tag(ptr, deref_size as i64 - 1))
     }
 
@@ -359,6 +367,33 @@ mod tests {
         // 8-byte access at offset 9: last byte is 16 -> overflow.
         let p9 = c.offset(p, 9);
         assert!(c.check_bound(p9, 8) & OVERFLOW_BIT != 0);
+    }
+
+    #[test]
+    fn check_bound_flags_lengths_no_object_can_have() {
+        // The tag field is tag_bits + 1 wide, so an unchecked length of
+        // 2^(tag_bits + 1) + k would wrap to k and pass.
+        for c in [TagConfig::default(), TagConfig::new(8).unwrap()] {
+            let max = c.max_object_size();
+            let p = c.make_tagged(0x1000, 64);
+            assert_eq!(c.check_bound(p, 64), 0x1000);
+            for len in [
+                65,
+                max,
+                max + 1,
+                2 * max + 8,
+                2 * max + 64,
+                4 * max + 1,
+                u64::MAX,
+            ] {
+                let masked = c.check_bound(p, len);
+                assert!(masked & OVERFLOW_BIT != 0, "{c:?}: length {len} passed");
+                assert_eq!(masked & c.va_mask(), 0x1000);
+            }
+            // A maximal object is still readable whole.
+            let whole = c.make_tagged(0x1000, max);
+            assert_eq!(c.check_bound(whole, max), 0x1000);
+        }
     }
 
     #[test]

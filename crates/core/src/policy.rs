@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use spp_pmdk::{ObjPool, OidDest, OidKind, PmemOid, Tx};
+use spp_pmdk::{ObjPool, OidDest, OidKind, PmemOid, Tx, OID_SIZE_SPP};
 
 use crate::error::SppError;
 use crate::Result;
@@ -318,7 +318,8 @@ pub trait MemoryPolicy: Send + Sync {
     ///
     /// As [`MemoryPolicy::tx_snapshot`].
     fn tx_write_oid(&self, tx: &mut Tx<'_>, ptr: u64, oid: PmemOid) -> Result<()> {
-        self.tx_write(tx, ptr, &oid.encode(self.oid_kind()))
+        let mut buf = [0; OID_SIZE_SPP as usize];
+        self.tx_write(tx, ptr, oid.encode_into(&mut buf, self.oid_kind()))
     }
 
     /// Transactional allocation (freed if the transaction aborts), with the

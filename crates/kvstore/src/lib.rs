@@ -244,6 +244,22 @@ impl<P: MemoryPolicy> KvStore<P> {
             .load(self.policy.gep(node_ptr, self.layout.key as i64), out)
     }
 
+    /// Append the node's value to `out`. The length comes from PM, so the
+    /// value's extent is resolved *before* the buffer is sized by it: a
+    /// stray store over `vlen` surfaces as the policy's error with `out`
+    /// untouched, never as an allocation of that size.
+    #[inline]
+    fn value_of_node(&self, node_ptr: u64, out: &mut Vec<u8>) -> Result<()> {
+        let (p, l) = (&*self.policy, self.layout);
+        let vlen = p.load_u64(p.gep(node_ptr, l.vlen as i64))?;
+        let val = p.load_oid(p.gep(node_ptr, l.value as i64))?;
+        let off = p.resolve(p.direct(val), vlen)?;
+        let start = out.len();
+        out.resize(start + vlen as usize, 0);
+        p.pool().read(off, &mut out[start..])?;
+        Ok(())
+    }
+
     /// The chain cursor — the only loop that follows `next` links. Visits
     /// bucket `b`'s nodes head to tail, handing `f` the pointer field that
     /// links to the node (the bucket slot or the predecessor's `next`), the
@@ -332,18 +348,12 @@ impl<P: MemoryPolicy> KvStore<P> {
     /// Panics if `key` is not exactly [`KEY_SIZE`] bytes.
     pub fn get(&self, key: &[u8], out: &mut Vec<u8>) -> Result<bool> {
         assert_eq!(key.len(), KEY_SIZE);
-        let p = &*self.policy;
-        let l = self.layout;
         let (b, stripe) = self.bucket_of(key);
         let _g = self.locks[stripe].read();
         let Some((_, _, nptr)) = self.find(b, key)? else {
             return Ok(false);
         };
-        let vlen = p.load_u64(p.gep(nptr, l.vlen as i64))? as usize;
-        let val = p.load_oid(p.gep(nptr, l.value as i64))?;
-        let start = out.len();
-        out.resize(start + vlen, 0);
-        p.load(p.direct(val), &mut out[start..])?;
+        self.value_of_node(nptr, out)?;
         Ok(true)
     }
 
@@ -548,8 +558,6 @@ impl<P: MemoryPolicy> KvStore<P> {
     /// Device errors, or the first error returned by `f` (which stops the
     /// scan).
     pub fn for_each(&self, mut f: impl FnMut(&[u8; KEY_SIZE], &[u8]) -> Result<()>) -> Result<u64> {
-        let p = &*self.policy;
-        let l = self.layout;
         let mut n = 0;
         let mut entries: Vec<([u8; KEY_SIZE], Vec<u8>)> = Vec::new();
         for b in 0..self.nbuckets {
@@ -558,10 +566,8 @@ impl<P: MemoryPolicy> KvStore<P> {
             self.walk_locked(b, |nptr| {
                 let mut kbuf = [0u8; KEY_SIZE];
                 self.key_of_node(nptr, &mut kbuf)?;
-                let vlen = p.load_u64(p.gep(nptr, l.vlen as i64))? as usize;
-                let val = p.load_oid(p.gep(nptr, l.value as i64))?;
-                let mut vbuf = vec![0u8; vlen];
-                p.load(p.direct(val), &mut vbuf)?;
+                let mut vbuf = Vec::new();
+                self.value_of_node(nptr, &mut vbuf)?;
                 entries.push((kbuf, vbuf));
                 Ok(())
             })?;
@@ -630,7 +636,7 @@ impl<P: MemoryPolicy> KvStore<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spp_core::{PmdkPolicy, SppPolicy, TagConfig};
+    use spp_core::{PmdkPolicy, SppError, SppPolicy, TagConfig};
     use spp_pm::{Mode, PmEvent, PmPool, PoolConfig};
     use spp_pmdk::{ObjPool, PoolOpts};
 
@@ -1205,5 +1211,43 @@ mod tests {
         let mut out = Vec::new();
         assert!(kv.get(&key(9), &mut out).unwrap());
         assert_eq!(&out, b"native");
+    }
+
+    #[test]
+    fn corrupt_value_length_is_an_error_not_an_allocation() {
+        // A stray 8-byte store over a node's `vlen` — the bug class the
+        // paper is about — then every reader of that value.
+        fn read_with_vlen<P: MemoryPolicy>(kv: &KvStore<P>, vlen: u64) -> [SppError; 2] {
+            let (b, _) = kv.bucket_of(&key(1));
+            let (_, _, nptr) = kv.find(b, &key(1)).unwrap().unwrap();
+            let field = kv.policy.gep(nptr, kv.layout.vlen as i64);
+            kv.policy.store_u64(field, vlen).unwrap();
+            let mut out = b"kept".to_vec();
+            let get = kv.get(&key(1), &mut out).unwrap_err();
+            assert_eq!(out, b"kept", "a failed get must leave `out` alone");
+            [get, kv.for_each(|_, _| Ok(())).unwrap_err()]
+        }
+        let value = [7u8; 100];
+        let kv = spp_store(1 << 22, 256);
+        kv.put(&key(1), &value).unwrap();
+        // One byte too many; a length that wraps the tag field back to 8;
+        // a length no buffer can have.
+        for vlen in [value.len() as u64 + 1, (1 << 27) + 8, u64::MAX] {
+            for e in read_with_vlen(&kv, vlen) {
+                assert!(
+                    matches!(e, SppError::OverflowDetected { .. }),
+                    "vlen {vlen}: {e:?}"
+                );
+            }
+        }
+        // The native baseline only notices the mapping's edge — but it is
+        // an error there too, not an abort in the allocator.
+        let pm = Arc::new(PmPool::new(PoolConfig::new(1 << 22)));
+        let pool = Arc::new(ObjPool::create(pm, PoolOpts::small()).unwrap());
+        let kv = KvStore::create(Arc::new(PmdkPolicy::new(pool)), 64).unwrap();
+        kv.put(&key(1), &value).unwrap();
+        for e in read_with_vlen(&kv, u64::MAX) {
+            assert!(matches!(e, SppError::Fault { .. }), "{e:?}");
+        }
     }
 }

@@ -40,31 +40,46 @@
 //!    classic bump layout, byte-identical to the unsharded allocator.
 //!
 //! Statistics are relaxed atomics, off every lock.
+//!
+//! # The block lifecycle
+//!
+//! Only this module reads, writes or interprets a block's state word
+//! (`requested << 8 | gen << 1 | alloc`), and it owns all volatile heap
+//! state — free lists, live counters, the SPP+T generation index — which
+//! must always agree. `pool.rs`, `tx.rs` and recovery are callers:
+//! [`Arenas::reserve`] hands out a free block *as it will be born*;
+//! [`BlockInfo::retired`] is the retirement rule; [`BlockInfo::state_entry`]
+//! is the `(target, word)` store that makes either state durable (a redo
+//! entry, or [`BlockInfo::persist_state`]); and two calls bracket every
+//! durable flip — [`Arenas::adopted`] after a block became allocated,
+//! [`Arenas::retired`] after it became free ([`Arenas::resized`] for the
+//! in-place realloc) — so volatile state only ever trails the media.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 use parking_lot::Mutex;
 
 use spp_pm::PmPool;
 
 use crate::layout::{read_u64, write_u64};
+use crate::oid::PmemOid;
 use crate::{PmdkError, Result};
 
 /// Durable per-block header size (`size` + `state` words).
 pub const BLOCK_HEADER_SIZE: u64 = 16;
 
 /// Header field: total block size, including the header itself.
-pub(crate) const BH_SIZE: u64 = 0;
+const BH_SIZE: u64 = 0;
 /// Header field: allocation state.
-pub(crate) const BH_STATE: u64 = 8;
+const BH_STATE: u64 = 8;
 
 /// Block state: free (also the zero-fill default, so fresh heap is free).
-pub(crate) const STATE_FREE: u64 = 0;
+const STATE_FREE: u64 = 0;
 /// Block state: allocated (legacy raw form; kept for tests exercising the
 /// pre-generation encoding).
 #[cfg(test)]
-pub(crate) const STATE_ALLOC: u64 = 1;
+const STATE_ALLOC: u64 = 1;
 
 /// Largest live allocation generation. A free that would bump a block past
 /// this value instead parks the block at `GEN_MAX` — a never-reused
@@ -85,26 +100,10 @@ const STATE_SIZE_BITS: u32 = 40;
 /// Bit 0 keeps the legacy free/alloc meaning, so a fresh zeroed heap still
 /// decodes as free/gen-0 and a raw `STATE_ALLOC` write (pre-generation
 /// pools, unit tests) decodes as an allocated gen-0 (untracked) block.
-pub(crate) fn encode_state(alloc: bool, gen: u8, requested: u64) -> u64 {
+fn encode_state(alloc: bool, gen: u8, requested: u64) -> u64 {
     debug_assert!(gen <= GEN_MAX);
     debug_assert!(requested < 1 << STATE_SIZE_BITS);
     (requested << STATE_SIZE_SHIFT) | ((gen as u64) << STATE_GEN_SHIFT) | (alloc as u64)
-}
-
-/// Unpack a state word into `(state, generation, requested_payload)`.
-/// Returns `None` when reserved bits (48..64) are set — a corrupt header.
-pub(crate) fn decode_state(word: u64) -> Option<(BlockState, u8, u64)> {
-    if word >> (STATE_SIZE_SHIFT + STATE_SIZE_BITS) != 0 {
-        return None;
-    }
-    let state = if word & 1 == 0 {
-        BlockState::Free
-    } else {
-        BlockState::Allocated
-    };
-    let gen = ((word >> STATE_GEN_SHIFT) & GEN_MAX as u64) as u8;
-    let requested = word >> STATE_SIZE_SHIFT;
-    Some((state, gen, requested))
 }
 
 /// Largest chunk a refill grabs from the shared wilderness.
@@ -173,6 +172,27 @@ pub struct BlockInfo {
 }
 
 impl BlockInfo {
+    /// The block whose header at `off` holds `size` and the state `word`
+    /// (see [`encode_state`]). `None` when reserved bits (48..64) of the
+    /// word are set — a corrupt header.
+    fn decode(off: u64, size: u64, word: u64) -> Option<BlockInfo> {
+        if word >> (STATE_SIZE_SHIFT + STATE_SIZE_BITS) != 0 {
+            return None;
+        }
+        let state = if word & 1 == 0 {
+            BlockState::Free
+        } else {
+            BlockState::Allocated
+        };
+        Some(BlockInfo {
+            off,
+            size,
+            state,
+            gen: ((word >> STATE_GEN_SHIFT) & GEN_MAX as u64) as u8,
+            requested: word >> STATE_SIZE_SHIFT,
+        })
+    }
+
     /// Offset of the block's payload (what an oid's `off` points at).
     pub fn payload_off(&self) -> u64 {
         self.off + BLOCK_HEADER_SIZE
@@ -190,53 +210,183 @@ impl BlockInfo {
         (self.state == BlockState::Allocated && self.requested != 0)
             .then(|| self.payload_off() + self.requested)
     }
+
+    /// The retirement rule: what this live block is once freed — 0 → 1,
+    /// `g` → `g + 1`, saturating at [`GEN_MAX`], the parked generation.
+    pub(crate) fn retired(&self) -> BlockInfo {
+        BlockInfo {
+            state: BlockState::Free,
+            gen: (self.gen + 1).min(GEN_MAX),
+            requested: 0,
+            ..*self
+        }
+    }
+
+    /// Whether this block sits at the parked generation: free, but never
+    /// reused — here or by any rebuild — so no live block is ever at it.
+    fn is_parked(&self) -> bool {
+        self.gen == GEN_MAX
+    }
+
+    /// This live block resized in place to `new_size`, or `None` when it
+    /// must move: another size class, or the bump would park it. The bump is
+    /// there because the old pointer's bound is wrong for the new size, so
+    /// its key must die; an untracked block stays untracked.
+    pub(crate) fn resized(&self, new_size: u64) -> Option<BlockInfo> {
+        let gen = if self.gen == 0 { 0 } else { self.retired().gen };
+        let now = BlockInfo {
+            gen,
+            requested: new_size,
+            ..*self
+        };
+        (class_block_size(new_size) == self.size && !now.is_parked()).then_some(now)
+    }
+
+    /// The `(target, word)` store that makes this block's state durable, as
+    /// a redo entry. Flip and generation bump are one word: one atomic store.
+    pub(crate) fn state_entry(&self) -> (u64, u64) {
+        let alloc = self.state == BlockState::Allocated;
+        (
+            self.off + BH_STATE,
+            encode_state(alloc, self.gen, self.requested),
+        )
+    }
+
+    /// [`Self::state_entry`] as a plain persisted store — for flips an undo
+    /// entry already covers (tx allocation, rollback, recovery's replay).
+    pub(crate) fn persist_state(&self, pm: &PmPool) -> Result<()> {
+        let (target, word) = self.state_entry();
+        write_u64(pm, target, word)?;
+        pm.persist(target, 8)?;
+        Ok(())
+    }
+
+    /// The oid naming this live block's current allocation.
+    pub(crate) fn oid(&self, pool_uuid: u64) -> PmemOid {
+        PmemOid::new(pool_uuid, self.payload_off(), self.requested).with_gen(self.gen)
+    }
 }
 
-/// Walk the durable header chain from `heap_off`, validating each header,
-/// until the wilderness (a zero size word) or `heap_end`.
+/// Load the header at `off` — `(size, state word)` — in one device read.
+fn read_header(pm: &PmPool, off: u64) -> Result<(u64, u64)> {
+    let mut hdr = [0u8; BLOCK_HEADER_SIZE as usize];
+    pm.read(off, &mut hdr)?;
+    let word = |i: usize| u64::from_le_bytes(hdr[i..i + 8].try_into().expect("8 bytes"));
+    Ok((word(BH_SIZE as usize), word(BH_STATE as usize)))
+}
+
+/// Walk the durable header chain from `heap_off`, validating each header
+/// and handing it to `visit`, until the wilderness (a zero size word) or
+/// `heap_end`. Returns the offset the wilderness begins at.
 ///
-/// This is the single source of truth recovery rebuilds from; the torture
-/// rig's oracles reuse it so "what the allocator would reconstruct" and
-/// "what the oracle checks" can never drift apart.
-pub(crate) fn scan_heap(pm: &PmPool, heap_off: u64, heap_end: u64) -> Result<Vec<BlockInfo>> {
-    let mut blocks = Vec::new();
+/// This is the single source of truth recovery rebuilds from.
+fn walk_heap(
+    pm: &PmPool,
+    heap_off: u64,
+    heap_end: u64,
+    mut visit: impl FnMut(BlockInfo),
+) -> Result<u64> {
     let mut off = heap_off;
     while off + BLOCK_HEADER_SIZE <= heap_end {
-        let size = read_u64(pm, off + BH_SIZE)?;
+        let (size, word) = read_header(pm, off)?;
         if size == 0 {
             break; // wilderness begins
         }
-        if size % 16 != 0 || off + size > heap_end {
-            return Err(PmdkError::BadPool(format!(
-                "corrupt block header at {off:#x}"
-            )));
-        }
-        let word = read_u64(pm, off + BH_STATE)?;
-        let Some((state, gen, requested)) = decode_state(word) else {
-            return Err(PmdkError::BadPool(format!(
-                "corrupt block state {word:#x} at {off:#x}"
-            )));
+        let corrupt = |what: std::fmt::Arguments<'_>| {
+            Err(PmdkError::BadPool(format!("block at {off:#x}: {what}")))
         };
-        if requested > size - BLOCK_HEADER_SIZE {
-            return Err(PmdkError::BadPool(format!(
-                "block at {off:#x} records requested size {requested} beyond its capacity"
-            )));
+        if size % 16 != 0 || off + size > heap_end {
+            return corrupt(format_args!("corrupt size {size:#x}"));
         }
-        if state == BlockState::Allocated && gen == GEN_MAX {
-            return Err(PmdkError::BadPool(format!(
-                "block at {off:#x} allocated at the quarantine generation"
-            )));
+        let Some(b) = BlockInfo::decode(off, size, word) else {
+            return corrupt(format_args!("corrupt state {word:#x}"));
+        };
+        if b.requested > b.payload_size() {
+            return corrupt(format_args!("requested {} beyond capacity", b.requested));
         }
-        blocks.push(BlockInfo {
-            off,
-            size,
-            state,
-            gen,
-            requested,
-        });
+        if b.state == BlockState::Allocated && b.gen == GEN_MAX {
+            return corrupt(format_args!("allocated at the quarantine generation"));
+        }
+        visit(b);
         off += size;
     }
+    Ok(off)
+}
+
+/// [`walk_heap`], collected: what [`crate::ObjPool::walk_heap`] reports. The
+/// torture rig's oracles use it, so "what the allocator would reconstruct"
+/// and "what the oracle checks" can never drift apart.
+pub(crate) fn scan_heap(pm: &PmPool, heap_off: u64, heap_end: u64) -> Result<Vec<BlockInfo>> {
+    let mut blocks = Vec::new();
+    walk_heap(pm, heap_off, heap_end, |b| blocks.push(b))?;
     Ok(blocks)
+}
+
+/// Recovery's retirement of a block named by an undo-log entry, so any oid
+/// minted for the undone or completed allocation stays dead after restart.
+/// Idempotent across repeated recoveries — the alloc bit is the parity: a
+/// block already free (or never flipped to allocated before the crash) is
+/// left untouched, so the generation is bumped exactly once per lifetime.
+pub(crate) fn recover_retire(pm: &PmPool, block_hdr: u64) -> Result<()> {
+    let (size, word) = read_header(pm, block_hdr)?;
+    match BlockInfo::decode(block_hdr, size, word) {
+        Some(b) if b.state == BlockState::Allocated => b.retired().persist_state(pm),
+        _ => Ok(()),
+    }
+}
+
+/// The error for an oid whose allocation is gone: [`PmdkError::StaleOid`]
+/// when the oid carries a generation key, stock PMDK's
+/// [`PmdkError::InvalidOid`] when it is untracked (gen 0).
+pub(crate) fn dead_oid(oid: PmemOid, current_gen: u8) -> PmdkError {
+    let off = oid.off;
+    match oid.gen {
+        0 => PmdkError::InvalidOid { off },
+        oid_gen => PmdkError::StaleOid {
+            off,
+            oid_gen,
+            current_gen,
+        },
+    }
+}
+
+/// Volatile generation index keyed by *bound offset* (SPP+T §deref check).
+///
+/// A tracked allocation with payload offset `p` and requested size `s` ends
+/// at bound `p + s`. Distinct live blocks have bounds at least 17 bytes
+/// apart (16-byte headers between 16-aligned blocks), so `bound / 16` is a
+/// collision-free bucket. One relaxed byte load per deref; rebuilt from the
+/// durable block headers by [`Arenas::rebuild`].
+#[derive(Debug)]
+struct GenIndex {
+    slots: Vec<AtomicU8>,
+}
+
+impl GenIndex {
+    fn new(pool_size: u64) -> Self {
+        let n = (pool_size / 16 + 1) as usize;
+        let mut slots = Vec::with_capacity(n);
+        slots.resize_with(n, || AtomicU8::new(0));
+        GenIndex { slots }
+    }
+
+    /// Record `gen` (0 = none) as live at `b`'s bound. Free and untracked
+    /// blocks have no bound and no entry.
+    fn set(&self, b: &BlockInfo, gen: u8) {
+        let slot = b
+            .bound_off()
+            .and_then(|at| self.slots.get((at / 16) as usize));
+        if let Some(s) = slot {
+            s.store(gen, Ordering::Relaxed);
+        }
+    }
+
+    #[inline]
+    fn get(&self, bound_off: u64) -> u8 {
+        self.slots
+            .get((bound_off / 16) as usize)
+            .map_or(0, |s| s.load(Ordering::Relaxed))
+    }
 }
 
 /// Point-in-time allocator statistics, used for the Table III space
@@ -266,8 +416,12 @@ struct ArenaState {
 }
 
 impl ArenaState {
-    fn pop_free(&mut self, block: u64) -> Option<u64> {
-        self.free.get_mut(&block)?.pop()
+    /// A free `block`-sized block: off the free list (LIFO), else carved.
+    fn take(&mut self, pm: &PmPool, block: u64) -> Result<Option<u64>> {
+        match self.free.get_mut(&block).and_then(Vec::pop) {
+            Some(off) => Ok(Some(off)),
+            None => self.carve(pm, block),
+        }
     }
 
     /// Carve a `block`-sized reservation out of the first span that fits.
@@ -326,6 +480,7 @@ pub(crate) struct Arenas {
     live_bytes: AtomicU64,
     live_objects: AtomicU64,
     high_water: AtomicU64,
+    gens: GenIndex,
 }
 
 impl std::fmt::Debug for Arenas {
@@ -358,11 +513,13 @@ impl Arenas {
             live_bytes: AtomicU64::new(0),
             live_objects: AtomicU64::new(0),
             high_water: AtomicU64::new(0),
+            gens: GenIndex::new(heap_end),
         }
     }
 
-    /// Rebuild volatile state by scanning durable block headers — the same
-    /// linear walk as the unsharded allocator (the media format is
+    /// Rebuild volatile state — free lists, live counters and the
+    /// generation index — in one walk over the durable block headers, the
+    /// same linear walk as the unsharded allocator (the media format is
     /// identical). Free blocks are distributed round-robin: class-shaped
     /// ones onto arena free lists, odd-shaped ones (chunk remainders) as
     /// re-carvable wilderness spans.
@@ -376,33 +533,27 @@ impl Arenas {
         let n = ar.arenas.len();
         let (mut next_free, mut next_wild) = (0usize, 0usize);
         let (mut live_bytes, mut live_objects) = (0u64, 0u64);
-        let blocks = scan_heap(pm, heap_off, heap_end)?;
-        for b in &blocks {
-            match b.state {
-                BlockState::Free => {
-                    if b.gen == GEN_MAX {
-                        // Saturated generation counter: the sentinel must
-                        // never be handed out again, so the block stays
-                        // quarantined (a deterministic bounded leak of one
-                        // block per 126 frees of the same slot).
-                        continue;
-                    }
-                    if is_class_block(b.size) {
-                        let mut a = ar.arenas[next_free % n].lock();
-                        a.free.entry(b.size).or_default().push(b.off);
-                        next_free += 1;
-                    } else {
-                        ar.arenas[next_wild % n].lock().wild.push((b.off, b.size));
-                        next_wild += 1;
-                    }
-                }
-                BlockState::Allocated => {
-                    live_bytes += b.size;
-                    live_objects += 1;
-                }
+        let off = walk_heap(pm, heap_off, heap_end, |b| match b.state {
+            // Saturated generation counter: the sentinel must never be
+            // handed out again, so the block stays quarantined (a
+            // deterministic bounded leak of one block per 126 frees of the
+            // same slot).
+            BlockState::Free if b.is_parked() => {}
+            BlockState::Free if is_class_block(b.size) => {
+                let mut a = ar.arenas[next_free % n].lock();
+                a.free.entry(b.size).or_default().push(b.off);
+                next_free += 1;
             }
-        }
-        let off = blocks.last().map_or(heap_off, |b| b.off + b.size);
+            BlockState::Free => {
+                ar.arenas[next_wild % n].lock().wild.push((b.off, b.size));
+                next_wild += 1;
+            }
+            BlockState::Allocated => {
+                live_bytes += b.size;
+                live_objects += 1;
+                ar.gens.set(&b, b.gen);
+            }
+        })?;
         ar.shared.lock().cursor = off;
         ar.live_bytes.store(live_bytes, Ordering::Relaxed);
         ar.live_objects.store(live_objects, Ordering::Relaxed);
@@ -410,52 +561,71 @@ impl Arenas {
         Ok(ar)
     }
 
-    /// Reserve a block able to hold `payload` bytes from `lane`'s arena.
-    /// The block's header size is durable after this call but its state
-    /// remains free until a redo log validates the allocation.
-    ///
-    /// Returns `(block_header_offset, block_size)` — callers never re-read
-    /// the size word from PM. Takes exactly one arena lock on the fast
-    /// path; misses fall back to refilling from the shared wilderness and
-    /// then to stealing from sibling arenas (one lock at a time, so lane
-    /// holders can never deadlock on each other's arenas).
-    pub(crate) fn reserve(&self, pm: &PmPool, lane: usize, payload: u64) -> Result<(u64, u64)> {
-        let block = class_block_size(payload);
+    /// Reserve a block able to hold `payload` bytes from `lane`'s arena and
+    /// return it *as it will be born*: allocated, at the generation its
+    /// durable word prescribes — a free-list block holds `free | gen + 1`
+    /// from its last free; fresh wilderness is zeroed and gen 0 means
+    /// untracked, so a first allocation starts at 1. The block's size is
+    /// durable after this call but its state stays free until the caller
+    /// makes [`BlockInfo::state_entry`] durable and calls [`Self::adopted`]
+    /// (or, failing, [`Self::release`]). A request the word cannot record
+    /// is [`PmdkError::BadAllocSize`]; a word that is not a free block's is
+    /// [`PmdkError::BadPool`], the block given back.
+    pub(crate) fn reserve(&self, pm: &PmPool, lane: usize, payload: u64) -> Result<BlockInfo> {
+        if payload == 0 || payload >= 1 << STATE_SIZE_BITS {
+            return Err(PmdkError::BadAllocSize(payload));
+        }
+        let size = class_block_size(payload);
+        let Some(off) = self.take_free(pm, lane, size)? else {
+            return Err(PmdkError::OutOfMemory { requested: payload });
+        };
+        let word = read_u64(pm, off + BH_STATE)?;
+        match BlockInfo::decode(off, size, word) {
+            Some(free) if free.state == BlockState::Free => {
+                debug_assert!(!free.is_parked(), "saturated block escaped quarantine");
+                Ok(BlockInfo {
+                    state: BlockState::Allocated,
+                    gen: free.gen.max(1),
+                    requested: payload,
+                    ..free
+                })
+            }
+            _ => {
+                self.release(lane, off, size);
+                Err(PmdkError::BadPool(format!(
+                    "reserved block at {off:#x} has a corrupt state word"
+                )))
+            }
+        }
+    }
+
+    /// Take a free `block`-sized block off the volatile lists; `None` when
+    /// the heap is exhausted. Exactly one arena lock on the fast path;
+    /// misses fall back to refilling from the shared wilderness and then to
+    /// stealing from sibling arenas (one lock at a time, so lane holders can
+    /// never deadlock on each other's arenas).
+    fn take_free(&self, pm: &PmPool, lane: usize, block: u64) -> Result<Option<u64>> {
         let n = self.arenas.len();
         let home = lane % n;
         {
             let mut a = self.arenas[home].lock();
-            if let Some(off) = a.pop_free(block) {
-                return Ok((off, block));
-            }
-            if let Some(off) = a.carve(pm, block)? {
-                return Ok((off, block));
+            if let Some(off) = a.take(pm, block)? {
+                return Ok(Some(off));
             }
             if self.refill(pm, &mut a, block)? {
                 let off = a.carve(pm, block)?.expect("refilled span fits the request");
-                return Ok((off, block));
+                return Ok(Some(off));
             }
         }
         // Shared wilderness exhausted: steal from sibling arenas.
         for d in 1..n {
-            let mut a = self.arenas[(home + d) % n].lock();
-            if let Some(off) = a.pop_free(block) {
-                return Ok((off, block));
-            }
-            if let Some(off) = a.carve(pm, block)? {
-                return Ok((off, block));
+            if let Some(off) = self.arenas[(home + d) % n].lock().take(pm, block)? {
+                return Ok(Some(off));
             }
         }
         // Last chance: a concurrent free may have restocked home while we
         // were scanning siblings.
-        let mut a = self.arenas[home].lock();
-        if let Some(off) = a.pop_free(block) {
-            return Ok((off, block));
-        }
-        if let Some(off) = a.carve(pm, block)? {
-            return Ok((off, block));
-        }
-        Err(PmdkError::OutOfMemory { requested: payload })
+        self.arenas[home].lock().take(pm, block)
     }
 
     /// Restock `a` from the shared wilderness so it can satisfy a `need`-
@@ -504,36 +674,73 @@ impl Arenas {
         Ok(true)
     }
 
-    /// Return a block to `lane`'s free list (call after its durable state
-    /// is already `STATE_FREE`). Free-to-local: see the module docs.
+    /// Put a block whose durable state is free on `lane`'s free list: the
+    /// last step of [`Self::retired`], and the undo of a reservation that
+    /// was never validated (error paths). Free-to-local: see the module docs.
     pub(crate) fn release(&self, lane: usize, block_hdr: u64, block_size: u64) {
         let mut a = self.arenas[lane % self.arenas.len()].lock();
         a.free.entry(block_size).or_default().push(block_hdr);
     }
 
-    /// Undo a reservation that was never validated (error paths): the block
-    /// header state is still free on media, so only volatile state changes.
-    pub(crate) fn unreserve(&self, lane: usize, block_hdr: u64, block_size: u64) {
-        self.release(lane, block_hdr, block_size);
-    }
-
-    /// Account a validated allocation (lock-free).
-    pub(crate) fn note_alloc(&self, block_size: u64) {
-        self.live_bytes.fetch_add(block_size, Ordering::Relaxed);
+    /// `b` is durably allocated: count it live and index its generation.
+    pub(crate) fn adopted(&self, b: &BlockInfo) {
+        self.live_bytes.fetch_add(b.size, Ordering::Relaxed);
         self.live_objects.fetch_add(1, Ordering::Relaxed);
+        self.gens.set(b, b.gen);
     }
 
-    /// Account a durable free (lock-free).
-    pub(crate) fn note_free(&self, block_size: u64) {
-        self.live_bytes.fetch_sub(block_size, Ordering::Relaxed);
+    /// The live block `was` is durably [`retired`](BlockInfo::retired):
+    /// unindex and uncount it, and return it to `lane`'s arena — unless it
+    /// is now parked (no live-looking keys left): space accounting only.
+    pub(crate) fn retired(&self, lane: usize, was: &BlockInfo) {
+        self.gens.set(was, 0);
+        self.live_bytes.fetch_sub(was.size, Ordering::Relaxed);
         self.live_objects.fetch_sub(1, Ordering::Relaxed);
+        if !was.retired().is_parked() {
+            self.release(lane, was.off, was.size);
+        }
     }
 
-    /// Complete a free: account it and return the block to `lane`'s arena.
-    /// One arena lock total.
-    pub(crate) fn free_block(&self, lane: usize, block_hdr: u64, block_size: u64) {
-        self.note_free(block_size);
-        self.release(lane, block_hdr, block_size);
+    /// The live block `was` is durably [`resized`](BlockInfo::resized) to
+    /// `now`: its old bound's key dies, the new bound's is born.
+    pub(crate) fn resized(&self, was: &BlockInfo, now: &BlockInfo) {
+        self.gens.set(was, 0);
+        self.gens.set(now, now.gen);
+    }
+
+    /// The allocation generation currently live at a bound offset; 0 when
+    /// no tracked allocation ends there.
+    #[inline]
+    pub(crate) fn gen_at_bound(&self, bound_off: u64) -> u8 {
+        self.gens.get(bound_off)
+    }
+
+    /// Locate and validate the live block backing `oid`. This is where the
+    /// allocator-level temporal check lives: a generation-carrying oid whose
+    /// key no longer matches the block header is stale —
+    /// [`PmdkError::StaleOid`] for use-after-free (block now free),
+    /// double-free (ditto), and free-then-reuse / in-place realloc (block
+    /// allocated again under a newer generation). Untracked oids (gen 0)
+    /// keep stock PMDK semantics: a freed block is just
+    /// [`PmdkError::InvalidOid`].
+    pub(crate) fn block_meta(&self, pm: &PmPool, oid: PmemOid) -> Result<BlockInfo> {
+        let invalid = PmdkError::InvalidOid { off: oid.off };
+        if oid.is_null() || oid.off < self.heap_off + BLOCK_HEADER_SIZE || oid.off >= self.heap_end
+        {
+            return Err(invalid);
+        }
+        let block = oid.off - BLOCK_HEADER_SIZE;
+        let (size, word) = read_header(pm, block)?;
+        if size == 0 || size % 16 != 0 || block + size > self.heap_end {
+            return Err(invalid);
+        }
+        match BlockInfo::decode(block, size, word) {
+            Some(b) if b.state == BlockState::Allocated && (oid.gen == 0 || oid.gen == b.gen) => {
+                Ok(b)
+            }
+            Some(b) => Err(dead_oid(oid, b.gen)),
+            None => Err(invalid),
+        }
     }
 
     pub(crate) fn stats(&self) -> AllocStats {
@@ -593,12 +800,12 @@ mod tests {
     fn reserve_carves_sequentially() {
         let pm = PmPool::new(PoolConfig::new(1 << 16));
         let ar = Arenas::new(0, 1 << 16, 1);
-        let (a, asz) = ar.reserve(&pm, 0, 16).unwrap();
-        let (b, bsz) = ar.reserve(&pm, 0, 16).unwrap();
-        assert_eq!((a, asz), (0, 32));
-        assert_eq!((b, bsz), (32, 32));
-        assert_eq!(read_u64(&pm, a + BH_SIZE).unwrap(), 32);
-        assert_eq!(read_u64(&pm, b + BH_SIZE).unwrap(), 32);
+        let a = ar.reserve(&pm, 0, 16).unwrap();
+        let b = ar.reserve(&pm, 0, 16).unwrap();
+        assert_eq!((a.off, a.size), (0, 32));
+        assert_eq!((b.off, b.size), (32, 32));
+        assert_eq!(read_u64(&pm, a.off + BH_SIZE).unwrap(), 32);
+        assert_eq!(read_u64(&pm, b.off + BH_SIZE).unwrap(), 32);
     }
 
     #[test]
@@ -610,9 +817,9 @@ mod tests {
         let ar = Arenas::new(0, 1 << 20, 4);
         let mut expect = 0u64;
         for _ in 0..200 {
-            let (off, size) = ar.reserve(&pm, 2, 100).unwrap();
-            assert_eq!(off, expect);
-            expect = off + size;
+            let b = ar.reserve(&pm, 2, 100).unwrap();
+            assert_eq!(b.off, expect);
+            expect = b.off + b.size;
         }
     }
 
@@ -620,10 +827,10 @@ mod tests {
     fn release_enables_reuse() {
         let pm = PmPool::new(PoolConfig::new(1 << 16));
         let ar = Arenas::new(0, 1 << 16, 1);
-        let (a, asz) = ar.reserve(&pm, 0, 100).unwrap();
-        ar.release(0, a, asz);
-        let (b, _) = ar.reserve(&pm, 0, 100).unwrap();
-        assert_eq!(a, b);
+        let a = ar.reserve(&pm, 0, 100).unwrap();
+        ar.release(0, a.off, a.size);
+        let b = ar.reserve(&pm, 0, 100).unwrap();
+        assert_eq!(a.off, b.off);
     }
 
     #[test]
@@ -632,11 +839,11 @@ mod tests {
         // wilderness is gone (steal path).
         let pm = PmPool::new(PoolConfig::new(1 << 16));
         let ar = Arenas::new(0, 64, 2);
-        let (a, asz) = ar.reserve(&pm, 0, 16).unwrap();
-        let (_b, _) = ar.reserve(&pm, 0, 16).unwrap();
-        ar.release(1, a, asz);
-        let (c, _) = ar.reserve(&pm, 0, 16).unwrap();
-        assert_eq!(c, a);
+        let a = ar.reserve(&pm, 0, 16).unwrap();
+        let _b = ar.reserve(&pm, 0, 16).unwrap();
+        ar.release(1, a.off, a.size);
+        let c = ar.reserve(&pm, 0, 16).unwrap();
+        assert_eq!(c.off, a.off);
     }
 
     #[test]
@@ -655,11 +862,12 @@ mod tests {
     fn rebuild_reconstructs_lists_and_stats() {
         let pm = PmPool::new(PoolConfig::new(1 << 16));
         let ar = Arenas::new(0, 1 << 16, 2);
-        let (a, asz) = ar.reserve(&pm, 0, 16).unwrap();
-        let (b, _bsz) = ar.reserve(&pm, 0, 16).unwrap();
-        let (c, csz) = ar.reserve(&pm, 0, 100).unwrap();
+        let a = ar.reserve(&pm, 0, 16).unwrap();
+        let b = ar.reserve(&pm, 0, 16).unwrap().off;
+        let c = ar.reserve(&pm, 0, 100).unwrap();
+        let (asz, csz) = (a.size, c.size);
         // Mark a, c allocated durably; leave b free.
-        for off in [a, c] {
+        for off in [a.off, c.off] {
             write_u64(&pm, off + BH_STATE, STATE_ALLOC).unwrap();
         }
         let cursor = ar.shared.lock().cursor;
@@ -675,7 +883,7 @@ mod tests {
         assert_eq!(re.free_list_len(asz), 1);
         assert_eq!(re.wild_bytes(), cursor - (asz + asz + csz));
         // Round trip: the rebuilt allocator reuses b for a same-class ask.
-        let (again, _) = re.reserve(&pm, 0, 16).unwrap();
+        let again = re.reserve(&pm, 0, 16).unwrap().off;
         assert_eq!(again, b);
     }
 
@@ -690,7 +898,7 @@ mod tests {
         // All eight stay durably free; rebuild across 4 arenas must spread
         // them round-robin and still find every one.
         let re = Arenas::rebuild(&pm, 0, 1 << 18, 4).unwrap();
-        assert_eq!(re.free_list_len(blocks[0].1), 8);
+        assert_eq!(re.free_list_len(blocks[0].size), 8);
         let per_arena: Vec<usize> = re
             .arenas
             .iter()
@@ -701,6 +909,7 @@ mod tests {
 
     #[test]
     fn state_word_roundtrip() {
+        let decode_state = |w| BlockInfo::decode(0, 0, w).map(|b| (b.state, b.gen, b.requested));
         for (alloc, gen, req) in [
             (false, 0u8, 0u64),
             (true, 0, 0), // legacy raw STATE_ALLOC
@@ -732,17 +941,17 @@ mod tests {
     fn rebuild_quarantines_saturated_blocks() {
         let pm = PmPool::new(PoolConfig::new(1 << 16));
         let ar = Arenas::new(0, 1 << 16, 1);
-        let (a, asz) = ar.reserve(&pm, 0, 16).unwrap();
-        let (b, _) = ar.reserve(&pm, 0, 16).unwrap();
+        let a = ar.reserve(&pm, 0, 16).unwrap().off;
+        let b = ar.reserve(&pm, 0, 16).unwrap().off;
         // a: durably free at the sentinel generation; b: free at a live gen.
         write_u64(&pm, a + BH_STATE, encode_state(false, GEN_MAX, 0)).unwrap();
         write_u64(&pm, b + BH_STATE, encode_state(false, 3, 0)).unwrap();
         let re = Arenas::rebuild(&pm, 0, 1 << 16, 1).unwrap();
         // Only b is reusable; a is quarantined forever.
-        assert_eq!(re.free_list_len(asz), 1);
-        let (got, _) = re.reserve(&pm, 0, 16).unwrap();
+        assert_eq!(re.free_list_len(class_block_size(16)), 1);
+        let got = re.reserve(&pm, 0, 16).unwrap().off;
         assert_eq!(got, b);
-        let (next, _) = re.reserve(&pm, 0, 16).unwrap();
+        let next = re.reserve(&pm, 0, 16).unwrap().off;
         assert_ne!(next, a);
     }
 

@@ -9,7 +9,10 @@
 //!   lists are rebuilt on open, and every allocation/free/reallocation is
 //!   made valid atomically through a per-lane **redo log**
 //!   ([`ObjPool::alloc_into`], [`ObjPool::free_from`],
-//!   [`ObjPool::realloc_into`]);
+//!   [`ObjPool::realloc_into`]). One module, `alloc.rs`, owns the block
+//!   lifecycle: only it touches a block's durable state word (allocated bit,
+//!   SPP+T generation, requested size) and the volatile state rebuilt from
+//!   it; the atomic API, transactions and recovery all go through it;
 //! * **software transactions** with a persistent **undo log**:
 //!   [`ObjPool::tx`] with [`Tx::snapshot`] (the `pmemobj_tx_add_range`
 //!   analogue), transactional allocation and deferred frees;
@@ -19,7 +22,7 @@
 //!   `PMEMoid` extension);
 //! * **recovery**: [`ObjPool::open`] replays valid redo logs, rolls back
 //!   active transactions, completes committed ones, and rebuilds the
-//!   volatile allocator state by scanning block headers.
+//!   volatile allocator state in one walk over the block headers.
 //!
 //! The crucial property reproduced from the paper: when an allocation writes
 //! an oid destination in PM, the redo log orders the **size field before the

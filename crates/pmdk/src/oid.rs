@@ -100,20 +100,38 @@ impl PmemOid {
         (word & OID_SIZE_MASK, (word >> OID_GEN_SHIFT) as u8)
     }
 
-    /// Serialize for on-media storage under `kind`.
+    /// Serialize for on-media storage under `kind` into `buf`, returning
+    /// the encoded prefix — no allocation.
     ///
     /// Layout: `uuid` at +0, `off` at +8, and (SPP only) the packed
     /// size+generation word at +16, all little-endian — matching the
     /// paper's extended `struct PMEMoid` with SPP+T's generation key in
     /// the size word's spare high byte.
+    pub fn encode_into(self, buf: &mut [u8; OID_SIZE_SPP as usize], kind: OidKind) -> &[u8] {
+        buf[..8].copy_from_slice(&self.pool_uuid.to_le_bytes());
+        buf[8..16].copy_from_slice(&self.off.to_le_bytes());
+        buf[16..].copy_from_slice(&self.size_word().to_le_bytes());
+        &buf[..kind.on_media_size() as usize]
+    }
+
+    /// [`Self::encode_into`], collected.
     pub fn encode(&self, kind: OidKind) -> Vec<u8> {
-        let mut out = Vec::with_capacity(kind.on_media_size() as usize);
-        out.extend_from_slice(&self.pool_uuid.to_le_bytes());
-        out.extend_from_slice(&self.off.to_le_bytes());
-        if kind == OidKind::Spp {
-            out.extend_from_slice(&self.size_word().to_le_bytes());
-        }
-        out
+        self.encode_into(&mut [0; OID_SIZE_SPP as usize], kind)
+            .to_vec()
+    }
+
+    /// The store of this oid's durable size word at `dest` — present only
+    /// under [`OidKind::Spp`]. All an in-place resize republishes.
+    pub(crate) fn size_entry(&self, dest: OidDest) -> Option<(u64, u64)> {
+        (dest.kind == OidKind::Spp).then(|| (dest.off + 16, self.size_word()))
+    }
+
+    /// The `(target, word)` stores publishing this oid at `dest`, in the
+    /// paper's §IV-F order: `size` before the validating `off`, so an oid
+    /// observed valid after any crash carries a correct size.
+    pub(crate) fn publish_words(&self, dest: OidDest) -> impl Iterator<Item = (u64, u64)> {
+        let rest = [(dest.off, self.pool_uuid), (dest.off + 8, self.off)];
+        self.size_entry(dest).into_iter().chain(rest)
     }
 
     /// Deserialize from on-media bytes under `kind`.
@@ -167,6 +185,15 @@ impl OidDest {
             off,
             kind: OidKind::Spp,
         }
+    }
+
+    /// The `(target, word)` stores nulling the oid stored here: `off` first,
+    /// which is what invalidates it.
+    pub(crate) fn null_words(self) -> impl Iterator<Item = (u64, u64)> {
+        let size = (self.kind == OidKind::Spp).then_some((self.off + 16, 0));
+        [Some((self.off + 8, 0)), size, Some((self.off, 0))]
+            .into_iter()
+            .flatten()
     }
 }
 

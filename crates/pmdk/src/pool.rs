@@ -1,7 +1,6 @@
 //! The persistent object pool: creation, open/recovery, atomic object
 //! management, transactions, and the root object.
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -9,13 +8,10 @@ use rand::RngExt;
 
 use spp_pm::PmPool;
 
-use crate::alloc::{
-    decode_state, encode_state, AllocStats, Arenas, BlockState, BH_SIZE, BH_STATE,
-    BLOCK_HEADER_SIZE, GEN_MAX,
-};
+use crate::alloc::{self, AllocStats, Arenas, BlockInfo};
 use crate::lane::{LaneGuard, Lanes};
 use crate::layout::{self, Header};
-use crate::oid::{OidDest, OidKind, PmemOid};
+use crate::oid::{OidDest, OidKind, PmemOid, OID_SIZE_SPP};
 use crate::redo::RedoLog;
 use crate::tx::Tx;
 use crate::ulog::{TxState, UndoEntry, UndoLog};
@@ -128,43 +124,6 @@ impl LaneStatus {
     }
 }
 
-/// Volatile generation index keyed by *bound offset* (SPP+T §deref check).
-///
-/// A tracked allocation with payload offset `p` and requested size `s` ends
-/// at bound `p + s`. Distinct live blocks have bounds at least 17 bytes
-/// apart (16-byte headers between 16-aligned blocks), so `bound / 16` is a
-/// collision-free bucket. One relaxed byte load per deref; rebuilt from the
-/// durable block headers on open.
-#[derive(Debug)]
-struct GenIndex {
-    slots: Vec<AtomicU8>,
-}
-
-impl GenIndex {
-    fn new(pool_size: u64) -> Self {
-        let n = (pool_size / 16 + 1) as usize;
-        let mut slots = Vec::with_capacity(n);
-        slots.resize_with(n, || AtomicU8::new(0));
-        GenIndex { slots }
-    }
-
-    fn set(&self, bound_off: u64, gen: u8) {
-        if let Some(s) = self.slots.get((bound_off / 16) as usize) {
-            s.store(gen, Ordering::Relaxed);
-        }
-    }
-
-    fn clear(&self, bound_off: u64) {
-        self.set(bound_off, 0);
-    }
-
-    fn get(&self, bound_off: u64) -> u8 {
-        self.slots
-            .get((bound_off / 16) as usize)
-            .map_or(0, |s| s.load(Ordering::Relaxed))
-    }
-}
-
 /// A persistent object pool over a [`PmPool`] device — the `PMEMobjpool`
 /// analogue.
 ///
@@ -176,7 +135,6 @@ pub struct ObjPool {
     alloc: Arenas,
     lanes: Lanes,
     root_lock: Mutex<()>,
-    gens: GenIndex,
 }
 
 impl ObjPool {
@@ -208,14 +166,12 @@ impl ObjPool {
         }
         hdr.write_to(&pm)?;
         let alloc = Arenas::new(hdr.heap_off, hdr.pool_size, opts.lane_count);
-        let gens = GenIndex::new(hdr.pool_size);
         Ok(ObjPool {
             pm,
             hdr,
             alloc,
             lanes: Lanes::new(opts.lane_count),
             root_lock: Mutex::new(()),
-            gens,
         })
     }
 
@@ -223,7 +179,9 @@ impl ObjPool {
     ///
     /// 1. every valid redo log is re-applied (completing atomic operations);
     /// 2. active transactions are rolled back; committed ones are completed;
-    /// 3. the volatile allocator state is rebuilt from block headers.
+    /// 3. the volatile allocator state (free lists, live counters, the
+    ///    SPP+T generation index) is rebuilt in one walk over the block
+    ///    headers.
     ///
     /// # Errors
     ///
@@ -259,7 +217,7 @@ impl ObjPool {
                         ulog.rollback_snapshots(&pm)?;
                         for e in ulog.entries(&pm)? {
                             if let UndoEntry::AllocOnAbort { block_hdr } = e {
-                                Self::recover_free(&pm, block_hdr)?;
+                                alloc::recover_retire(&pm, block_hdr)?;
                             }
                         }
                     }
@@ -268,46 +226,23 @@ impl ObjPool {
                 TxState::Committed => {
                     for e in ulog.entries(&pm)? {
                         if let UndoEntry::FreeOnCommit { block_hdr } = e {
-                            Self::recover_free(&pm, block_hdr)?;
+                            alloc::recover_retire(&pm, block_hdr)?;
                         }
                     }
                     ulog.clear(&pm)?;
                 }
             }
         }
-        // Phase 3: rebuild the heap's volatile state (free lists and the
-        // SPP+T generation index) from the durable block headers.
+        // Phase 3: rebuild the heap's volatile state from the durable block
+        // headers.
         let alloc = Arenas::rebuild(&pm, hdr.heap_off, hdr.pool_size, hdr.lane_count as usize)?;
-        let gens = GenIndex::new(hdr.pool_size);
-        for b in crate::alloc::scan_heap(&pm, hdr.heap_off, hdr.pool_size)? {
-            if let Some(bound) = b.bound_off() {
-                gens.set(bound, b.gen);
-            }
-        }
         Ok(ObjPool {
             pm,
             hdr,
             alloc,
             lanes: Lanes::new(hdr.lane_count as usize),
             root_lock: Mutex::new(()),
-            gens,
         })
-    }
-
-    /// Recovery helper: flip a block to free, bumping its generation so any
-    /// oid minted for the undone/completed allocation stays dead after
-    /// restart. Idempotent across repeated recoveries — the alloc bit is the
-    /// parity: a block already free (or never flipped to allocated before
-    /// the crash) is left untouched, so the generation is bumped exactly
-    /// once per lifetime regardless of how many times recovery re-runs.
-    fn recover_free(pm: &PmPool, block_hdr: u64) -> Result<()> {
-        let word = layout::read_u64(pm, block_hdr + BH_STATE)?;
-        if let Some((BlockState::Allocated, gen, _)) = decode_state(word) {
-            let next = if gen == 0 { 1 } else { (gen + 1).min(GEN_MAX) };
-            layout::write_u64(pm, block_hdr + BH_STATE, encode_state(false, next, 0))?;
-            pm.persist(block_hdr + BH_STATE, 8)?;
-        }
-        Ok(())
     }
 
     /// The underlying PM device.
@@ -347,8 +282,8 @@ impl ObjPool {
     ///
     /// [`PmdkError::BadPool`] on a corrupt header chain — for a recovered
     /// pool this is itself an invariant violation.
-    pub fn walk_heap(&self) -> Result<Vec<crate::alloc::BlockInfo>> {
-        crate::alloc::scan_heap(&self.pm, self.hdr.heap_off, self.hdr.pool_size)
+    pub fn walk_heap(&self) -> Result<Vec<BlockInfo>> {
+        alloc::scan_heap(&self.pm, self.hdr.heap_off, self.hdr.pool_size)
     }
 
     /// Number of lanes in this pool's geometry.
@@ -369,8 +304,7 @@ impl ObjPool {
                 self.hdr.lane_count
             )));
         }
-        let redo_valid =
-            RedoLog::new(self.hdr.redo_off(lane), self.hdr.redo_slots).is_valid(&self.pm)?;
+        let redo_valid = self.redo(lane).is_valid(&self.pm)?;
         let tx =
             match UndoLog::new(self.hdr.undo_off(lane), self.hdr.undo_capacity).state(&self.pm)? {
                 TxState::None => TxStatus::None,
@@ -489,7 +423,8 @@ impl ObjPool {
     ///
     /// Propagates device range errors.
     pub fn oid_write(&self, off: u64, oid: PmemOid, kind: OidKind) -> Result<()> {
-        self.pm.write(off, &oid.encode(kind))?;
+        let mut buf = [0; OID_SIZE_SPP as usize];
+        self.pm.write(off, oid.encode_into(&mut buf, kind))?;
         Ok(())
     }
 
@@ -535,140 +470,32 @@ impl ObjPool {
     }
 
     fn alloc_impl(&self, dest: Option<OidDest>, size: u64, zero: bool) -> Result<PmemOid> {
-        if size == 0 || size >= 1 << 40 {
-            return Err(PmdkError::BadAllocSize(size));
-        }
         let (lane, _guard) = self.lanes.acquire();
-        let (block, block_size) = self.alloc.reserve(&self.pm, lane, size)?;
-        let payload = block + BLOCK_HEADER_SIZE;
-        // The block's durable word carries the generation the *next*
-        // allocation must use: free-list blocks hold `free | gen+1` from
-        // their last free, freshly carved wilderness is zeroed (gen 0).
-        // Generation 0 means untracked, so a first allocation starts at 1.
-        let gen = match decode_state(self.read_u64(block + BH_STATE)?) {
-            Some((BlockState::Free, g, _)) => g.max(1),
-            _ => {
-                self.alloc.unreserve(lane, block, block_size);
-                return Err(PmdkError::BadPool(format!(
-                    "reserved block at {block:#x} has a corrupt state word"
-                )));
-            }
-        };
-        debug_assert!(gen < GEN_MAX, "saturated block escaped quarantine");
+        let born = self.alloc.reserve(&self.pm, lane, size)?;
         if zero {
-            self.pm.fill(payload, 0, size as usize)?;
-            self.pm.persist(payload, size as usize)?;
+            self.pm.fill(born.payload_off(), 0, size as usize)?;
+            self.pm.persist(born.payload_off(), size as usize)?;
         }
-        let oid = PmemOid::new(self.hdr.pool_uuid, payload, size).with_gen(gen);
-        let entries = self.publish_entries(block, encode_state(true, gen, size), dest, Some(oid));
-        let redo = RedoLog::new(self.hdr.redo_off(lane), self.hdr.redo_slots);
-        if let Err(e) = redo.commit(&self.pm, &entries) {
-            self.alloc.unreserve(lane, block, block_size);
+        let oid = born.oid(self.hdr.pool_uuid);
+        let mut entries = Vec::with_capacity(5);
+        entries.push(born.state_entry());
+        if let Some(d) = dest {
+            entries.extend(oid.publish_words(d));
+        }
+        if let Err(e) = self.redo(lane).commit(&self.pm, &entries) {
+            self.alloc.release(lane, born.off, born.size);
             return Err(e);
         }
-        self.alloc.note_alloc(block_size);
-        self.gens.set(payload + size, gen);
+        self.alloc.adopted(&born);
         Ok(oid)
-    }
-
-    /// Build redo entries flipping a block's state word and optionally
-    /// publishing or nulling an oid destination. Ordering (size before off)
-    /// is the paper's §IV-F invariant; the state word carries the SPP+T
-    /// generation so state flip and generation bump are one atomic store.
-    fn publish_entries(
-        &self,
-        block: u64,
-        state_word: u64,
-        dest: Option<OidDest>,
-        oid: Option<PmemOid>,
-    ) -> Vec<(u64, u64)> {
-        let mut entries = Vec::with_capacity(5);
-        match oid {
-            Some(oid) => {
-                entries.push((block + BH_STATE, state_word));
-                if let Some(d) = dest {
-                    if d.kind == OidKind::Spp {
-                        entries.push((d.off + 16, oid.size_word()));
-                    }
-                    entries.push((d.off, oid.pool_uuid));
-                    entries.push((d.off + 8, oid.off));
-                }
-            }
-            None => {
-                // Free: invalidate the oid first, then the block.
-                if let Some(d) = dest {
-                    entries.push((d.off + 8, 0));
-                    if d.kind == OidKind::Spp {
-                        entries.push((d.off + 16, 0));
-                    }
-                    entries.push((d.off, 0));
-                }
-                entries.push((block + BH_STATE, state_word));
-            }
-        }
-        entries
-    }
-
-    /// Locate and validate the block header backing `oid`, returning
-    /// `(block, block_size, generation, requested)`. This is where the
-    /// allocator-level temporal check lives: a generation-carrying oid whose
-    /// key no longer matches the block header is stale —
-    /// [`PmdkError::StaleOid`] for use-after-free (block now free),
-    /// double-free (ditto), and free-then-reuse / in-place realloc (block
-    /// allocated again under a newer generation). Untracked oids (gen 0)
-    /// keep stock PMDK semantics: a freed block is just
-    /// [`PmdkError::InvalidOid`].
-    pub(crate) fn block_meta(&self, oid: PmemOid) -> Result<(u64, u64, u8, u64)> {
-        if oid.is_null()
-            || oid.off < self.hdr.heap_off + BLOCK_HEADER_SIZE
-            || oid.off >= self.hdr.pool_size
-        {
-            return Err(PmdkError::InvalidOid { off: oid.off });
-        }
-        let block = oid.off - BLOCK_HEADER_SIZE;
-        let size = self.read_u64(block + BH_SIZE)?;
-        if size == 0 || size % 16 != 0 || block + size > self.hdr.pool_size {
-            return Err(PmdkError::InvalidOid { off: oid.off });
-        }
-        match decode_state(self.read_u64(block + BH_STATE)?) {
-            Some((BlockState::Allocated, gen, requested)) => {
-                if oid.gen != 0 && oid.gen != gen {
-                    return Err(PmdkError::StaleOid {
-                        off: oid.off,
-                        oid_gen: oid.gen,
-                        current_gen: gen,
-                    });
-                }
-                Ok((block, size, gen, requested))
-            }
-            Some((BlockState::Free, gen, _)) if oid.gen != 0 => Err(PmdkError::StaleOid {
-                off: oid.off,
-                oid_gen: oid.gen,
-                current_gen: gen,
-            }),
-            _ => Err(PmdkError::InvalidOid { off: oid.off }),
-        }
-    }
-
-    /// Locate and validate the block header backing `oid`.
-    pub(crate) fn block_of(&self, oid: PmemOid) -> Result<(u64, u64)> {
-        let (block, size, _, _) = self.block_meta(oid)?;
-        Ok((block, size))
     }
 
     /// The allocation generation currently live at a bound offset — SPP+T's
     /// one-load volatile deref index. Returns 0 when no tracked allocation
     /// ends at `bound_off` (freed, moved, or never tracked).
+    #[inline]
     pub fn gen_at_bound(&self, bound_off: u64) -> u8 {
-        self.gens.get(bound_off)
-    }
-
-    pub(crate) fn gens_set(&self, bound_off: u64, gen: u8) {
-        self.gens.set(bound_off, gen);
-    }
-
-    pub(crate) fn gens_clear(&self, bound_off: u64) {
-        self.gens.clear(bound_off);
+        self.alloc.gen_at_bound(bound_off)
     }
 
     /// Atomically free an object (no PM destination to null).
@@ -691,22 +518,16 @@ impl ObjPool {
     }
 
     fn free_impl(&self, dest: Option<OidDest>, oid: PmemOid) -> Result<()> {
-        let (block, block_size, gen, requested) = self.block_meta(oid)?;
-        let next_gen = if gen == 0 { 1 } else { gen + 1 };
+        let live = self.alloc.block_meta(&self.pm, oid)?;
         let (lane, _guard) = self.lanes.acquire();
-        let entries = self.publish_entries(block, encode_state(false, next_gen, 0), dest, None);
-        RedoLog::new(self.hdr.redo_off(lane), self.hdr.redo_slots).commit(&self.pm, &entries)?;
-        if requested != 0 {
-            self.gens.clear(block + BLOCK_HEADER_SIZE + requested);
+        // Invalidate the oid first, then the block.
+        let mut entries = Vec::with_capacity(5);
+        if let Some(d) = dest {
+            entries.extend(d.null_words());
         }
-        if next_gen >= GEN_MAX {
-            // Saturated: the generation counter has no live-looking keys
-            // left, so the block is quarantined — space accounting only,
-            // never re-enters a free list (and rebuild skips it on reopen).
-            self.alloc.note_free(block_size);
-        } else {
-            self.alloc.free_block(lane, block, block_size);
-        }
+        entries.push(live.retired().state_entry());
+        self.redo(lane).commit(&self.pm, &entries)?;
+        self.alloc.retired(lane, &live);
         Ok(())
     }
 
@@ -727,65 +548,32 @@ impl ObjPool {
         if new_size == 0 || new_size >= 1 << 40 {
             return Err(PmdkError::BadAllocSize(new_size));
         }
-        let (old_block, old_block_size, old_gen, old_requested) = self.block_meta(oid)?;
+        let old = self.alloc.block_meta(&self.pm, oid)?;
         let (lane, _guard) = self.lanes.acquire();
-        let redo = RedoLog::new(self.hdr.redo_off(lane), self.hdr.redo_slots);
-        // An in-place resize still bumps the generation — the old pointer's
-        // bound is wrong for the new size, so its key must die. When the
-        // bump would hit the quarantine sentinel the in-place path is
-        // skipped and the object moves instead (fresh block, fresh counter).
-        let bumped = if old_gen == 0 { 0 } else { old_gen + 1 };
-        if crate::alloc::class_block_size(new_size) == old_block_size && bumped < GEN_MAX {
-            let new_oid = PmemOid::new(oid.pool_uuid, oid.off, new_size).with_gen(bumped);
-            let mut entries = vec![(old_block + BH_STATE, encode_state(true, bumped, new_size))];
-            if dest.kind == OidKind::Spp {
-                entries.push((dest.off + 16, new_oid.size_word()));
-            }
+        let redo = self.redo(lane);
+        if let Some(now) = old.resized(new_size) {
+            let new_oid = now.oid(oid.pool_uuid);
+            let mut entries = vec![now.state_entry()];
+            entries.extend(new_oid.size_entry(dest));
             redo.commit(&self.pm, &entries)?;
-            if old_requested != 0 {
-                self.gens.clear(oid.off + old_requested);
-            }
-            self.gens.set(oid.off + new_size, bumped);
+            self.alloc.resized(&old, &now);
             return Ok(new_oid);
         }
-        let (new_block, new_block_size) = self.alloc.reserve(&self.pm, lane, new_size)?;
-        let new_payload = new_block + BLOCK_HEADER_SIZE;
-        let new_gen = match decode_state(self.read_u64(new_block + BH_STATE)?) {
-            Some((BlockState::Free, g, _)) => g.max(1),
-            _ => {
-                self.alloc.unreserve(lane, new_block, new_block_size);
-                return Err(PmdkError::BadPool(format!(
-                    "reserved block at {new_block:#x} has a corrupt state word"
-                )));
-            }
-        };
+        let born = self.alloc.reserve(&self.pm, lane, new_size)?;
         // Copy the surviving prefix before validation.
-        let copy_len = (old_block_size - BLOCK_HEADER_SIZE).min(new_size);
-        self.copy_within(oid.off, new_payload, copy_len)?;
-        self.pm.persist(new_payload, copy_len as usize)?;
-        let new_oid = PmemOid::new(self.hdr.pool_uuid, new_payload, new_size).with_gen(new_gen);
-        let old_next_gen = if old_gen == 0 { 1 } else { old_gen + 1 };
-        let mut entries = vec![(new_block + BH_STATE, encode_state(true, new_gen, new_size))];
-        if dest.kind == OidKind::Spp {
-            entries.push((dest.off + 16, new_oid.size_word()));
-        }
-        entries.push((dest.off, new_oid.pool_uuid));
-        entries.push((dest.off + 8, new_oid.off));
-        entries.push((old_block + BH_STATE, encode_state(false, old_next_gen, 0)));
+        let copy_len = old.payload_size().min(new_size);
+        self.copy_within(oid.off, born.payload_off(), copy_len)?;
+        self.pm.persist(born.payload_off(), copy_len as usize)?;
+        let new_oid = born.oid(self.hdr.pool_uuid);
+        let mut entries = vec![born.state_entry()];
+        entries.extend(new_oid.publish_words(dest));
+        entries.push(old.retired().state_entry());
         if let Err(e) = redo.commit(&self.pm, &entries) {
-            self.alloc.unreserve(lane, new_block, new_block_size);
+            self.alloc.release(lane, born.off, born.size);
             return Err(e);
         }
-        self.alloc.note_alloc(new_block_size);
-        if old_requested != 0 {
-            self.gens.clear(oid.off + old_requested);
-        }
-        self.gens.set(new_payload + new_size, new_gen);
-        if old_next_gen >= GEN_MAX {
-            self.alloc.note_free(old_block_size);
-        } else {
-            self.alloc.free_block(lane, old_block, old_block_size);
-        }
+        self.alloc.adopted(&born);
+        self.alloc.retired(lane, &old);
         Ok(new_oid)
     }
 
@@ -808,8 +596,7 @@ impl ObjPool {
     ///
     /// [`PmdkError::InvalidOid`] for null/foreign/corrupt oids.
     pub fn usable_size(&self, oid: PmemOid) -> Result<u64> {
-        let (_, block_size) = self.block_of(oid)?;
-        Ok(block_size - BLOCK_HEADER_SIZE)
+        Ok(self.alloc.block_meta(&self.pm, oid)?.payload_size())
     }
 
     // ---- root object ----
@@ -844,7 +631,7 @@ impl ObjPool {
         let oid = self.zalloc(size)?.with_gen(0);
         // Publish the root pointer atomically (size before off, as always).
         let (lane, _guard) = self.lanes.acquire();
-        RedoLog::new(self.hdr.redo_off(lane), self.hdr.redo_slots).commit(
+        self.redo(lane).commit(
             &self.pm,
             &[
                 (layout::hdr::ROOT_SIZE, size),
@@ -874,7 +661,7 @@ impl ObjPool {
     /// Device or redo-log errors.
     pub fn set_user_slot(&self, v: u64) -> Result<()> {
         let (lane, _guard) = self.lanes.acquire();
-        RedoLog::new(self.hdr.redo_off(lane), self.hdr.redo_slots)
+        self.redo(lane)
             .commit(&self.pm, &[(layout::hdr::USER_SLOT, v)])
     }
 
@@ -886,13 +673,8 @@ impl ObjPool {
     /// Device or redo-log errors.
     pub fn publish_oid(&self, dest: OidDest, oid: PmemOid) -> Result<()> {
         let (lane, _guard) = self.lanes.acquire();
-        let mut entries = Vec::with_capacity(3);
-        if dest.kind == OidKind::Spp {
-            entries.push((dest.off + 16, oid.size_word()));
-        }
-        entries.push((dest.off, oid.pool_uuid));
-        entries.push((dest.off + 8, oid.off));
-        RedoLog::new(self.hdr.redo_off(lane), self.hdr.redo_slots).commit(&self.pm, &entries)
+        let entries: Vec<_> = oid.publish_words(dest).collect();
+        self.redo(lane).commit(&self.pm, &entries)
     }
 
     /// Atomically null the oid stored at `dest` (offset first).
@@ -902,12 +684,8 @@ impl ObjPool {
     /// Device or redo-log errors.
     pub fn unpublish_oid(&self, dest: OidDest) -> Result<()> {
         let (lane, _guard) = self.lanes.acquire();
-        let mut entries = vec![(dest.off + 8, 0)];
-        if dest.kind == OidKind::Spp {
-            entries.push((dest.off + 16, 0));
-        }
-        entries.push((dest.off, 0));
-        RedoLog::new(self.hdr.redo_off(lane), self.hdr.redo_slots).commit(&self.pm, &entries)
+        let entries: Vec<_> = dest.null_words().collect();
+        self.redo(lane).commit(&self.pm, &entries)
     }
 
     // ---- transactions ----
@@ -972,8 +750,9 @@ impl ObjPool {
         }
     }
 
-    pub(crate) fn hdr(&self) -> &Header {
-        &self.hdr
+    /// `lane`'s redo log.
+    pub(crate) fn redo(&self, lane: usize) -> RedoLog {
+        RedoLog::new(self.hdr.redo_off(lane), self.hdr.redo_slots)
     }
 
     pub(crate) fn arenas(&self) -> &Arenas {

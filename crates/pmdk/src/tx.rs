@@ -1,12 +1,15 @@
 //! Software transactions (the `pmemobj_tx_*` analogue).
+//!
+//! A transaction never touches a block's state word: it holds the
+//! [`BlockInfo`]s it allocated and will free and drives them through
+//! `alloc.rs`'s lifecycle — the atomic API's reserve / durable flip /
+//! `adopted`-or-`retired` bracket, the undo log covering the flip.
 
 use std::collections::HashSet;
 
-use crate::alloc::{decode_state, encode_state, BlockState, BH_STATE, BLOCK_HEADER_SIZE, GEN_MAX};
-use crate::layout::{read_u64, write_u64};
+use crate::alloc::{dead_oid, BlockInfo};
 use crate::oid::PmemOid;
 use crate::pool::ObjPool;
-use crate::redo::RedoLog;
 use crate::ulog::UndoLog;
 use crate::{PmdkError, Result};
 
@@ -26,12 +29,10 @@ pub struct Tx<'p> {
     snapshotted: HashSet<(u64, u64)>,
     /// Ranges to flush at commit.
     ranges: Vec<(u64, u64)>,
-    /// Blocks allocated inside this tx (freed on abort):
-    /// (block_hdr, block_size, generation, requested size).
-    allocs: Vec<(u64, u64, u8, u64)>,
-    /// Blocks to free at commit:
-    /// (block_hdr, block_size, next generation, requested size).
-    frees: Vec<(u64, u64, u8, u64)>,
+    /// Live blocks allocated inside this tx (retired on abort).
+    allocs: Vec<BlockInfo>,
+    /// Live blocks to retire at commit.
+    frees: Vec<BlockInfo>,
 }
 
 impl<'p> Tx<'p> {
@@ -114,53 +115,46 @@ impl<'p> Tx<'p> {
     }
 
     fn alloc_impl(&mut self, size: u64, zero: bool) -> Result<PmemOid> {
-        if size == 0 || size >= 1 << 40 {
-            return Err(PmdkError::BadAllocSize(size));
-        }
         let pm = self.pool.pm();
-        let (block, block_size) = self.pool.arenas().reserve(pm, self.lane, size)?;
+        let arenas = self.pool.arenas();
+        let born = arenas.reserve(pm, self.lane, size)?;
         // Log first: a crash from here on rolls the allocation back.
-        if let Err(e) = self.ulog.append_alloc(pm, block) {
-            self.pool.arenas().unreserve(self.lane, block, block_size);
+        if let Err(e) = self.ulog.append_alloc(pm, born.off) {
+            arenas.release(self.lane, born.off, born.size);
             return Err(e);
         }
-        let gen = match decode_state(read_u64(pm, block + BH_STATE)?) {
-            Some((BlockState::Free, g, _)) => g.max(1),
-            _ => {
-                self.pool.arenas().unreserve(self.lane, block, block_size);
-                return Err(PmdkError::BadPool(format!(
-                    "reserved block at {block:#x} has a corrupt state word"
-                )));
-            }
-        };
-        let payload = block + BLOCK_HEADER_SIZE;
         if zero {
-            pm.fill(payload, 0, size as usize)?;
-            pm.persist(payload, size as usize)?;
+            pm.fill(born.payload_off(), 0, size as usize)?;
+            pm.persist(born.payload_off(), size as usize)?;
         }
-        write_u64(pm, block + BH_STATE, encode_state(true, gen, size))?;
-        pm.persist(block + BH_STATE, 8)?;
+        born.persist_state(pm)?;
         if pm.mode() == spp_pm::Mode::Tracked {
-            pm.mark(format!("tx_alloc:{block}:{block_size}"));
+            pm.mark(format!("tx_alloc:{}:{}", born.off, born.size));
         }
-        self.pool.arenas().note_alloc(block_size);
-        self.pool.gens_set(payload + size, gen);
-        self.allocs.push((block, block_size, gen, size));
-        Ok(PmemOid::new(self.pool.uuid(), payload, size).with_gen(gen))
+        arenas.adopted(&born);
+        self.allocs.push(born);
+        Ok(born.oid(self.pool.uuid()))
     }
 
     /// `pmemobj_tx_free`: free an object when (and only when) the
     /// transaction commits. Nulling oid fields that referenced it is the
     /// application's job, via [`Tx::snapshot`]-covered writes.
     ///
+    /// The header says allocated until commit, so a second free of one
+    /// object in this transaction is caught against the pending list, with
+    /// the atomic API's double-free error; the transaction stays usable.
+    ///
     /// # Errors
     ///
-    /// [`PmdkError::InvalidOid`] or undo-log errors.
+    /// [`PmdkError::InvalidOid`] / [`PmdkError::StaleOid`] or undo-log
+    /// errors.
     pub fn free(&mut self, oid: PmemOid) -> Result<()> {
-        let (block, block_size, gen, requested) = self.pool.block_meta(oid)?;
-        self.ulog.append_free(self.pool.pm(), block)?;
-        let next_gen = if gen == 0 { 1 } else { gen + 1 };
-        self.frees.push((block, block_size, next_gen, requested));
+        let live = self.pool.arenas().block_meta(self.pool.pm(), oid)?;
+        if self.frees.iter().any(|b| b.off == live.off) {
+            return Err(dead_oid(oid, live.retired().gen));
+        }
+        self.ulog.append_free(self.pool.pm(), live.off)?;
+        self.frees.push(live);
         Ok(())
     }
 
@@ -201,21 +195,10 @@ impl<'p> Tx<'p> {
         self.ulog.set_committed(pm)?;
         pm.mark("tx_commit");
         // 3. Deferred frees, each atomic via the lane redo.
-        let redo = RedoLog::new(
-            self.pool.hdr().redo_off(self.lane),
-            self.pool.hdr().redo_slots,
-        );
-        for &(block, block_size, next_gen, requested) in &self.frees {
-            redo.commit(pm, &[(block + BH_STATE, encode_state(false, next_gen, 0))])?;
-            if requested != 0 {
-                self.pool.gens_clear(block + BLOCK_HEADER_SIZE + requested);
-            }
-            if next_gen >= GEN_MAX {
-                // Saturated counter: quarantine (see ObjPool::free_impl).
-                self.pool.arenas().note_free(block_size);
-            } else {
-                self.pool.arenas().free_block(self.lane, block, block_size);
-            }
+        let redo = self.pool.redo(self.lane);
+        for live in &self.frees {
+            redo.commit(pm, &[live.retired().state_entry()])?;
+            self.pool.arenas().retired(self.lane, live);
         }
         // 4. Done.
         self.ulog.clear(pm)
@@ -224,19 +207,12 @@ impl<'p> Tx<'p> {
     pub(crate) fn rollback(self) -> Result<()> {
         let pm = self.pool.pm();
         self.ulog.rollback_snapshots(pm)?;
-        for &(block, block_size, gen, size) in &self.allocs {
+        for born in &self.allocs {
             // The oid may have escaped into (rolled-back) PM or volatile
-            // state, so the generation is bumped exactly as a real free
-            // would — matching what crash recovery does for AllocOnAbort.
-            let next_gen = (gen + 1).min(GEN_MAX);
-            write_u64(pm, block + BH_STATE, encode_state(false, next_gen, 0))?;
-            pm.persist(block + BH_STATE, 8)?;
-            self.pool.gens_clear(block + BLOCK_HEADER_SIZE + size);
-            if next_gen >= GEN_MAX {
-                self.pool.arenas().note_free(block_size);
-            } else {
-                self.pool.arenas().free_block(self.lane, block, block_size);
-            }
+            // state, so the block is retired exactly as a real free would —
+            // matching what crash recovery does for AllocOnAbort.
+            born.retired().persist_state(pm)?;
+            self.pool.arenas().retired(self.lane, born);
         }
         self.ulog.clear(pm)
     }

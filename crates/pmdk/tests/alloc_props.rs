@@ -1,6 +1,8 @@
 //! Property-based testing of the persistent allocator against a volatile
-//! reference model: arbitrary alloc/free/realloc sequences must preserve
-//! object contents, never overlap live objects, and survive rebuild.
+//! reference model: arbitrary alloc/free/realloc sequences — through the
+//! atomic and the transactional door alike — must preserve object contents,
+//! never overlap live objects, and leave volatile state (live counters,
+//! generation index) exactly what a rebuild from the media would produce.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -15,6 +17,8 @@ enum Op {
     Alloc { size: u64, fill: u8 },
     Free { victim: usize },
     Realloc { victim: usize, new_size: u64 },
+    TxAlloc { size: u64, fill: u8, commit: bool },
+    TxFree { victim: usize, commit: bool },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -22,6 +26,12 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (1u64..2048, any::<u8>()).prop_map(|(size, fill)| Op::Alloc { size, fill }),
         (0usize..64).prop_map(|victim| Op::Free { victim }),
         (0usize..64, 1u64..2048).prop_map(|(victim, new_size)| Op::Realloc { victim, new_size }),
+        (1u64..2048, any::<u8>(), any::<bool>()).prop_map(|(size, fill, commit)| Op::TxAlloc {
+            size,
+            fill,
+            commit
+        }),
+        (0usize..64, any::<bool>()).prop_map(|(victim, commit)| Op::TxFree { victim, commit }),
     ]
 }
 
@@ -56,6 +66,8 @@ proptest! {
         let dest = OidDest::spp(home.off);
         let mut live: HashMap<usize, ModelObj> = HashMap::new();
         let mut next_id = 0usize;
+        // Bounds (payload end offsets) of every allocation the model saw die.
+        let mut dead_bounds: Vec<u64> = Vec::new();
         for op in ops {
             match op {
                 Op::Alloc { size, fill } => {
@@ -76,6 +88,7 @@ proptest! {
                     let k = keys[victim % keys.len()];
                     let obj = live.remove(&k).unwrap();
                     pool.free(obj.oid).unwrap();
+                    dead_bounds.push(obj.oid.off + obj.size);
                 }
                 Op::Realloc { victim, new_size } => {
                     let keys: Vec<usize> = live.keys().copied().collect();
@@ -94,9 +107,48 @@ proptest! {
                             pool.write(new_oid.off, &vec![obj.fill; new_size as usize]).unwrap();
                             pool.persist(new_oid.off, new_size as usize).unwrap();
                             live.insert(k, ModelObj { oid: new_oid, fill: obj.fill, size: new_size });
+                            dead_bounds.push(obj.oid.off + obj.size);
                         }
                         Err(PmdkError::OutOfMemory { .. }) => {}
                         Err(e) => panic!("unexpected realloc error: {e}"),
+                    }
+                }
+                Op::TxAlloc { size, fill, commit } => {
+                    let mut born = None;
+                    let r = pool.tx(|tx| -> spp_pmdk::Result<()> {
+                        let oid = tx.zalloc(size)?;
+                        born = Some(oid);
+                        tx.pool().write(oid.off, &vec![fill; size as usize])?;
+                        tx.pool().persist(oid.off, size as usize)?;
+                        if commit { Ok(()) } else { Err(tx.abort("model abort")) }
+                    });
+                    match (r, born) {
+                        (Ok(()), Some(oid)) => {
+                            live.insert(next_id, ModelObj { oid, fill, size });
+                            next_id += 1;
+                        }
+                        (Err(PmdkError::TxAborted(_)), Some(oid)) => {
+                            dead_bounds.push(oid.off + size);
+                        }
+                        (Err(PmdkError::OutOfMemory { .. }), None) => {}
+                        (r, _) => panic!("unexpected tx_alloc outcome: {r:?}"),
+                    }
+                }
+                Op::TxFree { victim, commit } => {
+                    let keys: Vec<usize> = live.keys().copied().collect();
+                    if keys.is_empty() { continue; }
+                    let k = keys[victim % keys.len()];
+                    let oid = live[&k].oid;
+                    let r = pool.tx(|tx| -> spp_pmdk::Result<()> {
+                        tx.free(oid)?;
+                        if commit { Ok(()) } else { Err(tx.abort("model abort")) }
+                    });
+                    if commit {
+                        r.unwrap();
+                        let obj = live.remove(&k).unwrap();
+                        dead_bounds.push(obj.oid.off + obj.size);
+                    } else {
+                        prop_assert!(matches!(r, Err(PmdkError::TxAborted(_))));
                     }
                 }
             }
@@ -110,6 +162,27 @@ proptest! {
         }
         // And the live accounting matches.
         prop_assert_eq!(pool.stats().live_objects as usize, live.len() + 1 /* home */);
+        // Volatile = rebuilt: reopening the media as it stands reconstructs
+        // the running pool's counters and generation index exactly.
+        let img = pool.pm().crash_image(CrashSpec::KeepAll);
+        let reopened = ObjPool::open(Arc::new(PmPool::from_image(img, PoolConfig::new(0)))).unwrap();
+        prop_assert_eq!(reopened.stats().live_bytes, pool.stats().live_bytes);
+        prop_assert_eq!(reopened.stats().live_objects, pool.stats().live_objects);
+        // The index buckets bounds by 16 bytes: bucket -> live generation.
+        let mut indexed: HashMap<u64, u8> = HashMap::new();
+        for b in pool.walk_heap().unwrap() {
+            if let Some(bound) = b.bound_off() {
+                prop_assert_eq!(pool.gen_at_bound(bound), b.gen, "running index, block {:#x}", b.off);
+                prop_assert_eq!(reopened.gen_at_bound(bound), b.gen, "rebuilt index, block {:#x}", b.off);
+                indexed.insert(bound / 16, b.gen);
+            }
+        }
+        // A dead allocation's bound reads 0 unless a live one now ends there.
+        for bound in dead_bounds {
+            let want = indexed.get(&(bound / 16)).copied().unwrap_or(0);
+            prop_assert_eq!(pool.gen_at_bound(bound), want, "running index, dead bound {:#x}", bound);
+            prop_assert_eq!(reopened.gen_at_bound(bound), want, "rebuilt index, dead bound {:#x}", bound);
+        }
     }
 
     #[test]

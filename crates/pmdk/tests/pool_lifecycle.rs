@@ -36,6 +36,29 @@ fn create_then_open() {
 }
 
 #[test]
+fn open_reads_each_block_header_once() {
+    // One walk rebuilds free lists, live counters and the generation index,
+    // at one device read per header — not a walk each at two reads apiece.
+    let pool = fresh(1 << 20);
+    let oids: Vec<PmemOid> = (0..2000).map(|_| pool.alloc(100).unwrap()).collect();
+    let img = pool.pm().crash_image(CrashSpec::KeepAll);
+    let pm = Arc::new(PmPool::from_image(img, PoolConfig::new(0)));
+    let reopened = ObjPool::open(Arc::clone(&pm)).unwrap();
+    let reads = pm.stats().reads();
+    let blocks = reopened.walk_heap().unwrap().len() as u64;
+    assert!(blocks >= 2000);
+    assert!(
+        reads < 3 * blocks,
+        "open issued {reads} device reads for {blocks} blocks"
+    );
+    // ...and the one walk filled everything.
+    assert_eq!(reopened.stats(), pool.stats());
+    for oid in oids {
+        assert_eq!(reopened.gen_at_bound(oid.off + oid.size), oid.gen);
+    }
+}
+
+#[test]
 fn alloc_free_roundtrip() {
     let pool = fresh(1 << 20);
     let oid = pool.zalloc(100).unwrap();

@@ -173,6 +173,61 @@ fn tx_free_applies_only_on_commit() {
     ));
 }
 
+/// `alloc(100); tx { free(a) × frees }`, committed or aborted. The durable
+/// header says allocated until commit, so only the transaction's pending
+/// list can reject a second free — with the atomic API's double-free error,
+/// before anything reaches the undo log, leaving the transaction usable.
+/// Returns the pool's stats after the transaction and the two blocks the
+/// class hands out next.
+fn free_in_tx(frees: usize, untracked: bool, commit: bool) -> (spp_pmdk::AllocStats, u64, u64) {
+    let pool = fresh_tracked(1 << 20);
+    let a = pool.alloc(100).unwrap();
+    let a = if untracked { a.with_gen(0) } else { a };
+    let mut h = pool.tx_begin().unwrap();
+    h.tx().free(a).unwrap();
+    for _ in 1..frees {
+        let stores = pool.pm().stats().writes();
+        let again = h.tx().free(a);
+        assert_eq!(
+            pool.pm().stats().writes(),
+            stores,
+            "rejected before logging"
+        );
+        if untracked {
+            assert!(matches!(again, Err(PmdkError::InvalidOid { .. })));
+        } else {
+            let want_gen = a.gen + 1;
+            assert!(matches!(
+                again,
+                Err(PmdkError::StaleOid { oid_gen, current_gen, .. })
+                    if oid_gen == a.gen && current_gen == want_gen
+            ));
+        }
+    }
+    if commit {
+        h.commit().unwrap();
+    } else {
+        h.rollback().unwrap();
+    }
+    let stats = pool.stats();
+    let (x, y) = (pool.alloc(100).unwrap(), pool.alloc(100).unwrap());
+    assert_eq!(x.off == a.off, commit, "the freed block is next in line");
+    pool.walk_heap().unwrap();
+    (stats, x.off, y.off)
+}
+
+#[test]
+fn double_tx_free_retires_the_block_once() {
+    for commit in [true, false] {
+        for untracked in [false, true] {
+            let (stats, x, y) = free_in_tx(2, untracked, commit);
+            // Exactly what the single free leaves behind.
+            assert_eq!((stats, x, y), free_in_tx(1, untracked, commit));
+            assert_ne!(x, y, "one block handed out twice (commit={commit})");
+        }
+    }
+}
+
 #[test]
 fn tx_crash_window_all_or_nothing() {
     // Explore every crash state around a two-field transactional update;

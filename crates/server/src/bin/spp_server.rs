@@ -8,7 +8,6 @@
 //!            [--reactors 2] [--idle-timeout-ms 0]
 //!            [--pool-file PATH] [--ready-file PATH]
 //!            [--repl-to ADDR] [--repl-ack-mode sync|async]
-//!            [--repl-drop-batch N]
 //! ```
 //!
 //! `--port 0` binds an ephemeral port; the daemon prints a
@@ -34,9 +33,7 @@
 //! daemon at `ADDR` (which must already be listening) as `REPL_BATCH`
 //! frames. `--repl-ack-mode sync` (the default) makes client acks wait
 //! for the backup's `REPL_ACK`; `async` acks clients after local
-//! durability only. `--repl-drop-batch N` silently drops the Nth shipped
-//! batch — a fault-injection hook that exists so the failover rigs can
-//! prove they detect replication holes.
+//! durability only.
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -77,7 +74,6 @@ fn run() -> Result<(), String> {
     let idle_timeout_ms: u64 = args.get("idle-timeout-ms", 0);
     let repl_to: String = args.get("repl-to", String::new());
     let repl_ack_mode: ReplAckMode = args.get("repl-ack-mode", ReplAckMode::Sync);
-    let repl_drop_batch: u64 = args.get("repl-drop-batch", 0);
     if shards == 0 {
         return Err("--shards must be at least 1".to_string());
     }
@@ -90,7 +86,7 @@ fn run() -> Result<(), String> {
         Some(ReplConfig {
             backup,
             ack_mode: repl_ack_mode,
-            drop_batch: (repl_drop_batch > 0).then_some(repl_drop_batch),
+            drop_batch: None,
         })
     };
     let cfg_repl_desc = repl

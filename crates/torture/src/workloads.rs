@@ -71,7 +71,7 @@ pub fn all_workloads() -> Vec<Workload> {
         },
         Workload {
             name: "generation",
-            about: "SPP+T free/realloc churn; gen-bump atomicity + no-resurrection oracles",
+            about: "SPP+T free/realloc churn, atomic and tx; gen-bump atomicity + no-resurrection oracles",
             run: run_generation,
         },
     ]
@@ -637,8 +637,9 @@ fn run_kvstore(cfg: &TortureConfig, ex: &Explorer) -> Result<(), String> {
 // Workload 6: SPP+T generation survival under crash-at-every-boundary.
 //
 // Free/realloc churn over a few same-class slots (so LIFO reuse keeps
-// handing dead blocks to new lifetimes) with two temporal oracles on
-// every sampled crash state:
+// handing dead blocks to new lifetimes), through the atomic API and
+// through transactions (tx-alloc + publish, tx-free + null, tx-alloc +
+// abort) alike, with two temporal oracles on every sampled crash state:
 //
 // * **gen bump + republish atomicity** — a recovered slot is exactly the
 //   pre- or post-state of the in-flight op: oid and durable block
@@ -824,9 +825,18 @@ fn run_generation(cfg: &TortureConfig, ex: &Explorer) -> Result<(), String> {
         match (oids[slot], committed) {
             (Some(oid), Some(s)) if rng.random_range(0..2) == 0 => {
                 // Free: the durable bump to gen+1 and the oid null-out
-                // must land together.
+                // must land together — in one redo record, or on the two
+                // sides of one transaction's commit point.
                 expected.lock().in_flight = Some((slot, GenState::Exact(s), GenState::Empty));
-                pool.free_from(dest, oid).map_err(estr)?;
+                if rng.random_range(0..2) == 0 {
+                    pool.free_from(dest, oid).map_err(estr)?;
+                } else {
+                    pool.tx(|tx| -> Result<(), PmdkError> {
+                        tx.free(oid)?;
+                        tx.write(dest.off, &PmemOid::NULL.encode(OidKind::Spp))
+                    })
+                    .map_err(estr)?;
+                }
                 let mut exp = expected.lock();
                 exp.committed[slot] = None;
                 exp.in_flight = None;
@@ -867,18 +877,47 @@ fn run_generation(cfg: &TortureConfig, ex: &Explorer) -> Result<(), String> {
                 // Alloc: block and generation are unknown until the op
                 // returns (LIFO reuse vs fresh wilderness block).
                 let size = GEN_SIZES[rng.random_range(0..GEN_SIZES.len() as u64) as usize];
-                expected.lock().in_flight = Some((slot, GenState::Empty, GenState::Fresh(size)));
-                let oid = pool.zalloc_into(dest, size).map_err(estr)?;
-                let gen = pool.gen_at_bound(oid.off + size);
+                let arm = rng.random_range(0..3);
+                let post = if arm == 2 {
+                    GenState::Empty // the transaction aborts
+                } else {
+                    GenState::Fresh(size)
+                };
+                expected.lock().in_flight = Some((slot, GenState::Empty, post));
+                let mut born = None;
+                let done = if arm == 0 {
+                    pool.zalloc_into(dest, size).map(|oid| born = Some(oid))
+                } else {
+                    pool.tx(|tx| -> Result<(), PmdkError> {
+                        let oid = tx.zalloc(size)?;
+                        born = Some(oid);
+                        tx.write(dest.off, &oid.encode(OidKind::Spp))?;
+                        if arm == 2 {
+                            return Err(tx.abort("torture: deliberate abort"));
+                        }
+                        Ok(())
+                    })
+                };
+                let oid = born.ok_or_else(|| format!("alloc step failed: {done:?}"))?;
                 let mut exp = expected.lock();
-                exp.committed[slot] = Some(GenSlot {
-                    off: oid.off,
-                    gen,
-                    size,
-                });
                 exp.in_flight = None;
-                bump_floor(&mut exp, oid.off, gen);
-                oids[slot] = Some(oid);
+                match done {
+                    Ok(()) => {
+                        exp.committed[slot] = Some(GenSlot {
+                            off: oid.off,
+                            gen: oid.gen,
+                            size,
+                        });
+                        bump_floor(&mut exp, oid.off, oid.gen);
+                        oids[slot] = Some(oid);
+                    }
+                    // The oid escaped into (rolled-back) PM: its key must
+                    // die with the aborted allocation.
+                    Err(PmdkError::TxAborted(_)) if arm == 2 => {
+                        bump_floor(&mut exp, oid.off, oid.gen.saturating_add(1));
+                    }
+                    Err(e) => return Err(estr(e)),
+                }
             }
         }
     }

@@ -69,6 +69,25 @@ fn broken_recovery_is_caught_and_shrunk() {
 }
 
 #[test]
+fn skipped_tx_rollback_is_caught_by_the_generation_workload() {
+    // The transactional arms (tx-alloc + publish, tx-free + null, tx-alloc
+    // + abort) must make the generation oracles see a lost rollback.
+    let cfg = TortureConfig {
+        faults: RecoveryFaults {
+            skip_tx_rollback: true,
+            ..RecoveryFaults::default()
+        },
+        out_dir: test_cfg("fault-tx").out_dir,
+        ..TortureConfig::smoke()
+    };
+    let summary = run(&cfg, &["generation".to_string()]).expect("driver must not error");
+    assert!(
+        !summary.results[0].failures.is_empty(),
+        "skip-tx-rollback fault was not detected"
+    );
+}
+
+#[test]
 fn exploration_is_reproducible() {
     let cfg = test_cfg("repro");
     let names = vec!["publish".to_string()];

@@ -1,7 +1,7 @@
 //! SPP+T temporal-safety probes at exact generation boundaries, under
-//! all four policies: free → stale deref (use-after-free), double free,
-//! free → same-class alloc → stale deref (ABA slot reuse), and
-//! realloc-stale in both directions.
+//! all four policies: free → stale deref (use-after-free), double free
+//! (atomic, and twice inside one transaction), free → same-class alloc →
+//! stale deref (ABA slot reuse), and realloc-stale in both directions.
 //!
 //! The realloc probes grow 33 → 48 and shrink 48 → 33: both sizes round
 //! to the same 64-byte class, so the pmdk allocator resizes *in place*
@@ -83,11 +83,9 @@ fn uaf_stale_deref<P: MemoryPolicy>(policy: &P, protection: Protection) {
     conform(&probe(policy, ptr), Family::UafRead, protection, OLD_FILL);
 }
 
-/// Free the same oid twice; the second free is the probe.
-fn double_free<P: MemoryPolicy>(policy: &P, protection: Protection) {
-    let obj = policy.zalloc(64).unwrap();
-    policy.free(obj).unwrap();
-    let obs = match policy.free(obj) {
+/// What an illegal free did.
+fn free_outcome(r: Result<(), SppError>) -> Observed {
+    match r {
         Ok(()) => Observed::Hit(0),
         Err(
             SppError::OverflowDetected { mechanism, .. }
@@ -95,8 +93,40 @@ fn double_free<P: MemoryPolicy>(policy: &P, protection: Protection) {
         ) => Observed::Caught(mechanism),
         Err(SppError::Fault { .. }) => Observed::Fault,
         Err(_) => Observed::Rejected,
-    };
+    }
+}
+
+/// Free the same oid twice; the second free is the probe.
+fn double_free<P: MemoryPolicy>(policy: &P, protection: Protection) {
+    let obj = policy.zalloc(64).unwrap();
+    policy.free(obj).unwrap();
+    let obs = free_outcome(policy.free(obj));
     conform(&obs, Family::DoubleFree, protection, 0);
+}
+
+/// Free the same oid twice inside one transaction. The durable header
+/// still says allocated until commit, so only the transaction's own
+/// pending list can tell: the second `tx_free` must get the verdict of an
+/// atomic double free, and the commit must retire the block exactly once.
+fn double_free_in_tx<P: MemoryPolicy>(policy: &P, protection: Protection) {
+    let pool = policy.pool();
+    let obj = policy.zalloc(64).unwrap();
+    let live = pool.stats().live_objects;
+    let mut h = pool.tx_begin().unwrap();
+    policy.tx_free(h.tx(), obj).unwrap();
+    let obs = free_outcome(policy.tx_free(h.tx(), obj));
+    conform(&obs, Family::DoubleFree, protection, 0);
+    h.commit().unwrap();
+    // The heap stays sound: one object gone, and the class's free list
+    // holds the block once — two allocations get two blocks.
+    assert_eq!(pool.stats().live_objects, live - 1, "{protection:?}");
+    let (a, b) = (policy.zalloc(64).unwrap(), policy.zalloc(64).unwrap());
+    assert_eq!(
+        a.off, obj.off,
+        "{protection:?}: LIFO reuse of the freed block"
+    );
+    assert_ne!(a.off, b.off, "{protection:?}: one block handed out twice");
+    pool.walk_heap().unwrap();
 }
 
 /// Free, re-allocate the same size (LIFO reuse hands back the same
@@ -151,6 +181,7 @@ fn realloc_stale_deref<P: MemoryPolicy>(policy: &P, protection: Protection, old:
 fn check_policy<P: MemoryPolicy, F: Fn() -> P>(mk: F, protection: Protection) {
     uaf_stale_deref(&mk(), protection);
     double_free(&mk(), protection);
+    double_free_in_tx(&mk(), protection);
     aba_stale_deref(&mk(), protection);
     // Grow and shrink within the 64-byte class: 33 and 48 both round up
     // to 64, so neither direction moves the block.
