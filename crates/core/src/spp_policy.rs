@@ -12,7 +12,7 @@ use spp_pmdk::{ObjPool, OidDest, OidKind, PmemOid};
 use crate::config::TagConfig;
 use crate::error::SppError;
 use crate::policy::MemoryPolicy;
-use crate::{is_pm_ptr, Result, OVERFLOW_BIT};
+use crate::{is_pm_ptr, Result, OVERFLOW_BIT, PM_BIT};
 
 /// The `SPP` variant of Table I.
 #[derive(Debug, Clone)]
@@ -74,12 +74,22 @@ impl MemoryPolicy for SppPolicy {
     /// The adapted `pmemobj_direct` (§IV-B): derive a tagged pointer from
     /// the enhanced oid's durable size field, carrying the oid's
     /// allocation-generation key (SPP+T) below the tag.
+    ///
+    /// The oid comes from PM, so a stray store may have made it one the
+    /// pool could never issue — a size above [`TagConfig::max_object_size`]
+    /// or an offset outside the mapping. Such an oid yields a pointer with
+    /// the overflow bit set: its dereference fails, it never resolves
+    /// inside the mapping, and no field spills into the tag.
     #[inline]
     fn direct(&self, oid: PmemOid) -> u64 {
         if oid.is_null() {
             return 0;
         }
-        let va = self.pool.pm().base() + oid.off;
+        let pm = self.pool.pm();
+        let va = pm.base().wrapping_add(oid.off);
+        if oid.off >= pm.size() || oid.size > self.cfg.max_object_size() {
+            return PM_BIT | OVERFLOW_BIT | (va & self.cfg.va_mask());
+        }
         // An oid decoded from a stock 16-byte field has size 0; treat it as
         // untracked (full-range tag) rather than a zero-byte object.
         let size = if oid.size == 0 {
@@ -372,6 +382,30 @@ mod tests {
         let ptr = p.direct(loaded);
         p.store(p.gep(ptr, 47), &[1]).unwrap();
         assert!(p.store(p.gep(ptr, 48), &[1]).is_err());
+    }
+
+    #[test]
+    fn an_oid_the_pool_could_not_issue_yields_a_pointer_that_faults() {
+        // A stray store over a published oid's size word (+16) or off word
+        // (+8): a size past the 64 MiB cap, one that would wrap the tag to
+        // a small object, an offset far outside the mapping.
+        let max = TagConfig::default().max_object_size();
+        for (word, value) in [(16, max + 100), (16, 1 << 40), (8, 1 << 40)] {
+            let p = policy();
+            let home = p.zalloc(64).unwrap();
+            let hp = p.direct(home);
+            p.alloc_into_ptr(hp, 48).unwrap();
+            p.store_u64(p.gep(hp, word), value).unwrap();
+            let ptr = p.direct(p.load_oid(hp).unwrap());
+            assert!(is_pm_ptr(ptr));
+            for (at, len) in [(0, 1), (0, 48), (40, 8)] {
+                let err = p.load(p.gep(ptr, at), &mut vec![0; len]).unwrap_err();
+                assert!(
+                    matches!(err, SppError::OverflowDetected { .. }),
+                    "word +{word} = {value:#x}, {len} bytes at +{at}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1250,4 +1250,55 @@ mod tests {
             assert!(matches!(e, SppError::Fault { .. }), "{e:?}");
         }
     }
+
+    #[test]
+    fn corrupt_value_oid_is_an_error_not_a_pointer() {
+        // A stray store over one word of a node's value oid — `off` at +8,
+        // SPP's size word at +16 — then every reader of that value.
+        fn read_with_oid_word<P: MemoryPolicy>(
+            kv: &KvStore<P>,
+            at: u64,
+            word: u64,
+        ) -> [SppError; 2] {
+            let (b, _) = kv.bucket_of(&key(1));
+            let (_, _, nptr) = kv.find(b, &key(1)).unwrap().unwrap();
+            let field = kv.policy.gep(nptr, (kv.layout.value + at) as i64);
+            kv.policy.store_u64(field, word).unwrap();
+            let mut out = b"kept".to_vec();
+            let get = kv.get(&key(1), &mut out).unwrap_err();
+            assert_eq!(out, b"kept", "a failed get must leave `out` alone");
+            [get, kv.for_each(|_, _| Ok(())).unwrap_err()]
+        }
+        let value = [7u8; 100];
+        // A size past the 64 MiB cap that would wrap the tag to 100 bytes,
+        // sizes no allocation has, offsets outside the mapping.
+        let spp_cases = [
+            (16, (1 << 26) + 100),
+            (16, 1 << 40),
+            (16, u64::MAX),
+            (8, 1 << 40),
+            (8, u64::MAX),
+        ];
+        for (at, word) in spp_cases {
+            let kv = spp_store(1 << 22, 256);
+            kv.put(&key(1), &value).unwrap();
+            for e in read_with_oid_word(&kv, at, word) {
+                assert!(
+                    matches!(e, SppError::OverflowDetected { .. }),
+                    "word +{at} = {word:#x}: {e:?}"
+                );
+            }
+        }
+        // The stock 16-byte oid has no size word; an offset outside the
+        // mapping is the native baseline's fault.
+        for word in [1 << 40, u64::MAX] {
+            let pm = Arc::new(PmPool::new(PoolConfig::new(1 << 22)));
+            let pool = Arc::new(ObjPool::create(pm, PoolOpts::small()).unwrap());
+            let kv = KvStore::create(Arc::new(PmdkPolicy::new(pool)), 64).unwrap();
+            kv.put(&key(1), &value).unwrap();
+            for e in read_with_oid_word(&kv, 8, word) {
+                assert!(matches!(e, SppError::Fault { .. }), "{word:#x}: {e:?}");
+            }
+        }
+    }
 }

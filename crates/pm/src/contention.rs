@@ -1,13 +1,21 @@
 //! Always-on contention profiling for the hot-path locks of the stack.
 //!
 //! Every serialization point in the workspace (kvstore stripe locks, pmdk
-//! lanes, the tracked-mode event-log lock, the allocator's shared
-//! wilderness) registers a named [`LockCounter`] here and reports each
-//! acquisition through it. The counters answer the question the scaling
-//! benchmarks keep raising: *which* lock is the wall. They are cheap enough
-//! to leave on in release builds — the uncontended path is a `try_lock`
-//! plus one relaxed `fetch_add` into a cache-line-padded per-thread shard,
-//! and wall-clock timing only happens on the contended path.
+//! lanes, the tracked-mode event-log lock) and the durability boundaries
+//! (`pm.flush` / `pm.fence`) register a named [`LockCounter`] here and report
+//! through it. The counters answer the question the scaling benchmarks keep
+//! raising: *which* lock is the wall. They are cheap enough to leave on in
+//! release builds, because recording is *owner-local*: each thread keeps
+//! its own cell per counter and bumps it with a relaxed load and store — no
+//! `lock`-prefixed read-modify-write, no cache line shared with another
+//! recording thread. Wall-clock timing only happens on the contended path.
+//!
+//! Readers see exact totals. [`snapshot`] and [`dump`] sum, under the
+//! registry lock, each counter's *base* and the cells of every live thread;
+//! a thread that exits first folds its cells into the bases, so its counts
+//! outlive it. [`reset_all`] never writes a cell it does not own: it
+//! rebases each counter — subtracts the current total from its base — so
+//! the totals restart from zero while every thread keeps recording.
 //!
 //! The registry is process-global on purpose: benches and the load
 //! generator snapshot it with [`snapshot`]/[`dump`] after a measured phase
@@ -23,47 +31,88 @@
 //! * `events` — subsystem-specific event count for non-lock counters
 //!   (e.g. `pm.flush` / `pm.fence` boundary totals).
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex as StdMutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex as StdMutex, MutexGuard as StdMutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// Number of padded shards per counter. Threads hash onto shards so that
-/// concurrent recording does not serialize on one cache line.
-pub const PROFILE_SHARDS: usize = 8;
+/// Counters a thread keeps cells for. Registrations beyond it (the
+/// workspace has a handful of names) record into the counter's base.
+const MAX_COUNTERS: usize = 32;
 
-/// Process-wide source of per-thread shard indices.
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
+/// Indices of the four counts in [`Counts`].
+const ACQUISITIONS: usize = 0;
+const CONTENDED: usize = 1;
+const WAIT_NS: usize = 2;
+const EVENTS: usize = 3;
+
+/// `acquisitions`, `contended`, `wait_ns`, `events`. All arithmetic on
+/// them wraps: a rebased base is a total's negation.
+type Counts = [AtomicU64; 4];
+
+/// Add `n` to a count only the calling thread writes: a relaxed load and a
+/// relaxed store, which readers may observe before or after, never torn.
+#[inline]
+fn bump(count: &AtomicU64, n: u64) {
+    count.store(
+        count.load(Ordering::Relaxed).wrapping_add(n),
+        Ordering::Relaxed,
+    );
+}
+
+/// One thread's cells, indexed by counter id. Written only by that thread;
+/// read by the registry's summing.
+#[repr(align(128))]
+#[derive(Default)]
+struct ThreadCells([Counts; MAX_COUNTERS]);
+
+/// Every registered counter and the cells of every live recording thread.
+#[derive(Default)]
+struct Registry {
+    counters: Vec<&'static LockCounter>,
+    threads: Vec<Arc<ThreadCells>>,
+}
+
+fn registry() -> StdMutexGuard<'static, Registry> {
+    static REGISTRY: OnceLock<StdMutex<Registry>> = OnceLock::new();
+    REGISTRY
+        .get_or_init(Default::default)
+        .lock()
+        .unwrap_or_else(|p| p.into_inner())
+}
+
+/// The calling thread's cells: registered at its first recording, folded
+/// into their counters' bases and unregistered when it exits.
+struct LocalCells(Arc<ThreadCells>);
+
+impl LocalCells {
+    fn register() -> Self {
+        let cells = Arc::new(ThreadCells::default());
+        registry().threads.push(Arc::clone(&cells));
+        LocalCells(cells)
+    }
+}
+
+impl Drop for LocalCells {
+    fn drop(&mut self) {
+        let mut reg = registry();
+        for c in &reg.counters {
+            if let Some(cell) = self.0 .0.get(c.id) {
+                for (base, count) in c.base.iter().zip(cell) {
+                    base.fetch_add(count.load(Ordering::Relaxed), Ordering::Relaxed);
+                }
+            }
+        }
+        reg.threads.retain(|t| !Arc::ptr_eq(t, &self.0));
+    }
+}
 
 thread_local! {
-    static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
+    static CELLS: LocalCells = LocalCells::register();
 }
 
-/// The calling thread's stable shard index in `[0, PROFILE_SHARDS)`.
-#[inline]
-pub(crate) fn shard_idx() -> usize {
-    SHARD.with(|s| {
-        if s.get() == usize::MAX {
-            s.set(NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % PROFILE_SHARDS);
-        }
-        s.get()
-    })
-}
-
-/// One cache-line-padded counter shard. 128-byte alignment covers the
-/// adjacent-line prefetcher on common x86 parts.
-#[repr(align(128))]
-#[derive(Debug, Default)]
-struct Shard {
-    acquisitions: AtomicU64,
-    contended: AtomicU64,
-    wait_ns: AtomicU64,
-    events: AtomicU64,
-}
-
-/// A named, sharded set of contention counters.
+/// A named contention counter.
 ///
 /// Obtain one with [`counter`]; instances are interned by name and live for
 /// the whole process (`&'static`), so locks can embed the reference and
@@ -71,73 +120,88 @@ struct Shard {
 #[derive(Debug)]
 pub struct LockCounter {
     name: &'static str,
-    shards: [Shard; PROFILE_SHARDS],
+    /// Index of this counter's cell in every thread's [`ThreadCells`].
+    id: usize,
+    /// Counts of exited threads, minus the totals at the last reset.
+    base: Counts,
 }
 
 impl LockCounter {
-    fn new(name: &'static str) -> Self {
-        LockCounter {
-            name,
-            shards: std::array::from_fn(|_| Shard::default()),
-        }
-    }
-
     /// The name this counter was registered under.
     pub fn name(&self) -> &'static str {
         self.name
     }
 
+    /// Add `n` to count `k` in the calling thread's cell.
+    #[inline]
+    fn record(&self, k: usize, n: u64) {
+        let owned = self.id < MAX_COUNTERS
+            && CELLS
+                .try_with(|cells| bump(&cells.0 .0[self.id][k], n))
+                .is_ok();
+        if !owned {
+            self.record_shared(k, n);
+        }
+    }
+
+    /// A thread with no cell to write (one past [`MAX_COUNTERS`], or
+    /// recording from a thread-local destructor) adds to the base instead.
+    #[cold]
+    fn record_shared(&self, k: usize, n: u64) {
+        self.base[k].fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Record an acquisition that succeeded on the first try.
     #[inline]
     pub fn record_uncontended(&self) {
-        self.shards[shard_idx()]
-            .acquisitions
-            .fetch_add(1, Ordering::Relaxed);
+        self.record(ACQUISITIONS, 1);
     }
 
     /// Record an acquisition that had to wait `waited` of wall-clock time.
     #[inline]
     pub fn record_contended(&self, waited: Duration) {
-        let shard = &self.shards[shard_idx()];
-        shard.acquisitions.fetch_add(1, Ordering::Relaxed);
-        shard.contended.fetch_add(1, Ordering::Relaxed);
-        shard
-            .wait_ns
-            .fetch_add(waited.as_nanos() as u64, Ordering::Relaxed);
+        self.record(ACQUISITIONS, 1);
+        self.record(CONTENDED, 1);
+        self.record(WAIT_NS, waited.as_nanos() as u64);
     }
 
     /// Record a subsystem event (e.g. one flush boundary).
     #[inline]
     pub fn record_event(&self) {
-        self.shards[shard_idx()]
-            .events
-            .fetch_add(1, Ordering::Relaxed);
+        self.record(EVENTS, 1);
     }
 
-    /// Sum the shards into one snapshot.
-    pub fn snapshot(&self) -> LockSnapshot {
-        let mut s = LockSnapshot {
-            name: self.name,
-            acquisitions: 0,
-            contended: 0,
-            wait_ns: 0,
-            events: 0,
-        };
-        for shard in &self.shards {
-            s.acquisitions += shard.acquisitions.load(Ordering::Relaxed);
-            s.contended += shard.contended.load(Ordering::Relaxed);
-            s.wait_ns += shard.wait_ns.load(Ordering::Relaxed);
-            s.events += shard.events.load(Ordering::Relaxed);
+    /// The current totals: the base plus every live thread's cell.
+    fn totals(&self, reg: &Registry) -> [u64; 4] {
+        let mut t = self.base.each_ref().map(|b| b.load(Ordering::Relaxed));
+        for cells in reg.threads.iter().filter_map(|th| th.0.get(self.id)) {
+            for (sum, count) in t.iter_mut().zip(cells) {
+                *sum = sum.wrapping_add(count.load(Ordering::Relaxed));
+            }
         }
-        s
+        t
     }
 
-    fn reset(&self) {
-        for shard in &self.shards {
-            shard.acquisitions.store(0, Ordering::Relaxed);
-            shard.contended.store(0, Ordering::Relaxed);
-            shard.wait_ns.store(0, Ordering::Relaxed);
-            shard.events.store(0, Ordering::Relaxed);
+    fn snapshot_in(&self, reg: &Registry) -> LockSnapshot {
+        let [acquisitions, contended, wait_ns, events] = self.totals(reg);
+        LockSnapshot {
+            name: self.name,
+            acquisitions,
+            contended,
+            wait_ns,
+            events,
+        }
+    }
+
+    /// Sum the base and the live threads' cells into one snapshot.
+    pub fn snapshot(&self) -> LockSnapshot {
+        self.snapshot_in(&registry())
+    }
+
+    /// Restart the totals at zero without touching any thread's cell.
+    fn rebase(&self, reg: &Registry) {
+        for (base, total) in self.base.iter().zip(self.totals(reg)) {
+            base.fetch_sub(total, Ordering::Relaxed);
         }
     }
 }
@@ -169,11 +233,6 @@ impl LockSnapshot {
     }
 }
 
-fn registry() -> &'static StdMutex<Vec<&'static LockCounter>> {
-    static REGISTRY: OnceLock<StdMutex<Vec<&'static LockCounter>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| StdMutex::new(Vec::new()))
-}
-
 /// Get or register the process-wide counter named `name`.
 ///
 /// Names are interned: every call with the same name returns the same
@@ -181,20 +240,24 @@ fn registry() -> &'static StdMutex<Vec<&'static LockCounter>> {
 /// one line of the profile. Call once at construction and embed the
 /// returned reference; this function takes a registry lock.
 pub fn counter(name: &'static str) -> &'static LockCounter {
-    let mut reg = registry().lock().unwrap_or_else(|p| p.into_inner());
-    if let Some(c) = reg.iter().find(|c| c.name == name) {
+    let mut reg = registry();
+    if let Some(c) = reg.counters.iter().find(|c| c.name == name) {
         return c;
     }
-    let c: &'static LockCounter = Box::leak(Box::new(LockCounter::new(name)));
-    reg.push(c);
+    let c: &'static LockCounter = Box::leak(Box::new(LockCounter {
+        name,
+        id: reg.counters.len(),
+        base: Default::default(),
+    }));
+    reg.counters.push(c);
     c
 }
 
 /// Snapshot every registered counter, sorted by total wait time
 /// (descending) then name — the order a contention dump should be read in.
 pub fn snapshot() -> Vec<LockSnapshot> {
-    let reg = registry().lock().unwrap_or_else(|p| p.into_inner());
-    let mut rows: Vec<LockSnapshot> = reg.iter().map(|c| c.snapshot()).collect();
+    let reg = registry();
+    let mut rows: Vec<LockSnapshot> = reg.counters.iter().map(|c| c.snapshot_in(&reg)).collect();
     rows.sort_by(|a, b| b.wait_ns.cmp(&a.wait_ns).then(a.name.cmp(b.name)));
     rows
 }
@@ -209,12 +272,12 @@ pub fn top_contended(n: usize) -> Vec<LockSnapshot> {
         .collect()
 }
 
-/// Zero every registered counter. Benches call this between measured
-/// phases so each dump attributes contention to one phase.
+/// Zero every registered counter's totals. Benches call this between
+/// measured phases so each dump attributes contention to one phase.
 pub fn reset_all() {
-    let reg = registry().lock().unwrap_or_else(|p| p.into_inner());
-    for c in reg.iter() {
-        c.reset();
+    let reg = registry();
+    for c in &reg.counters {
+        c.rebase(&reg);
     }
 }
 
@@ -243,7 +306,7 @@ pub fn dump() -> String {
 /// A mutex that reports every acquisition to a [`LockCounter`].
 ///
 /// Uncontended cost over the raw lock: one failed-or-successful `try_lock`
-/// plus a relaxed sharded increment. `Instant::now` is only taken when the
+/// plus an owner-local increment. `Instant::now` is only taken when the
 /// fast path fails.
 #[derive(Debug)]
 pub struct ProfiledMutex<T> {
@@ -424,6 +487,82 @@ mod tests {
         let top = top_contended(10);
         assert!(top.iter().any(|s| s.name == "test.dirty"));
         assert!(!top.iter().any(|s| s.name == "test.clean"));
+    }
+
+    #[test]
+    fn concurrent_owner_local_records_sum_exactly() {
+        let _serial = registry_test_lock();
+        let c = counter("test.exact");
+        let base = c.snapshot();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..10_000 {
+                        c.record_uncontended();
+                        c.record_event();
+                    }
+                });
+            }
+        });
+        // The scoped threads are done; their cells are live or already
+        // folded into the base — either way summed exactly once.
+        let s = c.snapshot();
+        assert_eq!(s.acquisitions - base.acquisitions, 40_000);
+        assert_eq!(s.events - base.events, 40_000);
+        assert_eq!(s.contended, base.contended);
+        let row = snapshot().into_iter().find(|r| r.name == "test.exact");
+        assert_eq!(row, Some(s));
+    }
+
+    #[test]
+    fn exited_threads_keep_their_totals() {
+        let _serial = registry_test_lock();
+        let c = counter("test.exited");
+        let base = c.snapshot();
+        std::thread::spawn(move || {
+            for _ in 0..100 {
+                c.record_event();
+            }
+            c.record_contended(Duration::from_nanos(7));
+        })
+        .join()
+        .unwrap();
+        let s = c.snapshot();
+        assert_eq!(s.events - base.events, 100);
+        assert_eq!(s.acquisitions - base.acquisitions, 1);
+        assert_eq!(s.contended - base.contended, 1);
+        assert_eq!(s.wait_ns - base.wait_ns, 7);
+    }
+
+    #[test]
+    fn reset_rebases_cells_live_threads_still_own() {
+        use std::sync::mpsc;
+        let _serial = registry_test_lock();
+        let c = counter("test.rebase");
+        let (recorded, wait_reset) = (mpsc::channel(), mpsc::channel());
+        let (done_tx, done_rx) = recorded;
+        let (go_tx, go_rx) = wait_reset;
+        let live = std::thread::spawn(move || {
+            for _ in 0..500 {
+                c.record_uncontended();
+            }
+            done_tx.send(()).unwrap();
+            go_rx.recv().unwrap();
+            for _ in 0..3 {
+                c.record_event();
+            }
+        });
+        c.record_event();
+        done_rx.recv().unwrap();
+        reset_all();
+        let s = c.snapshot();
+        assert_eq!((s.acquisitions, s.events), (0, 0), "{s:?}");
+        // Recording goes on after the reset and counts from zero.
+        go_tx.send(()).unwrap();
+        c.record_uncontended();
+        live.join().unwrap();
+        let s = c.snapshot();
+        assert_eq!((s.acquisitions, s.events), (1, 3), "{s:?}");
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //! * optional **latency modelling** ([`LatencyModel`]) to emulate PM media
 //!   that is slower than DRAM — including wall-clock *overlappable* device
 //!   waits for thread-scaling experiments;
-//! * an always-on **contention profile** ([`contention`]): named, sharded
-//!   lock/event counters that the whole stack (stripe locks, tx lanes, the
-//!   tracked-mode event log) reports into, snapshot-able by benches and the
-//!   load generator to locate hot-path serialization.
+//! * an always-on **contention profile** ([`contention`]): named lock/event
+//!   counters, recorded into cells each thread owns, that the whole stack
+//!   (stripe locks, tx lanes, the tracked-mode event log) reports into,
+//!   snapshot-able by benches and the load generator to locate hot-path
+//!   serialization.
 //!
 //! Accesses outside the pool mapping return [`PmError::Fault`] — the
 //! simulator's analogue of a SIGSEGV/SIGBUS. This is the primitive SPP's

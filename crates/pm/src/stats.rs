@@ -1,6 +1,27 @@
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use crate::contention::{shard_idx, PROFILE_SHARDS};
+/// Number of padded shards per pool. Threads hash onto shards so that
+/// concurrent recording does not serialize on one cache line.
+const PROFILE_SHARDS: usize = 8;
+
+/// Process-wide source of per-thread shard indices.
+static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+/// The calling thread's stable shard index in `[0, PROFILE_SHARDS)`.
+#[inline]
+fn shard_idx() -> usize {
+    SHARD.with(|s| {
+        if s.get() == usize::MAX {
+            s.set(NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % PROFILE_SHARDS);
+        }
+        s.get()
+    })
+}
 
 /// One cache-line-padded shard of access counters. Padding keeps two
 /// threads recording into different shards from false-sharing one line.

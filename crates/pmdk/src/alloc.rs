@@ -56,7 +56,7 @@
 //! in-place realloc) — so volatile state only ever trails the media.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
@@ -111,7 +111,14 @@ const MAX_REFILL_CHUNK: u64 = 256 * 1024;
 /// Smallest refill target (tiny pools still refill whole requests).
 const MIN_REFILL_CHUNK: u64 = 4096;
 
-/// Round a payload request to its block size class.
+/// Number of size classes up to 4 KiB of payload: 16 to 256 bytes in
+/// powers of two, then 512 to 4096 in 256-byte steps. Their free lists are
+/// indexed by class; the larger classes' are keyed by block size.
+const SMALL_CLASSES: usize = 20;
+
+/// A payload request's size class: its block size (header included) and,
+/// for the [`SMALL_CLASSES`], its index among them — the only definition
+/// of either.
 ///
 /// Classes are *payload*-granular, mirroring PMDK's run-based small
 /// allocations (where per-block metadata lives in chunk bitmaps, so class
@@ -121,16 +128,23 @@ const MIN_REFILL_CHUNK: u64 = 4096;
 /// influences the class — which is what lets a +8-byte oid growth be
 /// absorbed by class slack exactly as the paper's Table III shows for
 /// ctree/rbtree/hashmap.
-pub(crate) fn class_block_size(payload: u64) -> u64 {
+fn size_class(payload: u64) -> (u64, Option<usize>) {
     let payload = payload.next_multiple_of(16);
-    let class = if payload <= 256 {
-        payload.next_power_of_two().max(16)
+    let (class, index) = if payload <= 256 {
+        let class = payload.next_power_of_two().max(16);
+        (class, Some(class.trailing_zeros() as usize - 4))
     } else if payload <= 4096 {
-        payload.next_multiple_of(256)
+        let class = payload.next_multiple_of(256);
+        (class, Some(class as usize / 256 + 3))
     } else {
-        payload.next_multiple_of(1024)
+        (payload.next_multiple_of(1024), None)
     };
-    class + BLOCK_HEADER_SIZE
+    (class + BLOCK_HEADER_SIZE, index)
+}
+
+/// Round a payload request to its block size class.
+pub(crate) fn class_block_size(payload: u64) -> u64 {
+    size_class(payload).0
 }
 
 /// Whether a block size (header included) is exactly some class size.
@@ -357,17 +371,15 @@ pub(crate) fn dead_oid(oid: PmemOid, current_gen: u8) -> PmdkError {
 /// apart (16-byte headers between 16-aligned blocks), so `bound / 16` is a
 /// collision-free bucket. One relaxed byte load per deref; rebuilt from the
 /// durable block headers by [`Arenas::rebuild`].
-#[derive(Debug)]
 struct GenIndex {
-    slots: Vec<AtomicU8>,
+    slots: zeroed::Table,
 }
 
 impl GenIndex {
     fn new(pool_size: u64) -> Self {
-        let n = (pool_size / 16 + 1) as usize;
-        let mut slots = Vec::with_capacity(n);
-        slots.resize_with(n, || AtomicU8::new(0));
-        GenIndex { slots }
+        GenIndex {
+            slots: zeroed::Table::new((pool_size / 16 + 1) as usize),
+        }
     }
 
     /// Record `gen` (0 = none) as live at `b`'s bound. Free and untracked
@@ -389,6 +401,121 @@ impl GenIndex {
     }
 }
 
+/// The generation index's table: zeroed bytes that cost resident memory
+/// only where a bound lands (≈ `high_water / 16`), however the heap
+/// allocator placed earlier pools' tables. On Linux the table is a private
+/// anonymous mapping of its own, which the kernel zero-fills a page at a
+/// time on first touch; a heap `calloc` promises no such thing — handed a
+/// chunk a dropped pool left behind, it zeroes, and makes resident, all
+/// 16 MiB of a 256 MiB pool's table.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+mod zeroed {
+    use std::alloc::{handle_alloc_error, Layout};
+    use std::ffi::c_void;
+    use std::ptr::NonNull;
+    use std::sync::atomic::AtomicU8;
+
+    extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: i32,
+            flags: i32,
+            fd: i32,
+            off: i64,
+        ) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> i32;
+    }
+
+    const PROT_READ_WRITE: i32 = 0x1 | 0x2;
+    const MAP_PRIVATE_ANONYMOUS: i32 = 0x02 | 0x20;
+    const MAP_FAILED: *mut c_void = !0 as *mut c_void;
+
+    /// `len` zeroed atomics in a mapping only this table owns.
+    pub(super) struct Table {
+        ptr: NonNull<AtomicU8>,
+        len: usize,
+    }
+
+    // SAFETY: the mapping belongs to the table alone and is unmapped only
+    // by its drop; its contents are `AtomicU8`s, which any number of
+    // threads may access through shared references.
+    unsafe impl Send for Table {}
+    // SAFETY: as for `Send`.
+    unsafe impl Sync for Table {}
+
+    impl Table {
+        pub(super) fn new(len: usize) -> Table {
+            let len = len.max(1);
+            // SAFETY: a private anonymous mapping at an address the kernel
+            // picks touches no existing memory; failure is checked below.
+            let p = unsafe {
+                mmap(
+                    std::ptr::null_mut(),
+                    len,
+                    PROT_READ_WRITE,
+                    MAP_PRIVATE_ANONYMOUS,
+                    -1,
+                    0,
+                )
+            };
+            match NonNull::new(p.cast::<AtomicU8>()).filter(|_| p != MAP_FAILED) {
+                Some(ptr) => Table { ptr, len },
+                None => handle_alloc_error(Layout::array::<AtomicU8>(len).expect("table size")),
+            }
+        }
+    }
+
+    impl std::ops::Deref for Table {
+        type Target = [AtomicU8];
+
+        #[inline]
+        fn deref(&self) -> &[AtomicU8] {
+            // SAFETY: `ptr` maps `len` readable, writable bytes, zero-filled
+            // by the kernel (a valid `[AtomicU8]`), for as long as `self`
+            // lives; every access goes through the atomics.
+            unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+        }
+    }
+
+    impl Drop for Table {
+        fn drop(&mut self) {
+            // SAFETY: unmaps exactly the mapping `new` made; no borrow of
+            // the table outlives `self`.
+            unsafe { munmap(self.ptr.as_ptr().cast(), self.len) };
+        }
+    }
+}
+
+/// Elsewhere, the heap's zeroed allocation.
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+mod zeroed {
+    use std::sync::atomic::AtomicU8;
+
+    pub(super) struct Table(Box<[AtomicU8]>);
+
+    impl Table {
+        pub(super) fn new(len: usize) -> Table {
+            Table((0..len).map(|_| AtomicU8::new(0)).collect())
+        }
+    }
+
+    impl std::ops::Deref for Table {
+        type Target = [AtomicU8];
+
+        #[inline]
+        fn deref(&self) -> &[AtomicU8] {
+            &self.0
+        }
+    }
+}
+
 /// Point-in-time allocator statistics, used for the Table III space
 /// accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -407,8 +534,11 @@ pub struct AllocStats {
 /// One arena's volatile state, guarded by its own mutex.
 #[derive(Debug, Default)]
 struct ArenaState {
-    /// block size class -> free block header offsets (LIFO reuse)
-    free: HashMap<u64, Vec<u64>>,
+    /// Free block header offsets (LIFO reuse) of the classes up to 4 KiB,
+    /// by class index...
+    small: [Vec<u64>; SMALL_CLASSES],
+    /// ...and of the larger classes, by block size.
+    large: HashMap<u64, Vec<u64>>,
     /// Private wilderness spans `(off, len)`. Invariant: each span's first
     /// 16 bytes are a durable free-block header covering the whole span,
     /// so the heap scans cleanly at every crash point.
@@ -416,9 +546,17 @@ struct ArenaState {
 }
 
 impl ArenaState {
+    /// The free list of the class whose blocks are `block` bytes.
+    fn free_list(&mut self, block: u64) -> &mut Vec<u64> {
+        match size_class(block - BLOCK_HEADER_SIZE).1 {
+            Some(index) => &mut self.small[index],
+            None => self.large.entry(block).or_default(),
+        }
+    }
+
     /// A free `block`-sized block: off the free list (LIFO), else carved.
     fn take(&mut self, pm: &PmPool, block: u64) -> Result<Option<u64>> {
-        match self.free.get_mut(&block).and_then(Vec::pop) {
+        match self.free_list(block).pop() {
             Some(off) => Ok(Some(off)),
             None => self.carve(pm, block),
         }
@@ -458,6 +596,15 @@ impl ArenaState {
     #[cfg(test)]
     fn wild_bytes(&self) -> u64 {
         self.wild.iter().map(|&(_, len)| len).sum()
+    }
+
+    #[cfg(test)]
+    fn free_blocks(&self) -> usize {
+        self.small
+            .iter()
+            .chain(self.large.values())
+            .map(Vec::len)
+            .sum()
     }
 }
 
@@ -540,8 +687,10 @@ impl Arenas {
             // same slot).
             BlockState::Free if b.is_parked() => {}
             BlockState::Free if is_class_block(b.size) => {
-                let mut a = ar.arenas[next_free % n].lock();
-                a.free.entry(b.size).or_default().push(b.off);
+                ar.arenas[next_free % n]
+                    .lock()
+                    .free_list(b.size)
+                    .push(b.off);
                 next_free += 1;
             }
             BlockState::Free => {
@@ -679,7 +828,7 @@ impl Arenas {
     /// was never validated (error paths). Free-to-local: see the module docs.
     pub(crate) fn release(&self, lane: usize, block_hdr: u64, block_size: u64) {
         let mut a = self.arenas[lane % self.arenas.len()].lock();
-        a.free.entry(block_size).or_default().push(block_hdr);
+        a.free_list(block_size).push(block_hdr);
     }
 
     /// `b` is durably allocated: count it live and index its generation.
@@ -756,7 +905,7 @@ impl Arenas {
     fn free_list_len(&self, block: u64) -> usize {
         self.arenas
             .iter()
-            .map(|a| a.lock().free.get(&block).map_or(0, Vec::len))
+            .map(|a| a.lock().free_list(block).len())
             .sum()
     }
 
@@ -784,6 +933,25 @@ mod tests {
         assert_eq!(class_block_size(4000), 4112);
         assert_eq!(class_block_size(4097), 5136); // 1 KiB steps
         assert_eq!(class_block_size(10_000), 10256);
+    }
+
+    #[test]
+    fn small_classes_are_indexed_densely_in_size_order() {
+        let mut seen = Vec::new();
+        for payload in 1..=4096 {
+            let (block, index) = size_class(payload);
+            let index = index.expect("classes up to 4 KiB are small");
+            if seen.last() != Some(&(index, block)) {
+                seen.push((index, block));
+            }
+        }
+        let indices: Vec<usize> = seen.iter().map(|&(i, _)| i).collect();
+        assert_eq!(indices, (0..SMALL_CLASSES).collect::<Vec<_>>());
+        // A class block's own payload maps back to its class.
+        for &(index, block) in &seen {
+            assert_eq!(size_class(block - BLOCK_HEADER_SIZE), (block, Some(index)));
+        }
+        assert_eq!(size_class(4097).1, None);
     }
 
     #[test]
@@ -899,11 +1067,7 @@ mod tests {
         // them round-robin and still find every one.
         let re = Arenas::rebuild(&pm, 0, 1 << 18, 4).unwrap();
         assert_eq!(re.free_list_len(blocks[0].size), 8);
-        let per_arena: Vec<usize> = re
-            .arenas
-            .iter()
-            .map(|a| a.lock().free.values().map(Vec::len).sum())
-            .collect();
+        let per_arena: Vec<usize> = re.arenas.iter().map(|a| a.lock().free_blocks()).collect();
         assert!(per_arena.iter().all(|&c| c == 2), "{per_arena:?}");
     }
 

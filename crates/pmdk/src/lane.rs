@@ -16,6 +16,7 @@
 //! reported to the `pmdk.lane` contention counter.
 
 use std::cell::Cell;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex as StdMutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -48,8 +49,8 @@ fn thread_ticket() -> usize {
     })
 }
 
-pub(crate) struct Lanes {
-    locks: Vec<Mutex<()>>,
+pub(crate) struct Lanes<T> {
+    locks: Vec<Mutex<T>>,
     /// Threads parked waiting for any lane (keeps the release path free of
     /// condvar traffic while nobody waits).
     waiters: AtomicUsize,
@@ -59,14 +60,37 @@ pub(crate) struct Lanes {
     counter: &'static LockCounter,
 }
 
-/// Exclusive hold of one lane. Dropping it releases the lane and wakes one
-/// parked waiter, if any.
-pub(crate) struct LaneGuard<'a> {
-    lanes: &'a Lanes,
-    held: Option<MutexGuard<'a, ()>>,
+/// Exclusive hold of one lane, dereferencing to its scratch. Dropping it
+/// releases the lane and wakes one parked waiter, if any.
+pub(crate) struct LaneGuard<'a, T> {
+    lanes: &'a Lanes<T>,
+    held: Option<MutexGuard<'a, T>>,
 }
 
-impl Drop for LaneGuard<'_> {
+impl<T> Deref for LaneGuard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        self.held
+            .as_ref()
+            .expect("a lane is held until its guard drops")
+    }
+}
+
+impl<T> DerefMut for LaneGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        self.held
+            .as_mut()
+            .expect("a lane is held until its guard drops")
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for LaneGuard<'_, T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("LaneGuard").field(&**self).finish()
+    }
+}
+
+impl<T> Drop for LaneGuard<'_, T> {
     fn drop(&mut self) {
         // Release the lane before waking anyone, so the woken thread's
         // try_lock can succeed immediately.
@@ -78,10 +102,12 @@ impl Drop for LaneGuard<'_> {
     }
 }
 
-impl Lanes {
-    pub(crate) fn new(count: usize) -> Self {
+impl<T> Lanes<T> {
+    /// `count` lanes (at least one), each owning the scratch `scratch`
+    /// builds for it.
+    pub(crate) fn new(count: usize, mut scratch: impl FnMut() -> T) -> Self {
         Lanes {
-            locks: (0..count.max(1)).map(|_| Mutex::new(())).collect(),
+            locks: (0..count.max(1)).map(|_| Mutex::new(scratch())).collect(),
             waiters: AtomicUsize::new(0),
             park: StdMutex::new(()),
             unpark: Condvar::new(),
@@ -94,7 +120,7 @@ impl Lanes {
         self.locks.len()
     }
 
-    fn try_any(&self, start: usize) -> Option<(usize, LaneGuard<'_>)> {
+    fn try_any(&self, start: usize) -> Option<(usize, LaneGuard<'_, T>)> {
         for i in 0..self.locks.len() {
             let idx = (start + i) % self.locks.len();
             if let Some(guard) = self.locks[idx].try_lock() {
@@ -128,9 +154,9 @@ impl Lanes {
     fn won<'a>(
         &self,
         idx: usize,
-        guard: LaneGuard<'a>,
+        guard: LaneGuard<'a, T>,
         waited_since: Option<Instant>,
-    ) -> (usize, LaneGuard<'a>) {
+    ) -> (usize, LaneGuard<'a, T>) {
         LAST_LANE.with(|c| c.set(idx));
         match waited_since {
             None => self.counter.record_uncontended(),
@@ -147,7 +173,7 @@ impl Lanes {
     /// another such thread — some lane always frees up. Parking uses a
     /// timeout for the same reason: a waiter must eventually re-scan even
     /// if it misses a wakeup.
-    pub(crate) fn acquire(&self) -> (usize, LaneGuard<'_>) {
+    pub(crate) fn acquire(&self) -> (usize, LaneGuard<'_, T>) {
         let pref = self.preferred();
         // Fast path: the affinity lane is free (the common case whenever
         // threads <= lanes).
@@ -195,7 +221,7 @@ impl Lanes {
     }
 }
 
-impl std::fmt::Debug for Lanes {
+impl<T> std::fmt::Debug for Lanes<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Lanes")
             .field("count", &self.locks.len())
@@ -210,7 +236,7 @@ mod tests {
 
     #[test]
     fn acquire_distinct_lanes() {
-        let lanes = Lanes::new(4);
+        let lanes = Lanes::new(4, || ());
         let (a, _ga) = lanes.acquire();
         let (b, _gb) = lanes.acquire();
         assert_ne!(a, b);
@@ -219,7 +245,7 @@ mod tests {
 
     #[test]
     fn sticky_lane_reused_when_free() {
-        let lanes = Lanes::new(4);
+        let lanes = Lanes::new(4, || ());
         let (a, ga) = lanes.acquire();
         drop(ga);
         let (b, _gb) = lanes.acquire();
@@ -230,7 +256,7 @@ mod tests {
     fn concurrent_acquisition_makes_progress() {
         // More threads than lanes: every acquisition must park and still
         // complete.
-        let lanes = Arc::new(Lanes::new(2));
+        let lanes = Arc::new(Lanes::new(2, || ()));
         let mut handles = Vec::new();
         for _ in 0..8 {
             let lanes = Arc::clone(&lanes);
@@ -248,7 +274,7 @@ mod tests {
 
     #[test]
     fn affinity_follows_last_acquired_lane() {
-        let lanes = Lanes::new(4);
+        let lanes = Lanes::new(4, || ());
         let (a, ga) = lanes.acquire();
         // Same thread, first lane still held: acquisition migrates.
         let (b, gb) = lanes.acquire();
@@ -265,7 +291,7 @@ mod tests {
         use std::sync::atomic::AtomicBool;
         use std::sync::Barrier;
         // More threads than lanes: maximal fighting over every lane.
-        let lanes = Arc::new(Lanes::new(4));
+        let lanes = Arc::new(Lanes::new(4, || ()));
         let held: Arc<Vec<AtomicBool>> = Arc::new((0..4).map(|_| AtomicBool::new(false)).collect());
         let barrier = Arc::new(Barrier::new(8));
         let mut handles = Vec::new();
@@ -297,7 +323,7 @@ mod tests {
         use std::sync::Barrier;
         // 8 threads over 8 lanes: affinity must spread the threads out
         // rather than funnel them onto a few lanes.
-        let lanes = Arc::new(Lanes::new(8));
+        let lanes = Arc::new(Lanes::new(8, || ()));
         let barrier = Arc::new(Barrier::new(8));
         let mut handles = Vec::new();
         for _ in 0..8 {
@@ -325,8 +351,19 @@ mod tests {
     }
 
     #[test]
+    fn a_lane_keeps_its_scratch_across_holders() {
+        let lanes = Lanes::new(2, Vec::<u32>::new);
+        let (a, mut ga) = lanes.acquire();
+        ga.push(7);
+        drop(ga);
+        let (b, gb) = lanes.acquire();
+        assert_eq!(a, b);
+        assert_eq!(*gb, [7]);
+    }
+
+    #[test]
     fn parked_waiter_wakes_on_release() {
-        let lanes = Arc::new(Lanes::new(1));
+        let lanes = Arc::new(Lanes::new(1, || ()));
         let (_idx, guard) = lanes.acquire();
         let l2 = Arc::clone(&lanes);
         let h = std::thread::spawn(move || {

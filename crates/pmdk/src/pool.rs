@@ -9,11 +9,11 @@ use rand::RngExt;
 use spp_pm::PmPool;
 
 use crate::alloc::{self, AllocStats, Arenas, BlockInfo};
-use crate::lane::{LaneGuard, Lanes};
+use crate::lane::Lanes;
 use crate::layout::{self, Header};
 use crate::oid::{OidDest, OidKind, PmemOid, OID_SIZE_SPP};
 use crate::redo::RedoLog;
-use crate::tx::Tx;
+use crate::tx::{LaneScratch, Tx};
 use crate::ulog::{TxState, UndoEntry, UndoLog};
 use crate::{PmdkError, Result};
 
@@ -133,7 +133,7 @@ pub struct ObjPool {
     pm: Arc<PmPool>,
     hdr: Header,
     alloc: Arenas,
-    lanes: Lanes,
+    lanes: Lanes<LaneScratch>,
     root_lock: Mutex<()>,
 }
 
@@ -170,7 +170,7 @@ impl ObjPool {
             pm,
             hdr,
             alloc,
-            lanes: Lanes::new(opts.lane_count),
+            lanes: Lanes::new(opts.lane_count, || LaneScratch::new(opts.redo_slots)),
             root_lock: Mutex::new(()),
         })
     }
@@ -209,12 +209,12 @@ impl ObjPool {
         }
         // Phase 2: transaction undo logs.
         for lane in 0..hdr.lane_count as usize {
-            let ulog = UndoLog::new(hdr.undo_off(lane), hdr.undo_capacity);
+            let mut ulog = UndoLog::new(hdr.undo_off(lane), hdr.undo_capacity);
             match ulog.state(&pm)? {
                 TxState::None => {}
                 TxState::Active => {
                     if !faults.skip_tx_rollback {
-                        ulog.rollback_snapshots(&pm)?;
+                        ulog.rollback_snapshots(&pm, &mut Vec::new(), &mut Vec::new())?;
                         for e in ulog.entries(&pm)? {
                             if let UndoEntry::AllocOnAbort { block_hdr } = e {
                                 alloc::recover_retire(&pm, block_hdr)?;
@@ -240,7 +240,7 @@ impl ObjPool {
             pm,
             hdr,
             alloc,
-            lanes: Lanes::new(hdr.lane_count as usize),
+            lanes: Lanes::new(hdr.lane_count as usize, || LaneScratch::new(hdr.redo_slots)),
             root_lock: Mutex::new(()),
         })
     }
@@ -262,10 +262,11 @@ impl ObjPool {
 
     /// `pmemobj_direct`: the simulated virtual address of an oid's payload.
     ///
-    /// Stock PMDK semantics — no tag. The SPP-adapted version lives in
-    /// `spp-core`.
+    /// Stock PMDK semantics — no tag, and plain address arithmetic: an
+    /// offset read from corrupted PM wraps like the C addition it models,
+    /// and the access faults. The SPP-adapted version lives in `spp-core`.
     pub fn direct(&self, oid: PmemOid) -> u64 {
-        self.pm.base() + oid.off
+        self.pm.base().wrapping_add(oid.off)
     }
 
     /// Current allocator statistics (space accounting for Table III).
@@ -470,19 +471,16 @@ impl ObjPool {
     }
 
     fn alloc_impl(&self, dest: Option<OidDest>, size: u64, zero: bool) -> Result<PmemOid> {
-        let (lane, _guard) = self.lanes.acquire();
+        let (lane, mut scratch) = self.lanes.acquire();
         let born = self.alloc.reserve(&self.pm, lane, size)?;
         if zero {
             self.pm.fill(born.payload_off(), 0, size as usize)?;
             self.pm.persist(born.payload_off(), size as usize)?;
         }
         let oid = born.oid(self.hdr.pool_uuid);
-        let mut entries = Vec::with_capacity(5);
-        entries.push(born.state_entry());
-        if let Some(d) = dest {
-            entries.extend(oid.publish_words(d));
-        }
-        if let Err(e) = self.redo(lane).commit(&self.pm, &entries) {
+        let entries = dest.into_iter().flat_map(|d| oid.publish_words(d));
+        let entries = std::iter::once(born.state_entry()).chain(entries);
+        if let Err(e) = self.redo(lane).commit(&self.pm, &mut scratch.redo, entries) {
             self.alloc.release(lane, born.off, born.size);
             return Err(e);
         }
@@ -519,14 +517,12 @@ impl ObjPool {
 
     fn free_impl(&self, dest: Option<OidDest>, oid: PmemOid) -> Result<()> {
         let live = self.alloc.block_meta(&self.pm, oid)?;
-        let (lane, _guard) = self.lanes.acquire();
+        let (lane, mut scratch) = self.lanes.acquire();
         // Invalidate the oid first, then the block.
-        let mut entries = Vec::with_capacity(5);
-        if let Some(d) = dest {
-            entries.extend(d.null_words());
-        }
-        entries.push(live.retired().state_entry());
-        self.redo(lane).commit(&self.pm, &entries)?;
+        let entries = dest.into_iter().flat_map(OidDest::null_words);
+        let entries = entries.chain([live.retired().state_entry()]);
+        self.redo(lane)
+            .commit(&self.pm, &mut scratch.redo, entries)?;
         self.alloc.retired(lane, &live);
         Ok(())
     }
@@ -549,13 +545,12 @@ impl ObjPool {
             return Err(PmdkError::BadAllocSize(new_size));
         }
         let old = self.alloc.block_meta(&self.pm, oid)?;
-        let (lane, _guard) = self.lanes.acquire();
+        let (lane, mut scratch) = self.lanes.acquire();
         let redo = self.redo(lane);
         if let Some(now) = old.resized(new_size) {
             let new_oid = now.oid(oid.pool_uuid);
-            let mut entries = vec![now.state_entry()];
-            entries.extend(new_oid.size_entry(dest));
-            redo.commit(&self.pm, &entries)?;
+            let entries = std::iter::once(now.state_entry()).chain(new_oid.size_entry(dest));
+            redo.commit(&self.pm, &mut scratch.redo, entries)?;
             self.alloc.resized(&old, &now);
             return Ok(new_oid);
         }
@@ -565,10 +560,10 @@ impl ObjPool {
         self.copy_within(oid.off, born.payload_off(), copy_len)?;
         self.pm.persist(born.payload_off(), copy_len as usize)?;
         let new_oid = born.oid(self.hdr.pool_uuid);
-        let mut entries = vec![born.state_entry()];
-        entries.extend(new_oid.publish_words(dest));
-        entries.push(old.retired().state_entry());
-        if let Err(e) = redo.commit(&self.pm, &entries) {
+        let entries = std::iter::once(born.state_entry())
+            .chain(new_oid.publish_words(dest))
+            .chain([old.retired().state_entry()]);
+        if let Err(e) = redo.commit(&self.pm, &mut scratch.redo, entries) {
             self.alloc.release(lane, born.off, born.size);
             return Err(e);
         }
@@ -630,10 +625,11 @@ impl ObjPool {
         // `root_oid` reconstructs after reopen.
         let oid = self.zalloc(size)?.with_gen(0);
         // Publish the root pointer atomically (size before off, as always).
-        let (lane, _guard) = self.lanes.acquire();
+        let (lane, mut scratch) = self.lanes.acquire();
         self.redo(lane).commit(
             &self.pm,
-            &[
+            &mut scratch.redo,
+            [
                 (layout::hdr::ROOT_SIZE, size),
                 (layout::hdr::ROOT_OFF, oid.off),
             ],
@@ -660,9 +656,9 @@ impl ObjPool {
     ///
     /// Device or redo-log errors.
     pub fn set_user_slot(&self, v: u64) -> Result<()> {
-        let (lane, _guard) = self.lanes.acquire();
+        let (lane, mut scratch) = self.lanes.acquire();
         self.redo(lane)
-            .commit(&self.pm, &[(layout::hdr::USER_SLOT, v)])
+            .commit(&self.pm, &mut scratch.redo, [(layout::hdr::USER_SLOT, v)])
     }
 
     /// Atomically publish `oid` into a PM destination (without allocating).
@@ -672,9 +668,9 @@ impl ObjPool {
     ///
     /// Device or redo-log errors.
     pub fn publish_oid(&self, dest: OidDest, oid: PmemOid) -> Result<()> {
-        let (lane, _guard) = self.lanes.acquire();
-        let entries: Vec<_> = oid.publish_words(dest).collect();
-        self.redo(lane).commit(&self.pm, &entries)
+        let (lane, mut scratch) = self.lanes.acquire();
+        self.redo(lane)
+            .commit(&self.pm, &mut scratch.redo, oid.publish_words(dest))
     }
 
     /// Atomically null the oid stored at `dest` (offset first).
@@ -683,9 +679,9 @@ impl ObjPool {
     ///
     /// Device or redo-log errors.
     pub fn unpublish_oid(&self, dest: OidDest) -> Result<()> {
-        let (lane, _guard) = self.lanes.acquire();
-        let entries: Vec<_> = dest.null_words().collect();
-        self.redo(lane).commit(&self.pm, &entries)
+        let (lane, mut scratch) = self.lanes.acquire();
+        self.redo(lane)
+            .commit(&self.pm, &mut scratch.redo, dest.null_words())
     }
 
     // ---- transactions ----
@@ -709,13 +705,12 @@ impl ObjPool {
     ///
     /// Device or undo-log errors while arming the lane's log.
     pub fn tx_begin(&self) -> Result<TxHandle<'_>> {
-        let (lane, guard) = self.lanes.acquire();
-        let ulog = UndoLog::new(self.hdr.undo_off(lane), self.hdr.undo_capacity);
+        let (lane, scratch) = self.lanes.acquire();
+        let mut ulog = UndoLog::new(self.hdr.undo_off(lane), self.hdr.undo_capacity);
         ulog.begin(&self.pm)?;
         self.pm.mark("tx_begin");
         Ok(TxHandle {
-            tx: Some(Tx::new(self, lane, ulog)),
-            _lane: guard,
+            tx: Some(Tx::new(self, lane, ulog, scratch)),
         })
     }
 
@@ -765,11 +760,10 @@ impl ObjPool {
 ///
 /// Exactly one of [`commit`](TxHandle::commit) / [`rollback`](TxHandle::rollback)
 /// consumes the handle; dropping it unfinished (including during panic
-/// unwinding) rolls back. The lane is released when the handle goes away,
-/// whichever path it takes.
+/// unwinding) rolls back. The lane (which the [`Tx`] holds) is released
+/// when the handle goes away, whichever path it takes.
 pub struct TxHandle<'p> {
     tx: Option<Tx<'p>>,
-    _lane: LaneGuard<'p>,
 }
 
 impl std::fmt::Debug for TxHandle<'_> {
@@ -796,10 +790,9 @@ impl<'p> TxHandle<'p> {
     /// Device or log errors. The commit point may or may not have been
     /// passed when an error surfaces; recovery on reopen resolves it.
     pub fn commit(mut self) -> Result<()> {
-        let tx = self.tx.take().expect("transaction already finished");
-        let pool = tx.pool();
+        let mut tx = self.tx.take().expect("transaction already finished");
         tx.commit()?;
-        pool.pm().mark("tx_end");
+        tx.pool().pm().mark("tx_end");
         Ok(())
     }
 
@@ -810,23 +803,21 @@ impl<'p> TxHandle<'p> {
     ///
     /// Device or log errors.
     pub fn rollback(mut self) -> Result<()> {
-        let tx = self.tx.take().expect("transaction already finished");
-        let pool = tx.pool();
+        let mut tx = self.tx.take().expect("transaction already finished");
         tx.rollback()?;
-        pool.pm().mark("tx_abort");
+        tx.pool().pm().mark("tx_abort");
         Ok(())
     }
 }
 
 impl Drop for TxHandle<'_> {
     fn drop(&mut self) {
-        if let Some(tx) = self.tx.take() {
-            let pool = tx.pool();
+        if let Some(mut tx) = self.tx.take() {
             // Unwinding (or a dropped handle): abort. Errors cannot
             // propagate from drop; recovery on reopen re-runs the rollback
             // from the durable undo log if this one did not finish.
             let _ = tx.rollback();
-            pool.pm().mark("tx_abort");
+            tx.pool().pm().mark("tx_abort");
         }
     }
 }

@@ -7,6 +7,12 @@
 //! idempotent, so crashing at any point yields either none or all of the
 //! writes — the PMDK allocator's atomicity mechanism.
 //!
+//! One [`RedoLog::apply`] performs the writes: [`RedoLog::commit`] feeds it
+//! the entries it has just staged (it never reads its own log back), and
+//! [`RedoLog::recover`] feeds it the log it reads back from PM. Staging
+//! goes through a buffer the holding lane owns, sized by its slot count, so
+//! a commit allocates nothing.
+//!
 //! Entry *order matters*: entries are applied first-to-last, which is how
 //! SPP guarantees the oid `size` field is set before the validating `off`
 //! field (paper §IV-F).
@@ -28,51 +34,69 @@ pub(crate) struct RedoLog {
 const VALID: u64 = 0;
 const COUNT: u64 = 8;
 const ENTRIES: u64 = 16;
+/// Bytes of one `(target, value)` entry.
+pub(crate) const ENTRY_SIZE: u64 = 16;
+
+/// The `(target, value)` pairs of a staged or read-back log.
+fn entries(log: &[u8]) -> impl Iterator<Item = (u64, u64)> + '_ {
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte word"));
+    log.chunks_exact(ENTRY_SIZE as usize)
+        .map(move |e| (word(&e[..8]), word(&e[8..])))
+}
 
 impl RedoLog {
     pub(crate) fn new(region_off: u64, slots: u64) -> Self {
         RedoLog { region_off, slots }
     }
 
-    /// Atomically perform `entries` (in order) via the redo protocol.
+    /// Atomically perform `ops` (in order) via the redo protocol, staging
+    /// them in `stage` — the holding lane's buffer.
     ///
     /// # Errors
     ///
     /// [`PmdkError::RedoLogFull`] if more entries than configured slots.
-    pub(crate) fn commit(&self, pm: &PmPool, entries: &[(u64, u64)]) -> Result<()> {
-        if entries.len() as u64 > self.slots {
+    pub(crate) fn commit(
+        &self,
+        pm: &PmPool,
+        stage: &mut Vec<u8>,
+        ops: impl IntoIterator<Item = (u64, u64)>,
+    ) -> Result<()> {
+        stage.clear();
+        for (target, value) in ops {
+            stage.extend_from_slice(&target.to_le_bytes());
+            stage.extend_from_slice(&value.to_le_bytes());
+        }
+        let count = stage.len() as u64 / ENTRY_SIZE;
+        if count > self.slots {
             return Err(PmdkError::RedoLogFull);
         }
         // 1. Stage entries and count.
-        let mut staged = Vec::with_capacity(entries.len() * 16);
-        for &(target, value) in entries {
-            staged.extend_from_slice(&target.to_le_bytes());
-            staged.extend_from_slice(&value.to_le_bytes());
-        }
-        pm.write(self.region_off + ENTRIES, &staged)?;
-        write_u64(pm, self.region_off + COUNT, entries.len() as u64)?;
-        pm.persist(self.region_off + COUNT, (8 + staged.len() as u64) as usize)?;
+        pm.write(self.region_off + ENTRIES, stage)?;
+        write_u64(pm, self.region_off + COUNT, count)?;
+        pm.persist(self.region_off + COUNT, 8 + stage.len())?;
         // 2. Validate the log. From here on, the operation is guaranteed to
         //    complete (possibly via recovery).
         write_u64(pm, self.region_off + VALID, 1)?;
         pm.persist(self.region_off + VALID, 8)?;
-        // 3. Apply.
-        self.apply(pm)?;
+        // 3. Apply what was just staged.
+        Self::apply(pm, entries(stage))?;
         // 4. Invalidate.
-        write_u64(pm, self.region_off + VALID, 0)?;
-        pm.persist(self.region_off + VALID, 8)?;
-        Ok(())
+        self.invalidate(pm)
     }
 
-    fn apply(&self, pm: &PmPool) -> Result<()> {
-        let count = read_u64(pm, self.region_off + COUNT)?;
-        for i in 0..count {
-            let target = read_u64(pm, self.region_off + ENTRIES + i * 16)?;
-            let value = read_u64(pm, self.region_off + ENTRIES + i * 16 + 8)?;
+    /// Perform a validated log's writes, first to last, then fence.
+    fn apply(pm: &PmPool, log: impl Iterator<Item = (u64, u64)>) -> Result<()> {
+        for (target, value) in log {
             write_u64(pm, target, value)?;
             pm.flush(target, 8)?;
         }
         pm.fence();
+        Ok(())
+    }
+
+    fn invalidate(&self, pm: &PmPool) -> Result<()> {
+        write_u64(pm, self.region_off + VALID, 0)?;
+        pm.persist(self.region_off + VALID, 8)?;
         Ok(())
     }
 
@@ -89,21 +113,30 @@ impl RedoLog {
         if !self.is_valid(pm)? {
             return Ok(false);
         }
-        write_u64(pm, self.region_off + VALID, 0)?;
-        pm.persist(self.region_off + VALID, 8)?;
+        self.invalidate(pm)?;
         Ok(true)
     }
 
     /// Recover this lane's redo log: if valid, re-apply and clear.
     ///
     /// Returns whether a log was applied.
+    ///
+    /// # Errors
+    ///
+    /// Device errors, or [`PmdkError::BadPool`] for a count beyond the
+    /// lane's slots.
     pub(crate) fn recover(&self, pm: &PmPool) -> Result<bool> {
-        if read_u64(pm, self.region_off + VALID)? != 1 {
+        if !self.is_valid(pm)? {
             return Ok(false);
         }
-        self.apply(pm)?;
-        write_u64(pm, self.region_off + VALID, 0)?;
-        pm.persist(self.region_off + VALID, 8)?;
+        let count = read_u64(pm, self.region_off + COUNT)?;
+        if count > self.slots {
+            return Err(PmdkError::BadPool(format!("corrupt redo count {count}")));
+        }
+        let mut log = vec![0u8; (count * ENTRY_SIZE) as usize];
+        pm.read(self.region_off + ENTRIES, &mut log)?;
+        Self::apply(pm, entries(&log))?;
+        self.invalidate(pm)?;
         Ok(true)
     }
 }
@@ -122,7 +155,8 @@ mod tests {
     fn commit_applies_in_order() {
         let pm = pool();
         let log = RedoLog::new(0, 8);
-        log.commit(&pm, &[(0x1000, 7), (0x1008, 9)]).unwrap();
+        log.commit(&pm, &mut Vec::new(), [(0x1000, 7), (0x1008, 9)])
+            .unwrap();
         assert_eq!(read_u64(&pm, 0x1000).unwrap(), 7);
         assert_eq!(read_u64(&pm, 0x1008).unwrap(), 9);
         // And the effects are durable.
@@ -139,7 +173,7 @@ mod tests {
         let log = RedoLog::new(0, 1);
         let entries = vec![(0x1000u64, 1u64), (0x1008, 2)];
         assert!(matches!(
-            log.commit(&pm, &entries),
+            log.commit(&pm, &mut Vec::new(), entries),
             Err(PmdkError::RedoLogFull)
         ));
     }
@@ -179,6 +213,18 @@ mod tests {
         let log = RedoLog::new(0, 8);
         assert!(!log.recover(&pm2).unwrap());
         assert_eq!(read_u64(&pm2, 0x2000).unwrap(), 0);
+    }
+
+    #[test]
+    fn recovery_refuses_a_count_beyond_the_slots() {
+        // A valid flag over a count no commit could have written: refused
+        // before anything is read or applied on its say-so.
+        let pm = pool();
+        write_u64(&pm, COUNT, 9).unwrap();
+        write_u64(&pm, VALID, 1).unwrap();
+        let log = RedoLog::new(0, 8);
+        assert!(matches!(log.recover(&pm), Err(PmdkError::BadPool(_))));
+        assert!(log.is_valid(&pm).unwrap());
     }
 
     #[test]
