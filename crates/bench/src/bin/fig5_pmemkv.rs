@@ -140,7 +140,8 @@ fn main() {
     //
     // The mix rows above run without latency injection, so on a single-core
     // host their thread counts only time-slice. This row runs on a device
-    // whose flushes cost overlappable wall-clock time: N threads overlap
+    // whose fences cost overlappable wall-clock time to drain the flushes
+    // before them (`--flush-wait-ns` per draining fence): N threads overlap
     // their device waits exactly as N cores overlap stalls on real PM, so
     // throughput must climb with the thread count until the workload turns
     // CPU-bound — unless a lock is held across the device path, which is

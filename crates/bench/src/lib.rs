@@ -44,8 +44,9 @@ pub fn fresh_pool(bytes: u64, lanes: usize) -> Arc<ObjPool> {
     Arc::new(ObjPool::create(pm, PoolOpts::new().lanes(lanes)).expect("pool create"))
 }
 
-/// Create a fresh pool backed by a device with an *overlappable* wall-clock
-/// flush wait ([`LatencyModel::device_wait`]) — the substrate for the
+/// Create a fresh pool backed by a device whose fences pay an *overlappable*
+/// wall-clock wait to drain the flushes before them
+/// ([`LatencyModel::device_wait`]) — the substrate for the
 /// thread-scaling rows. The wait starts **disabled** so preloading runs at
 /// DRAM speed; call `pool.pm().set_latency_enabled(true)` around the timed
 /// region.

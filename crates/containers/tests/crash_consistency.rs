@@ -8,7 +8,7 @@ use spp_containers::{PList, PQueue};
 use spp_core::{SppPolicy, TagConfig};
 use spp_pm::{Mode, PmPool, PoolConfig};
 use spp_pmdk::{ObjPool, PoolOpts};
-use spp_pmemcheck::{Checker, CrashPoints, Replayer, TxChecker};
+use spp_pmemcheck::{explore, Checker, TxChecker};
 
 const POOL: u64 = 1 << 20;
 
@@ -24,21 +24,17 @@ fn list_links_never_tear() {
     let (pm, pool, policy) = setup();
     let list = PList::create(Arc::clone(&policy)).unwrap();
     let meta = list.meta();
-    let initial = pm.contents();
     pm.reset_tracking();
 
-    for i in 10..15u64 {
-        list.push_back(i).unwrap();
-    }
-    list.pop_front().unwrap();
-
-    let log = pm.event_log().unwrap();
-    assert!(Checker::new().analyze(&log).is_clean());
-    assert!(TxChecker::new(pool.heap_off()).analyze(&log).is_clean());
-
-    let replayer = Replayer::with_initial(initial, log);
-    let checked = replayer
-        .explore(CrashPoints::Fences, |img| {
+    let checked = explore(
+        &pm,
+        || {
+            for i in 10..15u64 {
+                list.push_back(i).unwrap();
+            }
+            list.pop_front().unwrap();
+        },
+        move |img| {
             let pm = Arc::new(PmPool::from_image(img.clone(), PoolConfig::new(0)));
             let pool = Arc::new(ObjPool::open(pm).map_err(|e| format!("recovery: {e}"))?);
             let policy =
@@ -56,9 +52,14 @@ fn list_links_never_tear() {
                 return Err("count disagrees with the chain".into());
             }
             Ok(())
-        })
-        .unwrap_or_else(|e| panic!("crash-state violation: {e}"));
+        },
+    )
+    .unwrap_or_else(|e| panic!("crash-state violation: {e}"));
     assert!(checked > 40);
+
+    let log = pm.event_log().unwrap();
+    assert!(Checker::new().analyze(&log).is_clean());
+    assert!(TxChecker::new(pool.heap_off()).analyze(&log).is_clean());
 }
 
 #[test]
@@ -66,18 +67,17 @@ fn queue_indices_never_tear() {
     let (pm, _pool, policy) = setup();
     let q = PQueue::create(Arc::clone(&policy), 4).unwrap();
     let meta = q.meta();
-    let initial = pm.contents();
     pm.reset_tracking();
 
-    q.enqueue(1).unwrap();
-    q.enqueue(2).unwrap();
-    q.dequeue().unwrap();
-    q.enqueue(3).unwrap();
-
-    let log = pm.event_log().unwrap();
-    let replayer = Replayer::with_initial(initial, log);
-    replayer
-        .explore(CrashPoints::Fences, |img| {
+    explore(
+        &pm,
+        || {
+            q.enqueue(1).unwrap();
+            q.enqueue(2).unwrap();
+            q.dequeue().unwrap();
+            q.enqueue(3).unwrap();
+        },
+        move |img| {
             let pm = Arc::new(PmPool::from_image(img.clone(), PoolConfig::new(0)));
             let pool = Arc::new(ObjPool::open(pm).map_err(|e| format!("recovery: {e}"))?);
             let policy =
@@ -94,6 +94,7 @@ fn queue_indices_never_tear() {
                 return Err(format!("illegal queue state {drained:?}"));
             }
             Ok(())
-        })
-        .unwrap_or_else(|e| panic!("crash-state violation: {e}"));
+        },
+    )
+    .unwrap_or_else(|e| panic!("crash-state violation: {e}"));
 }

@@ -412,15 +412,6 @@ impl<P: MemoryPolicy> KvStore<P> {
         for op in ops {
             assert_eq!(op.key().len(), KEY_SIZE, "cmap engine uses fixed-size keys");
         }
-        // Defer the per-flush device waits: the batch's flushes all land
-        // before its single fence, so they drain as one queue flush.
-        self.policy
-            .pool()
-            .pm()
-            .coalesce_flush_waits(|| self.apply_batch_staged(ops))
-    }
-
-    fn apply_batch_staged(&self, ops: &[BatchOp<'_>]) -> Result<Vec<BatchOutcome>> {
         // Lane before stripes, as everywhere.
         let mut h = self.policy.pool().tx_begin()?;
         // Phase 1, no stripe locks: a value object per put, private to the
@@ -1066,6 +1057,41 @@ mod tests {
             });
             assert_eq!(single, batched, "remove vs [Del] on {k:?}");
         }
+    }
+
+    /// Wall-clock time `op` takes on a fresh device-wait store that already
+    /// holds `key(1)`; setup runs with the device wait switched off.
+    fn device_time(op: impl FnOnce(&KvStore<SppPolicy>)) -> std::time::Duration {
+        let wait = spp_pm::LatencyModel::device_wait(0, 1_000_000);
+        let pm = Arc::new(PmPool::new(PoolConfig::new(1 << 22).latency(wait)));
+        pm.set_latency_enabled(false);
+        let pool = Arc::new(ObjPool::create(Arc::clone(&pm), PoolOpts::new().lanes(1)).unwrap());
+        let policy = Arc::new(SppPolicy::new(pool, TagConfig::default()).unwrap());
+        let kv = KvStore::create(policy, 16).unwrap();
+        kv.put(&key(1), b"resident").unwrap();
+        pm.set_latency_enabled(true);
+        let t0 = std::time::Instant::now();
+        op(&kv);
+        t0.elapsed()
+    }
+
+    #[test]
+    fn a_put_and_a_batch_of_one_cost_the_same() {
+        // Same flushes and fences (above), so the same device price: the
+        // model charges the traffic, not the entry point.
+        let k = key(2);
+        let single = device_time(|kv| kv.put(&k, b"value").unwrap());
+        let batched = device_time(|kv| {
+            kv.apply_batch(&[BatchOp::Put {
+                key: &k,
+                value: b"value",
+            }])
+            .unwrap();
+        });
+        assert!(
+            single < 2 * batched && batched < 2 * single,
+            "put {single:?} vs [Put] {batched:?}"
+        );
     }
 
     #[test]

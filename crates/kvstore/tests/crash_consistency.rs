@@ -8,7 +8,7 @@ use spp_core::{SppPolicy, TagConfig};
 use spp_kvstore::{KvStore, KEY_SIZE};
 use spp_pm::{Mode, PmPool, PoolConfig};
 use spp_pmdk::{ObjPool, PoolOpts};
-use spp_pmemcheck::{Checker, CrashPoints, Replayer, TxChecker};
+use spp_pmemcheck::{explore, Checker, TxChecker};
 
 const POOL: u64 = 1 << 20;
 
@@ -26,30 +26,7 @@ fn kv_workload_recovers_consistently_in_every_crash_state() {
     let kv = KvStore::create(Arc::clone(&policy), 8).unwrap();
     let meta = kv.meta();
     let heap_off = pool.heap_off();
-    let initial = pm.contents();
     pm.reset_tracking();
-
-    for i in 0..5u64 {
-        kv.put(&key(i), format!("value-{i}").as_bytes()).unwrap();
-    }
-    kv.put(&key(2), b"value-2-updated").unwrap();
-    kv.remove(&key(3)).unwrap();
-
-    let log = pm.event_log().unwrap();
-    // Rules: flush/fence discipline and tx discipline both hold.
-    let report = Checker::new().analyze(&log);
-    assert!(
-        report.is_clean(),
-        "{:?}",
-        &report.errors[..report.errors.len().min(3)]
-    );
-    let txr = TxChecker::new(heap_off).analyze(&log);
-    assert!(
-        txr.is_clean(),
-        "{:?}",
-        &txr.unprotected[..txr.unprotected.len().min(3)]
-    );
-    assert!(txr.transactions >= 7);
 
     // Crash exploration: in every state, the recovered pool opens and each
     // key maps to one of its legal values or is absent.
@@ -62,9 +39,16 @@ fn kv_workload_recovers_consistently_in_every_crash_state() {
             (i, vals)
         })
         .collect();
-    let replayer = Replayer::with_initial(initial, log);
-    let checked = replayer
-        .explore(CrashPoints::Fences, |img| {
+    let checked = explore(
+        &pm,
+        || {
+            for i in 0..5u64 {
+                kv.put(&key(i), format!("value-{i}").as_bytes()).unwrap();
+            }
+            kv.put(&key(2), b"value-2-updated").unwrap();
+            kv.remove(&key(3)).unwrap();
+        },
+        move |img| {
             let pm = Arc::new(PmPool::from_image(img.clone(), PoolConfig::new(0)));
             let pool = Arc::new(ObjPool::open(pm).map_err(|e| format!("recovery: {e}"))?);
             let policy =
@@ -84,7 +68,24 @@ fn kv_workload_recovers_consistently_in_every_crash_state() {
                 }
             }
             Ok(())
-        })
-        .unwrap_or_else(|e| panic!("crash-state violation: {e}"));
+        },
+    )
+    .unwrap_or_else(|e| panic!("crash-state violation: {e}"));
     assert!(checked > 50);
+
+    let log = pm.event_log().unwrap();
+    // Rules: flush/fence discipline and tx discipline both hold.
+    let report = Checker::new().analyze(&log);
+    assert!(
+        report.is_clean(),
+        "{:?}",
+        &report.errors[..report.errors.len().min(3)]
+    );
+    let txr = TxChecker::new(heap_off).analyze(&log);
+    assert!(
+        txr.is_clean(),
+        "{:?}",
+        &txr.unprotected[..txr.unprotected.len().min(3)]
+    );
+    assert!(txr.transactions >= 7);
 }

@@ -16,8 +16,8 @@ impl CrashImage {
         CrashImage { bytes }
     }
 
-    /// Construct an image from raw durable bytes (used by external crash
-    /// replayers such as `spp-pmemcheck`).
+    /// Construct an image from raw durable bytes, e.g. a pool file read
+    /// back from disk or the contents of a recovered pool.
     pub fn from_bytes(bytes: Vec<u8>) -> Self {
         CrashImage { bytes }
     }
@@ -266,6 +266,25 @@ mod tests {
         pool.write(8, &[1]).unwrap();
         for img in CrashStateIter::new(&pool) {
             assert_eq!(img.bytes()[0], 9);
+        }
+    }
+
+    #[test]
+    fn fenced_store_never_undone_by_older_pending_overlap() {
+        // An older store spans lines 0–1; a newer one overwrites bytes 0..8
+        // and is flushed and fenced. The older store's line 1 is still
+        // unflushed, so it stays pending — but no crash may put its bytes
+        // back over the fenced newer ones.
+        let pool = PmPool::new(PoolConfig::new(1024).mode(Mode::Tracked));
+        pool.write(0, &[1; 128]).unwrap();
+        pool.write(0, &[2; 8]).unwrap();
+        pool.persist(0, 8).unwrap();
+        let it = CrashStateIter::new(&pool);
+        assert_eq!(it.state_count(), 2, "only the older store is pending");
+        for img in it {
+            assert_eq!(&img.bytes()[..8], &[2; 8]);
+            let tail = &img.bytes()[8..128];
+            assert!(tail == [0; 120] || tail == [1; 120], "torn pending store");
         }
     }
 

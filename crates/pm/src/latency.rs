@@ -15,13 +15,15 @@
 //!   serialize on an oversubscribed machine.
 //! * **Wait latency** (`*_wait_ns`) stalls for wall-clock time while
 //!   *yielding the core*. It models *device-side* latency — the time a real
-//!   PM DIMM's write-pending queue holds a flush — during which other
+//!   PM DIMM's write-pending queue takes to drain — during which other
 //!   threads can run. This is what makes thread-scaling measurable: N
 //!   threads overlap their device waits exactly as N cores overlap stalls
 //!   on real hardware, so workloads whose locks are off the device path
 //!   scale until they become CPU-bound, and workloads that hold a lock
 //!   across a device wait visibly serialize. The scaling rows of fig5/fig7
-//!   run under this model.
+//!   run under this model. As under Px86, a `CLWB` is posted and only
+//!   `SFENCE` waits: a fence pays one `flush_wait_ns` if its thread flushed
+//!   since its previous fence, and a flush pays nothing itself.
 
 use std::time::{Duration, Instant};
 
@@ -39,8 +41,9 @@ pub struct LatencyModel {
     pub read_wait_ns: u32,
     /// Wall-clock nanoseconds of overlappable device wait per write access.
     pub write_wait_ns: u32,
-    /// Wall-clock nanoseconds of overlappable device wait per flush
-    /// (`CLWB` reaching the media — the dominant durability cost).
+    /// Wall-clock nanoseconds of overlappable device wait per drain: paid
+    /// by a fence (`SFENCE`) whose thread has flushed since its previous
+    /// fence — the dominant durability cost. Flushes themselves are posted.
     pub flush_wait_ns: u32,
 }
 
@@ -63,9 +66,10 @@ impl LatencyModel {
     }
 
     /// Overlappable device-wait profile for thread-scaling experiments:
-    /// flushes pay `flush_ns` of wall-clock wait (yielding the core),
-    /// reads pay `read_ns`. Writes are posted (buffered) and free — their
-    /// cost lands on the flush that makes them durable, as on real PM.
+    /// a fence that drains this thread's flushes pays `flush_ns` of
+    /// wall-clock wait (yielding the core), reads pay `read_ns`. Writes and
+    /// flushes are posted (buffered) and free — their cost lands on the
+    /// fence that makes them durable, as on real PM.
     pub fn device_wait(read_ns: u32, flush_ns: u32) -> Self {
         LatencyModel {
             read_wait_ns: read_ns,
@@ -100,7 +104,7 @@ impl LatencyModel {
     }
 
     #[inline]
-    pub(crate) fn on_flush(&self) {
+    pub(crate) fn on_drain(&self) {
         if self.flush_wait_ns != 0 {
             wait(self.flush_wait_ns);
         }
@@ -141,7 +145,7 @@ mod tests {
         // Must not hang or panic.
         m.on_read(4096);
         m.on_write(4096);
-        m.on_flush();
+        m.on_drain();
     }
 
     #[test]
@@ -154,10 +158,10 @@ mod tests {
 
     #[test]
     fn device_wait_stalls_wall_clock() {
-        let m = LatencyModel::device_wait(0, 200_000); // 200µs flush
+        let m = LatencyModel::device_wait(0, 200_000); // 200µs drain
         assert!(!m.is_none());
         let start = Instant::now();
-        m.on_flush();
+        m.on_drain();
         assert!(start.elapsed() >= Duration::from_micros(200));
         // Reads and writes are free in this profile.
         let start = Instant::now();
@@ -175,7 +179,7 @@ mod tests {
         let start = Instant::now();
         std::thread::scope(|s| {
             for _ in 0..4 {
-                s.spawn(|| m.on_flush());
+                s.spawn(|| m.on_drain());
             }
         });
         assert!(

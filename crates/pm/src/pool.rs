@@ -16,11 +16,10 @@ use crate::{PoolOffset, Result, VirtAddr, DEFAULT_POOL_BASE};
 pub const CACHE_LINE: u64 = 64;
 
 thread_local! {
-    /// Per-thread flush-wait coalescing state: (scope nesting depth,
-    /// deferred flush-wait count). See [`PmPool::coalesce_flush_waits`].
-    /// Keyed per thread, not per pool — in practice a thread commits
-    /// against one pool at a time, and the scope is narrow.
-    static FLUSH_COALESCE: Cell<(u32, u64)> = const { Cell::new((0, 0)) };
+    /// Whether this thread has flushed on a latency-modelled pool since its
+    /// last fence. `SFENCE` is per core: it waits for the issuing core's own
+    /// posted `CLWB`s, so the owed drain is per thread, not per pool.
+    static DRAIN_OWED: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Durability-tracking mode of a pool.
@@ -247,56 +246,6 @@ impl PmPool {
         self.has_latency && self.latency_on.load(Ordering::Relaxed)
     }
 
-    /// Run `f` with this thread's flush *waits* coalesced: every
-    /// [`flush`](Self::flush) issued inside the scope still records its
-    /// events, stats, durability tracking, and boundary tap exactly as
-    /// usual, but the injected device wait is deferred — one drain wait is
-    /// paid when the outermost scope exits (if any flushes were deferred).
-    ///
-    /// This models how a write-pending queue drains posted `CLWB`s
-    /// concurrently: a group commit that flushes N ranges back to back
-    /// before a single fence pays one queue-drain latency, not N. Scopes
-    /// nest; only the outermost pays. The coalescing is per-thread, so
-    /// concurrent committers on other threads are unaffected.
-    pub fn coalesce_flush_waits<R>(&self, f: impl FnOnce() -> R) -> R {
-        struct Scope<'p> {
-            pool: &'p PmPool,
-        }
-        impl Drop for Scope<'_> {
-            fn drop(&mut self) {
-                let (depth, deferred) = FLUSH_COALESCE.get();
-                if depth == 1 {
-                    FLUSH_COALESCE.set((0, 0));
-                    // Pay one drain wait for the whole scope — skipped if
-                    // nothing flushed, and skipped during unwinding (the
-                    // wait models latency, not correctness).
-                    if deferred > 0 && !std::thread::panicking() && self.pool.latency_active() {
-                        self.pool.latency.on_flush();
-                    }
-                } else {
-                    FLUSH_COALESCE.set((depth - 1, deferred));
-                }
-            }
-        }
-        let (depth, deferred) = FLUSH_COALESCE.get();
-        FLUSH_COALESCE.set((depth + 1, deferred));
-        let _scope = Scope { pool: self };
-        f()
-    }
-
-    /// Inside a [`coalesce_flush_waits`](Self::coalesce_flush_waits) scope:
-    /// note one deferred flush wait and return `true` (skip the inline
-    /// wait). Outside any scope: return `false`.
-    #[inline]
-    fn defer_flush_wait(&self) -> bool {
-        let (depth, deferred) = FLUSH_COALESCE.get();
-        if depth == 0 {
-            return false;
-        }
-        FLUSH_COALESCE.set((depth, deferred + 1));
-        true
-    }
-
     /// Resolve a simulated virtual address range to a pool offset.
     ///
     /// # Errors
@@ -409,14 +358,18 @@ impl PmPool {
 
     /// Flush the cache lines covering `[off, off + len)` (`CLWB` analogue).
     ///
+    /// The flush is posted: on latency-modelled media it costs no wait
+    /// itself, but leaves the calling thread owing one drain, which its next
+    /// [`fence`](Self::fence) pays.
+    ///
     /// # Errors
     ///
     /// Returns [`PmError::OutOfRange`] if the range exceeds the pool.
     pub fn flush(&self, off: PoolOffset, len: usize) -> Result<()> {
         self.check_range(off, len)?;
         self.c_flush.record_event();
-        if self.latency_active() && !self.defer_flush_wait() {
-            self.latency.on_flush();
+        if self.latency_active() {
+            DRAIN_OWED.set(true);
         }
         if self.record_stats {
             self.stats.record_flush();
@@ -454,8 +407,15 @@ impl PmPool {
 
     /// Issue a store fence (`SFENCE` analogue): all flushed stores become
     /// durable.
+    ///
+    /// On latency-modelled media the fence waits for the write-pending queue
+    /// to drain: one `flush_wait_ns` if this thread flushed since its last
+    /// fence, nothing otherwise.
     pub fn fence(&self) {
         self.c_fence.record_event();
+        if self.latency_active() && DRAIN_OWED.replace(false) {
+            self.latency.on_drain();
+        }
         if self.record_stats {
             self.stats.record_fence();
         }
@@ -711,51 +671,61 @@ mod tests {
         assert!(r.is_empty());
     }
 
+    /// One drain wait for the device-wait tests: long enough that a paid
+    /// wait cannot hide in scheduling noise, short enough to keep the suite
+    /// fast.
+    const DRAIN: std::time::Duration = std::time::Duration::from_millis(10);
+
+    fn wait_pool() -> PmPool {
+        let ns = DRAIN.as_nanos() as u32;
+        PmPool::new(PoolConfig::new(4096).latency(LatencyModel::device_wait(0, ns)))
+    }
+
+    fn timed(f: impl FnOnce()) -> std::time::Duration {
+        let t0 = std::time::Instant::now();
+        f();
+        t0.elapsed()
+    }
+
     #[test]
     fn coalesced_flushes_pay_one_device_wait() {
-        use crate::latency::LatencyModel;
-        use std::time::Instant;
-        // 2ms per flush wait: 8 inline flushes ≈ 16ms, coalesced ≈ 2ms.
-        let pool =
-            PmPool::new(PoolConfig::new(4096).latency(LatencyModel::device_wait(0, 2_000_000)));
-        let t0 = Instant::now();
-        for i in 0..8u64 {
-            pool.flush(i * 64, 8).unwrap();
-        }
-        pool.fence();
-        let inline = t0.elapsed();
-
-        let t0 = Instant::now();
-        pool.coalesce_flush_waits(|| {
+        // Flushes are posted; the fence drains them all in one wait, where
+        // pricing each flush would cost eight.
+        let pool = wait_pool();
+        let flushes = timed(|| {
             for i in 0..8u64 {
                 pool.flush(i * 64, 8).unwrap();
             }
         });
-        pool.fence();
-        let coalesced = t0.elapsed();
-
-        assert!(inline.as_micros() >= 14_000, "inline {inline:?}");
-        assert!(
-            coalesced < inline / 3,
-            "coalesced {coalesced:?} vs inline {inline:?}"
-        );
-        // Flush counts are unaffected — only the wait is coalesced.
-        assert_eq!(pool.stats().flushes(), 16);
+        assert!(flushes < DRAIN, "flushes waited: {flushes:?}");
+        let fence = timed(|| pool.fence());
+        assert!(fence >= DRAIN, "fence skipped the drain: {fence:?}");
+        let total = flushes + fence;
+        assert!(total < 4 * DRAIN, "paid per flush: {total:?}");
+        assert_eq!(pool.stats().flushes(), 8);
     }
 
     #[test]
-    fn coalesce_scope_keeps_tracking_and_scopes_nest() {
-        let pool = tracked_pool();
-        pool.coalesce_flush_waits(|| {
-            pool.write(0, &[7; 4]).unwrap();
-            pool.coalesce_flush_waits(|| {
-                pool.flush(0, 4).unwrap();
-            });
-            pool.fence();
-        });
-        // Durability tracking inside the scope behaves exactly as inline.
-        let img = pool.crash_image(CrashSpec::DropUnpersisted);
-        assert_eq!(&img.bytes()[..4], &[7u8; 4]);
+    fn fence_with_nothing_owed_is_free() {
+        let pool = wait_pool();
+        let idle = timed(|| pool.fence());
+        assert!(idle < DRAIN, "fence with no flush waited: {idle:?}");
+        // `persist` pays exactly one drain; the fence after it owes nothing.
+        let persist = timed(|| pool.persist(0, 8).unwrap());
+        assert!(persist >= DRAIN, "persist skipped the drain: {persist:?}");
+        let again = timed(|| pool.fence());
+        assert!(again < DRAIN, "second fence paid again: {again:?}");
+    }
+
+    #[test]
+    fn drain_owed_by_one_thread_is_not_paid_by_another() {
+        // SFENCE waits for its own core's flushes only.
+        let pool = wait_pool();
+        pool.flush(0, 8).unwrap();
+        let other = std::thread::scope(|s| s.spawn(|| timed(|| pool.fence())).join().unwrap());
+        assert!(other < DRAIN, "another thread paid the drain: {other:?}");
+        let own = timed(|| pool.fence());
+        assert!(own >= DRAIN, "the owing thread skipped it: {own:?}");
     }
 
     #[test]

@@ -8,10 +8,13 @@
 //! * [`TxChecker`] — the TX-discipline rule: stores inside a transaction
 //!   must be undo-logged (snapshotted) or target objects allocated within
 //!   the same transaction;
-//! * [`Replayer`] — `pmreorder`: reconstructs, at every chosen crash point,
-//!   the set of memory images a power failure could leave behind (persisted
-//!   stores always present; pending stores present in any order-consistent
-//!   subset) and runs a user-supplied consistency validator on each.
+//! * [`explore`] — `pmreorder`: runs a workload on a tracked pool and, at
+//!   every flush, every fence and the end, takes the memory images a power
+//!   failure could leave behind from the pool itself
+//!   ([`spp_pm::CrashStateIter`]: persisted stores always present, pending
+//!   stores in any subset) and runs a user-supplied consistency validator
+//!   on each. The pool's tracked mode is the one model of what survives a
+//!   crash; this crate only chooses where to look.
 //!
 //! The workspace's crash-consistency suites drive whole index workloads in
 //! tracked mode and validate that `ObjPool::open` recovery plus the index
@@ -19,9 +22,9 @@
 //! field in play, which is exactly the property §VI-E establishes.
 
 mod checker;
-mod replay;
+mod explore;
 mod txcheck;
 
 pub use checker::{Checker, Report, Violation, Warning};
-pub use replay::{CrashPoints, ExploreError, Replayer};
+pub use explore::{explore, ExploreError};
 pub use txcheck::{TxChecker, TxReport, UnprotectedStore};

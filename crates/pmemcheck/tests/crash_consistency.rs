@@ -1,9 +1,9 @@
 //! §VI-E: whole-workload crash-consistency verification.
 //!
-//! Index workloads run against a tracked pool; the resulting event log is
-//! fed to the pmemcheck rules checker and the pmreorder-style replayer.
-//! Every reachable crash state must recover to a structurally consistent
-//! index — with SPP's durable size field in play.
+//! Index workloads run against a tracked pool under the pmreorder-style
+//! explorer, and the resulting event log is fed to the pmemcheck rules
+//! checker. Every reachable crash state must recover to a structurally
+//! consistent index — with SPP's durable size field in play.
 
 use std::sync::Arc;
 
@@ -11,7 +11,7 @@ use spp_core::{MemoryPolicy, SppPolicy, TagConfig};
 use spp_indices::{CTree, HashMapTx, Index, RbTree};
 use spp_pm::{CrashImage, Mode, PmPool, PoolConfig};
 use spp_pmdk::{ObjPool, PmemOid, PoolOpts};
-use spp_pmemcheck::{Checker, CrashPoints, Replayer};
+use spp_pmemcheck::{explore, Checker};
 
 const POOL: u64 = 1 << 20;
 
@@ -19,15 +19,6 @@ fn tracked_policy() -> Arc<SppPolicy> {
     let pm = Arc::new(PmPool::new(PoolConfig::new(POOL).mode(Mode::Tracked)));
     let pool = Arc::new(ObjPool::create(pm, PoolOpts::small()).unwrap());
     Arc::new(SppPolicy::new(pool, TagConfig::default()).unwrap())
-}
-
-/// Snapshot the durable baseline after setup and restart tracking, so the
-/// exploration covers application activity, not device formatting.
-fn baseline(policy: &SppPolicy) -> Vec<u8> {
-    let pm = policy.pool().pm();
-    let initial = pm.contents();
-    pm.reset_tracking();
-    initial
 }
 
 fn reopen(img: &CrashImage) -> Result<Arc<SppPolicy>, String> {
@@ -69,14 +60,23 @@ where
 fn ctree_workload_is_crash_consistent() {
     let policy = tracked_policy();
     let tree = CTree::create(Arc::clone(&policy)).unwrap();
-    let initial = baseline(&policy);
-    let keys: Vec<(u64, u64)> = (0..6u64).map(|k| (k * 17 + 3, k + 100)).collect();
-    for &(k, v) in &keys {
-        tree.insert(k, v).unwrap();
-    }
-    tree.remove(keys[1].0).unwrap();
-    tree.remove(keys[4].0).unwrap();
     let meta = tree.meta();
+    policy.pool().pm().reset_tracking();
+    let keys: Vec<(u64, u64)> = (0..6u64).map(|k| (k * 17 + 3, k + 100)).collect();
+    let expected = keys.clone();
+    let checked = explore(
+        policy.pool().pm(),
+        || {
+            for &(k, v) in &keys {
+                tree.insert(k, v).unwrap();
+            }
+            tree.remove(keys[1].0).unwrap();
+            tree.remove(keys[4].0).unwrap();
+        },
+        move |img| validate_index(img, meta, &expected, CTree::open),
+    )
+    .unwrap_or_else(|e| panic!("crash-state violation: {e}"));
+    assert!(checked > 100, "exploration too shallow: {checked} states");
 
     // Rule check: the workload flushed and fenced everything it wrote.
     let log = policy.pool().pm().event_log().unwrap();
@@ -86,55 +86,47 @@ fn ctree_workload_is_crash_consistent() {
         "pmemcheck errors: {:?}",
         &report.errors[..report.errors.len().min(3)]
     );
-
-    // Crash-state exploration.
-    let replayer = Replayer::with_initial(initial, log);
-    let checked = replayer
-        .explore(CrashPoints::Fences, |img| {
-            validate_index(img, meta, &keys, CTree::open)
-        })
-        .unwrap_or_else(|e| panic!("crash-state violation: {e}"));
-    assert!(checked > 100, "exploration too shallow: {checked} states");
 }
 
 #[test]
 fn hashmap_workload_is_crash_consistent() {
     let policy = tracked_policy();
     let map = HashMapTx::with_buckets(Arc::clone(&policy), 16).unwrap();
-    let initial = baseline(&policy);
-    let keys: Vec<(u64, u64)> = (0..6u64).map(|k| (k, k * 2 + 1)).collect();
-    for &(k, v) in &keys {
-        map.insert(k, v).unwrap();
-    }
-    map.remove(2).unwrap();
     let meta = map.meta();
+    policy.pool().pm().reset_tracking();
+    let keys: Vec<(u64, u64)> = (0..6u64).map(|k| (k, k * 2 + 1)).collect();
+    let expected = keys.clone();
+    let checked = explore(
+        policy.pool().pm(),
+        || {
+            for &(k, v) in &keys {
+                map.insert(k, v).unwrap();
+            }
+            map.remove(2).unwrap();
+        },
+        move |img| validate_index(img, meta, &expected, HashMapTx::open),
+    )
+    .unwrap_or_else(|e| panic!("crash-state violation: {e}"));
+    assert!(checked > 50);
 
     let log = policy.pool().pm().event_log().unwrap();
     assert!(Checker::new().analyze(&log).is_clean());
-    let replayer = Replayer::with_initial(initial, log);
-    let checked = replayer
-        .explore(CrashPoints::Fences, |img| {
-            validate_index(img, meta, &keys, HashMapTx::open)
-        })
-        .unwrap_or_else(|e| panic!("crash-state violation: {e}"));
-    assert!(checked > 50);
 }
 
 #[test]
 fn rbtree_workload_preserves_invariants_across_crashes() {
     let policy = tracked_policy();
     let tree = RbTree::create(Arc::clone(&policy)).unwrap();
-    let initial = baseline(&policy);
-    let keys: Vec<(u64, u64)> = [5u64, 2, 8, 1, 9].iter().map(|&k| (k, k * 10)).collect();
-    for &(k, v) in &keys {
-        tree.insert(k, v).unwrap();
-    }
     let meta = tree.meta();
-
-    let log = policy.pool().pm().event_log().unwrap();
-    let replayer = Replayer::with_initial(initial, log);
-    replayer
-        .explore(CrashPoints::Fences, |img| {
+    policy.pool().pm().reset_tracking();
+    explore(
+        policy.pool().pm(),
+        || {
+            for k in [5u64, 2, 8, 1, 9] {
+                tree.insert(k, k * 10).unwrap();
+            }
+        },
+        move |img| {
             let policy = reopen(img)?;
             let tree = RbTree::open(policy, meta).map_err(|e| format!("reopen: {e}"))?;
             // Full structural validation (colors, BST order, black height).
@@ -144,8 +136,9 @@ fn rbtree_workload_preserves_invariants_across_crashes() {
             }))
             .map_err(|_| "red-black invariant violated after recovery".to_string())??;
             Ok(())
-        })
-        .unwrap_or_else(|e| panic!("crash-state violation: {e}"));
+        },
+    )
+    .unwrap_or_else(|e| panic!("crash-state violation: {e}"));
 }
 
 #[test]
@@ -155,20 +148,20 @@ fn spp_size_field_is_consistent_in_every_crash_state() {
     // disagrees with the allocation.
     let policy = tracked_policy();
     let home = policy.zalloc(256).unwrap();
-    let initial = baseline(&policy);
-    let hp = policy.direct(home);
-    // A few alloc_into / free_from / realloc cycles on oid slots.
-    let a = policy.zalloc_into_ptr(hp, 100).unwrap();
-    let slot2 = policy.gep(hp, 24);
-    let _b = policy.zalloc_into_ptr(slot2, 200).unwrap();
-    let a2 = policy.realloc_from_ptr(hp, a, 3000).unwrap();
-    assert_eq!(a2.size, 3000);
+    policy.pool().pm().reset_tracking();
     let home_off = home.off;
-
-    let log = policy.pool().pm().event_log().unwrap();
-    let replayer = Replayer::with_initial(initial, log);
-    replayer
-        .explore(CrashPoints::EveryEvent, |img| {
+    explore(
+        policy.pool().pm(),
+        || {
+            let hp = policy.direct(home);
+            // A few alloc_into / free_from / realloc cycles on oid slots.
+            let a = policy.zalloc_into_ptr(hp, 100).unwrap();
+            let slot2 = policy.gep(hp, 24);
+            let _b = policy.zalloc_into_ptr(slot2, 200).unwrap();
+            let a2 = policy.realloc_from_ptr(hp, a, 3000).unwrap();
+            assert_eq!(a2.size, 3000);
+        },
+        move |img| {
             let policy = reopen(img)?;
             for slot in [home_off, home_off + 24] {
                 let ptr = policy.direct(PmemOid::new(policy.pool().uuid(), home_off, 256));
@@ -191,6 +184,7 @@ fn spp_size_field_is_consistent_in_every_crash_state() {
                 }
             }
             Ok(())
-        })
-        .unwrap_or_else(|e| panic!("size-field inconsistency: {e}"));
+        },
+    )
+    .unwrap_or_else(|e| panic!("size-field inconsistency: {e}"));
 }

@@ -28,7 +28,8 @@
 //! stayed O(reactors + shards), not O(connections).
 //!
 //! `--sweep-threads` switches to thread-sweep mode: one fresh in-process
-//! server per connection count on device-wait media, reporting ops/s per
+//! server per connection count on device-wait media, where each fence that
+//! drains its thread's flushes waits `--flush-wait-ns`, reporting ops/s per
 //! point and the throughput knee (see [`run_sweep`]).
 //!
 //! `--pipeline N` switches to pipeline-comparison mode (see

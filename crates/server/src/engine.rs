@@ -74,8 +74,9 @@ pub fn fresh_server_pool(bytes: u64, lanes: usize, tracked: bool) -> Result<Arc<
     Ok(Arc::new(ObjPool::create(pm, PoolOpts::new().lanes(lanes))?))
 }
 
-/// Create a server pool whose flushes pay an *overlappable* wall-clock
-/// device wait ([`spp_pm::LatencyModel::device_wait`]) — the substrate for
+/// Create a server pool whose fences pay an *overlappable* wall-clock
+/// device wait to drain the flushes before them
+/// ([`spp_pm::LatencyModel::device_wait`]) — the substrate for
 /// the load generator's thread sweep, where N connections must overlap
 /// their durability stalls the way N cores do on real PM. Latency starts
 /// disabled so engine setup runs at DRAM speed; call

@@ -1,17 +1,18 @@
 //! Crash-consistency tour: run a transactional index workload on a tracked
-//! pool, verify the flush/fence discipline with the pmemcheck-style
-//! checker, then explore every reachable crash state pmreorder-style and
-//! validate recovery in each.
+//! pool, exploring every reachable crash state pmreorder-style and
+//! validating recovery in each, then verify the flush/fence discipline
+//! with the pmemcheck-style checker. Exits nonzero if either finds a
+//! violation.
 //!
 //! Run with: `cargo run --example crash_recovery`
 
 use std::sync::Arc;
 
-use spp::core::{MemoryPolicy, SppPolicy, TagConfig};
+use spp::core::{SppPolicy, TagConfig};
 use spp::indices::{CTree, Index};
 use spp::pm::{Mode, PmPool, PoolConfig};
 use spp::pmdk::{ObjPool, PoolOpts};
-use spp::pmemcheck::{Checker, CrashPoints, Replayer};
+use spp::pmemcheck::{explore, Checker};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     const POOL: u64 = 1 << 20;
@@ -23,20 +24,46 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // exploration covers application activity only.
     let tree = CTree::create(Arc::clone(&policy))?;
     let meta = tree.meta();
-    let initial = policy.pool().pm().contents();
     pm.reset_tracking();
 
-    // The workload: transactional inserts and a remove.
+    // 1. pmreorder: run transactional inserts and a remove; at every flush
+    //    and every fence, enumerate which pending stores a power failure
+    //    could have left behind; recovery must yield a consistent tree in
+    //    every single state.
     let keys: Vec<(u64, u64)> = (0..5u64).map(|k| (k * 31 + 1, k + 500)).collect();
-    for &(k, v) in &keys {
-        tree.insert(k, v)?;
-    }
-    tree.remove(keys[2].0)?;
+    let expected = keys.clone();
+    let checked = explore(
+        &pm,
+        || {
+            for &(k, v) in &keys {
+                tree.insert(k, v).expect("insert");
+            }
+            tree.remove(keys[2].0).expect("remove");
+        },
+        move |img| {
+            let pm = Arc::new(PmPool::from_image(img.clone(), PoolConfig::new(0)));
+            let pool = ObjPool::open(pm).map_err(|e| format!("recovery: {e}"))?;
+            let policy = Arc::new(
+                SppPolicy::new(Arc::new(pool), TagConfig::default())
+                    .map_err(|e| format!("policy: {e}"))?,
+            );
+            let tree = CTree::open(policy, meta).map_err(|e| format!("reopen: {e}"))?;
+            for &(k, v) in &expected {
+                match tree.get(k) {
+                    Ok(None) => {}
+                    Ok(Some(got)) if got == v => {}
+                    Ok(Some(got)) => return Err(format!("key {k}: bogus value {got}")),
+                    Err(e) => return Err(format!("key {k}: violation {e}")),
+                }
+            }
+            Ok(())
+        },
+    )?;
     println!("workload done: {} live entries", tree.count()?);
+    println!("pmreorder: {checked} crash states explored, all recover consistently ✓");
 
-    // 1. pmemcheck rules: every store flushed and fenced.
-    let log = pm.event_log()?;
-    let report = Checker::new().analyze(&log);
+    // 2. pmemcheck rules: every store flushed and fenced.
+    let report = Checker::new().analyze(&pm.event_log()?);
     println!(
         "pmemcheck: {} stores, {} flushes, {} fences -> {} errors, {} warnings",
         report.stores,
@@ -46,32 +73,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.warnings.len()
     );
     assert!(report.is_clean());
-
-    // 2. pmreorder: at every fence, enumerate which pending stores a power
-    //    failure could have left behind; recovery must yield a consistent
-    //    tree in every single state.
-    let replayer = Replayer::with_initial(initial, log);
-    let checked = replayer.explore(CrashPoints::Fences, |img| {
-        let pm = Arc::new(PmPool::from_image(img.clone(), PoolConfig::new(0)));
-        let pool = ObjPool::open(pm).map_err(|e| format!("recovery: {e}"))?;
-        let policy = Arc::new(
-            SppPolicy::new(Arc::new(pool), TagConfig::default())
-                .map_err(|e| format!("policy: {e}"))?,
-        );
-        let tree = CTree::open(policy, meta).map_err(|e| format!("reopen: {e}"))?;
-        for &(k, v) in &keys {
-            match tree.get(k) {
-                Ok(None) => {}
-                Ok(Some(got)) if got == v => {}
-                Ok(Some(got)) => return Err(format!("key {k}: bogus value {got}")),
-                Err(e) => return Err(format!("key {k}: violation {e}")),
-            }
-        }
-        Ok(())
-    });
-    match checked {
-        Ok(n) => println!("pmreorder: {n} crash states explored, all recover consistently ✓"),
-        Err(e) => println!("pmreorder found an inconsistency: {e}"),
-    }
     Ok(())
 }
