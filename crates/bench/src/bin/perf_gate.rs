@@ -16,7 +16,7 @@
 //!    2.0`, the pipelined server must beat its own round-trip baseline
 //!    by `--pipeline-floor`, and the idle-scaling run must have held
 //!    `--idle-floor` epoll connections while keeping total OS threads
-//!    within `reactors + shards + hot + 8` — threads O(staff), never
+//!    within `reactors + hot + 8` — threads O(staff), never
 //!    O(connections). These compare a run against *itself*, so a
 //!    slow CI runner cannot fake a pass or a fail.
 //! 2. **Tolerance bands vs committed baselines**: absolute throughputs may
@@ -229,10 +229,10 @@ fn gate_idle(gate: &mut Gate, doc: &JsonValue, idle_floor: f64) {
         "idle fleet was held by the epoll front end".into(),
     );
     gate.at_least("idle idle_conns", num_at(doc, &["idle_conns"]), idle_floor);
-    let budget =
-        num_at(doc, &["reactors"]) + num_at(doc, &["shards"]) + num_at(doc, &["hot_conns"]) + 8.0;
+    // Commits run on the reactors: no thread per shard.
+    let budget = num_at(doc, &["reactors"]) + num_at(doc, &["hot_conns"]) + 8.0;
     gate.at_most(
-        "idle os_threads_load (vs reactors+shards+hot+8)",
+        "idle os_threads_load (vs reactors+hot+8)",
         num_at(doc, &["os_threads_load"]),
         budget,
     );
@@ -384,7 +384,7 @@ mod tests {
     fn idle_doc(io: &str, idle: u64, threads: u64) -> JsonValue {
         JsonValue::parse(&format!(
             r#"{{"mode":"idle_scaling","io_mode":"{io}","idle_conns":{idle},
-               "hot_conns":2,"reactors":2,"shards":1,
+               "hot_conns":2,"reactors":2,
                "os_threads_load":{threads},"hot_ops_s":15000.0}}"#
         ))
         .unwrap()
@@ -393,7 +393,7 @@ mod tests {
     #[test]
     fn healthy_idle_run_passes() {
         let mut g = Gate::new();
-        // 2000 idle conns held by 6 threads: well under 2+1+2+8.
+        // 2000 idle conns held by 6 threads: well under 2+2+8.
         gate_idle(&mut g, &idle_doc("epoll", 2000, 6), 2000.0);
         assert_eq!(g.failures, 0, "{} checks", g.checks);
     }
@@ -401,7 +401,7 @@ mod tests {
     #[test]
     fn idle_thread_scaling_regression_fails() {
         // Threads grew with connections (the bug the reactor exists to
-        // prevent): budget is 2+1+2+8 = 13, artifact reports 1013.
+        // prevent): budget is 2+2+8 = 12, artifact reports 1013.
         let mut g = Gate::new();
         gate_idle(&mut g, &idle_doc("epoll", 2000, 1013), 2000.0);
         assert_eq!(g.failures, 1);

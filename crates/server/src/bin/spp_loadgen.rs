@@ -25,7 +25,7 @@
 //! open-but-quiet connections are parked on the server while a small hot
 //! core drives pipelined load; the run reports process thread count and
 //! RSS with the idle fleet attached, and self-validates that threads
-//! stayed O(reactors + shards), not O(connections).
+//! stayed O(reactors), not O(connections).
 //!
 //! `--sweep-threads` switches to thread-sweep mode: one fresh in-process
 //! server per connection count on device-wait media, where each fence that
@@ -888,14 +888,12 @@ fn proc_status() -> (u64, u64) {
 /// process thread count and RSS with the fleet attached, plus hot-path
 /// p50/p99 — and finally ping every idle connection to prove the fleet
 /// stayed serviceable. The run **self-validates** the headline claim:
-/// total threads stay within `reactors + shards + hot + slack`, i.e.
-/// O(reactors + shards), not O(connections).
+/// total threads stay within `reactors + hot + slack`: O(reactors), not
+/// O(connections) nor O(shards).
 fn run_idle(args: &Args, idle_conns: u32) -> Result<(), String> {
     let smoke = args.flag("smoke");
     let policy: PolicyKind = args.get("policy", PolicyKind::Spp);
     let reactors: usize = args.get("reactors", 2);
-    // This mode serves one engine: one shard, so one committer thread.
-    let shards: usize = 1;
     let hot: u32 = args.get("conns", 2);
     let ops: u64 = args.get("ops", if smoke { 400 } else { 4_000 });
     let depth: usize = args.get("pipeline", 8usize).max(1);
@@ -1000,19 +998,17 @@ fn run_idle(args: &Args, idle_conns: u32) -> Result<(), String> {
     server.shutdown();
 
     // Self-validation: idle connections are epoll registrations, so total
-    // process threads are bounded by the fixed staff — reactors + one
-    // committer per shard + hot client threads + slack for main and
-    // runtime helpers. 5000 idle conns vs a budget of
-    // ~hot+reactors+shards+8 leaves no room for an O(conns) regression to
-    // hide.
-    let budget = (reactors + shards + hot as usize + 8) as u64;
+    // threads are bounded by the reactors (which also commit), the hot
+    // clients and slack for main and runtime helpers — no room for an
+    // O(conns) regression to hide behind 5000 idle conns.
+    let budget = (reactors + hot as usize + 8) as u64;
     if threads_load == 0 {
         return Err("procfs unavailable: cannot validate the thread budget".into());
     }
     if threads_load > budget {
         return Err(format!(
             "thread count {threads_load} exceeds budget {budget} \
-             (reactors={reactors} shards={shards} hot={hot}): \
+             (reactors={reactors} hot={hot}): \
              threads are scaling with connections"
         ));
     }
@@ -1039,7 +1035,6 @@ fn run_idle(args: &Args, idle_conns: u32) -> Result<(), String> {
         ("idle_conns", Json::Int(u64::from(idle_conns))),
         ("hot_conns", Json::Int(u64::from(hot))),
         ("reactors", Json::Int(reactors as u64)),
-        ("shards", Json::Int(shards as u64)),
         ("pipeline_depth", Json::Int(depth as u64)),
         ("ops_per_conn", Json::Int(ops)),
         ("value_size", Json::Int(value_size as u64)),

@@ -4,7 +4,7 @@
 //! spp-server [--addr 127.0.0.1] [--port 7877] [--policy pmdk|spp|safepm]
 //!            [--pool-mb 64] [--lanes 16] [--nbuckets 4096] [--shards 1]
 //!            [--max-conns 64]
-//!            [--group-max-batch 64] [--group-hold-us 0]
+//!            [--group-max-batch 64]
 //!            [--reactors 2] [--idle-timeout-ms 0]
 //!            [--pool-file PATH] [--ready-file PATH]
 //!            [--repl-to ADDR] [--repl-ack-mode sync|async]
@@ -96,7 +96,6 @@ fn run() -> Result<(), String> {
         max_conns: args.get("max-conns", 64),
         group: GroupConfig {
             max_batch: args.get("group-max-batch", 64),
-            max_hold: Duration::from_micros(args.get("group-hold-us", 0)),
         },
         reactors: args.get("reactors", 2),
         idle_timeout: (idle_timeout_ms > 0).then(|| Duration::from_millis(idle_timeout_ms)),

@@ -96,7 +96,7 @@ pub fn fresh_server_pool_wait(
 }
 
 /// One mutation in a group-committed write batch (owned — batches cross
-/// thread boundaries on their way to the committer).
+/// thread boundaries on their way to the shard's commit leader).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WriteOp {
     /// Insert or update.

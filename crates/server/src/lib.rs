@@ -6,9 +6,10 @@
 //! length-prefixed [wire protocol](wire), a TCP [server] whose sharded
 //! epoll reactors read the sockets and execute the requests (idle
 //! connections cost no threads; a connection with a run in flight is not
-//! read from, so load backs up into TCP flow control), one group-commit
-//! thread per shard, a closed-loop [client], and (as binaries) the `spp-server` daemon plus
-//! the `spp-loadgen` load generator. The served store is selected per
+//! read from, so load backs up into TCP flow control) and commit writes
+//! themselves through one group committer per shard, a closed-loop
+//! [client], and (as binaries) the `spp-server` daemon plus the
+//! `spp-loadgen` load generator. The served store is selected per
 //! process with `--policy pmdk|spp|safepm`, so the three policies are
 //! compared end-to-end — syscalls, framing, and fences included — rather
 //! than in a tight loop.

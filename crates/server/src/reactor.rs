@@ -11,9 +11,9 @@
 //! * reactor 0 additionally owns the nonblocking listener. Accepted
 //!   sockets are dealt round-robin: locally registered, or pushed onto the
 //!   target reactor's `inbox` followed by an [`EventFd`] wakeup;
-//! * committers never touch sockets. A write batch's completion pushes
+//! * a commit's completion never touches a socket: its leader pushes
 //!   `(token, answer)` onto the owning reactor's `completions` queue and
-//!   rings its eventfd — the reactor patches the reply slots, resumes the
+//!   rings its eventfd — the owner patches the reply slots, resumes the
 //!   run, and writes back in request order once it is finished.
 //!
 //! Every run is decoded by [`decode_run`] and interpreted by
@@ -21,9 +21,11 @@
 //! (writes batch up to a shared flush+fence boundary; reads and `MULTI`
 //! bodies are batch barriers; acks only after the boundary) — the
 //! crash-restart and group-commit atomicity proofs run against exactly
-//! this path. The reactor never blocks on a commit: a connection whose run
-//! is waiting for one simply has no read interest until the completion
-//! arrives, and the reactor serves its other connections meanwhile.
+//! this path. Writes only queue while a reactor handles a turn's events;
+//! at the end of the turn it leads every shard nobody leads (`group.rs`),
+//! so the stretches all its connections read share one boundary. A
+//! connection whose write queued behind another reactor's commit has no
+//! read interest until the completion arrives.
 //!
 //! Backpressure is by readiness interest, not by refusal (the contract is
 //! in `server.rs`): a connection with a run in flight, or a send backlog
@@ -31,7 +33,7 @@
 //! `max_conns` is answered `BUSY`, at the door.
 //!
 //! Slab slots carry a generation, and the epoll token is
-//! `slot << 32 | generation` — stale readiness events and stale committer
+//! `slot << 32 | generation` — stale readiness events and stale commit
 //! completions for a recycled slot fail the generation check and are
 //! discarded.
 
@@ -56,6 +58,20 @@ const TOKEN_LISTENER: u64 = u64::MAX - 1;
 /// Grace period for flushing send backlogs during shutdown drain.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
+/// Whether a turn yields the CPU: every second turn that handed off a
+/// one-request run (`yielded` alternates); pipelined runs never yield. On a
+/// shared CPU the fair scheduler's `sched_yield` pushes the yielder's
+/// deadline back a whole slice, and the reactor's own client waits that
+/// out; never yielding makes the reads queued behind the reactor wait
+/// instead. Alternating pays half the deferrals and still lets those reads
+/// through (EXPERIMENTS.md § Commit on the thread that submits).
+fn takes_yield(handed_off: bool, yielded: &mut bool) -> bool {
+    if handed_off {
+        *yielded = !*yielded;
+    }
+    handed_off && *yielded
+}
+
 fn conn_token(idx: usize, generation: u32) -> u64 {
     ((idx as u64) << 32) | generation as u64
 }
@@ -68,14 +84,14 @@ fn reject_busy(mut stream: TcpStream) {
 }
 
 /// The cross-thread face of one reactor: what other threads (the acceptor
-/// reactor, committers, shutdown) may touch.
+/// reactor, commit leaders, shutdown) may touch.
 pub(crate) struct ReactorShared {
     /// Doorbell: readable whenever `inbox`/`completions` changed or a
     /// shutdown wants attention.
     pub(crate) wake: EventFd,
     /// Accepted sockets handed over by reactor 0.
     pub(crate) inbox: Mutex<Vec<TcpStream>>,
-    /// Answered submissions: `(token, answer)` pushed by committers.
+    /// Answered submissions: `(token, answer)` pushed by commit leaders.
     pub(crate) completions: Mutex<VecDeque<(u64, Answer)>>,
 }
 
@@ -88,11 +104,9 @@ impl ReactorShared {
         })
     }
 
-    /// Post a committer's answer for the run of connection `token` and
-    /// ring the doorbell. Called from committer threads — also while one
-    /// unwinds, when its unserved submissions are dropped — so it neither
-    /// blocks on the reactor nor panics on a poisoned lock (the queue is
-    /// valid at every step).
+    /// Post a commit's answer for the run of connection `token` and ring
+    /// the doorbell. Any leader, an unwinding one included, calls this: it
+    /// never blocks and never panics on a poisoned lock.
     pub(crate) fn post(&self, token: u64, answer: Answer) {
         self.completions
             .lock()
@@ -113,9 +127,16 @@ struct Reactor {
     generations: Vec<u32>,
     free: Vec<usize>,
     rr: usize,
-    /// This turn of the loop handed a closed-loop write to a committer:
-    /// a one-request run, whose client waits for exactly that commit.
+    /// This turn of the loop submitted a closed-loop write: a one-request
+    /// run, whose client waits for exactly that commit.
     handed_off: bool,
+    /// Whether the last turn that set `handed_off` yielded (they alternate).
+    yielded: bool,
+    /// A run was driven into queueing writes since the last lead.
+    submitted: bool,
+    /// A tenure ended with writes still queued: lead again next turn,
+    /// without sleeping in between.
+    lead_again: bool,
     draining: bool,
     drain_deadline: Option<Instant>,
     last_idle_sweep: Instant,
@@ -143,6 +164,9 @@ pub(crate) fn reactor_main(
         free: Vec::new(),
         rr: 0,
         handed_off: false,
+        yielded: false,
+        submitted: false,
+        lead_again: false,
         draining: false,
         drain_deadline: None,
         last_idle_sweep: Instant::now(),
@@ -179,19 +203,15 @@ impl Reactor {
                 self.accept_ready();
             }
             self.adopt_inbox();
-            self.apply_completions();
-            if std::mem::take(&mut self.handed_off) {
-                // A commit is shorter than a sleep/wake cycle through epoll
-                // and the doorbell, and a closed-loop client is waiting for
-                // this one: offer the committer the CPU once and take what
-                // it has answered by then. With a core of its own the
-                // committer is not waiting for ours — the yield returns at
-                // once and the doorbell wakes us as usual. Pipelined runs
-                // have amortised the wake-up already, and yielding after
-                // each of their stages would commit it alone instead of
-                // letting other connections' writes join the boundary.
+            self.commit_turn();
+            if takes_yield(std::mem::take(&mut self.handed_off), &mut self.yielded) {
+                // This reactor has just committed a closed-loop client's
+                // write while connections' reads queued behind that commit
+                // for the CPU: offer it to them, then take what has been
+                // answered. With a core of its own the yield returns at
+                // once.
                 std::thread::yield_now();
-                self.apply_completions();
+                self.commit_turn();
             }
             self.sweep_idle();
             if self.shared.shutdown.load(Ordering::SeqCst) && self.drain_step() {
@@ -200,10 +220,27 @@ impl Reactor {
         }
     }
 
-    /// How long the next wait may block: short ticks while draining, long
-    /// ticks otherwise (wakeups cover the common paths).
+    /// End of a turn: lead the writes queued so far, then apply what has
+    /// been answered — which can drive runs into queueing their next
+    /// stage, led in turn.
+    fn commit_turn(&mut self) {
+        loop {
+            self.submitted = false;
+            self.lead_again = self.shared.shards.lead_queued();
+            self.apply_completions();
+            if !self.submitted {
+                return;
+            }
+        }
+    }
+
+    /// How long the next wait may block: not at all when a tenure left
+    /// writes queued, short ticks while draining, long ticks otherwise
+    /// (wakeups cover the common paths).
     fn wait_timeout_ms(&self) -> i32 {
-        if self.draining {
+        if self.lead_again {
+            0
+        } else if self.draining {
             10
         } else if self.shared.cfg.idle_timeout.is_some() {
             100
@@ -333,8 +370,9 @@ impl Reactor {
                     conn.rbuf.drain(..run.consumed);
                     let closed_loop = run.replies.len() == 1;
                     conn.run = Some(run);
-                    self.handed_off |=
-                        Self::drive(&self.shared, &self.me, idx, conn) && closed_loop;
+                    let in_flight = Self::drive(&self.shared, &self.me, idx, conn);
+                    self.submitted |= in_flight;
+                    self.handed_off |= in_flight && closed_loop;
                 } else if let Some(stop) = run.stop {
                     Self::apply_stop(&self.shared, conn, stop);
                 }
@@ -354,8 +392,9 @@ impl Reactor {
 
     /// Interpret the connection's run as far as it goes without waiting.
     /// If it finishes, write its replies back in request order and apply
-    /// its stop; otherwise (`true`) it stays in flight, its socket unread,
-    /// until its committers' answers arrive through `apply_completions`.
+    /// its stop; otherwise (`true`) it has queued writes and stays in
+    /// flight, its socket unread, until their answers arrive through
+    /// `apply_completions`.
     fn drive(shared: &Arc<Shared>, me: &Arc<ReactorShared>, idx: usize, conn: &mut Conn) -> bool {
         let Some(run) = conn.run.as_mut() else {
             return false;
@@ -425,7 +464,7 @@ impl Reactor {
                 if run.outstanding > 0 {
                     continue;
                 }
-                Self::drive(&self.shared, &self.me, idx, conn);
+                self.submitted |= Self::drive(&self.shared, &self.me, idx, conn);
             }
             // Pump the replies out, re-arm reads, close if quiesced.
             self.process_input(idx);
@@ -516,5 +555,16 @@ impl Reactor {
             // Dropping `conn` closes the fd; the kernel removes it from
             // the epoll interest set automatically.
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn one_request_turns_yield_alternately_and_others_never() {
+        let mut yielded = false;
+        let turns = [true, true, false, true, false, true, true];
+        let got = turns.map(|handed_off| super::takes_yield(handed_off, &mut yielded));
+        assert_eq!(got, [true, false, false, true, false, false, true]);
     }
 }

@@ -2,16 +2,17 @@
 //! batches to the backup over the wire protocol.
 //!
 //! Each shard's [`crate::group::GroupCommitter`] owns one [`ReplSink`]:
-//! after a batch commits locally, the committer hands the sink the same
-//! redo ops it just applied, and the sink sends them as one `REPL_BATCH`
-//! frame and blocks for the backup's `REPL_ACK`. Sequence numbers are
+//! after a batch commits locally, the shard's current leader hands the sink
+//! the same redo ops, and the sink sends them as one `REPL_BATCH` frame and
+//! blocks for the backup's `REPL_ACK` on the leader's thread (so a backup
+//! that never acks stalls the leading reactor too). Sequence numbers are
 //! per-shard and monotonic; the backup applies batches in arrival order on
 //! a single connection, so a received ack means *every* prior batch of
 //! that shard is durable on the backup too.
 //!
 //! The sink never retries: any ship failure (connection cut, backup error,
 //! ack mismatch) poisons the connection, and in [`ReplAckMode::Sync`] the
-//! committer converts the batch's client acks into errors — a client never
+//! leader converts the batch's client acks into errors — a client never
 //! sees `OK` for a write the backup might not hold. Fault-injection hooks
 //! (`cut`, `drop_batch`) exist solely for the failover rigs.
 
@@ -28,7 +29,7 @@ pub(crate) struct ReplSink {
     shard: u32,
     ack_mode: ReplAckMode,
     /// The dedicated replication connection; poisoned (set to `None`) on
-    /// the first failure. Only the shard's committer thread ships, so the
+    /// the first failure. Only the shard's current leader ships, so the
     /// lock is uncontended.
     conn: Mutex<Option<Client>>,
     /// Per-shard batch sequence, starting at 1.

@@ -1,25 +1,26 @@
-//! The TCP server: epoll reactors that execute, and one committer per shard.
+//! The TCP server: epoll reactors that read, execute and commit.
 //!
-//! Threading model — `reactors + shards` threads, whatever the connection
-//! count:
+//! Threading model — `cfg.reactors` threads, whatever the connection or
+//! shard count, and no service threads besides:
 //!
-//! * `cfg.reactors` **reactor** threads (`reactor.rs`) own the sockets
-//!   *and* execute the requests. Reactor 0 also owns the listener;
+//! * the **reactor** threads (`reactor.rs`) own the sockets *and* execute
+//!   the requests, writes included. Reactor 0 also owns the listener;
 //!   over-limit connections are answered with a `BUSY` frame and closed
 //!   immediately. Connections are **pipelined**: every complete frame
 //!   already buffered is decoded into one ordered *run*
 //!   (`conn::decode_run`) which the owning reactor interprets
 //!   (`advance`): reads, `STATS`, `FLUSH` and the replication handshake
-//!   run inline; writes are handed to a committer and the reactor moves on
-//!   to its other connections until the commit's completion comes back.
-//!   The responses are written back in request order — ordering stays
-//!   structural (one run in flight per connection, reads disarmed
-//!   meanwhile);
-//! * one **group-commit thread** per shard
-//!   ([`crate::group::GroupCommitter`]): consecutive `PUT`/`DEL`s in a run
-//!   (and whole `MULTI` bodies) are submitted as write batches that share
-//!   a single flush+fence boundary, coalescing across connections under
-//!   load.
+//!   run inline; writes are submitted to their shard's group committer and
+//!   the run waits for the commit's completion. The responses are written
+//!   back in request order — ordering stays structural (one run in flight
+//!   per connection, reads disarmed meanwhile);
+//! * one **group committer** per shard ([`crate::group::GroupCommitter`]),
+//!   a queue, not a thread: consecutive `PUT`/`DEL`s in a run (and whole
+//!   `MULTI` bodies) are submitted as write batches that share one
+//!   flush+fence boundary. A reactor queues the writes it reads in one
+//!   turn of its loop and, at the end of the turn, leads every shard no
+//!   other reactor leads: its connections' stretches share one boundary,
+//!   and writes other reactors queue meanwhile ride the next.
 //!
 //! Backpressure is what already bounds the system: one run in flight per
 //! connection × `max_conns`, TCP flow control on a connection that is not
@@ -34,18 +35,18 @@
 //! before any `GET`/`STATS`/`FLUSH` executes.
 //!
 //! Sharding ([`Server::start_multi`]): the execution core is a `ShardSet`
-//! — N engines over N independent pools, one group-commit thread per
+//! — N engines over N independent pools, one group committer per
 //! shard, routed by a consistent-hash [`Ring`] over raw key bytes; a
 //! single-engine server is the N = 1 case of the same code. Replication
-//! ([`ReplConfig`]): each shard's committer ships its committed batches to
+//! ([`ReplConfig`]): each shard's leader ships its committed batches to
 //! a backup server as `REPL_BATCH` frames; [`ReplAckMode::Sync`] makes the
 //! client ack wait for the backup's `REPL_ACK`, so an acked write is
 //! durable on both sides. A `PROMOTE` frame flips a backup into a primary.
 //!
 //! Graceful shutdown (a `SHUTDOWN` frame or [`Server::shutdown`]) stops
 //! accepting, quiesces the reactors (in-flight runs finish and flush their
-//! acks), then the group committers, and leaves the pools quiescent for a
-//! clean reopen.
+//! acks), then closes the group committers, and leaves the pools quiescent
+//! for a clean reopen.
 
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::str::FromStr;
@@ -165,8 +166,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// One shard: an engine over its own pool plus the group-commit thread
-/// that owns its durability boundaries.
+/// One shard: an engine over its own pool plus the group committer that
+/// owns its durability boundaries.
 pub(crate) struct Shard {
     pub(crate) engine: Arc<KvEngine>,
     pub(crate) committer: Arc<GroupCommitter>,
@@ -188,6 +189,15 @@ pub(crate) struct ShardSet {
 }
 
 impl ShardSet {
+    /// Lead every shard whose queue has no leader
+    /// ([`GroupCommitter::lead_queued`]). Returns whether any leader stepped
+    /// down with work left, which the caller owes another call soon.
+    pub(crate) fn lead_queued(&self) -> bool {
+        self.shards
+            .iter()
+            .fold(false, |left, s| s.committer.lead_queued() | left)
+    }
+
     /// Flush + fence every shard's pool.
     fn fence_all(&self) {
         for s in &self.shards {
@@ -228,7 +238,7 @@ impl ShardSet {
 
     /// Admit one replicated batch on the backup side: a promoted server
     /// refuses (it is a primary now), and the per-shard sequence cursor must
-    /// match. On success the caller enqueues the redo ops on the returned
+    /// match. On success the caller queues the redo ops on the returned
     /// committer — so the batch commits behind the backup's *own*
     /// durability boundary — and [`settle_repl`](Self::settle_repl) answers.
     ///
@@ -380,8 +390,8 @@ impl Server {
 
     /// Bind `addr` and serve `engines` as shards behind a consistent-hash
     /// ring: each engine keeps its own pool, recovery path, and generation
-    /// index, and gets its own group-commit thread, so shards never share
-    /// a durability boundary. Every key is routed to its owning shard via
+    /// index, and gets its own group committer, so shards never share a
+    /// durability boundary. Every key is routed to its owning shard via
     /// [`Ring::shard_of`] over the raw key bytes — the same ring a client
     /// can mirror from nothing but the shard count.
     ///
@@ -544,6 +554,17 @@ impl Server {
         }
     }
 
+    /// Queue, on every shard, a submission whose completion panics, so the
+    /// leader that serves it unwinds. Test-only hook for the
+    /// leader-panic-leaves-the-reactors-serving regression test.
+    #[doc(hidden)]
+    pub fn debug_queue_leader_panic(&self) {
+        for s in &self.shared.shards.shards {
+            let done = |_| panic!("injected leader panic");
+            s.committer.enqueue(Vec::new(), false, Box::new(done));
+        }
+    }
+
     /// Close every shard's group committer without shutting the server
     /// down, leaving the reactors running. Test-only hook for the
     /// committer-closes-under-a-run regression test.
@@ -569,12 +590,12 @@ impl Server {
     /// everything. Idempotent with a wire-initiated `SHUTDOWN`.
     pub fn shutdown(self) {
         self.shared.trigger_shutdown();
-        // Reactors quiesce BEFORE the committers: they finish in-flight
-        // runs (which still need their commits) and flush the acks.
+        // Reactors quiesce BEFORE the committers close: they finish
+        // in-flight runs (which still need commits) and flush the acks.
         for h in self.reactor_handles {
             let _ = h.join();
         }
-        // No reactor is left to submit: the committers stop cleanly.
+        // No reactor is left to submit or lead: the committers close.
         for s in &self.shared.shards.shards {
             s.committer.close();
         }
@@ -585,13 +606,13 @@ impl Server {
     }
 }
 
-/// A committer's answer to one of a run's submissions, as posted to the
-/// owning reactor: the reply slots it fills.
+/// A committer's answer to one of a run's submissions, as its leader posts
+/// it to the owning reactor: the reply slots it fills.
 pub(crate) struct Answer {
     /// `(reply slot, reply)` pairs.
     pub(crate) replies: Vec<(usize, OwnedResponse)>,
-    /// The committer is closed or dead — this server cannot write any
-    /// more, so the connection closes once the run is written back.
+    /// The committer is closed (or its leader unwound) — this server can
+    /// write no more, so the connection closes once the run is written back.
     pub(crate) committer_closed: bool,
 }
 
@@ -626,7 +647,7 @@ impl Answer {
 
 /// Interpret `run` from where it stopped, on the reactor that owns its
 /// connection, until it is finished (`true`: every reply slot is answered)
-/// or has handed writes to a committer (`false`: `run.outstanding`
+/// or has submitted writes (`false`: `run.outstanding`
 /// [`Answer`]s will be posted to `me` under `token`; call again once they
 /// have all been applied). This is the only way a run reaches the engines,
 /// and where the ordering rules live:
@@ -645,11 +666,12 @@ impl Answer {
 /// * an ack is written only after the boundary: a slot is answered by the
 ///   committer's completion, and the run is written back when all are.
 ///
-/// Responses are exactly what sequential execution would produce. Nothing
-/// here blocks on a commit — a submission is enqueued and the reactor moves
-/// on to its other connections — with one exception: `PROMOTE` waits for
-/// the committers to drain (rare, and a committer never waits on a
-/// reactor, so it cannot deadlock).
+/// Responses are exactly what sequential execution would produce. Writes
+/// only queue here; the reactor leads them at the end of its turn
+/// ([`ShardSet::lead_queued`]) and the answers arrive through `me`'s
+/// completion queue. `PROMOTE` waits for the committers to drain, leading
+/// what nobody leads (a leader never waits on a reactor, so it cannot
+/// deadlock).
 pub(crate) fn advance(
     shards: &Arc<ShardSet>,
     run: &mut Run,
@@ -700,7 +722,7 @@ fn execute(
             Err(refusal) => refusal,
             Ok(committer) => {
                 let (shards, me) = (Arc::clone(shards), Arc::clone(me));
-                committer.enqueue(
+                committer.queue(
                     ops,
                     true,
                     Box::new(move |outcome| {
@@ -743,10 +765,9 @@ fn execute(
     })
 }
 
-/// Hand each shard's staged writes to that shard's committer as one
-/// submission, counted in `run.outstanding`; its completion posts the
-/// replies for the stage's slots back to the reactor. No-op when nothing
-/// is staged.
+/// Queue each shard's staged writes on its committer as one submission,
+/// counted in `run.outstanding`; its completion posts the stage's replies
+/// back to the reactor.
 fn submit_staged(
     shards: &ShardSet,
     run: &mut Run,
@@ -761,7 +782,7 @@ fn submit_staged(
         let (slots, ops): (Vec<usize>, Vec<WriteOp>) = std::mem::take(stage).into_iter().unzip();
         let me = Arc::clone(me);
         run.outstanding += 1;
-        shard.committer.enqueue(
+        shard.committer.queue(
             ops,
             false,
             Box::new(move |outcome| me.post(token, Answer::of_writes(slots, outcome))),

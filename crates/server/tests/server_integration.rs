@@ -1,12 +1,16 @@
 //! End-to-end service tests over real sockets: every policy, malformed
 //! frames, connection-limit backpressure, and graceful shutdown.
 
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use spp_server::{
-    fresh_server_pool, Client, ClientError, GroupConfig, KvEngine, PolicyKind, ReplAckMode,
-    ReplConfig, ReplOp, Reply, Request, RespKind, Server, ServerConfig,
+    fresh_server_pool, fresh_server_pool_wait, Client, ClientError, GroupConfig, KvEngine,
+    PolicyKind, ReplAckMode, ReplConfig, ReplOp, Reply, Request, RespKind, Response, Server,
+    ServerConfig,
 };
 
 fn key(i: u64) -> [u8; 16] {
@@ -21,8 +25,100 @@ fn start(kind: PolicyKind, cfg: ServerConfig) -> Server {
     Server::start(engine, ("127.0.0.1", 0), cfg).unwrap()
 }
 
+/// A server whose fences each wait `flush_wait_ns` of wall clock for the
+/// device, yielding the core: commits slow enough for writes from other
+/// reactors to queue behind the one in flight.
+fn start_slow(flush_wait_ns: u32, cfg: ServerConfig) -> Server {
+    let pool = fresh_server_pool_wait(16 << 20, 4, flush_wait_ns).unwrap();
+    let engine = Arc::new(KvEngine::create(Arc::clone(&pool), PolicyKind::Spp, 256).unwrap());
+    pool.pm().set_latency_enabled(true);
+    Server::start(engine, ("127.0.0.1", 0), cfg).unwrap()
+}
+
+/// A one-shard replication backup that answers the `REPL_HELLO` handshake
+/// and then holds every `REPL_BATCH`: it reports each batch's
+/// `(shard, seq)` on the returned receiver and acks it only when the test
+/// sends on the returned sender. Dropping that sender hangs up on the
+/// primary instead. Until then the primary's leader blocks in its ship —
+/// the slowest commit production has.
+fn stalling_backup() -> (SocketAddr, Receiver<(u32, u64)>, Sender<()>) {
+    let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (batch_tx, batches) = channel();
+    let (acks, ack_rx) = channel::<()>();
+    std::thread::spawn(move || {
+        let (mut sock, _) = listener.accept().unwrap();
+        let mut buf = Vec::new();
+        let mut chunk = [0u8; 4096];
+        loop {
+            let (reply, consumed) = match spp_server::wire::decode_request(&buf).unwrap() {
+                Some((Request::ReplHello { .. }, n)) => (Response::Ok, n),
+                Some((Request::ReplBatch(rb), n)) => {
+                    let _ = batch_tx.send((rb.shard, rb.seq));
+                    if ack_rx.recv().is_err() {
+                        return; // hang up without acking
+                    }
+                    (
+                        Response::ReplAck {
+                            shard: rb.shard,
+                            seq: rb.seq,
+                        },
+                        n,
+                    )
+                }
+                Some((other, _)) => panic!("a backup only speaks replication: {other:?}"),
+                None => match sock.read(&mut chunk) {
+                    Ok(0) | Err(_) => return,
+                    Ok(n) => {
+                        buf.extend_from_slice(&chunk[..n]);
+                        continue;
+                    }
+                },
+            };
+            let mut out = Vec::new();
+            spp_server::wire::encode_response(&mut out, &reply);
+            buf.drain(..consumed);
+            sock.write_all(&out).unwrap();
+        }
+    });
+    (addr, batches, acks)
+}
+
+/// Sync replication to `backup`, with everything else from `cfg`.
+fn replicating_to(backup: SocketAddr, cfg: ServerConfig) -> ServerConfig {
+    ServerConfig {
+        repl: Some(ReplConfig {
+            backup,
+            ack_mode: ReplAckMode::Sync,
+            drop_batch: None,
+        }),
+        ..cfg
+    }
+}
+
+/// Run `f` on its own thread and wait up to 10 s for its result: a call
+/// that is stalled fails the test instead of hanging it.
+fn within_10s<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(Duration::from_secs(10))
+        .expect("stalled behind another reactor's commit")
+}
+
 fn connect(server: &Server) -> Client {
     Client::connect_retry(server.local_addr(), Duration::from_secs(5)).unwrap()
+}
+
+/// `N` connections, each answered once: reactor 0 has accepted and dealt
+/// every one of them (round-robin, in order) before the test stalls it.
+fn connect_dealt<const N: usize>(server: &Server) -> [Client; N] {
+    let conns = std::array::from_fn(|_| connect(server));
+    conns.map(|mut c| {
+        c.ping().unwrap();
+        c
+    })
 }
 
 /// The wire bytes of `reqs`, back to back, for `Client::send_raw`.
@@ -310,49 +406,130 @@ fn fragmented_byte_at_a_time_frames_are_served() {
 
 #[test]
 fn pending_commit_never_stalls_its_reactor() {
-    // One reactor, and a committer that holds every batch open for 300 ms:
-    // while connection A's PUT waits for its durability boundary, the same
-    // reactor must keep serving connection B. Any implementation that
-    // blocks the reactor on the commit answers B only after the hold.
+    // Connections are dealt to the two reactors round-robin: `lead` and
+    // `spare` land on reactor 0, `a` and `b` on reactor 1. `lead`'s PUT
+    // makes reactor 0 the shard's leader, held in its ship by a backup
+    // that has not acked yet. `a`'s PUT then only queues behind it — and
+    // while it is pending, reactor 1 must keep serving `b`.
+    let (backup, batches, acks) = stalling_backup();
     let server = start(
         PolicyKind::Spp,
-        ServerConfig {
-            reactors: 1,
-            group: GroupConfig {
-                max_batch: 256,
-                max_hold: Duration::from_millis(300),
+        replicating_to(
+            backup,
+            ServerConfig {
+                reactors: 2,
+                ..ServerConfig::default()
             },
-            ..ServerConfig::default()
-        },
+        ),
     );
-    let mut a = connect(&server);
-    let mut b = connect(&server);
-    b.ping().unwrap();
-    let (ka, kb) = (key(1), key(2));
-    let sent = Instant::now();
-    a.send_raw(&frames(&[Request::Put {
-        key: &ka,
-        value: b"held",
+    let [mut lead, mut a, _spare, mut b] = connect_dealt(&server);
+    let (k0, ka, kb) = (key(0), key(1), key(2));
+    lead.send_raw(&frames(&[Request::Put {
+        key: &k0,
+        value: b"first",
     }]))
     .unwrap();
-    // B's round trips queue behind A's frame on the one reactor, so by the
-    // time they are answered A's PUT has been submitted and is being held.
-    b.ping().unwrap();
-    let mut out = Vec::new();
-    assert!(!b.get(&kb, &mut out).unwrap());
-    let waited = sent.elapsed();
-    assert!(
-        waited < Duration::from_millis(100),
-        "B waited {waited:?} behind A's pending commit"
+    assert_eq!(batches.recv().unwrap(), (0, 1), "reactor 0 is shipping");
+    a.send_raw(&frames(&[Request::Put {
+        key: &ka,
+        value: b"pending",
+    }]))
+    .unwrap();
+    // `b`'s round trips queue behind `a`'s frame on reactor 1, so by the
+    // time they are answered `a`'s PUT has been queued.
+    let mut b = within_10s(move || {
+        b.ping().unwrap();
+        let mut out = Vec::new();
+        assert!(!b.get(&kb, &mut out).unwrap());
+        b
+    });
+    // Release the leader: it commits and ships the PUT that queued behind
+    // it before it steps down and returns to its own connections.
+    acks.send(()).unwrap();
+    assert_eq!(
+        batches.recv().unwrap(),
+        (0, 2),
+        "a's PUT rides the next batch"
     );
-    // A's PUT still acks, after its boundary.
+    acks.send(()).unwrap();
+    assert_eq!(lead.recv_response_kind().unwrap(), RespKind::Ok);
     assert_eq!(a.recv_response_kind().unwrap(), RespKind::Ok);
-    assert!(
-        sent.elapsed() >= Duration::from_millis(250),
-        "the PUT was acked before the hold window closed"
-    );
+    let mut out = Vec::new();
     assert!(b.get(&ka, &mut out).unwrap());
-    assert_eq!(out, b"held");
+    assert_eq!(out, b"pending");
+    server.shutdown();
+}
+
+#[test]
+fn a_backup_that_never_acks_stalls_only_the_leading_reactor() {
+    // The residual of committing on the reactor: a sync backup that never
+    // acks stalls the shard's writes and also the leading reactor's other
+    // connections, because the leader blocks in its ship. Reads on the
+    // other reactor are still answered.
+    // Round-robin dealing: `lead` and `neighbour` on reactor 0, `reader`
+    // and `writer` on reactor 1.
+    let (backup, batches, acks) = stalling_backup();
+    let server = start(
+        PolicyKind::Spp,
+        replicating_to(
+            backup,
+            ServerConfig {
+                reactors: 2,
+                ..ServerConfig::default()
+            },
+        ),
+    );
+    let [mut lead, mut reader, mut neighbour, mut writer] = connect_dealt(&server);
+    let (k0, k1) = (key(0), key(1));
+    lead.send_raw(&frames(&[Request::Put {
+        key: &k0,
+        value: b"unacked",
+    }]))
+    .unwrap();
+    assert_eq!(batches.recv().unwrap(), (0, 1));
+    neighbour.send_raw(&frames(&[Request::Ping])).unwrap();
+    writer
+        .send_raw(&frames(&[Request::Put {
+            key: &k1,
+            value: b"queued",
+        }]))
+        .unwrap();
+    let (answered, answers) = channel();
+    for (name, mut c) in [("neighbour", neighbour), ("writer", writer)] {
+        let answered = answered.clone();
+        std::thread::spawn(move || {
+            let _ = answered.send((name, c.recv_response_kind()));
+        });
+    }
+    // The other reactor still serves reads.
+    within_10s(move || {
+        reader.ping().unwrap();
+        let mut out = Vec::new();
+        assert!(!reader.get(&key(2), &mut out).unwrap());
+    });
+    std::thread::sleep(Duration::from_millis(100));
+    assert!(
+        answers.try_recv().is_err(),
+        "nothing behind the stalled leader may be answered yet"
+    );
+    // The backup hangs up: the stalled batch and the one queued behind it
+    // fail as not replicated, and the leading reactor's neighbour is served.
+    drop(acks);
+    match lead.recv_response_kind().unwrap() {
+        RespKind::Err(m) => assert!(m.contains("not replicated"), "{m}"),
+        other => panic!("an unreplicated PUT was acked: {other:?}"),
+    }
+    let mut got: Vec<_> = (0..2)
+        .map(|_| answers.recv_timeout(Duration::from_secs(10)).unwrap())
+        .collect();
+    got.sort_by_key(|(name, _)| *name);
+    assert_eq!(got[0].0, "neighbour");
+    assert_eq!(got[0].1.as_ref().unwrap(), &RespKind::Pong);
+    assert!(
+        matches!(got[1].1.as_ref().unwrap(), RespKind::Err(m) if m.contains("not replicated")),
+        "{:?}",
+        got[1]
+    );
     server.shutdown();
 }
 
@@ -387,20 +564,18 @@ fn idle_timeout_closes_quiet_connections_but_not_active_ones() {
 
 #[test]
 fn concurrent_multi_writers_share_commit_boundaries() {
-    // A hold window makes cross-connection coalescing deterministic
-    // enough to observe: many single-connection batches must land in
-    // fewer committer boundaries than submissions. With one reactor this
-    // also proves that submissions from several connections of the same
-    // reactor pile up behind one commit — it is not serialised by it.
+    // Slow fences keep each commit in flight long enough for more MULTIs
+    // to arrive behind it: many single-connection batches must land in
+    // fewer boundaries than submissions. With one reactor this also proves
+    // that the stretches several connections of the same reactor read in
+    // one turn share the boundary it leads at the end of the turn — they
+    // are not committed one connection at a time.
     for reactors in [1, 2] {
-        let server = start(
-            PolicyKind::Spp,
+        let server = start_slow(
+            50_000,
             ServerConfig {
                 reactors,
-                group: GroupConfig {
-                    max_batch: 256,
-                    max_hold: Duration::from_millis(3),
-                },
+                group: GroupConfig { max_batch: 256 },
                 ..ServerConfig::default()
             },
         );
@@ -491,7 +666,7 @@ fn epoll_serves_many_idle_connections_without_per_conn_threads() {
     }
     if let Some(threads) = proc_threads() {
         // Process-wide: every concurrently running test's harness thread
-        // and servers (this one: 2 reactors + 1 committer). 60 idle conns
+        // and servers (this one: 2 reactors and nothing else). 60 idle conns
         // must NOT have added 60 threads.
         assert!(
             threads < 30,
@@ -897,31 +1072,27 @@ fn committer_closing_under_an_in_flight_run_fails_the_rest_cleanly() {
     // A committer that shuts down while a connection has a run in flight
     // must leave that connection with explicit answers and a clean close —
     // never a hang, and never an ack for a write that is not durable.
+    let (backup, batches, acks) = stalling_backup();
     let server = start(
         PolicyKind::Spp,
-        ServerConfig {
-            reactors: 1,
-            group: GroupConfig {
-                max_batch: 256,
-                max_hold: Duration::from_secs(2),
+        replicating_to(
+            backup,
+            ServerConfig {
+                reactors: 1,
+                ..ServerConfig::default()
             },
-            ..ServerConfig::default()
-        },
+        ),
     );
     let mut c = connect(&server);
-    let mut other = connect(&server);
     let (k1, k2) = (key(1), key(2));
-    // Run 1: one PUT, which the hold window keeps outstanding.
+    // Run 1: one PUT, whose leader is held in its ship by the backup.
     c.send_raw(&frames(&[Request::Put {
         key: &k1,
         value: b"accepted",
     }]))
     .unwrap();
-    // The second round trip on the same reactor is answered a loop turn
-    // after the PUT's bytes landed: run 1 was decoded on its own by now.
-    other.ping().unwrap();
-    other.ping().unwrap();
-    // Run 2 waits in the socket: run 1's connection is not read.
+    assert_eq!(batches.recv().unwrap(), (0, 1));
+    // Run 2 waits in the socket: the one reactor is busy leading run 1.
     c.send_raw(&frames(&[
         Request::Put {
             key: &k2,
@@ -930,19 +1101,25 @@ fn committer_closing_under_an_in_flight_run_fails_the_rest_cleanly() {
         Request::Ping,
     ]))
     .unwrap();
-
-    let (tx, rx) = std::sync::mpsc::channel();
+    let (tx, rx) = channel();
     let reader = std::thread::spawn(move || {
         let kinds: Vec<_> = (0..4).map(|_| c.recv_response_kind()).collect();
         let _ = tx.send(kinds);
     });
-    server.debug_close_committers();
+    std::thread::scope(|s| {
+        let closing = s.spawn(|| server.debug_close_committers());
+        // Give `close` time to refuse new submissions before the leader
+        // is released; it then waits for the leader to drain.
+        std::thread::sleep(Duration::from_millis(200));
+        assert!(!closing.is_finished(), "close returned under a live leader");
+        acks.send(()).unwrap();
+    });
     let kinds = rx
         .recv_timeout(Duration::from_secs(10))
         .expect("in-flight run hung after committer shutdown");
     reader.join().unwrap();
-    // Closing drains what the committer had accepted (cutting the hold
-    // short): run 1's PUT is acked, and it really is durable.
+    // Closing drains what the committer had accepted: run 1's PUT is
+    // acked, and it really is durable.
     assert_eq!(kinds[0].as_ref().unwrap(), &RespKind::Ok);
     let mut out = Vec::new();
     assert!(server.engine().get(&k1, &mut out).unwrap());
@@ -960,6 +1137,56 @@ fn committer_closing_under_an_in_flight_run_fails_the_rest_cleanly() {
         "connection must close after the failed run, got {:?}",
         kinds[3]
     );
+    server.shutdown();
+}
+
+#[test]
+fn a_panicking_leader_leaves_its_reactor_serving() {
+    // Reactor 0 — the one that owns the listener — leads the shard, held
+    // in its ship, while a submission whose completion panics queues
+    // behind it. Once released it unwinds out of that completion: the
+    // committer closes, but the reactor thread survives, so reads are
+    // still answered on both reactors and new connections are accepted.
+    let (backup, batches, acks) = stalling_backup();
+    let server = start(
+        PolicyKind::Spp,
+        replicating_to(
+            backup,
+            ServerConfig {
+                reactors: 2,
+                ..ServerConfig::default()
+            },
+        ),
+    );
+    let [mut lead, _other] = connect_dealt(&server);
+    let k0 = key(0);
+    lead.send_raw(&frames(&[Request::Put {
+        key: &k0,
+        value: b"before",
+    }]))
+    .unwrap();
+    assert_eq!(batches.recv().unwrap(), (0, 1), "reactor 0 is shipping");
+    server.debug_queue_leader_panic();
+    acks.send(()).unwrap();
+    assert_eq!(lead.recv_response_kind().unwrap(), RespKind::Ok);
+    let addr = server.local_addr();
+    within_10s(move || {
+        // Two new connections, dealt one to each reactor.
+        for _ in 0..2 {
+            let mut c = Client::connect_retry(addr, Duration::from_secs(5)).unwrap();
+            c.ping().unwrap();
+            let mut out = Vec::new();
+            assert!(c.get(&key(0), &mut out).unwrap());
+            assert_eq!(out, b"before");
+        }
+        // Writes are refused explicitly, never left hanging.
+        let mut c = Client::connect_retry(addr, Duration::from_secs(5)).unwrap();
+        match c.put(&key(1), b"after") {
+            Err(ClientError::Remote(m)) => assert!(m.contains("closed"), "{m}"),
+            other => panic!("a write to a closed committer: {other:?}"),
+        }
+    });
+    assert_eq!(server.engine().count().unwrap(), 1);
     server.shutdown();
 }
 
