@@ -8,7 +8,7 @@ use spp_containers::{PList, PQueue};
 use spp_core::{SppPolicy, TagConfig};
 use spp_pm::{Mode, PmPool, PoolConfig};
 use spp_pmdk::{ObjPool, PoolOpts};
-use spp_pmemcheck::{explore, Checker, TxChecker};
+use spp_pmemcheck::{explore, Checker, Plan, TxChecker};
 
 const POOL: u64 = 1 << 20;
 
@@ -28,6 +28,7 @@ fn list_links_never_tear() {
 
     let checked = explore(
         &pm,
+        Plan::exhaustive(),
         || {
             for i in 10..15u64 {
                 list.push_back(i).unwrap();
@@ -55,7 +56,7 @@ fn list_links_never_tear() {
         },
     )
     .unwrap_or_else(|e| panic!("crash-state violation: {e}"));
-    assert!(checked > 40);
+    assert!(checked.states > 40);
 
     let log = pm.event_log().unwrap();
     assert!(Checker::new().analyze(&log).is_clean());
@@ -71,6 +72,7 @@ fn queue_indices_never_tear() {
 
     explore(
         &pm,
+        Plan::exhaustive(),
         || {
             q.enqueue(1).unwrap();
             q.enqueue(2).unwrap();

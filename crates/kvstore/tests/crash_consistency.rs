@@ -8,7 +8,7 @@ use spp_core::{SppPolicy, TagConfig};
 use spp_kvstore::{KvStore, KEY_SIZE};
 use spp_pm::{Mode, PmPool, PoolConfig};
 use spp_pmdk::{ObjPool, PoolOpts};
-use spp_pmemcheck::{explore, Checker, TxChecker};
+use spp_pmemcheck::{explore, Checker, Plan, TxChecker};
 
 const POOL: u64 = 1 << 20;
 
@@ -41,6 +41,7 @@ fn kv_workload_recovers_consistently_in_every_crash_state() {
         .collect();
     let checked = explore(
         &pm,
+        Plan::exhaustive(),
         || {
             for i in 0..5u64 {
                 kv.put(&key(i), format!("value-{i}").as_bytes()).unwrap();
@@ -71,7 +72,7 @@ fn kv_workload_recovers_consistently_in_every_crash_state() {
         },
     )
     .unwrap_or_else(|e| panic!("crash-state violation: {e}"));
-    assert!(checked > 50);
+    assert!(checked.states > 50);
 
     let log = pm.event_log().unwrap();
     // Rules: flush/fence discipline and tx discipline both hold.

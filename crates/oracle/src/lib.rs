@@ -17,8 +17,10 @@
 //!   [`spp_ripe::expected_cell`]; this includes the *temporal* probes
 //!   (use-after-free, double free, ABA slot reuse, in-place
 //!   realloc-stale) that grade the SPP+T generation tag;
-//! * **crash puts** capture a crash image at a chosen durability
-//!   boundary and check recovery atomicity through the torture rig.
+//! * **crash puts** run the put inside [`spp_pmemcheck::explore`] with a
+//!   plan naming one boundary — the drop-all image at the trace's chosen
+//!   flush or fence — and check recovery atomicity with the torture rig's
+//!   oracle. A put that crosses fewer boundaries is not checked.
 //!
 //! Failures shrink greedily to a 1-minimal op sequence ([`mod@shrink`]) and
 //! are dumped (trace + pool image) under the run's output directory.

@@ -4,12 +4,13 @@
 //! rig's recovery oracle.
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use spp_core::{MemoryPolicy, PmdkPolicy, SppError, SppPolicy, TagConfig, TypedOid};
 use spp_kvstore::KvStore;
-use spp_pm::{CrashSpec, Mode, PmPool, PoolConfig};
+use spp_pm::{CrashImage, Mode, PmPool, PoolConfig};
 use spp_pmdk::{ObjPool, PmdkError, PmemOid, PoolOpts, RecoveryFaults};
+use spp_pmemcheck::{explore, Plan};
 use spp_ripe::{expected_cell, Cell, Family, MemcheckPolicy, Protection, CHUNK};
 use spp_safepm::SafePmPolicy;
 use spp_torture::{make_oracle, Oracle as TortureOracle};
@@ -826,32 +827,27 @@ fn run_policy<P: MemoryPolicy>(
                 let Predicted::Crash(expect) = pred else {
                     unreachable!()
                 };
-                let captured: Arc<Mutex<Option<spp_pm::CrashImage>>> = Arc::new(Mutex::new(None));
-                {
-                    let captured = Arc::clone(&captured);
-                    let mut count = 0u64;
-                    pm.set_boundary_tap(Box::new(move |pool, _| {
-                        count += 1;
-                        if count == boundary {
-                            *captured.lock().unwrap() =
-                                Some(pool.crash_image(CrashSpec::DropUnpersisted));
-                        }
-                    }));
-                }
-                let res = kv.put(&key_bytes(key), &pattern_bytes(seed, len as usize));
-                let _ = pm.clear_boundary_tap();
+                let oracle = mk_crash(CrashCtx {
+                    meta: kv_meta,
+                    expect,
+                });
+                let mut res = Ok(());
+                let crashed = explore(
+                    &pm,
+                    Plan::drop_all().at(boundary),
+                    || res = kv.put(&key_bytes(key), &pattern_bytes(seed, len as usize)),
+                    move |img: &CrashImage| oracle(img),
+                );
                 res.map_err(|e| diverge(&pm, label, i, format!("legal {op:?} failed: {e}")))?;
-                let taken = captured.lock().unwrap().take();
-                if let Some(img) = taken {
-                    let oracle = mk_crash(CrashCtx {
-                        meta: kv_meta,
-                        expect,
-                    });
-                    oracle(&img).map_err(|msg| {
-                        diverge(&pm, label, i, format!("{op:?}: crash oracle: {msg}"))
-                    })?;
-                    out.crash_checks += 1;
-                }
+                let explored = crashed.map_err(|e| {
+                    diverge(
+                        &pm,
+                        label,
+                        i,
+                        format!("{op:?}: crash oracle: {}", e.message),
+                    )
+                })?;
+                out.crash_checks += explored.states;
             }
         }
     }

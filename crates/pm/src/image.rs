@@ -38,19 +38,17 @@ impl CrashImage {
 ///
 /// Every persisted store survives in every state; each unpersisted store
 /// independently may or may not survive. With `n` unpersisted stores there
-/// are `2^n` states; the iterator enumerates them exhaustively when
-/// `n <= exhaustive_limit` and otherwise yields the two extremes plus
-/// deterministically-strided subsets, which is the sampling strategy
-/// `pmreorder`'s `ReorderPartial` engine uses.
+/// are `2^n` states; [`CrashStateIter::new`] enumerates them exhaustively
+/// when `n <= EXHAUSTIVE_LIMIT` and otherwise falls back to the seeded
+/// sampler, [`CrashStateIter::sampled`].
 #[derive(Debug)]
 pub struct CrashStateIter<'p> {
     pool: &'p PmPool,
     seqs: Vec<u64>,
     next: u64,
     total: u64,
-    stride: u64,
-    /// Pre-planned keep-lists (seeded sampling mode); `None` for the lazy
-    /// exhaustive/strided/prefix modes.
+    /// Pre-planned keep-lists (seeded sampling); `None` when state `k` is
+    /// simply the bitmask `k` over `seqs`.
     planned: Option<Vec<Vec<u64>>>,
 }
 
@@ -59,50 +57,19 @@ impl<'p> CrashStateIter<'p> {
     /// exhaustively (`2^12 = 4096` states).
     pub const EXHAUSTIVE_LIMIT: usize = 12;
 
-    /// Maximum number of sampled states when beyond the exhaustive limit.
+    /// Number of sampled states when beyond the exhaustive limit.
     pub const SAMPLE_BUDGET: u64 = 4096;
+
+    /// The sampling seed [`CrashStateIter::new`] uses beyond the limit.
+    const FALLBACK_SEED: u64 = 0;
 
     /// Create an iterator over crash states of `pool` at this moment.
     pub fn new(pool: &'p PmPool) -> Self {
         let seqs = pool.unpersisted_seqs();
-        let n = seqs.len();
-        if n <= Self::EXHAUSTIVE_LIMIT {
-            let total = 1u64 << n;
-            CrashStateIter {
-                pool,
-                seqs,
-                next: 0,
-                total,
-                stride: 1,
-                planned: None,
-            }
+        if seqs.len() <= Self::EXHAUSTIVE_LIMIT {
+            Self::exhaustive(pool, seqs)
         } else {
-            // Sample: always include masks 0 (drop all) and 2^n-1 (keep all)
-            // plus a deterministic stride through the space. n can exceed 63;
-            // in that case we walk prefix masks (keep-first-k), which covers
-            // the "crash at each program point" states — the ones recovery
-            // code must actually handle.
-            if n >= 63 {
-                CrashStateIter {
-                    pool,
-                    seqs,
-                    next: 0,
-                    total: n as u64 + 1,
-                    stride: u64::MAX,
-                    planned: None,
-                }
-            } else {
-                let space = 1u64 << n;
-                let stride = (space / Self::SAMPLE_BUDGET).max(1) | 1; // odd stride
-                CrashStateIter {
-                    pool,
-                    seqs,
-                    next: 0,
-                    total: space.min(Self::SAMPLE_BUDGET),
-                    stride,
-                    planned: None,
-                }
-            }
+            Self::planned(pool, seqs, Self::SAMPLE_BUDGET, Self::FALLBACK_SEED)
         }
     }
 
@@ -114,15 +81,30 @@ impl<'p> CrashStateIter<'p> {
     /// plus distinct pseudo-random keep-subsets derived from `seed`, up to
     /// `max_states` states in total. The same `(pool state, max_states,
     /// seed)` always produces the same sequence of images, which is what
-    /// makes torture-rig failures reproducible from a reported seed.
+    /// makes a reported seed reproduce a failure.
     pub fn sampled(pool: &'p PmPool, max_states: u64, seed: u64) -> Self {
         let seqs = pool.unpersisted_seqs();
-        let n = seqs.len();
         let max_states = max_states.max(1);
-        if n < 63 && (1u64 << n) <= max_states {
-            return Self::new(pool);
+        if seqs.len() < 63 && (1u64 << seqs.len()) <= max_states {
+            Self::exhaustive(pool, seqs)
+        } else {
+            Self::planned(pool, seqs, max_states, seed)
         }
-        // Plan keep-lists eagerly: extremes first, then seeded subsets.
+    }
+
+    fn exhaustive(pool: &'p PmPool, seqs: Vec<u64>) -> Self {
+        CrashStateIter {
+            pool,
+            total: 1u64 << seqs.len(),
+            seqs,
+            next: 0,
+            planned: None,
+        }
+    }
+
+    /// Plan keep-lists eagerly: extremes first, then seeded subsets.
+    fn planned(pool: &'p PmPool, seqs: Vec<u64>, max_states: u64, seed: u64) -> Self {
+        let n = seqs.len();
         // Masks are dedup'd so the budget buys distinct states; the word-
         // vector key also covers n >= 64 (multi-word masks).
         let words = n.div_ceil(64).max(1);
@@ -157,13 +139,13 @@ impl<'p> CrashStateIter<'p> {
             }
             push(mask, &mut planned);
         }
-        let total = planned.len() as u64;
+        // A budget of one is the drop-everything extreme alone.
+        planned.truncate(max_states as usize);
         CrashStateIter {
             pool,
             seqs,
             next: 0,
-            total,
-            stride: 0,
+            total: planned.len() as u64,
             planned: Some(planned),
         }
     }
@@ -190,15 +172,11 @@ impl<'p> CrashStateIter<'p> {
         assert!(k < self.total, "crash state index out of range");
         if let Some(planned) = &self.planned {
             planned[k as usize].clone()
-        } else if self.stride == u64::MAX {
-            // Prefix mode: keep the first k stores (program-order crash points).
-            self.seqs.iter().take(k as usize).copied().collect()
         } else {
-            let mask = (k * self.stride) % (1u64 << self.seqs.len());
             self.seqs
                 .iter()
                 .enumerate()
-                .filter(|(i, _)| mask & (1u64 << i) != 0)
+                .filter(|(i, _)| k & (1u64 << i) != 0)
                 .map(|(_, &s)| s)
                 .collect()
         }
@@ -223,14 +201,9 @@ impl Iterator for CrashStateIter<'_> {
         if self.next >= self.total {
             return None;
         }
-        let k = self.next;
+        let keep = self.keep_for(self.next);
         self.next += 1;
-        let keep = self.keep_for(k);
-        Some(self.pool.crash_image(if keep.is_empty() {
-            CrashSpec::DropUnpersisted
-        } else {
-            CrashSpec::KeepSubset(keep)
-        }))
+        Some(self.pool.crash_image(CrashSpec::KeepSubset(keep)))
     }
 }
 
@@ -355,20 +328,5 @@ mod tests {
         assert_eq!(images.len(), 16);
         // Keep-all extreme must cover every one of the 70 stores.
         assert!((0..70).all(|i| images[1].bytes()[i * 8] == 1));
-    }
-
-    #[test]
-    fn prefix_mode_for_very_many_stores() {
-        let pool = PmPool::new(PoolConfig::new(1 << 16).mode(Mode::Tracked));
-        for i in 0..70u64 {
-            pool.write(i * 8, &[1]).unwrap();
-        }
-        let it = CrashStateIter::new(&pool);
-        assert_eq!(it.state_count(), 71);
-        // The k-th prefix image has exactly k surviving stores.
-        for (k, img) in CrashStateIter::new(&pool).enumerate() {
-            let survivors = (0..70).filter(|i| img.bytes()[i * 8] == 1).count();
-            assert_eq!(survivors, k);
-        }
     }
 }

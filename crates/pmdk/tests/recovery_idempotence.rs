@@ -6,10 +6,12 @@
 //! `lane_status`, `root_oid`) and the hidden fault-injection hook the
 //! torture rig uses to prove its oracles catch broken recovery.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use spp_pm::{Boundary, CrashImage, CrashSpec, Mode, PmPool, PoolConfig};
+use spp_pm::{CrashImage, CrashSpec, Mode, PmPool, PoolConfig};
 use spp_pmdk::{BlockState, ObjPool, OidDest, PoolOpts, RecoveryFaults, TxStatus};
+use spp_pmemcheck::{explore, Plan};
 
 const POOL: u64 = 1 << 18;
 
@@ -29,47 +31,48 @@ fn recover(img: &CrashImage) -> (Vec<u8>, spp_pmdk::AllocStats) {
     (pm.contents(), pool.stats())
 }
 
-/// Drive a workload that leaves mid-operation crash states, capturing one
-/// adversarial (drop-everything) image at every durability boundary.
-fn boundary_images() -> Vec<CrashImage> {
+/// Drive a workload that leaves mid-operation crash states and recover
+/// the adversarial (drop-everything) image at every durability boundary
+/// twice: the second recovery must change nothing.
+#[test]
+fn second_recovery_is_a_noop() {
     let pm = tracked_pm();
     let pool = Arc::new(ObjPool::create(Arc::clone(&pm), PoolOpts::small()).unwrap());
     let root = pool.root(64).unwrap();
     pm.reset_tracking();
 
-    let images: Arc<parking_lot::Mutex<Vec<CrashImage>>> = Arc::default();
-    let sink = Arc::clone(&images);
-    pm.set_boundary_tap(Box::new(move |p, b| {
-        if b == Boundary::Fence {
-            sink.lock().push(p.crash_image(CrashSpec::DropUnpersisted));
-        }
-    }));
-
-    let dest = OidDest::spp(root.off);
-    let oid = pool.alloc_into(dest, 48).unwrap();
-    let oid = pool.realloc_into(dest, oid, 300).unwrap();
-    pool.tx(|tx| -> spp_pmdk::Result<()> {
-        tx.snapshot(oid.off, 8)?;
-        tx.pool().write(oid.off, &7u64.to_le_bytes())?;
-        Ok(())
-    })
-    .unwrap();
-    pool.free_from(dest, oid).unwrap();
-    pm.clear_boundary_tap();
-
-    let collected = std::mem::take(&mut *images.lock());
-    assert!(collected.len() >= 8, "workload crossed too few boundaries");
-    collected
-}
-
-#[test]
-fn second_recovery_is_a_noop() {
-    for img in boundary_images() {
-        let (bytes1, stats1) = recover(&img);
-        let (bytes2, stats2) = recover(&CrashImage::from_bytes(bytes1.clone()));
-        assert_eq!(bytes1, bytes2, "second recovery changed pool bytes");
-        assert_eq!(stats1, stats2, "second recovery changed allocator stats");
-    }
+    let explored = explore(
+        &pm,
+        Plan::drop_all(),
+        || {
+            let dest = OidDest::spp(root.off);
+            let oid = pool.alloc_into(dest, 48).unwrap();
+            let oid = pool.realloc_into(dest, oid, 300).unwrap();
+            pool.tx(|tx| -> spp_pmdk::Result<()> {
+                tx.snapshot(oid.off, 8)?;
+                tx.pool().write(oid.off, &7u64.to_le_bytes())?;
+                Ok(())
+            })
+            .unwrap();
+            pool.free_from(dest, oid).unwrap();
+        },
+        |img| {
+            let (bytes1, stats1) = recover(img);
+            let (bytes2, stats2) = recover(&CrashImage::from_bytes(bytes1.clone()));
+            if bytes1 != bytes2 {
+                return Err("second recovery changed pool bytes".into());
+            }
+            if stats1 != stats2 {
+                return Err(format!(
+                    "second recovery changed allocator stats: {stats1:?} -> {stats2:?}"
+                ));
+            }
+            Ok(())
+        },
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
+    // One drop-all image per fence, plus the baseline before the first.
+    assert!(explored.states >= 8, "workload crossed too few boundaries");
 }
 
 #[test]
@@ -140,56 +143,56 @@ fn skip_redo_apply_fault_loses_atomic_publication() {
     let root = pool.root(64).unwrap();
     pm.reset_tracking();
 
-    let captured: Arc<parking_lot::Mutex<Vec<CrashImage>>> = Arc::default();
-    let sink = Arc::clone(&captured);
-    pm.set_boundary_tap(Box::new(move |p, b| {
-        if b == Boundary::Fence {
-            sink.lock().push(p.crash_image(CrashSpec::KeepAll));
-        }
-    }));
-    let dest = OidDest::spp(root.off);
-    pool.alloc_into(dest, 80).unwrap();
-    pm.clear_boundary_tap();
-    let images = std::mem::take(&mut *captured.lock());
-
-    let mut diverged = false;
-    for img in images {
-        let good = ObjPool::open(Arc::new(PmPool::from_image(
-            img.clone(),
-            PoolConfig::new(0),
-        )))
-        .unwrap();
-        let bad = ObjPool::open_with_faults(
-            Arc::new(PmPool::from_image(img, PoolConfig::new(0))),
-            RecoveryFaults {
-                skip_redo_apply: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // Both claim quiescence afterwards (the fault *clears* the log).
-        assert!(good
-            .lane_statuses()
-            .unwrap()
-            .iter()
-            .all(|s| s.is_quiescent()));
-        assert!(bad
-            .lane_statuses()
-            .unwrap()
-            .iter()
-            .all(|s| s.is_quiescent()));
-        let good_oid = good.oid_read(root.off, spp_pmdk::OidKind::Spp).unwrap();
-        let bad_oid = bad.oid_read(root.off, spp_pmdk::OidKind::Spp).unwrap();
-        if !good_oid.is_null() {
-            let lost =
-                bad_oid.is_null()
+    // Keep-all is each boundary's second state.
+    let diverged = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&diverged);
+    let root_off = root.off;
+    explore(
+        &pm,
+        Plan::sampled(2, u64::MAX, 0),
+        || {
+            pool.alloc_into(OidDest::spp(root_off), 80).unwrap();
+        },
+        move |img| {
+            let good = ObjPool::open(Arc::new(PmPool::from_image(
+                img.clone(),
+                PoolConfig::new(0),
+            )))
+            .unwrap();
+            let bad = ObjPool::open_with_faults(
+                Arc::new(PmPool::from_image(img.clone(), PoolConfig::new(0))),
+                RecoveryFaults {
+                    skip_redo_apply: true,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            // Both claim quiescence afterwards (the fault *clears* the log).
+            assert!(good
+                .lane_statuses()
+                .unwrap()
+                .iter()
+                .all(|s| s.is_quiescent()));
+            assert!(bad
+                .lane_statuses()
+                .unwrap()
+                .iter()
+                .all(|s| s.is_quiescent()));
+            let good_oid = good.oid_read(root_off, spp_pmdk::OidKind::Spp).unwrap();
+            let bad_oid = bad.oid_read(root_off, spp_pmdk::OidKind::Spp).unwrap();
+            if !good_oid.is_null() {
+                let lost = bad_oid.is_null()
                     || bad.walk_heap().unwrap().iter().all(|bl| {
                         bl.payload_off() != bad_oid.off || bl.state != BlockState::Allocated
                     });
-            if lost {
-                diverged = true;
+                if lost {
+                    flag.store(true, Ordering::Relaxed);
+                }
             }
-        }
-    }
+            Ok(())
+        },
+    )
+    .unwrap();
+    let diverged = diverged.load(Ordering::Relaxed);
     assert!(diverged, "no boundary image exposed the skipped redo apply");
 }

@@ -11,7 +11,7 @@ use spp_core::{MemoryPolicy, SppPolicy, TagConfig};
 use spp_indices::{CTree, HashMapTx, Index, RbTree};
 use spp_pm::{CrashImage, Mode, PmPool, PoolConfig};
 use spp_pmdk::{ObjPool, PmemOid, PoolOpts};
-use spp_pmemcheck::{explore, Checker};
+use spp_pmemcheck::{explore, Checker, Plan};
 
 const POOL: u64 = 1 << 20;
 
@@ -66,6 +66,7 @@ fn ctree_workload_is_crash_consistent() {
     let expected = keys.clone();
     let checked = explore(
         policy.pool().pm(),
+        Plan::exhaustive(),
         || {
             for &(k, v) in &keys {
                 tree.insert(k, v).unwrap();
@@ -76,7 +77,7 @@ fn ctree_workload_is_crash_consistent() {
         move |img| validate_index(img, meta, &expected, CTree::open),
     )
     .unwrap_or_else(|e| panic!("crash-state violation: {e}"));
-    assert!(checked > 100, "exploration too shallow: {checked} states");
+    assert!(checked.states > 100, "exploration too shallow: {checked:?}");
 
     // Rule check: the workload flushed and fenced everything it wrote.
     let log = policy.pool().pm().event_log().unwrap();
@@ -98,6 +99,7 @@ fn hashmap_workload_is_crash_consistent() {
     let expected = keys.clone();
     let checked = explore(
         policy.pool().pm(),
+        Plan::exhaustive(),
         || {
             for &(k, v) in &keys {
                 map.insert(k, v).unwrap();
@@ -107,7 +109,7 @@ fn hashmap_workload_is_crash_consistent() {
         move |img| validate_index(img, meta, &expected, HashMapTx::open),
     )
     .unwrap_or_else(|e| panic!("crash-state violation: {e}"));
-    assert!(checked > 50);
+    assert!(checked.states > 50);
 
     let log = policy.pool().pm().event_log().unwrap();
     assert!(Checker::new().analyze(&log).is_clean());
@@ -121,6 +123,7 @@ fn rbtree_workload_preserves_invariants_across_crashes() {
     policy.pool().pm().reset_tracking();
     explore(
         policy.pool().pm(),
+        Plan::exhaustive(),
         || {
             for k in [5u64, 2, 8, 1, 9] {
                 tree.insert(k, k * 10).unwrap();
@@ -152,6 +155,7 @@ fn spp_size_field_is_consistent_in_every_crash_state() {
     let home_off = home.off;
     explore(
         policy.pool().pm(),
+        Plan::exhaustive(),
         || {
             let hp = policy.direct(home);
             // A few alloc_into / free_from / realloc cycles on oid slots.

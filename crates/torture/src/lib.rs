@@ -2,12 +2,13 @@
 //!
 //! The rig drives small deterministic workloads (raw allocation,
 //! redo-validated oid publication, transactions, the kvstore, persistent
-//! containers) against a [`spp_pm::PmPool`] in tracked mode. At **every
-//! durability boundary** — each flush and each fence — a
-//! [`spp_pm::PmPool::set_boundary_tap`] hook enumerates or samples
-//! (seeded, reproducible) crash states via
-//! [`spp_pm::CrashStateIter::sampled`]: every persisted store survives,
-//! every unpersisted store independently may or may not.
+//! containers) against a [`spp_pm::PmPool`] in tracked mode. Each workload
+//! runs inside one [`spp_pmemcheck::explore`] call with a sampled
+//! [`spp_pmemcheck::Plan`]: at **every durability boundary** — each flush
+//! and each fence — the driver takes up to `per_boundary` seeded,
+//! reproducible crash states (every persisted store survives, every
+//! unpersisted store independently may or may not), until `max_states`
+//! distinct states have been validated.
 //!
 //! Each crash image is reopened through full `spp-pmdk` recovery
 //! ([`spp_pmdk::ObjPool::open`]) and checked against a stack of oracles:
@@ -26,24 +27,26 @@
 //! On top of the per-state oracles, each workload's full event log is
 //! replayed through `spp-pmemcheck` as a cross-check.
 //!
-//! A failing state is **shrunk** to a minimal set of dropped stores and
-//! dumped (crash image + event log + report) under `results/torture/` for
-//! offline debugging; the report carries the seed and boundary needed to
-//! reproduce it exactly.
+//! The driver stops at the first failing state and **shrinks** it to a
+//! minimal set of dropped stores; the rig dumps it (crash image + event
+//! log + report) under `results/torture/` for offline debugging. The
+//! report carries the seed and boundary needed to reproduce it exactly.
 
-mod explore;
 mod oracle;
 mod report;
 mod workloads;
 
-pub use explore::{Explorer, Failure};
 pub use oracle::{make_oracle, recover, Oracle, Recovered};
 pub use report::write_summary_json;
 pub use workloads::{all_workloads, workload_names, Workload};
 
 use std::path::PathBuf;
 
+use spp_pm::{CrashImage, PmPool};
 use spp_pmdk::RecoveryFaults;
+use spp_pmemcheck::{explore, Plan};
+
+use oracle::check_event_log;
 
 /// Tuning knobs for one torture run. Everything that influences the
 /// explored state space is here, so `(config, workload)` fully determines
@@ -56,12 +59,10 @@ pub struct TortureConfig {
     pub steps: u64,
     /// Maximum crash states sampled at a single boundary.
     pub per_boundary: u64,
-    /// Total crash-state budget per workload.
+    /// Total budget of distinct crash states per workload.
     pub max_states: u64,
     /// Check recovery idempotence on every N-th state (0 disables).
     pub idempotence_stride: u64,
-    /// Stop exploring a workload after this many failures.
-    pub max_failures: u64,
     /// Where failing states are dumped.
     pub out_dir: PathBuf,
     /// Deliberate recovery breakage (fault injection) — the rig must
@@ -77,7 +78,6 @@ impl Default for TortureConfig {
             per_boundary: 6,
             max_states: 3000,
             idempotence_stride: 8,
-            max_failures: 1,
             out_dir: PathBuf::from("results/torture"),
             faults: RecoveryFaults::default(),
         }
@@ -100,12 +100,97 @@ impl TortureConfig {
 pub struct WorkloadResult {
     /// Workload name.
     pub name: String,
-    /// Durability boundaries crossed while the tap was attached.
+    /// Durability boundaries explored.
     pub boundaries: u64,
-    /// Crash states explored.
+    /// Distinct crash states validated.
     pub states: u64,
     /// Oracle violations, shrunk and dumped.
     pub failures: Vec<Failure>,
+}
+
+/// One oracle violation, shrunk to a minimal store-drop set.
+#[derive(Debug, Clone, Default)]
+pub struct Failure {
+    /// Workload that produced it.
+    pub workload: String,
+    /// The durability boundary where it was found, numbered as in
+    /// [`spp_pmemcheck::Plan`]; 0 for a whole-run (event-log) failure.
+    pub boundary: u64,
+    /// Index of the crash state within that boundary's sample.
+    pub state: u64,
+    /// The boundary's sampling seed (derived from the master seed).
+    pub seed: u64,
+    /// What the oracle reported for the minimal state.
+    pub message: String,
+    /// All unpersisted store sequence numbers at the boundary.
+    pub unpersisted: Vec<u64>,
+    /// Minimal keep-set that still fails.
+    pub kept: Vec<u64>,
+    /// Minimal drop-set: `unpersisted \ kept`. These lost stores *cause*
+    /// the violation.
+    pub dropped: Vec<u64>,
+    /// Where the crash image + event log were dumped (empty for
+    /// event-log-level failures with no single crash state).
+    pub dump_dir: String,
+}
+
+/// Run one workload's op sequence `drive` on the tracked pool `pm` inside
+/// the crash-state driver, validating sampled states with `oracle`; dump
+/// the failing state if there is one, then cross-check the event log.
+///
+/// # Errors
+///
+/// Whatever `drive` returns: the live workload itself failing.
+pub(crate) fn explore_workload(
+    cfg: &TortureConfig,
+    name: &str,
+    pm: &PmPool,
+    oracle: Oracle,
+    drive: impl FnOnce() -> Result<(), String>,
+) -> Result<WorkloadResult, String> {
+    let plan = Plan::sampled(cfg.per_boundary, cfg.max_states, cfg.seed);
+    let mut driven = Ok(());
+    let outcome = explore(
+        pm,
+        plan,
+        || driven = drive(),
+        move |img: &CrashImage| oracle(img),
+    );
+    driven?;
+    let mut failures = Vec::new();
+    let explored = match outcome {
+        Ok(explored) => explored,
+        Err(e) => {
+            let mut failure = Failure {
+                workload: name.to_string(),
+                boundary: e.boundary,
+                state: e.state,
+                seed: e.seed,
+                message: e.message,
+                unpersisted: e.unpersisted,
+                kept: e.kept,
+                dropped: e.dropped,
+                dump_dir: String::new(),
+            };
+            failure.dump_dir = report::dump_failure(&cfg.out_dir, &failure, &e.image, pm);
+            failures.push(failure);
+            e.explored
+        }
+    };
+    if let Err(message) = check_event_log(pm) {
+        failures.push(Failure {
+            workload: name.to_string(),
+            seed: cfg.seed,
+            message,
+            ..Failure::default()
+        });
+    }
+    Ok(WorkloadResult {
+        name: name.to_string(),
+        boundaries: explored.boundaries,
+        states: explored.states,
+        failures,
+    })
 }
 
 /// Outcome of a whole run.
@@ -152,15 +237,7 @@ pub fn run(cfg: &TortureConfig, names: &[String]) -> Result<Summary, String> {
                     workload_names().join(", ")
                 )
             })?;
-        let ex = Explorer::new(cfg.clone(), w.name);
-        (w.run)(cfg, &ex)?;
-        let (boundaries, states, failures) = ex.finish();
-        summary.results.push(WorkloadResult {
-            name: w.name.to_string(),
-            boundaries,
-            states,
-            failures,
-        });
+        summary.results.push((w.run)(cfg)?);
     }
     Ok(summary)
 }

@@ -6,7 +6,7 @@ use std::path::Path;
 
 use spp_pm::{CrashImage, PmPool};
 
-use crate::{explore::Failure, Summary, TortureConfig};
+use crate::{Failure, Summary, TortureConfig};
 
 /// Dump a shrunk failure: the minimal crash image, the live pool's event
 /// log, and a human-readable report with everything needed to reproduce.

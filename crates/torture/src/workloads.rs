@@ -1,14 +1,14 @@
 //! The torture workloads.
 //!
 //! Each workload drives a deterministic, seeded op sequence against a
-//! tracked pool while the [`Explorer`] samples crash states at every
-//! durability boundary. A shared *expected-state* model is updated around
-//! every operation: before the op it records the op as in-flight (both the
-//! pre- and post-states are then acceptable — crash recovery must land on
-//! exactly one of them, never between); after the op completes it commits
-//! the post-state. The oracle closures read that model through an
-//! `Arc<Mutex<..>>`, so a crash image taken mid-operation is checked
-//! against precisely the two legal outcomes.
+//! tracked pool inside one [`spp_pmemcheck::explore`] call, which samples
+//! crash states at every durability boundary. A shared *expected-state*
+//! model is updated around every operation: before the op it records the
+//! op as in-flight (both the pre- and post-states are then acceptable —
+//! crash recovery must land on exactly one of them, never between); after
+//! the op completes it commits the post-state. The oracle closures read
+//! that model through an `Arc<Mutex<..>>`, so a crash image taken
+//! mid-operation is checked against precisely the two legal outcomes.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -23,8 +23,8 @@ use spp_kvstore::{KvStore, KEY_SIZE};
 use spp_pm::{Mode, PmPool, PoolConfig};
 use spp_pmdk::{ObjPool, OidDest, OidKind, PmdkError, PmemOid, PoolOpts};
 
-use crate::oracle::{allocated_block_at, allocated_count, check_event_log, make_oracle, Recovered};
-use crate::{Explorer, TortureConfig};
+use crate::oracle::{allocated_block_at, allocated_count, make_oracle, Recovered};
+use crate::{explore_workload, TortureConfig, WorkloadResult};
 
 /// Simulated device size for every workload pool — small, so the
 /// per-crash-state image clone stays cheap.
@@ -36,9 +36,9 @@ pub struct Workload {
     pub name: &'static str,
     /// One-line description.
     pub about: &'static str,
-    /// Driver: sets up a pool, attaches the explorer, runs the op
-    /// sequence, detaches, cross-checks the event log.
-    pub run: fn(&TortureConfig, &Explorer) -> Result<(), String>,
+    /// Driver: sets up a pool, then runs the op sequence inside the
+    /// crash-state driver and cross-checks the event log.
+    pub run: fn(&TortureConfig) -> Result<WorkloadResult, String>,
 }
 
 /// All workloads, in default run order.
@@ -222,7 +222,7 @@ fn check_slots(
     Ok(())
 }
 
-fn run_alloc(cfg: &TortureConfig, ex: &Explorer) -> Result<(), String> {
+fn run_alloc(cfg: &TortureConfig) -> Result<WorkloadResult, String> {
     let pm = tracked_pool();
     let pool = Arc::new(ObjPool::create(Arc::clone(&pm), PoolOpts::small()).map_err(estr)?);
     let root = pool.root(ALLOC_SLOTS as u64 * 16).map_err(estr)?;
@@ -248,41 +248,35 @@ fn run_alloc(cfg: &TortureConfig, ex: &Explorer) -> Result<(), String> {
             )
         }
     });
-    ex.attach(&pm, oracle);
 
     let mut rng = StdRng::seed_from_u64(wseed(cfg, "alloc"));
     let mut oids: Vec<Option<PmemOid>> = vec![None; ALLOC_SLOTS];
-    for _ in 0..cfg.steps {
-        if ex.hit_failure_cap() {
-            break;
-        }
-        let slot = rng.random_range(0..ALLOC_SLOTS as u64) as usize;
-        let dest = OidDest::pmdk(root.off + slot as u64 * 16);
-        match oids[slot] {
-            Some(oid) => {
-                expected.lock().in_flight = Some((slot, None));
-                pool.free_from(dest, oid).map_err(estr)?;
-                let mut exp = expected.lock();
-                exp.committed[slot] = None;
-                exp.in_flight = None;
-                oids[slot] = None;
+    explore_workload(cfg, "alloc", &pm, oracle, || {
+        for _ in 0..cfg.steps {
+            let slot = rng.random_range(0..ALLOC_SLOTS as u64) as usize;
+            let dest = OidDest::pmdk(root.off + slot as u64 * 16);
+            match oids[slot] {
+                Some(oid) => {
+                    expected.lock().in_flight = Some((slot, None));
+                    pool.free_from(dest, oid).map_err(estr)?;
+                    let mut exp = expected.lock();
+                    exp.committed[slot] = None;
+                    exp.in_flight = None;
+                    oids[slot] = None;
+                }
+                None => {
+                    let size = 16 + rng.random_range(0..240);
+                    expected.lock().in_flight = Some((slot, Some(size)));
+                    let oid = pool.alloc_into(dest, size).map_err(estr)?;
+                    let mut exp = expected.lock();
+                    exp.committed[slot] = Some(size);
+                    exp.in_flight = None;
+                    oids[slot] = Some(oid);
+                }
             }
-            None => {
-                let size = 16 + rng.random_range(0..240);
-                expected.lock().in_flight = Some((slot, Some(size)));
-                let oid = pool.alloc_into(dest, size).map_err(estr)?;
-                let mut exp = expected.lock();
-                exp.committed[slot] = Some(size);
-                exp.in_flight = None;
-                oids[slot] = Some(oid);
-            }
         }
-    }
-    ex.detach(&pm);
-    if let Err(msg) = check_event_log(&pm) {
-        ex.record_external(msg);
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -291,7 +285,7 @@ fn run_alloc(cfg: &TortureConfig, ex: &Explorer) -> Result<(), String> {
 
 const PUBLISH_SLOTS: usize = 4;
 
-fn run_publish(cfg: &TortureConfig, ex: &Explorer) -> Result<(), String> {
+fn run_publish(cfg: &TortureConfig) -> Result<WorkloadResult, String> {
     let pm = tracked_pool();
     let pool = Arc::new(ObjPool::create(Arc::clone(&pm), PoolOpts::small()).map_err(estr)?);
     let root = pool.root(PUBLISH_SLOTS as u64 * 24).map_err(estr)?;
@@ -317,50 +311,44 @@ fn run_publish(cfg: &TortureConfig, ex: &Explorer) -> Result<(), String> {
             )
         }
     });
-    ex.attach(&pm, oracle);
 
     let mut rng = StdRng::seed_from_u64(wseed(cfg, "publish"));
     let mut oids: Vec<Option<PmemOid>> = vec![None; PUBLISH_SLOTS];
-    for _ in 0..cfg.steps {
-        if ex.hit_failure_cap() {
-            break;
+    explore_workload(cfg, "publish", &pm, oracle, || {
+        for _ in 0..cfg.steps {
+            let slot = rng.random_range(0..PUBLISH_SLOTS as u64) as usize;
+            let dest = OidDest::spp(root.off + slot as u64 * 24);
+            match oids[slot] {
+                Some(oid) if rng.random_range(0..2) == 0 => {
+                    let size = 16 + rng.random_range(0..500);
+                    expected.lock().in_flight = Some((slot, Some(size)));
+                    let new = pool.realloc_into(dest, oid, size).map_err(estr)?;
+                    let mut exp = expected.lock();
+                    exp.committed[slot] = Some(size);
+                    exp.in_flight = None;
+                    oids[slot] = Some(new);
+                }
+                Some(oid) => {
+                    expected.lock().in_flight = Some((slot, None));
+                    pool.free_from(dest, oid).map_err(estr)?;
+                    let mut exp = expected.lock();
+                    exp.committed[slot] = None;
+                    exp.in_flight = None;
+                    oids[slot] = None;
+                }
+                None => {
+                    let size = 16 + rng.random_range(0..500);
+                    expected.lock().in_flight = Some((slot, Some(size)));
+                    let oid = pool.zalloc_into(dest, size).map_err(estr)?;
+                    let mut exp = expected.lock();
+                    exp.committed[slot] = Some(size);
+                    exp.in_flight = None;
+                    oids[slot] = Some(oid);
+                }
+            }
         }
-        let slot = rng.random_range(0..PUBLISH_SLOTS as u64) as usize;
-        let dest = OidDest::spp(root.off + slot as u64 * 24);
-        match oids[slot] {
-            Some(oid) if rng.random_range(0..2) == 0 => {
-                let size = 16 + rng.random_range(0..500);
-                expected.lock().in_flight = Some((slot, Some(size)));
-                let new = pool.realloc_into(dest, oid, size).map_err(estr)?;
-                let mut exp = expected.lock();
-                exp.committed[slot] = Some(size);
-                exp.in_flight = None;
-                oids[slot] = Some(new);
-            }
-            Some(oid) => {
-                expected.lock().in_flight = Some((slot, None));
-                pool.free_from(dest, oid).map_err(estr)?;
-                let mut exp = expected.lock();
-                exp.committed[slot] = None;
-                exp.in_flight = None;
-                oids[slot] = None;
-            }
-            None => {
-                let size = 16 + rng.random_range(0..500);
-                expected.lock().in_flight = Some((slot, Some(size)));
-                let oid = pool.zalloc_into(dest, size).map_err(estr)?;
-                let mut exp = expected.lock();
-                exp.committed[slot] = Some(size);
-                exp.in_flight = None;
-                oids[slot] = Some(oid);
-            }
-        }
-    }
-    ex.detach(&pm);
-    if let Err(msg) = check_event_log(&pm) {
-        ex.record_external(msg);
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -380,7 +368,7 @@ struct TxExpected {
     slots: SlotExpected,
 }
 
-fn run_tx(cfg: &TortureConfig, ex: &Explorer) -> Result<(), String> {
+fn run_tx(cfg: &TortureConfig) -> Result<WorkloadResult, String> {
     let pm = tracked_pool();
     let pool = Arc::new(ObjPool::create(Arc::clone(&pm), PoolOpts::small()).map_err(estr)?);
     // Layout: counters a/b at +0/+8, then two pmdk oid slots.
@@ -433,83 +421,77 @@ fn run_tx(cfg: &TortureConfig, ex: &Explorer) -> Result<(), String> {
             )
         }
     });
-    ex.attach(&pm, oracle);
 
     let mut rng = StdRng::seed_from_u64(wseed(cfg, "tx"));
     let mut oids: Vec<Option<PmemOid>> = vec![None; TX_SLOTS];
-    for _ in 0..cfg.steps {
-        if ex.hit_failure_cap() {
-            break;
-        }
-        match rng.random_range(0..4) {
-            0 | 1 => {
-                let commit = rng.random_range(0..3) < 2;
-                let v = expected.lock().value;
-                if commit {
-                    expected.lock().value_post = Some(v + 1);
-                    pool.tx(|tx| -> Result<(), PmdkError> {
-                        tx.write_u64(root.off, v + 1)?;
-                        tx.write_u64(root.off + 8, v + 1)?;
-                        Ok(())
-                    })
-                    .map_err(estr)?;
-                    let mut exp = expected.lock();
-                    exp.value = v + 1;
-                    exp.value_post = None;
-                } else {
-                    // Abort: poison both counters inside the tx; the live
-                    // rollback (or crash recovery) must erase the poison.
-                    let r = pool.tx(|tx| -> Result<(), PmdkError> {
-                        tx.write_u64(root.off, POISON)?;
-                        tx.write_u64(root.off + 8, POISON)?;
-                        Err(tx.abort("torture: deliberate abort"))
-                    });
-                    if !matches!(r, Err(PmdkError::TxAborted(_))) {
-                        return Err(format!("abort step: unexpected result {r:?}"));
-                    }
-                }
-            }
-            _ => {
-                let slot = rng.random_range(0..TX_SLOTS as u64) as usize;
-                let slot_off = root.off + 16 + slot as u64 * 16;
-                match oids[slot] {
-                    Some(oid) => {
-                        expected.lock().slots.in_flight = Some((slot, None));
+    explore_workload(cfg, "tx", &pm, oracle, || {
+        for _ in 0..cfg.steps {
+            match rng.random_range(0..4) {
+                0 | 1 => {
+                    let commit = rng.random_range(0..3) < 2;
+                    let v = expected.lock().value;
+                    if commit {
+                        expected.lock().value_post = Some(v + 1);
                         pool.tx(|tx| -> Result<(), PmdkError> {
-                            tx.free(oid)?;
-                            tx.write(slot_off, &PmemOid::NULL.encode(OidKind::Pmdk))?;
+                            tx.write_u64(root.off, v + 1)?;
+                            tx.write_u64(root.off + 8, v + 1)?;
                             Ok(())
                         })
                         .map_err(estr)?;
                         let mut exp = expected.lock();
-                        exp.slots.committed[slot] = None;
-                        exp.slots.in_flight = None;
-                        oids[slot] = None;
+                        exp.value = v + 1;
+                        exp.value_post = None;
+                    } else {
+                        // Abort: poison both counters inside the tx; the live
+                        // rollback (or crash recovery) must erase the poison.
+                        let r = pool.tx(|tx| -> Result<(), PmdkError> {
+                            tx.write_u64(root.off, POISON)?;
+                            tx.write_u64(root.off + 8, POISON)?;
+                            Err(tx.abort("torture: deliberate abort"))
+                        });
+                        if !matches!(r, Err(PmdkError::TxAborted(_))) {
+                            return Err(format!("abort step: unexpected result {r:?}"));
+                        }
                     }
-                    None => {
-                        let size = 16 + rng.random_range(0..100);
-                        expected.lock().slots.in_flight = Some((slot, Some(size)));
-                        let oid = pool
-                            .tx(|tx| -> Result<PmemOid, PmdkError> {
-                                let oid = tx.zalloc(size)?;
-                                tx.write(slot_off, &oid.encode(OidKind::Pmdk))?;
-                                Ok(oid)
+                }
+                _ => {
+                    let slot = rng.random_range(0..TX_SLOTS as u64) as usize;
+                    let slot_off = root.off + 16 + slot as u64 * 16;
+                    match oids[slot] {
+                        Some(oid) => {
+                            expected.lock().slots.in_flight = Some((slot, None));
+                            pool.tx(|tx| -> Result<(), PmdkError> {
+                                tx.free(oid)?;
+                                tx.write(slot_off, &PmemOid::NULL.encode(OidKind::Pmdk))?;
+                                Ok(())
                             })
                             .map_err(estr)?;
-                        let mut exp = expected.lock();
-                        exp.slots.committed[slot] = Some(size);
-                        exp.slots.in_flight = None;
-                        oids[slot] = Some(oid);
+                            let mut exp = expected.lock();
+                            exp.slots.committed[slot] = None;
+                            exp.slots.in_flight = None;
+                            oids[slot] = None;
+                        }
+                        None => {
+                            let size = 16 + rng.random_range(0..100);
+                            expected.lock().slots.in_flight = Some((slot, Some(size)));
+                            let oid = pool
+                                .tx(|tx| -> Result<PmemOid, PmdkError> {
+                                    let oid = tx.zalloc(size)?;
+                                    tx.write(slot_off, &oid.encode(OidKind::Pmdk))?;
+                                    Ok(oid)
+                                })
+                                .map_err(estr)?;
+                            let mut exp = expected.lock();
+                            exp.slots.committed[slot] = Some(size);
+                            exp.slots.in_flight = None;
+                            oids[slot] = Some(oid);
+                        }
                     }
                 }
             }
         }
-    }
-    ex.detach(&pm);
-    if let Err(msg) = check_event_log(&pm) {
-        ex.record_external(msg);
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -538,7 +520,7 @@ fn kv_value(key_idx: u64, version: u64) -> Vec<u8> {
         .collect()
 }
 
-fn run_kvstore(cfg: &TortureConfig, ex: &Explorer) -> Result<(), String> {
+fn run_kvstore(cfg: &TortureConfig) -> Result<WorkloadResult, String> {
     let pm = tracked_pool();
     let pool = Arc::new(ObjPool::create(Arc::clone(&pm), PoolOpts::small()).map_err(estr)?);
     let root = pool.root(24).map_err(estr)?;
@@ -597,40 +579,34 @@ fn run_kvstore(cfg: &TortureConfig, ex: &Explorer) -> Result<(), String> {
             Ok(())
         }
     });
-    ex.attach(&pm, oracle);
 
     let mut rng = StdRng::seed_from_u64(wseed(cfg, "kvstore"));
     let mut versions = vec![0u64; universe.len()];
-    for _ in 0..cfg.steps {
-        if ex.hit_failure_cap() {
-            break;
+    explore_workload(cfg, "kvstore", &pm, oracle, || {
+        for _ in 0..cfg.steps {
+            let ki = rng.random_range(0..universe.len() as u64);
+            let key = universe[ki as usize].clone();
+            let pre = expected.lock().committed.get(&key).cloned();
+            if pre.is_some() && rng.random_range(0..10) < 3 {
+                expected.lock().in_flight = Some((key.clone(), pre, None));
+                kv.remove(&key)
+                    .map_err(|e| format!("kv remove failed: {e:?}"))?;
+                let mut exp = expected.lock();
+                exp.committed.remove(&key);
+                exp.in_flight = None;
+            } else {
+                versions[ki as usize] += 1;
+                let value = kv_value(ki, versions[ki as usize]);
+                expected.lock().in_flight = Some((key.clone(), pre, Some(value.clone())));
+                kv.put(&key, &value)
+                    .map_err(|e| format!("kv put failed: {e:?}"))?;
+                let mut exp = expected.lock();
+                exp.committed.insert(key, value);
+                exp.in_flight = None;
+            }
         }
-        let ki = rng.random_range(0..universe.len() as u64);
-        let key = universe[ki as usize].clone();
-        let pre = expected.lock().committed.get(&key).cloned();
-        if pre.is_some() && rng.random_range(0..10) < 3 {
-            expected.lock().in_flight = Some((key.clone(), pre, None));
-            kv.remove(&key)
-                .map_err(|e| format!("kv remove failed: {e:?}"))?;
-            let mut exp = expected.lock();
-            exp.committed.remove(&key);
-            exp.in_flight = None;
-        } else {
-            versions[ki as usize] += 1;
-            let value = kv_value(ki, versions[ki as usize]);
-            expected.lock().in_flight = Some((key.clone(), pre, Some(value.clone())));
-            kv.put(&key, &value)
-                .map_err(|e| format!("kv put failed: {e:?}"))?;
-            let mut exp = expected.lock();
-            exp.committed.insert(key, value);
-            exp.in_flight = None;
-        }
-    }
-    ex.detach(&pm);
-    if let Err(msg) = check_event_log(&pm) {
-        ex.record_external(msg);
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -786,7 +762,7 @@ fn check_generations(
     Ok(())
 }
 
-fn run_generation(cfg: &TortureConfig, ex: &Explorer) -> Result<(), String> {
+fn run_generation(cfg: &TortureConfig) -> Result<WorkloadResult, String> {
     use spp_pmdk::GEN_MAX;
 
     let pm = tracked_pool();
@@ -806,7 +782,6 @@ fn run_generation(cfg: &TortureConfig, ex: &Explorer) -> Result<(), String> {
             check_generations(rp, blocks, root_off, &exp)
         }
     });
-    ex.attach(&pm, oracle);
 
     let bump_floor = |exp: &mut GenExpected, off: u64, gen: u8| {
         let f = exp.floor.entry(off).or_insert(0);
@@ -815,117 +790,112 @@ fn run_generation(cfg: &TortureConfig, ex: &Explorer) -> Result<(), String> {
 
     let mut rng = StdRng::seed_from_u64(wseed(cfg, "generation"));
     let mut oids: Vec<Option<PmemOid>> = vec![None; GEN_SLOTS];
-    for _ in 0..cfg.steps {
-        if ex.hit_failure_cap() {
-            break;
-        }
-        let slot = rng.random_range(0..GEN_SLOTS as u64) as usize;
-        let dest = OidDest::spp(root.off + slot as u64 * 24);
-        let committed = expected.lock().committed[slot];
-        match (oids[slot], committed) {
-            (Some(oid), Some(s)) if rng.random_range(0..2) == 0 => {
-                // Free: the durable bump to gen+1 and the oid null-out
-                // must land together — in one redo record, or on the two
-                // sides of one transaction's commit point.
-                expected.lock().in_flight = Some((slot, GenState::Exact(s), GenState::Empty));
-                if rng.random_range(0..2) == 0 {
-                    pool.free_from(dest, oid).map_err(estr)?;
-                } else {
-                    pool.tx(|tx| -> Result<(), PmdkError> {
-                        tx.free(oid)?;
-                        tx.write(dest.off, &PmemOid::NULL.encode(OidKind::Spp))
-                    })
-                    .map_err(estr)?;
+    explore_workload(cfg, "generation", &pm, oracle, || {
+        for _ in 0..cfg.steps {
+            let slot = rng.random_range(0..GEN_SLOTS as u64) as usize;
+            let dest = OidDest::spp(root.off + slot as u64 * 24);
+            let committed = expected.lock().committed[slot];
+            match (oids[slot], committed) {
+                (Some(oid), Some(s)) if rng.random_range(0..2) == 0 => {
+                    // Free: the durable bump to gen+1 and the oid null-out
+                    // must land together — in one redo record, or on the two
+                    // sides of one transaction's commit point.
+                    expected.lock().in_flight = Some((slot, GenState::Exact(s), GenState::Empty));
+                    if rng.random_range(0..2) == 0 {
+                        pool.free_from(dest, oid).map_err(estr)?;
+                    } else {
+                        pool.tx(|tx| -> Result<(), PmdkError> {
+                            tx.free(oid)?;
+                            tx.write(dest.off, &PmemOid::NULL.encode(OidKind::Spp))
+                        })
+                        .map_err(estr)?;
+                    }
+                    let mut exp = expected.lock();
+                    exp.committed[slot] = None;
+                    exp.in_flight = None;
+                    bump_floor(&mut exp, s.off, s.gen.saturating_add(1));
+                    oids[slot] = None;
                 }
-                let mut exp = expected.lock();
-                exp.committed[slot] = None;
-                exp.in_flight = None;
-                bump_floor(&mut exp, s.off, s.gen.saturating_add(1));
-                oids[slot] = None;
-            }
-            (Some(oid), Some(s)) => {
-                // Same-class realloc: in place with a generation bump —
-                // unless the bump would saturate, in which case the
-                // allocator quarantines the block and moves.
-                let new_size = GEN_SIZES[rng.random_range(0..GEN_SIZES.len() as u64) as usize];
-                let post = if s.gen + 1 < GEN_MAX {
-                    GenState::Exact(GenSlot {
-                        off: s.off,
-                        gen: s.gen + 1,
+                (Some(oid), Some(s)) => {
+                    // Same-class realloc: in place with a generation bump —
+                    // unless the bump would saturate, in which case the
+                    // allocator quarantines the block and moves.
+                    let new_size = GEN_SIZES[rng.random_range(0..GEN_SIZES.len() as u64) as usize];
+                    let post = if s.gen + 1 < GEN_MAX {
+                        GenState::Exact(GenSlot {
+                            off: s.off,
+                            gen: s.gen + 1,
+                            size: new_size,
+                        })
+                    } else {
+                        GenState::Fresh(new_size)
+                    };
+                    expected.lock().in_flight = Some((slot, GenState::Exact(s), post));
+                    let new = pool.realloc_into(dest, oid, new_size).map_err(estr)?;
+                    let gen = pool.gen_at_bound(new.off + new_size);
+                    let mut exp = expected.lock();
+                    exp.committed[slot] = Some(GenSlot {
+                        off: new.off,
+                        gen,
                         size: new_size,
-                    })
-                } else {
-                    GenState::Fresh(new_size)
-                };
-                expected.lock().in_flight = Some((slot, GenState::Exact(s), post));
-                let new = pool.realloc_into(dest, oid, new_size).map_err(estr)?;
-                let gen = pool.gen_at_bound(new.off + new_size);
-                let mut exp = expected.lock();
-                exp.committed[slot] = Some(GenSlot {
-                    off: new.off,
-                    gen,
-                    size: new_size,
-                });
-                exp.in_flight = None;
-                // The old key died either way (bumped in place or block
-                // quarantined/freed).
-                bump_floor(&mut exp, s.off, s.gen.saturating_add(1));
-                bump_floor(&mut exp, new.off, gen);
-                oids[slot] = Some(new);
-            }
-            _ => {
-                // Alloc: block and generation are unknown until the op
-                // returns (LIFO reuse vs fresh wilderness block).
-                let size = GEN_SIZES[rng.random_range(0..GEN_SIZES.len() as u64) as usize];
-                let arm = rng.random_range(0..3);
-                let post = if arm == 2 {
-                    GenState::Empty // the transaction aborts
-                } else {
-                    GenState::Fresh(size)
-                };
-                expected.lock().in_flight = Some((slot, GenState::Empty, post));
-                let mut born = None;
-                let done = if arm == 0 {
-                    pool.zalloc_into(dest, size).map(|oid| born = Some(oid))
-                } else {
-                    pool.tx(|tx| -> Result<(), PmdkError> {
-                        let oid = tx.zalloc(size)?;
-                        born = Some(oid);
-                        tx.write(dest.off, &oid.encode(OidKind::Spp))?;
-                        if arm == 2 {
-                            return Err(tx.abort("torture: deliberate abort"));
+                    });
+                    exp.in_flight = None;
+                    // The old key died either way (bumped in place or block
+                    // quarantined/freed).
+                    bump_floor(&mut exp, s.off, s.gen.saturating_add(1));
+                    bump_floor(&mut exp, new.off, gen);
+                    oids[slot] = Some(new);
+                }
+                _ => {
+                    // Alloc: block and generation are unknown until the op
+                    // returns (LIFO reuse vs fresh wilderness block).
+                    let size = GEN_SIZES[rng.random_range(0..GEN_SIZES.len() as u64) as usize];
+                    let arm = rng.random_range(0..3);
+                    let post = if arm == 2 {
+                        GenState::Empty // the transaction aborts
+                    } else {
+                        GenState::Fresh(size)
+                    };
+                    expected.lock().in_flight = Some((slot, GenState::Empty, post));
+                    let mut born = None;
+                    let done = if arm == 0 {
+                        pool.zalloc_into(dest, size).map(|oid| born = Some(oid))
+                    } else {
+                        pool.tx(|tx| -> Result<(), PmdkError> {
+                            let oid = tx.zalloc(size)?;
+                            born = Some(oid);
+                            tx.write(dest.off, &oid.encode(OidKind::Spp))?;
+                            if arm == 2 {
+                                return Err(tx.abort("torture: deliberate abort"));
+                            }
+                            Ok(())
+                        })
+                    };
+                    let oid = born.ok_or_else(|| format!("alloc step failed: {done:?}"))?;
+                    let mut exp = expected.lock();
+                    exp.in_flight = None;
+                    match done {
+                        Ok(()) => {
+                            exp.committed[slot] = Some(GenSlot {
+                                off: oid.off,
+                                gen: oid.gen,
+                                size,
+                            });
+                            bump_floor(&mut exp, oid.off, oid.gen);
+                            oids[slot] = Some(oid);
                         }
-                        Ok(())
-                    })
-                };
-                let oid = born.ok_or_else(|| format!("alloc step failed: {done:?}"))?;
-                let mut exp = expected.lock();
-                exp.in_flight = None;
-                match done {
-                    Ok(()) => {
-                        exp.committed[slot] = Some(GenSlot {
-                            off: oid.off,
-                            gen: oid.gen,
-                            size,
-                        });
-                        bump_floor(&mut exp, oid.off, oid.gen);
-                        oids[slot] = Some(oid);
+                        // The oid escaped into (rolled-back) PM: its key must
+                        // die with the aborted allocation.
+                        Err(PmdkError::TxAborted(_)) if arm == 2 => {
+                            bump_floor(&mut exp, oid.off, oid.gen.saturating_add(1));
+                        }
+                        Err(e) => return Err(estr(e)),
                     }
-                    // The oid escaped into (rolled-back) PM: its key must
-                    // die with the aborted allocation.
-                    Err(PmdkError::TxAborted(_)) if arm == 2 => {
-                        bump_floor(&mut exp, oid.off, oid.gen.saturating_add(1));
-                    }
-                    Err(e) => return Err(estr(e)),
                 }
             }
         }
-    }
-    ex.detach(&pm);
-    if let Err(msg) = check_event_log(&pm) {
-        ex.record_external(msg);
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -939,7 +909,7 @@ struct ListExpected {
     post: Option<Vec<u64>>,
 }
 
-fn run_list(cfg: &TortureConfig, ex: &Explorer) -> Result<(), String> {
+fn run_list(cfg: &TortureConfig) -> Result<WorkloadResult, String> {
     let pm = tracked_pool();
     let pool = Arc::new(ObjPool::create(Arc::clone(&pm), PoolOpts::small()).map_err(estr)?);
     let root = pool.root(24).map_err(estr)?;
@@ -1000,50 +970,44 @@ fn run_list(cfg: &TortureConfig, ex: &Explorer) -> Result<(), String> {
             Ok(())
         }
     });
-    ex.attach(&pm, oracle);
 
     let mut rng = StdRng::seed_from_u64(wseed(cfg, "list"));
     let mut next = 1u64;
-    for _ in 0..cfg.steps {
-        if ex.hit_failure_cap() {
-            break;
-        }
-        let len = expected.lock().committed.len();
-        if len < 12 && (len == 0 || rng.random_range(0..3) < 2) {
-            let v = next;
-            next += 1;
-            {
+    explore_workload(cfg, "list", &pm, oracle, || {
+        for _ in 0..cfg.steps {
+            let len = expected.lock().committed.len();
+            if len < 12 && (len == 0 || rng.random_range(0..3) < 2) {
+                let v = next;
+                next += 1;
+                {
+                    let mut exp = expected.lock();
+                    let mut post = exp.committed.clone();
+                    post.push(v);
+                    exp.post = Some(post);
+                }
+                list.push_back(v)
+                    .map_err(|e| format!("list push failed: {e:?}"))?;
                 let mut exp = expected.lock();
-                let mut post = exp.committed.clone();
-                post.push(v);
-                exp.post = Some(post);
-            }
-            list.push_back(v)
-                .map_err(|e| format!("list push failed: {e:?}"))?;
-            let mut exp = expected.lock();
-            exp.committed.push(v);
-            exp.post = None;
-        } else {
-            {
+                exp.committed.push(v);
+                exp.post = None;
+            } else {
+                {
+                    let mut exp = expected.lock();
+                    let mut post = exp.committed.clone();
+                    post.remove(0);
+                    exp.post = Some(post);
+                }
+                let popped = list
+                    .pop_front()
+                    .map_err(|e| format!("list pop failed: {e:?}"))?;
                 let mut exp = expected.lock();
-                let mut post = exp.committed.clone();
-                post.remove(0);
-                exp.post = Some(post);
-            }
-            let popped = list
-                .pop_front()
-                .map_err(|e| format!("list pop failed: {e:?}"))?;
-            let mut exp = expected.lock();
-            let want = exp.committed.remove(0);
-            exp.post = None;
-            if popped != Some(want) {
-                return Err(format!("list pop returned {popped:?}, expected {want}"));
+                let want = exp.committed.remove(0);
+                exp.post = None;
+                if popped != Some(want) {
+                    return Err(format!("list pop returned {popped:?}, expected {want}"));
+                }
             }
         }
-    }
-    ex.detach(&pm);
-    if let Err(msg) = check_event_log(&pm) {
-        ex.record_external(msg);
-    }
-    Ok(())
+        Ok(())
+    })
 }

@@ -12,7 +12,7 @@ use spp::core::{SppPolicy, TagConfig};
 use spp::indices::{CTree, Index};
 use spp::pm::{Mode, PmPool, PoolConfig};
 use spp::pmdk::{ObjPool, PoolOpts};
-use spp::pmemcheck::{explore, Checker};
+use spp::pmemcheck::{explore, Checker, Plan};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     const POOL: u64 = 1 << 20;
@@ -34,6 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let expected = keys.clone();
     let checked = explore(
         &pm,
+        Plan::exhaustive(),
         || {
             for &(k, v) in &keys {
                 tree.insert(k, v).expect("insert");
@@ -60,7 +61,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     )?;
     println!("workload done: {} live entries", tree.count()?);
-    println!("pmreorder: {checked} crash states explored, all recover consistently ✓");
+    println!(
+        "pmreorder: {} crash states explored at {} boundaries, all recover consistently ✓",
+        checked.states, checked.boundaries
+    );
 
     // 2. pmemcheck rules: every store flushed and fenced.
     let report = Checker::new().analyze(&pm.event_log()?);

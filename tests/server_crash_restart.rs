@@ -19,6 +19,7 @@ use std::time::Duration;
 
 use spp::pm::{CrashImage, CrashSpec, PmPool, PoolConfig};
 use spp::pmdk::ObjPool;
+use spp::pmemcheck::{explore, Plan};
 use spp::server::{
     fresh_server_pool, Client, ClientError, KvEngine, PolicyKind, Reply, Request, Server,
     ServerConfig, WriteOp, WriteReply,
@@ -457,34 +458,23 @@ fn group_commit_batches_survive_crash_whole_safepm() {
     verify_batch_atomicity(PolicyKind::SafePm, &cap);
 }
 
-/// Deterministic all-or-nothing: capture a crash image at EVERY durability
-/// boundary while one engine write batch commits, and reopen each image.
-/// At every point the batch's fresh keys are all present or all absent,
-/// the overwritten key holds exactly its old or new value (never torn),
-/// and the overwrite flips together with the batch.
+/// Deterministic all-or-nothing: while one engine write batch commits,
+/// reopen the drop-all crash image at every durability boundary (up to 64
+/// distinct images). At every
+/// point the batch's fresh keys are all present or all absent, the
+/// overwritten key holds exactly its old or new value (never torn), and
+/// the overwrite flips together with the batch.
 #[test]
 fn batched_commit_all_or_nothing_at_every_boundary() {
     for kind in [PolicyKind::Pmdk, PolicyKind::Spp, PolicyKind::SafePm] {
         let pool = fresh_server_pool(8 << 20, 2, true).unwrap();
         let engine = Arc::new(KvEngine::create(Arc::clone(&pool), kind, 64).unwrap());
-        // Pre-state the batch will overwrite, committed before the tap so
-        // it must survive every image.
+        // Pre-state the batch will overwrite, committed before exploration
+        // so it must survive every image.
         let old = value_of(9, 0);
         let new = b"overwritten-by-batch".to_vec();
         engine.put(&key_of(9, 0), &old).unwrap();
 
-        let images: Arc<Mutex<Vec<CrashImage>>> = Arc::new(Mutex::new(Vec::new()));
-        {
-            let images = Arc::clone(&images);
-            pool.pm().set_boundary_tap(Box::new(move |pm, _| {
-                let mut g = images.lock().unwrap();
-                // Bound memory; a batch commit crosses far fewer
-                // boundaries than this.
-                if g.len() < 64 {
-                    g.push(pm.crash_image(CrashSpec::DropUnpersisted));
-                }
-            }));
-        }
         let ops: Vec<WriteOp> = (0..BATCH)
             .map(|i| WriteOp::Put {
                 key: key_of(8, i).to_vec(),
@@ -495,57 +485,62 @@ fn batched_commit_all_or_nothing_at_every_boundary() {
                 value: new.clone(),
             }])
             .collect();
-        let replies = engine.apply_write_batch(&ops);
+        let mut replies = Vec::new();
+        // 64 distinct drop-all states: every image the first 64
+        // boundaries yield, and more.
+        let explored = explore(
+            pool.pm(),
+            Plan::sampled(1, 64, 0),
+            || replies = engine.apply_write_batch(&ops),
+            move |image| batch_is_whole(image, kind, &old, &new),
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", kind.label()));
         assert!(
             replies.iter().all(|r| *r == WriteReply::Ok),
             "{}: batch failed: {replies:?}",
             kind.label()
         );
-        pool.pm().clear_boundary_tap();
+        assert!(
+            explored.boundaries > 1,
+            "no boundary crossed during the batch"
+        );
+    }
+}
 
-        let images = std::mem::take(&mut *images.lock().unwrap());
-        assert!(!images.is_empty(), "no boundary crossed during the batch");
-        for (i, image) in images.into_iter().enumerate() {
-            let pm = Arc::new(PmPool::from_image(image, PoolConfig::new(0)));
-            let p2 = Arc::new(ObjPool::open(pm).expect("pmdk recovery failed on boundary image"));
-            let e2 = KvEngine::open(p2, kind).expect("engine reopen failed");
-            let mut out = Vec::new();
-            let mut present = 0u64;
-            for s in 0..BATCH {
-                out.clear();
-                if e2.get(&key_of(8, s), &mut out).unwrap() {
-                    present += 1;
-                    assert_eq!(out, value_of(8, s), "boundary {i}: torn batch value");
-                }
-            }
-            out.clear();
-            assert!(
-                e2.get(&key_of(9, 0), &mut out).unwrap(),
-                "{}: pre-existing key lost at boundary {i}",
-                kind.label()
-            );
-            if present == 0 {
-                assert_eq!(
-                    out,
-                    old,
-                    "{}: boundary {i}: overwrite applied without its batch",
-                    kind.label()
-                );
-            } else {
-                assert_eq!(
-                    present,
-                    BATCH,
-                    "{}: boundary {i}: batch split {present}/{BATCH}",
-                    kind.label()
-                );
-                assert_eq!(
-                    out,
-                    new,
-                    "{}: boundary {i}: batch applied without its overwrite",
-                    kind.label()
-                );
+/// Reopen `image` and check the batch of
+/// [`batched_commit_all_or_nothing_at_every_boundary`] is all or nothing.
+fn batch_is_whole(
+    image: &CrashImage,
+    kind: PolicyKind,
+    old: &[u8],
+    new: &[u8],
+) -> Result<(), String> {
+    let pm = Arc::new(PmPool::from_image(image.clone(), PoolConfig::new(0)));
+    let p2 = Arc::new(ObjPool::open(pm).map_err(|e| format!("pmdk recovery failed: {e}"))?);
+    let e2 = KvEngine::open(p2, kind).map_err(|e| format!("engine reopen failed: {e}"))?;
+    let get = |key: &[u8], out: &mut Vec<u8>| {
+        out.clear();
+        e2.get(key, out).map_err(|e| format!("get failed: {e}"))
+    };
+    let mut out = Vec::new();
+    let mut present = 0u64;
+    for s in 0..BATCH {
+        if get(&key_of(8, s), &mut out)? {
+            present += 1;
+            if out != value_of(8, s) {
+                return Err("torn batch value".into());
             }
         }
+    }
+    if !get(&key_of(9, 0), &mut out)? {
+        return Err("pre-existing key lost".into());
+    }
+    match present {
+        0 if out != old => Err("overwrite applied without its batch".into()),
+        0 => Ok(()),
+        BATCH if out != new => Err("batch applied without its overwrite".into()),
+        BATCH => Ok(()),
+        _ => Err(format!("batch split {present}/{BATCH}")),
     }
 }
 
