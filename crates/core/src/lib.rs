@@ -45,9 +45,11 @@
 //!   ([`MemoryPolicy::memcpy`], [`MemoryPolicy::strcpy`], …) with the
 //!   wrapper-level max-address checks of §IV-D;
 //! * [`SppPtr`] — an ergonomic tagged-pointer handle used by the examples;
+//! * [`handle`] — [`ObjRef`], a checked object handle: one bound +
+//!   generation check per object, then range-compared field accesses;
 //! * [`typed`] — typed persistent pointers (`persistent_ptr<T>` / the
 //!   type-safety macros of §IV-B), riding transparently on the adapted
-//!   `pmemobj_direct`.
+//!   `pmemobj_direct` through one [`ObjRef`] per access.
 //!
 //! ## Example
 //!
@@ -76,6 +78,7 @@
 
 mod config;
 mod error;
+pub mod handle;
 mod pmdk_policy;
 mod policy;
 mod runtime;
@@ -85,6 +88,7 @@ pub mod typed;
 
 pub use config::TagConfig;
 pub use error::SppError;
+pub use handle::{Extent, ObjRef};
 pub use pmdk_policy::PmdkPolicy;
 pub use policy::MemoryPolicy;
 pub use runtime::{HookStats, SppRuntime};

@@ -5,9 +5,10 @@
 //! every oid and check it at access time, and the C++ bindings wrap that in
 //! `persistent_ptr<T>`. SPP "supports the type-safety macros and adapts the
 //! base class for PM pointers to transparently use the modified
-//! `pmemobj_direct`" — which is what [`TypedOid`] does here: its `deref`
-//! goes through the policy's (tagged, under SPP) `direct`, so typed code
-//! gets the same spatial protection for free.
+//! `pmemobj_direct`" — which is what [`TypedOid`] does here: every access
+//! builds one [`ObjRef`] over the object through the policy's (tagged,
+//! under SPP) `direct`, so typed code gets the same spatial and temporal
+//! protection for free, at one check per access.
 //!
 //! Each stored object is prefixed with an 8-byte type number; reading it
 //! back through the wrong type fails like `TOID_VALID` would.
@@ -16,6 +17,7 @@ use std::marker::PhantomData;
 
 use spp_pmdk::{PmdkError, PmemOid};
 
+use crate::handle::ObjRef;
 use crate::policy::MemoryPolicy;
 use crate::{Result, SppError};
 
@@ -98,13 +100,13 @@ impl<T: PmType> TypedOid<T> {
     /// Allocation errors or detected violations.
     pub fn new<P: MemoryPolicy>(policy: &P, value: &T) -> Result<Self> {
         let oid = policy.alloc(TYPE_HDR + T::SIZE)?;
-        let ptr = policy.direct(oid);
-        policy.store_u64(ptr, T::TYPE_NUM)?;
+        let obj = ObjRef::new(policy, oid, TYPE_HDR + T::SIZE, &oid)?;
+        obj.write_u64(0, T::TYPE_NUM)?;
         let mut buf = Vec::with_capacity(T::SIZE as usize);
         value.encode(&mut buf);
         debug_assert_eq!(buf.len() as u64, T::SIZE);
-        policy.store(policy.gep(ptr, TYPE_HDR as i64), &buf)?;
-        policy.persist(ptr, TYPE_HDR + T::SIZE)?;
+        obj.write(TYPE_HDR, &buf)?;
+        obj.persist(0, TYPE_HDR + T::SIZE)?;
         Ok(TypedOid {
             oid,
             _marker: PhantomData,
@@ -119,8 +121,7 @@ impl<T: PmType> TypedOid<T> {
     /// [`SppError::Pmdk`] with [`PmdkError::InvalidOid`] when the type
     /// number does not match; detection errors on corrupt oids.
     pub fn from_oid<P: MemoryPolicy>(policy: &P, oid: PmemOid) -> Result<Self> {
-        let ptr = policy.direct(oid);
-        let tn = policy.load_u64(ptr)?;
+        let tn = ObjRef::new(policy, oid, TYPE_HDR, &oid)?.read_u64(0)?;
         if tn != T::TYPE_NUM {
             return Err(SppError::Pmdk(PmdkError::InvalidOid { off: oid.off }));
         }
@@ -135,16 +136,17 @@ impl<T: PmType> TypedOid<T> {
         self.oid
     }
 
-    /// Read the value (`*persistent_ptr`): the access flows through the
-    /// policy's tagged pointer, so the whole object read is bounds-checked.
+    /// Read the value (`*persistent_ptr`): one handle over the whole
+    /// object, so the header and payload are bounds-checked (and, under
+    /// SPP+T, generation-checked) by one `resolve`.
     ///
     /// # Errors
     ///
     /// Detected violations.
     pub fn read<P: MemoryPolicy>(&self, policy: &P) -> Result<T> {
-        let ptr = policy.direct(self.oid);
+        let obj = ObjRef::new(policy, self.oid, TYPE_HDR + T::SIZE, self)?;
         let mut buf = vec![0u8; T::SIZE as usize];
-        policy.load(policy.gep(ptr, TYPE_HDR as i64), &mut buf)?;
+        obj.read(TYPE_HDR, &mut buf)?;
         Ok(T::decode(&buf))
     }
 
@@ -154,12 +156,11 @@ impl<T: PmType> TypedOid<T> {
     ///
     /// Transaction errors or detected violations.
     pub fn write<P: MemoryPolicy>(&self, policy: &P, value: &T) -> Result<()> {
-        let ptr = policy.direct(self.oid);
         let mut buf = Vec::with_capacity(T::SIZE as usize);
         value.encode(&mut buf);
-        policy
-            .pool()
-            .tx(|tx| -> Result<()> { policy.tx_write(tx, policy.gep(ptr, TYPE_HDR as i64), &buf) })
+        policy.pool().tx(|tx| -> Result<()> {
+            ObjRef::new(policy, self.oid, TYPE_HDR + T::SIZE, self)?.tx_write(tx, TYPE_HDR, &buf)
+        })
     }
 
     /// Free the object (`delete_persistent<T>`).

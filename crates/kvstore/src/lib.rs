@@ -12,15 +12,17 @@
 //!   parameters (16-byte keys, 1024-byte values).
 //!
 //! Generic over [`spp_core::MemoryPolicy`], so the same engine runs under
-//! `PMDK`, `SPP` and `SafePM`.
+//! `PMDK`, `SPP` and `SafePM`. Every PM access goes through a
+//! [`spp_core::ObjRef`]: one bound + generation check per node and per
+//! value, and one per open for the bucket array.
 
 pub mod workload;
 
 use std::sync::Arc;
 
-use spp_core::{MemoryPolicy, Result};
+use spp_core::{Extent, MemoryPolicy, ObjRef, Result, SppError};
 use spp_pm::contention::{self, ProfiledRwLock};
-use spp_pmdk::PmemOid;
+use spp_pmdk::{OidKind, PmdkError, PmemOid, TxHandle, OID_SIZE_SPP};
 
 /// Fixed key size (db_bench default used in the paper).
 pub const KEY_SIZE: usize = 16;
@@ -28,8 +30,14 @@ pub const KEY_SIZE: usize = 16;
 /// Number of lock stripes guarding the bucket array.
 pub const LOCK_STRIPES: usize = 1024;
 
+/// The largest node under any oid encoding: key, two SPP oids, `vlen`.
+const NODE_MAX: usize = KEY_SIZE + 2 * OID_SIZE_SPP as usize + 8;
+
+/// Where a node's fields sit inside its handle's extent. The durable
+/// layout: key bytes, next oid, value length, value oid.
 #[derive(Debug, Clone, Copy)]
 struct NodeLayout {
+    kind: OidKind,
     key: u64,   // [KEY_SIZE] bytes
     next: u64,  // oid
     vlen: u64,  // u64
@@ -39,14 +47,15 @@ struct NodeLayout {
 }
 
 impl NodeLayout {
-    /// Node layout: key bytes, next oid, value length, value oid.
-    fn new(os: u64) -> Self {
+    fn new(kind: OidKind) -> Self {
+        let os = kind.on_media_size();
         let key = 0u64;
         let next = KEY_SIZE as u64;
         let vlen = next + os;
         let value = vlen + 8;
         let size = value + os;
         NodeLayout {
+            kind,
             key,
             next,
             vlen,
@@ -55,6 +64,62 @@ impl NodeLayout {
             os,
         }
     }
+
+    /// Read the node behind `obj` whole, in one access.
+    #[inline]
+    fn read<'g, P: MemoryPolicy>(
+        &self,
+        obj: ObjRef<'g, P>,
+        oid: PmemOid,
+        link: (ObjRef<'g, P>, u64),
+    ) -> Result<Node<'g, P>> {
+        let mut buf = [0u8; NODE_MAX];
+        let bytes = &mut buf[..self.size as usize];
+        obj.read(0, bytes)?;
+        let field = |at: u64| &bytes[at as usize..];
+        Ok(Node {
+            obj,
+            oid,
+            link,
+            key: field(self.key)[..KEY_SIZE].try_into().expect("key bytes"),
+            next: PmemOid::decode(field(self.next), self.kind),
+            vlen: u64::from_le_bytes(field(self.vlen)[..8].try_into().expect("vlen bytes")),
+            value: PmemOid::decode(field(self.value), self.kind),
+        })
+    }
+
+    /// The bucket array's size in bytes, refusing a bucket count no store
+    /// can serve.
+    fn bucket_bytes(&self, nbuckets: u64) -> Result<u64> {
+        match nbuckets.checked_mul(self.os) {
+            Some(bytes) if nbuckets > 0 => Ok(bytes),
+            _ => Err(unservable(format!(
+                "{nbuckets} buckets of {} bytes",
+                self.os
+            ))),
+        }
+    }
+}
+
+/// The error for a meta block this store cannot serve — most often one
+/// written under another policy's oid encoding.
+fn unservable(why: String) -> SppError {
+    SppError::Pmdk(PmdkError::BadPool(format!(
+        "kv meta block cannot be served: {why}"
+    )))
+}
+
+/// One chain node as a walk visits it: its handle, its oid, the oid field
+/// that links to it (the bucket slot or the predecessor's `next`, as
+/// object and offset), and its fields.
+struct Node<'g, P: MemoryPolicy> {
+    obj: ObjRef<'g, P>,
+    oid: PmemOid,
+    link: (ObjRef<'g, P>, u64),
+    key: [u8; KEY_SIZE],
+    next: PmemOid,
+    vlen: u64,
+    value: PmemOid,
 }
 
 /// Read-only introspection snapshot of a [`KvStore`] (the server's STATS
@@ -125,10 +190,16 @@ pub enum BatchOutcome {
 /// always makes progress — and committing under the stripe lock is what
 /// keeps crash recovery sound: no other writer can durably build chain
 /// state on top of a still-abortable chain edit.
+///
+/// Every node handle is built under the guard of its bucket's stripe and
+/// borrows it, so no handle outlives the lock that keeps its node from
+/// being freed; a value handle borrows its node's handle in turn.
 pub struct KvStore<P: MemoryPolicy> {
     policy: Arc<P>,
     meta: PmemOid,
-    buckets: PmemOid,
+    /// The bucket array's extent, checked once at create/open: the store
+    /// never frees or resizes the array while it lives.
+    buckets: Extent,
     nbuckets: u64,
     layout: NodeLayout,
     locks: Vec<ProfiledRwLock<()>>,
@@ -150,44 +221,62 @@ impl<P: MemoryPolicy> KvStore<P> {
     ///
     /// # Errors
     ///
-    /// Allocation errors (the bucket array is `nbuckets * oid_size` bytes).
+    /// Allocation errors (the bucket array is `nbuckets * oid_size` bytes);
+    /// a bad-pool error for zero buckets or an array size that overflows.
     pub fn create(policy: Arc<P>, nbuckets: u64) -> Result<Self> {
-        let layout = NodeLayout::new(policy.oid_kind().on_media_size());
-        let meta = policy.zalloc(layout.os + 8)?;
-        let mptr = policy.direct(meta);
-        let buckets = policy.zalloc_into_ptr(mptr, nbuckets * layout.os)?;
-        policy.store_u64(policy.gep(mptr, layout.os as i64), nbuckets)?;
-        policy.persist(mptr, layout.os + 8)?;
-        let locks = stripe_locks();
+        let layout = NodeLayout::new(policy.oid_kind());
+        let bytes = layout.bucket_bytes(nbuckets)?;
+        let p = &*policy;
+        let meta = p.zalloc(layout.os + 8)?;
+        let m = ObjRef::new(p, meta, layout.os + 8, &meta)?;
+        let buckets = p.alloc_oid(Some(m.dest(0)?), bytes, true)?;
+        m.write_u64(layout.os, nbuckets)?;
+        m.persist(0, layout.os + 8)?;
+        let buckets = ObjRef::new(p, buckets, bytes, &buckets)?.detach();
         Ok(KvStore {
             policy,
             meta,
             buckets,
             nbuckets,
             layout,
-            locks,
+            locks: stripe_locks(),
         })
     }
 
     /// Re-attach to an engine created earlier in this pool (the restart /
-    /// post-crash path).
+    /// post-crash path). The meta block is validated before the store
+    /// serves anything: the bucket array's handle is built here, over
+    /// `nbuckets * oid_size` bytes, and is the only check its slots get.
     ///
     /// # Errors
     ///
-    /// Device errors.
+    /// Device errors; the policy's verdict on the meta block or the bucket
+    /// array; a bad-pool error when the meta block names zero buckets, a
+    /// size that overflows, or more buckets than its array holds — what a
+    /// pool created under another policy's oid encoding reads as.
     pub fn open(policy: Arc<P>, meta: PmemOid) -> Result<Self> {
-        let layout = NodeLayout::new(policy.oid_kind().on_media_size());
-        let mptr = policy.direct(meta);
-        let buckets = policy.load_oid(mptr)?;
-        let nbuckets = policy.load_u64(policy.gep(mptr, layout.os as i64))?;
-        let locks = stripe_locks();
+        let layout = NodeLayout::new(policy.oid_kind());
+        let p = &*policy;
+        let m = ObjRef::new(p, meta, layout.os + 8, &meta)?;
+        let buckets = m.read_oid(0)?;
+        let nbuckets = m.read_u64(layout.os)?;
+        let bytes = layout.bucket_bytes(nbuckets)?;
+        // The allocator's extent, not only the policy's: under PMDK
+        // `resolve` knows nothing but the mapping.
+        let usable = p.pool().usable_size(buckets)?;
+        if usable < bytes {
+            return Err(unservable(format!(
+                "{nbuckets} buckets need {bytes} bytes, the array holds {usable}"
+            )));
+        }
+        let buckets = ObjRef::new(p, buckets, bytes, &buckets)?.detach();
         Ok(KvStore {
             policy,
             meta,
             buckets,
             nbuckets,
             layout,
-            locks,
+            locks: stripe_locks(),
         })
     }
 
@@ -232,75 +321,68 @@ impl<P: MemoryPolicy> KvStore<P> {
         (b, Self::stripe_of_bucket(b))
     }
 
-    fn bucket_field(&self, b: u64) -> u64 {
-        self.policy.gep(
-            self.policy.direct(self.buckets),
-            (b * self.layout.os) as i64,
-        )
-    }
-
-    fn key_of_node(&self, node_ptr: u64, out: &mut [u8; KEY_SIZE]) -> Result<()> {
-        self.policy
-            .load(self.policy.gep(node_ptr, self.layout.key as i64), out)
-    }
-
-    /// Append the node's value to `out`. The length comes from PM, so the
-    /// value's extent is resolved *before* the buffer is sized by it: a
-    /// stray store over `vlen` surfaces as the policy's error with `out`
-    /// untouched, never as an allocation of that size.
+    /// The bucket array, lent from the extent checked at create/open.
     #[inline]
-    fn value_of_node(&self, node_ptr: u64, out: &mut Vec<u8>) -> Result<()> {
-        let (p, l) = (&*self.policy, self.layout);
-        let vlen = p.load_u64(p.gep(node_ptr, l.vlen as i64))?;
-        let val = p.load_oid(p.gep(node_ptr, l.value as i64))?;
-        let off = p.resolve(p.direct(val), vlen)?;
+    fn bucket_array(&self) -> ObjRef<'_, P> {
+        ObjRef::attach(&*self.policy, &self.buckets)
+    }
+
+    /// Append `node`'s value to `out`. The length comes from PM, so the
+    /// value's handle — one check over all `vlen` bytes — is built *before*
+    /// the buffer is sized by it: a stray store over `vlen` surfaces as the
+    /// policy's error with `out` untouched, never as an allocation of that
+    /// size.
+    #[inline]
+    fn value_into(&self, node: &Node<'_, P>, out: &mut Vec<u8>) -> Result<()> {
+        let val = ObjRef::new(&*self.policy, node.value, node.vlen, &node.obj)?;
         let start = out.len();
-        out.resize(start + vlen as usize, 0);
-        p.pool().read(off, &mut out[start..])?;
-        Ok(())
+        out.resize(start + node.vlen as usize, 0);
+        val.read(0, &mut out[start..])
     }
 
     /// The chain cursor — the only loop that follows `next` links. Visits
-    /// bucket `b`'s nodes head to tail, handing `f` the pointer field that
-    /// links to the node (the bucket slot or the predecessor's `next`), the
-    /// node's oid and its direct pointer; stops at the first `Some`. The
-    /// caller holds `b`'s stripe lock.
+    /// bucket `b`'s nodes head to tail, one handle per node (one `direct`,
+    /// one `resolve` over the whole node) borrowing `held`, the caller's
+    /// guard on `b`'s stripe; hands each [`Node`] to `f` and stops at the
+    /// first `Some`.
     #[inline]
-    fn walk_chain<T>(
-        &self,
+    fn walk_chain<'g, G: ?Sized, T>(
+        &'g self,
         b: u64,
-        mut f: impl FnMut(u64, PmemOid, u64) -> Result<Option<T>>,
+        held: &'g G,
+        mut f: impl FnMut(Node<'g, P>) -> Result<Option<T>>,
     ) -> Result<Option<T>> {
-        let p = &*self.policy;
-        let mut field = self.bucket_field(b);
-        let mut cur = p.load_oid(field)?;
+        let l = &self.layout;
+        let mut link = (self.bucket_array(), b * l.os);
+        let mut cur = link.0.read_oid(link.1)?;
         while !cur.is_null() {
-            let nptr = p.direct(cur);
-            if let Some(hit) = f(field, cur, nptr)? {
+            let obj = ObjRef::new(&*self.policy, cur, l.size, held)?;
+            let node = l.read(obj, cur, link)?;
+            let next = node.next;
+            if let Some(hit) = f(node)? {
                 return Ok(Some(hit));
             }
-            field = p.gep(nptr, self.layout.next as i64);
-            cur = p.load_oid(field)?;
+            (link, cur) = ((obj, l.next), next);
         }
         Ok(None)
     }
 
-    /// Find `key` in bucket `b`: the field linking to its node, the node's
-    /// oid and its direct pointer. The caller holds `b`'s stripe lock.
+    /// Find `key`'s node in bucket `b`, whose stripe `held` guards.
     #[inline]
-    fn find(&self, b: u64, key: &[u8]) -> Result<Option<(u64, PmemOid, u64)>> {
-        let mut kbuf = [0u8; KEY_SIZE];
-        self.walk_chain(b, |field, node, nptr| {
-            self.key_of_node(nptr, &mut kbuf)?;
-            Ok((kbuf == key).then_some((field, node, nptr)))
-        })
+    fn find<'g, G: ?Sized>(
+        &'g self,
+        b: u64,
+        key: &[u8],
+        held: &'g G,
+    ) -> Result<Option<Node<'g, P>>> {
+        self.walk_chain(b, held, |node| Ok((node.key[..] == *key).then_some(node)))
     }
 
     /// Walk bucket `b`'s whole chain under its stripe read lock, so no
     /// writer can free a node out from under the walk.
-    fn walk_locked(&self, b: u64, mut f: impl FnMut(u64) -> Result<()>) -> Result<()> {
-        let _g = self.locks[Self::stripe_of_bucket(b)].read();
-        self.walk_chain(b, |_, _, nptr| f(nptr).map(|()| None::<()>))?;
+    fn walk_locked(&self, b: u64, mut f: impl FnMut(&Node<'_, P>) -> Result<()>) -> Result<()> {
+        let held = self.locks[Self::stripe_of_bucket(b)].read();
+        self.walk_chain(b, &held, |node| f(&node).map(|()| None::<()>))?;
         Ok(())
     }
 
@@ -332,8 +414,8 @@ impl<P: MemoryPolicy> KvStore<P> {
         // second writer could durably commit chain state built on this
         // still-abortable edit, which recovery would then tear off.
         let (b, stripe) = self.bucket_of(key);
-        let _guard = self.locks[stripe].write();
-        let staged = self.stage_put(&mut h, b, key, value.len() as u64, val);
+        let guard = self.locks[stripe].write();
+        let staged = self.stage_put(&mut h, b, key, value.len() as u64, val, &guard);
         Self::finish(h, staged)
     }
 
@@ -349,11 +431,11 @@ impl<P: MemoryPolicy> KvStore<P> {
     pub fn get(&self, key: &[u8], out: &mut Vec<u8>) -> Result<bool> {
         assert_eq!(key.len(), KEY_SIZE);
         let (b, stripe) = self.bucket_of(key);
-        let _g = self.locks[stripe].read();
-        let Some((_, _, nptr)) = self.find(b, key)? else {
+        let held = self.locks[stripe].read();
+        let Some(node) = self.find(b, key, &held)? else {
             return Ok(false);
         };
-        self.value_of_node(nptr, out)?;
+        self.value_into(&node, out)?;
         Ok(true)
     }
 
@@ -373,8 +455,8 @@ impl<P: MemoryPolicy> KvStore<P> {
         // could deadlock once threads outnumber lanes.
         let mut h = self.policy.pool().tx_begin()?;
         let (b, stripe) = self.bucket_of(key);
-        let _guard = self.locks[stripe].write();
-        let staged = self.stage_remove(&mut h, b, key);
+        let guard = self.locks[stripe].write();
+        let staged = self.stage_remove(&mut h, b, key, &guard);
         Self::finish(h, staged)
     }
 
@@ -432,7 +514,7 @@ impl<P: MemoryPolicy> KvStore<P> {
         let mut stripes: Vec<usize> = ops.iter().map(|op| self.bucket_of(op.key()).1).collect();
         stripes.sort_unstable();
         stripes.dedup();
-        let _guards: Vec<_> = stripes.iter().map(|&s| self.locks[s].write()).collect();
+        let guards: Vec<_> = stripes.iter().map(|&s| self.locks[s].write()).collect();
         let staged = ops
             .iter()
             .zip(&vals)
@@ -440,11 +522,12 @@ impl<P: MemoryPolicy> KvStore<P> {
                 BatchOp::Put { key, value } => {
                     let val = val.expect("put prepared a value");
                     let b = self.bucket_of(key).0;
-                    self.stage_put(&mut h, b, key, value.len() as u64, val)?;
+                    self.stage_put(&mut h, b, key, value.len() as u64, val, &guards)?;
                     Ok(BatchOutcome::Put)
                 }
                 BatchOp::Del { key } => {
-                    Ok(if self.stage_remove(&mut h, self.bucket_of(key).0, key)? {
+                    let b = self.bucket_of(key).0;
+                    Ok(if self.stage_remove(&mut h, b, key, &guards)? {
                         BatchOutcome::Removed
                     } else {
                         BatchOutcome::Missed
@@ -458,7 +541,7 @@ impl<P: MemoryPolicy> KvStore<P> {
     /// Commit `h` if everything staged into it succeeded, roll it back
     /// otherwise. The caller still holds the stripe locks: they must cover
     /// the commit.
-    fn finish<T>(h: spp_pmdk::TxHandle<'_>, staged: Result<T>) -> Result<T> {
+    fn finish<T>(h: TxHandle<'_>, staged: Result<T>) -> Result<T> {
         match staged {
             Ok(out) => {
                 h.commit()?;
@@ -472,66 +555,74 @@ impl<P: MemoryPolicy> KvStore<P> {
     }
 
     /// Allocate and fill one put's value object inside `h`'s transaction.
-    /// No stripe lock is needed: the object is private until linked.
-    fn prep_value(&self, h: &mut spp_pmdk::TxHandle<'_>, value: &[u8]) -> Result<PmemOid> {
+    /// No stripe lock is needed: the object is private until linked, and
+    /// the transaction — which frees it on abort — is what its handle
+    /// borrows.
+    fn prep_value(&self, h: &mut TxHandle<'_>, value: &[u8]) -> Result<PmemOid> {
         let p = &*self.policy;
-        let val = p.tx_alloc(h.tx(), value.len() as u64, false)?;
-        let vptr = p.direct(val);
-        p.store(vptr, value)?;
+        let len = value.len() as u64;
+        let val = p.tx_alloc(h.tx(), len, false)?;
+        let obj = ObjRef::new(p, val, len, &*h)?;
+        obj.write(0, value)?;
         // Flush only — the commit's single fence (issued before the commit
         // record) makes every staged value durable.
-        p.flush(vptr, value.len() as u64)?;
+        obj.flush(0, len)?;
         Ok(val)
     }
 
     /// Stage one put's chain edit in bucket `b` into `h`'s transaction.
-    /// Caller holds `b`'s stripe write lock; `val` is the prepared value
-    /// object.
-    fn stage_put(
+    /// `held` is the caller's write guard on `b`'s stripe; `val` is the
+    /// prepared value object.
+    fn stage_put<G: ?Sized>(
         &self,
-        h: &mut spp_pmdk::TxHandle<'_>,
+        h: &mut TxHandle<'_>,
         b: u64,
         key: &[u8],
         vlen: u64,
         val: PmemOid,
+        held: &G,
     ) -> Result<()> {
         let p = &*self.policy;
-        let l = self.layout;
-        if let Some((_, _, nptr)) = self.find(b, key)? {
-            let vfield = p.gep(nptr, l.value as i64);
-            let old = p.load_oid(vfield)?;
-            p.tx_free(h.tx(), old)?;
-            p.tx_write_u64(h.tx(), p.gep(nptr, l.vlen as i64), vlen)?;
-            return p.tx_write_oid(h.tx(), vfield, val);
+        let l = &self.layout;
+        if let Some(node) = self.find(b, key, held)? {
+            // Two snapshots, not one over both fields: a merged range would
+            // change the undo log's PM traffic (`pm_traffic.golden`).
+            p.tx_free(h.tx(), node.value)?;
+            node.obj.tx_write_u64(h.tx(), l.vlen, vlen)?;
+            return node.obj.tx_write_oid(h.tx(), l.value, val);
         }
-        let head_field = self.bucket_field(b);
-        let head = p.load_oid(head_field)?;
-        let node = p.tx_alloc(h.tx(), l.size, false)?;
-        let nptr = p.direct(node);
-        p.store(p.gep(nptr, l.key as i64), key)?;
-        p.store_oid(p.gep(nptr, l.next as i64), head)?;
-        p.store_u64(p.gep(nptr, l.vlen as i64), vlen)?;
-        p.store_oid(p.gep(nptr, l.value as i64), val)?;
+        let (buckets, slot) = (self.bucket_array(), b * l.os);
+        let head = buckets.read_oid(slot)?;
+        let oid = p.tx_alloc(h.tx(), l.size, false)?;
+        let node = ObjRef::new(p, oid, l.size, held)?;
+        node.write(l.key, key)?;
+        node.write_oid(l.next, head)?;
+        node.write_u64(l.vlen, vlen)?;
+        node.write_oid(l.value, val)?;
         // Flush only: the node must be durable before the commit record,
         // and the commit's fence orders exactly that.
-        p.flush(nptr, l.size)?;
-        p.tx_write_oid(h.tx(), head_field, node)
+        node.flush(0, l.size)?;
+        buckets.tx_write_oid(h.tx(), slot, oid)
     }
 
     /// Stage one delete's chain unlink in bucket `b` into `h`'s
-    /// transaction. Caller holds `b`'s stripe write lock. Returns whether
-    /// the key existed.
-    fn stage_remove(&self, h: &mut spp_pmdk::TxHandle<'_>, b: u64, key: &[u8]) -> Result<bool> {
+    /// transaction. `held` is the caller's write guard on `b`'s stripe.
+    /// Returns whether the key existed.
+    fn stage_remove<G: ?Sized>(
+        &self,
+        h: &mut TxHandle<'_>,
+        b: u64,
+        key: &[u8],
+        held: &G,
+    ) -> Result<bool> {
         let p = &*self.policy;
-        let l = self.layout;
-        let Some((field, node, nptr)) = self.find(b, key)? else {
+        let Some(node) = self.find(b, key, held)? else {
             return Ok(false);
         };
-        let next = p.load_oid(p.gep(nptr, l.next as i64))?;
-        let val = p.load_oid(p.gep(nptr, l.value as i64))?;
-        p.tx_free(h.tx(), val)?;
-        p.tx_free(h.tx(), node)?;
-        p.tx_write_oid(h.tx(), field, next)?;
+        p.tx_free(h.tx(), node.value)?;
+        p.tx_free(h.tx(), node.oid)?;
+        let (link, at) = node.link;
+        link.tx_write_oid(h.tx(), at, node.next)?;
         Ok(true)
     }
 
@@ -554,12 +645,10 @@ impl<P: MemoryPolicy> KvStore<P> {
         for b in 0..self.nbuckets {
             entries.clear();
             // Snapshot the chain under the lock...
-            self.walk_locked(b, |nptr| {
-                let mut kbuf = [0u8; KEY_SIZE];
-                self.key_of_node(nptr, &mut kbuf)?;
+            self.walk_locked(b, |node| {
                 let mut vbuf = Vec::new();
-                self.value_of_node(nptr, &mut vbuf)?;
-                entries.push((kbuf, vbuf));
+                self.value_into(node, &mut vbuf)?;
+                entries.push((node.key, vbuf));
                 Ok(())
             })?;
             // ...then yield to the callback with no lock held.
@@ -579,8 +668,7 @@ impl<P: MemoryPolicy> KvStore<P> {
     ///
     /// Device errors.
     pub fn stats(&self) -> Result<KvStats> {
-        let p = &*self.policy;
-        let l = self.layout;
+        let size = self.layout.size;
         let mut stats = KvStats {
             keys: 0,
             resident_bytes: 0,
@@ -591,8 +679,8 @@ impl<P: MemoryPolicy> KvStore<P> {
         };
         for b in 0..self.nbuckets {
             let mut chain = 0u64;
-            self.walk_locked(b, |nptr| {
-                stats.resident_bytes += l.size + p.load_u64(p.gep(nptr, l.vlen as i64))?;
+            self.walk_locked(b, |node| {
+                stats.resident_bytes += size + node.vlen;
                 chain += 1;
                 Ok(())
             })?;
@@ -1244,10 +1332,12 @@ mod tests {
         // A stray 8-byte store over a node's `vlen` — the bug class the
         // paper is about — then every reader of that value.
         fn read_with_vlen<P: MemoryPolicy>(kv: &KvStore<P>, vlen: u64) -> [SppError; 2] {
-            let (b, _) = kv.bucket_of(&key(1));
-            let (_, _, nptr) = kv.find(b, &key(1)).unwrap().unwrap();
-            let field = kv.policy.gep(nptr, kv.layout.vlen as i64);
-            kv.policy.store_u64(field, vlen).unwrap();
+            let (b, stripe) = kv.bucket_of(&key(1));
+            {
+                let held = kv.locks[stripe].write();
+                let node = kv.find(b, &key(1), &held).unwrap().unwrap();
+                node.obj.write_u64(kv.layout.vlen, vlen).unwrap();
+            }
             let mut out = b"kept".to_vec();
             let get = kv.get(&key(1), &mut out).unwrap_err();
             assert_eq!(out, b"kept", "a failed get must leave `out` alone");
@@ -1286,10 +1376,12 @@ mod tests {
             at: u64,
             word: u64,
         ) -> [SppError; 2] {
-            let (b, _) = kv.bucket_of(&key(1));
-            let (_, _, nptr) = kv.find(b, &key(1)).unwrap().unwrap();
-            let field = kv.policy.gep(nptr, (kv.layout.value + at) as i64);
-            kv.policy.store_u64(field, word).unwrap();
+            let (b, stripe) = kv.bucket_of(&key(1));
+            {
+                let held = kv.locks[stripe].write();
+                let node = kv.find(b, &key(1), &held).unwrap().unwrap();
+                node.obj.write_u64(kv.layout.value + at, word).unwrap();
+            }
             let mut out = b"kept".to_vec();
             let get = kv.get(&key(1), &mut out).unwrap_err();
             assert_eq!(out, b"kept", "a failed get must leave `out` alone");
@@ -1326,5 +1418,122 @@ mod tests {
                 assert!(matches!(e, SppError::Fault { .. }), "{word:#x}: {e:?}");
             }
         }
+    }
+
+    #[test]
+    fn a_next_oid_shrunk_below_a_node_fails_the_next_hop() {
+        // A stray store over the size word of a `next` oid, leaving room
+        // for the key and `next` but not the whole node. Each hop checks
+        // the node's full extent, so even a walk that reads only `next`
+        // (`count`) stops there instead of following a truncated node.
+        let kv = spp_store(1 << 22, 1); // one bucket: key(2) -> key(1)
+        kv.put(&key(1), b"tail").unwrap();
+        kv.put(&key(2), b"head").unwrap();
+        let (b, stripe) = kv.bucket_of(&key(2));
+        {
+            let held = kv.locks[stripe].write();
+            let head = kv.find(b, &key(2), &held).unwrap().unwrap();
+            let shrunk = PmemOid {
+                size: kv.layout.vlen,
+                ..head.next
+            };
+            head.obj.write_oid(kv.layout.next, shrunk).unwrap();
+        }
+        let mut out = Vec::new();
+        assert!(kv.get(&key(2), &mut out).unwrap(), "the head still serves");
+        for e in [
+            kv.get(&key(1), &mut out).unwrap_err(),
+            kv.count().unwrap_err(),
+        ] {
+            assert!(
+                matches!(
+                    e,
+                    SppError::OverflowDetected {
+                        mechanism: "overflow-bit",
+                        ..
+                    }
+                ),
+                "{e:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_freed_and_reused_node_fails_a_stale_hop_under_spp_t() {
+        // Hold a node's oid, free the node, let the next insert reuse its
+        // block, then follow the stale oid: the node handle's one check
+        // carries SPP+T's generation compare, so the hop fails.
+        let kv = spp_store(1 << 22, 1);
+        kv.put(&key(1), b"first").unwrap();
+        let (b, stripe) = kv.bucket_of(&key(1));
+        let stale = {
+            let held = kv.locks[stripe].read();
+            kv.find(b, &key(1), &held).unwrap().unwrap().oid
+        };
+        assert!(kv.remove(&key(1)).unwrap());
+        kv.put(&key(2), b"second").unwrap();
+        let reused = {
+            let held = kv.locks[stripe].read();
+            kv.find(b, &key(2), &held).unwrap().unwrap().oid
+        };
+        assert_eq!(reused.off, stale.off, "the freed node's block is reused");
+        assert_ne!(reused.gen, stale.gen);
+        // The bucket slot relinked to the stale oid (a torn or replayed
+        // link): every reader's first hop is the stale one.
+        kv.bucket_array()
+            .write_oid(b * kv.layout.os, stale)
+            .unwrap();
+        let mut out = Vec::new();
+        for e in [
+            kv.get(&key(2), &mut out).unwrap_err(),
+            kv.count().unwrap_err(),
+        ] {
+            assert!(
+                matches!(
+                    e,
+                    SppError::TemporalViolation {
+                        mechanism: "generation-tag",
+                        ..
+                    }
+                ),
+                "{e:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn open_refuses_a_meta_block_it_cannot_serve() {
+        // `nbuckets` read from PM divides every hash and sizes the bucket
+        // array's handle, so `open` validates it first.
+        let kv = spp_store(1 << 22, 16);
+        kv.put(&key(1), b"v").unwrap();
+        let (policy, meta) = (Arc::clone(kv.policy()), kv.meta());
+        let os = kv.layout.os;
+        let nbuckets_field = |n: u64| {
+            ObjRef::new(&*policy, meta, os + 8, &meta)
+                .unwrap()
+                .write_u64(os, n)
+                .unwrap()
+        };
+        for n in [0, u64::MAX, 1 << 20] {
+            nbuckets_field(n);
+            let err = KvStore::open(Arc::clone(&policy), meta).err();
+            assert!(
+                matches!(err, Some(SppError::Pmdk(PmdkError::BadPool(_)))),
+                "nbuckets {n}: {err:?}"
+            );
+        }
+        // One bucket too many still fits the allocator's rounded block;
+        // SPP's bound on the array's handle is exact.
+        nbuckets_field(17);
+        let err = KvStore::open(Arc::clone(&policy), meta).err();
+        assert!(
+            matches!(err, Some(SppError::OverflowDetected { .. })),
+            "{err:?}"
+        );
+        nbuckets_field(16);
+        let kv = KvStore::open(policy, meta).unwrap();
+        assert_eq!(kv.count().unwrap(), 1);
+        assert!(KvStore::create(Arc::clone(kv.policy()), 0).is_err());
     }
 }

@@ -200,7 +200,9 @@ impl KvEngine {
     /// # Errors
     ///
     /// A [`SppError::Pmdk`] bad-pool error when no engine meta was ever
-    /// published; policy reopen errors.
+    /// published, when the pool was created under another policy (its
+    /// SafePM shadow, or a meta block `KvStore::open` cannot serve, gives
+    /// it away); policy reopen errors.
     pub fn open(pool: Arc<ObjPool>, kind: PolicyKind) -> Result<KvEngine> {
         let root = pool.root(ROOT_SIZE)?;
         let bad = || {
@@ -208,6 +210,15 @@ impl KvEngine {
                 "pool root holds no kv engine meta oid".into(),
             ))
         };
+        // A SafePM pool records its shadow in the user slot; the oid
+        // encoding is PMDK's, so the meta block alone cannot tell it apart,
+        // and serving it unshadowed would leave every later allocation
+        // poisoned for SafePM. `SafePmPolicy::open` is the converse check.
+        if kind != PolicyKind::SafePm && pool.user_slot()? != 0 {
+            return Err(SppError::Pmdk(spp_pmdk::PmdkError::BadPool(
+                "pool was instrumented with SafePM; open it under safepm".into(),
+            )));
+        }
         match kind {
             PolicyKind::Pmdk => {
                 let policy = Arc::new(PmdkPolicy::new(Arc::clone(&pool)));
@@ -504,6 +515,50 @@ mod tests {
             let mut out = Vec::new();
             assert!(engine2.get(&key(7), &mut out).unwrap());
             assert_eq!(out, b"val-7");
+        }
+    }
+
+    /// A 20-key engine created under `create`, its pool image reopened
+    /// under `open`.
+    fn reopen_under(create: PolicyKind, open: PolicyKind) -> Result<KvEngine> {
+        let pool = fresh_server_pool(8 << 20, 4, false).unwrap();
+        let engine = KvEngine::create(Arc::clone(&pool), create, 64).unwrap();
+        for i in 0..20u64 {
+            engine.put(&key(i), format!("val-{i}").as_bytes()).unwrap();
+        }
+        let img = pool.pm().crash_image(CrashSpec::KeepAll);
+        drop(engine);
+        let pm2 = Arc::new(PmPool::from_image(img, PoolConfig::new(0)));
+        KvEngine::open(Arc::new(ObjPool::open(pm2).unwrap()), open)
+    }
+
+    #[test]
+    fn a_pool_opens_only_under_the_policy_that_created_it() {
+        // The meta block carries no policy descriptor, so `open` under
+        // another policy reads it in the wrong oid encoding: the bucket
+        // count from the wrong offset, or oids of the wrong width. Each
+        // such pair must be refused at open — never served, never a panic
+        // (a zero bucket count divides every hash).
+        for create in PolicyKind::ALL {
+            for open in PolicyKind::ALL {
+                let got = reopen_under(create, open);
+                if create != open {
+                    let err = got.err().map(|e| e.to_string());
+                    assert!(
+                        matches!(&err, Some(m) if m.contains("invalid pool")),
+                        "{create:?} -> {open:?}: {err:?}"
+                    );
+                    continue;
+                }
+                let engine = got.unwrap();
+                assert_eq!(engine.count().unwrap(), 20);
+                assert_eq!(engine.stats().unwrap().keys, 20);
+                let mut out = Vec::new();
+                assert!(engine.get(&key(7), &mut out).unwrap());
+                assert_eq!(out, b"val-7");
+                assert!(engine.remove(&key(3)).unwrap());
+                engine.put(&key(99), b"new").unwrap();
+            }
         }
     }
 
