@@ -114,10 +114,14 @@ proptest! {
     }
 }
 
-/// §IV-G: an offset that exceeds the (tag_bits + 1)-bit representation
-/// range wraps the overflow bit back to zero, so *very* distant accesses
-/// can escape detection. This test pins down that documented limitation so
-/// a future fix (saturating tags) would be noticed.
+/// §IV-G: the tag is a (tag_bits + 1)-bit field, so a distant enough
+/// access wraps the overflow bit back to zero. Measure an access by its
+/// *reach*, `delta + len - size`: how far it goes past the object's end.
+/// An upper overflow is always caught up to a reach of 2^tag_bits bytes
+/// (64 MiB at the default 26 bits); the first miss is at 2^tag_bits + 1,
+/// where an already-overflowed pointer plus a long access wraps the tag
+/// back. This test pins both edges at width 8, so a future fix (saturating
+/// tags) would be noticed.
 #[test]
 fn wraparound_limitation_documented() {
     let cfg = TagConfig::new(8).unwrap(); // field width 9 -> wraps at 512
@@ -126,4 +130,15 @@ fn wraparound_limitation_documented() {
     assert!(cfg.is_overflowed(cfg.offset(p, 100)));
     // A walk of exactly 512 + k (k < 16) lands back in the "valid" window.
     assert!(!cfg.is_overflowed(cfg.offset(p, 512 + 4)));
+    // A 1-byte object: reach 256 = 2^tag_bits is caught however it splits
+    // into offset and length...
+    let one = cfg.make_tagged(0x10_000, 1);
+    let caught = |delta: u64, len: u64| {
+        cfg.check_bound(cfg.offset(one, delta as i64), len) & OVERFLOW_BIT != 0
+    };
+    for delta in 0..=256 {
+        assert!(caught(delta, 257 - delta), "offset {delta}, reach 256");
+    }
+    // ...and reach 257 is missed: offset 2, length 256.
+    assert!(!caught(2, 256));
 }

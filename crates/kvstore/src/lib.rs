@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use spp_core::{Extent, MemoryPolicy, ObjRef, Result, SppError};
 use spp_pm::contention::{self, ProfiledRwLock};
-use spp_pmdk::{OidKind, PmdkError, PmemOid, TxHandle, OID_SIZE_SPP};
+use spp_pmdk::{OidKind, PmdkError, PmemOid, TxHandle, OID_SIZE_PMDK, OID_SIZE_SPP};
 
 /// Fixed key size (db_bench default used in the paper).
 pub const KEY_SIZE: usize = 16;
@@ -30,18 +30,40 @@ pub const KEY_SIZE: usize = 16;
 /// Number of lock stripes guarding the bucket array.
 pub const LOCK_STRIPES: usize = 1024;
 
-/// The largest node under any oid encoding: key, two SPP oids, `vlen`.
-const NODE_MAX: usize = KEY_SIZE + 2 * OID_SIZE_SPP as usize + 8;
+/// The value reference's size: the value's length and location, one
+/// field under every oid encoding (an SPP oid; or `vlen` and a stock oid).
+const VALUE_REF: u64 = OID_SIZE_SPP;
+const _: () = assert!(VALUE_REF == OID_SIZE_PMDK + 8);
+
+/// The largest node under any oid encoding: key, next oid, value reference.
+const NODE_MAX: usize = KEY_SIZE + (OID_SIZE_SPP + VALUE_REF) as usize;
+
+/// The meta block's fields: the layout word, the bucket array's oid, then
+/// the bucket count (at [`NodeLayout::meta_nbuckets`]).
+const META_LAYOUT: u64 = 0;
+const META_BUCKETS: u64 = 8;
+
+/// The node layout's version in the layout word. Version 1, the node with
+/// `vlen` beside an SPP value oid, wrote no layout word.
+const LAYOUT_VERSION: u8 = 2;
 
 /// Where a node's fields sit inside its handle's extent. The durable
-/// layout: key bytes, next oid, value length, value oid.
+/// layout: key bytes, next oid, value reference. The value reference is
+/// the value's length and location in one field, so an overwrite rewrites
+/// it under one undo snapshot:
+///
+/// * under SPP it is the value oid alone — its size word *is* the value
+///   length — and a node is 64 bytes;
+/// * under the stock 16-byte oid it is `vlen` then the oid, and a node is
+///   56 bytes.
+///
+/// Nothing else knows where the length lives.
 #[derive(Debug, Clone, Copy)]
 struct NodeLayout {
     kind: OidKind,
     key: u64,   // [KEY_SIZE] bytes
     next: u64,  // oid
-    vlen: u64,  // u64
-    value: u64, // oid
+    value: u64, // value reference
     size: u64,
     os: u64,
 }
@@ -51,14 +73,12 @@ impl NodeLayout {
         let os = kind.on_media_size();
         let key = 0u64;
         let next = KEY_SIZE as u64;
-        let vlen = next + os;
-        let value = vlen + 8;
-        let size = value + os;
+        let value = next + os;
+        let size = value + VALUE_REF;
         NodeLayout {
             kind,
             key,
             next,
-            vlen,
             value,
             size,
             os,
@@ -77,15 +97,69 @@ impl NodeLayout {
         let bytes = &mut buf[..self.size as usize];
         obj.read(0, bytes)?;
         let field = |at: u64| &bytes[at as usize..];
+        let (vlen, value) = self.decode_value(field(self.value));
         Ok(Node {
             obj,
             oid,
             link,
             key: field(self.key)[..KEY_SIZE].try_into().expect("key bytes"),
             next: PmemOid::decode(field(self.next), self.kind),
-            vlen: u64::from_le_bytes(field(self.vlen)[..8].try_into().expect("vlen bytes")),
-            value: PmemOid::decode(field(self.value), self.kind),
+            vlen,
+            value,
         })
+    }
+
+    /// A value reference's `(vlen, value oid)`.
+    #[inline]
+    fn decode_value(&self, bytes: &[u8]) -> (u64, PmemOid) {
+        match self.kind {
+            OidKind::Spp => {
+                let value = PmemOid::decode(bytes, OidKind::Spp);
+                (value.size, value)
+            }
+            OidKind::Pmdk => (
+                u64::from_le_bytes(bytes[..8].try_into().expect("vlen bytes")),
+                PmemOid::decode(&bytes[8..], OidKind::Pmdk),
+            ),
+        }
+    }
+
+    /// The value reference to `val`, a value of `vlen` bytes.
+    #[inline]
+    fn encode_value(&self, vlen: u64, val: PmemOid) -> [u8; VALUE_REF as usize] {
+        let mut buf = [0; VALUE_REF as usize];
+        match self.kind {
+            OidKind::Spp => {
+                debug_assert_eq!(val.size, vlen, "an SPP value oid carries its length");
+                val.encode_into(&mut buf, OidKind::Spp);
+            }
+            OidKind::Pmdk => {
+                let mut oid = [0; OID_SIZE_SPP as usize];
+                buf[..8].copy_from_slice(&vlen.to_le_bytes());
+                buf[8..].copy_from_slice(val.encode_into(&mut oid, OidKind::Pmdk));
+            }
+        }
+        buf
+    }
+
+    /// The meta block's layout word for this layout, the analogue of the
+    /// layout string `pmemobj_open` checks: a tag, [`LAYOUT_VERSION`] and
+    /// the oid size the nodes are built for.
+    fn word(&self) -> u64 {
+        let mut w = *b"kvnode\0\0";
+        w[6] = LAYOUT_VERSION;
+        w[7] = self.os as u8;
+        u64::from_le_bytes(w)
+    }
+
+    /// Where the meta block holds the bucket count.
+    fn meta_nbuckets(&self) -> u64 {
+        META_BUCKETS + self.os
+    }
+
+    /// The meta block's size.
+    fn meta_size(&self) -> u64 {
+        self.meta_nbuckets() + 8
     }
 
     /// The bucket array's size in bytes, refusing a bucket count no store
@@ -98,6 +172,26 @@ impl NodeLayout {
                 self.os
             ))),
         }
+    }
+}
+
+#[cfg(test)]
+impl NodeLayout {
+    /// Where the value reference keeps `vlen` (stock oids only) and the
+    /// value oid: the offsets the corruption probes write.
+    fn value_fields(&self) -> (Option<u64>, u64) {
+        match self.kind {
+            OidKind::Spp => (None, self.value),
+            OidKind::Pmdk => (Some(self.value), self.value + 8),
+        }
+    }
+}
+
+/// A layout word, for an error message.
+fn layout_name(word: u64) -> String {
+    match word.to_le_bytes() {
+        [b'k', b'v', b'n', b'o', b'd', b'e', v, os] => format!("kvnode v{v} ({os}-byte oids)"),
+        _ => format!("none (word {word:#x})"),
     }
 }
 
@@ -216,8 +310,8 @@ fn stripe_locks() -> Vec<ProfiledRwLock<()>> {
 
 impl<P: MemoryPolicy> KvStore<P> {
     /// Create an engine with `nbuckets` hash buckets. The durable metadata
-    /// object (`{buckets oid, nbuckets}`) is returned by [`KvStore::meta`]
-    /// for reopening after a restart.
+    /// object (`{layout word, buckets oid, nbuckets}`) is returned by
+    /// [`KvStore::meta`] for reopening after a restart.
     ///
     /// # Errors
     ///
@@ -227,11 +321,13 @@ impl<P: MemoryPolicy> KvStore<P> {
         let layout = NodeLayout::new(policy.oid_kind());
         let bytes = layout.bucket_bytes(nbuckets)?;
         let p = &*policy;
-        let meta = p.zalloc(layout.os + 8)?;
-        let m = ObjRef::new(p, meta, layout.os + 8, &meta)?;
-        let buckets = p.alloc_oid(Some(m.dest(0)?), bytes, true)?;
-        m.write_u64(layout.os, nbuckets)?;
-        m.persist(0, layout.os + 8)?;
+        let size = layout.meta_size();
+        let meta = p.zalloc(size)?;
+        let m = ObjRef::new(p, meta, size, &meta)?;
+        let buckets = p.alloc_oid(Some(m.dest(META_BUCKETS)?), bytes, true)?;
+        m.write_u64(META_LAYOUT, layout.word())?;
+        m.write_u64(layout.meta_nbuckets(), nbuckets)?;
+        m.persist(0, size)?;
         let buckets = ObjRef::new(p, buckets, bytes, &buckets)?.detach();
         Ok(KvStore {
             policy,
@@ -245,21 +341,32 @@ impl<P: MemoryPolicy> KvStore<P> {
 
     /// Re-attach to an engine created earlier in this pool (the restart /
     /// post-crash path). The meta block is validated before the store
-    /// serves anything: the bucket array's handle is built here, over
+    /// serves anything: its layout word first, through a handle over that
+    /// word alone, because a store of another layout may keep a smaller
+    /// meta block; then the bucket array's handle is built here, over
     /// `nbuckets * oid_size` bytes, and is the only check its slots get.
     ///
     /// # Errors
     ///
     /// Device errors; the policy's verdict on the meta block or the bucket
-    /// array; a bad-pool error when the meta block names zero buckets, a
-    /// size that overflows, or more buckets than its array holds — what a
-    /// pool created under another policy's oid encoding reads as.
+    /// array; a bad-pool error when the layout word is missing or names
+    /// another layout (an older store, or one written under the other oid
+    /// encoding), or when the meta block names zero buckets, a size that
+    /// overflows, or more buckets than its array holds.
     pub fn open(policy: Arc<P>, meta: PmemOid) -> Result<Self> {
         let layout = NodeLayout::new(policy.oid_kind());
         let p = &*policy;
-        let m = ObjRef::new(p, meta, layout.os + 8, &meta)?;
-        let buckets = m.read_oid(0)?;
-        let nbuckets = m.read_u64(layout.os)?;
+        let found = ObjRef::new(p, meta, 8, &meta)?.read_u64(META_LAYOUT)?;
+        if found != layout.word() {
+            return Err(unservable(format!(
+                "node layout {} found, {} expected",
+                layout_name(found),
+                layout_name(layout.word())
+            )));
+        }
+        let m = ObjRef::new(p, meta, layout.meta_size(), &meta)?;
+        let buckets = m.read_oid(META_BUCKETS)?;
+        let nbuckets = m.read_u64(layout.meta_nbuckets())?;
         let bytes = layout.bucket_bytes(nbuckets)?;
         // The allocator's extent, not only the policy's: under PMDK
         // `resolve` knows nothing but the mapping.
@@ -584,12 +691,11 @@ impl<P: MemoryPolicy> KvStore<P> {
     ) -> Result<()> {
         let p = &*self.policy;
         let l = &self.layout;
+        let value = l.encode_value(vlen, val);
         if let Some(node) = self.find(b, key, held)? {
-            // Two snapshots, not one over both fields: a merged range would
-            // change the undo log's PM traffic (`pm_traffic.golden`).
+            // One snapshot: the value reference is one field.
             p.tx_free(h.tx(), node.value)?;
-            node.obj.tx_write_u64(h.tx(), l.vlen, vlen)?;
-            return node.obj.tx_write_oid(h.tx(), l.value, val);
+            return node.obj.tx_write(h.tx(), l.value, &value);
         }
         let (buckets, slot) = (self.bucket_array(), b * l.os);
         let head = buckets.read_oid(slot)?;
@@ -597,8 +703,7 @@ impl<P: MemoryPolicy> KvStore<P> {
         let node = ObjRef::new(p, oid, l.size, held)?;
         node.write(l.key, key)?;
         node.write_oid(l.next, head)?;
-        node.write_u64(l.vlen, vlen)?;
-        node.write_oid(l.value, val)?;
+        node.write(l.value, &value)?;
         // Flush only: the node must be durable before the commit record,
         // and the commit's fence orders exactly that.
         node.flush(0, l.size)?;
@@ -718,12 +823,22 @@ mod tests {
     use spp_core::{PmdkPolicy, SppError, SppPolicy, TagConfig};
     use spp_pm::{Mode, PmEvent, PmPool, PoolConfig};
     use spp_pmdk::{ObjPool, PoolOpts};
+    use spp_safepm::SafePmPolicy;
 
     fn spp_store(pool_size: u64, buckets: u64) -> KvStore<SppPolicy> {
+        spp_store_with(TagConfig::default(), pool_size, buckets)
+    }
+
+    fn spp_store_with(cfg: TagConfig, pool_size: u64, buckets: u64) -> KvStore<SppPolicy> {
         let pm = Arc::new(PmPool::new(PoolConfig::new(pool_size)));
         let pool = Arc::new(ObjPool::create(pm, PoolOpts::new().lanes(4)).unwrap());
-        let policy = Arc::new(SppPolicy::new(pool, TagConfig::default()).unwrap());
+        let policy = Arc::new(SppPolicy::new(pool, cfg).unwrap());
         KvStore::create(policy, buckets).unwrap()
+    }
+
+    fn small_pool() -> Arc<ObjPool> {
+        let pm = Arc::new(PmPool::new(PoolConfig::new(1 << 22)));
+        Arc::new(ObjPool::create(pm, PoolOpts::small()).unwrap())
     }
 
     fn key(i: u64) -> [u8; KEY_SIZE] {
@@ -1327,43 +1442,126 @@ mod tests {
         assert_eq!(&out, b"native");
     }
 
+    /// Store `word` over the 8 bytes at `at` in `key(1)`'s node, then read
+    /// the value back through `get` and `for_each`. A failed `get` must
+    /// leave `out` alone.
+    fn read_with_word<P: MemoryPolicy>(
+        kv: &KvStore<P>,
+        at: u64,
+        word: u64,
+    ) -> (Result<Vec<u8>>, Result<u64>) {
+        let (b, stripe) = kv.bucket_of(&key(1));
+        {
+            let held = kv.locks[stripe].write();
+            let node = kv.find(b, &key(1), &held).unwrap().unwrap();
+            node.obj.write_u64(at, word).unwrap();
+        }
+        let mut out = b"kept".to_vec();
+        let get = match kv.get(&key(1), &mut out) {
+            Ok(found) => {
+                assert!(found);
+                Ok(out.split_off(4))
+            }
+            Err(e) => {
+                assert_eq!(out, b"kept", "a failed get must leave `out` alone");
+                Err(e)
+            }
+        };
+        (get, kv.for_each(|_, _| Ok(())))
+    }
+
     #[test]
     fn corrupt_value_length_is_an_error_not_an_allocation() {
-        // A stray 8-byte store over a node's `vlen` — the bug class the
-        // paper is about — then every reader of that value.
-        fn read_with_vlen<P: MemoryPolicy>(kv: &KvStore<P>, vlen: u64) -> [SppError; 2] {
-            let (b, stripe) = kv.bucket_of(&key(1));
-            {
-                let held = kv.locks[stripe].write();
-                let node = kv.find(b, &key(1), &held).unwrap().unwrap();
-                node.obj.write_u64(kv.layout.vlen, vlen).unwrap();
-            }
-            let mut out = b"kept".to_vec();
-            let get = kv.get(&key(1), &mut out).unwrap_err();
-            assert_eq!(out, b"kept", "a failed get must leave `out` alone");
-            [get, kv.for_each(|_, _| Ok(())).unwrap_err()]
-        }
+        // A stray 8-byte store over the word that holds a node's value
+        // length — the bug class the paper is about — then every reader
+        // of that value. Under the stock oid that word is `vlen`.
         let value = [7u8; 100];
+        let vlen_at = NodeLayout::new(OidKind::Pmdk)
+            .value_fields()
+            .0
+            .expect("a vlen field");
+        // The native baseline only notices the mapping's edge — but it is
+        // an error there too, not an abort in the allocator.
+        let kv = KvStore::create(Arc::new(PmdkPolicy::new(small_pool())), 64).unwrap();
+        kv.put(&key(1), &value).unwrap();
+        let (get, scan) = read_with_word(&kv, vlen_at, u64::MAX);
+        for e in [get.unwrap_err(), scan.unwrap_err()] {
+            assert!(matches!(e, SppError::Fault { .. }), "{e:?}");
+        }
+        // SafePM's shadow catches the first byte past the value; a length
+        // past the mapping is a fault, as under the native baseline.
+        let kv =
+            KvStore::create(Arc::new(SafePmPolicy::create(small_pool()).unwrap()), 64).unwrap();
+        kv.put(&key(1), &value).unwrap();
+        let (get, scan) = read_with_word(&kv, vlen_at, value.len() as u64 + 1);
+        for e in [get.unwrap_err(), scan.unwrap_err()] {
+            assert!(
+                matches!(
+                    e,
+                    SppError::OverflowDetected {
+                        mechanism: "shadow",
+                        ..
+                    }
+                ),
+                "{e:?}"
+            );
+        }
+        let (get, scan) = read_with_word(&kv, vlen_at, u64::MAX);
+        for e in [get.unwrap_err(), scan.unwrap_err()] {
+            assert!(matches!(e, SppError::Fault { .. }), "{e:?}");
+        }
+
+        // Under SPP the length is recorded once, in the value oid's size
+        // word, which is also the bound of every pointer into the value.
+        // (A size past the 64 MiB cap faults: see
+        // `corrupt_value_oid_is_an_error_not_a_pointer`.)
+        let size_word = |kv: &KvStore<SppPolicy>, size: u64, gen: u8| {
+            let size_at = kv.layout.value_fields().1 + 16;
+            let word = PmemOid::NULL.with_gen(gen);
+            read_with_word(kv, size_at, PmemOid { size, ..word }.size_word())
+        };
         let kv = spp_store(1 << 22, 256);
         kv.put(&key(1), &value).unwrap();
-        // One byte too many; a length that wraps the tag field back to 8;
-        // a length no buffer can have.
-        for vlen in [value.len() as u64 + 1, (1 << 27) + 8, u64::MAX] {
-            for e in read_with_vlen(&kv, vlen) {
+        let gen = {
+            let (b, stripe) = kv.bucket_of(&key(1));
+            let held = kv.locks[stripe].read();
+            kv.find(b, &key(1), &held).unwrap().unwrap().value.gen
+        };
+        assert_ne!(gen, 0, "SPP+T tracks the value");
+        // Generation kept, the bound moved out of its 16-byte generation
+        // slot: no live generation sits at the new bound.
+        for size in [112, 4000] {
+            let (get, scan) = size_word(&kv, size, gen);
+            for e in [get.unwrap_err(), scan.unwrap_err()] {
                 assert!(
-                    matches!(e, SppError::OverflowDetected { .. }),
-                    "vlen {vlen}: {e:?}"
+                    matches!(
+                        e,
+                        SppError::TemporalViolation {
+                            mechanism: "generation-tag",
+                            ..
+                        }
+                    ),
+                    "size {size}: {e:?}"
                 );
             }
         }
-        // The native baseline only notices the mapping's edge — but it is
-        // an error there too, not an abort in the allocator.
-        let pm = Arc::new(PmPool::new(PoolConfig::new(1 << 22)));
-        let pool = Arc::new(ObjPool::create(pm, PoolOpts::small()).unwrap());
-        let kv = KvStore::create(Arc::new(PmdkPolicy::new(pool)), 64).unwrap();
-        kv.put(&key(1), &value).unwrap();
-        for e in read_with_vlen(&kv, u64::MAX) {
-            assert!(matches!(e, SppError::Fault { .. }), "{e:?}");
+        // Generation kept, the bound grown inside its slot: at most 15
+        // bytes of the block's own slack are read.
+        let (get, scan) = size_word(&kv, 101, gen);
+        let got = get.unwrap();
+        assert_eq!((got.len(), &got[..100]), (101, &value[..]));
+        assert_eq!(scan.unwrap(), 1);
+        // The residual (ROADMAP item 8): a bare store that also clears the
+        // generation byte makes the oid untracked, and its size word is
+        // believed — 4000 bytes, across neighbouring blocks, under SPP+T
+        // as under spatial-only SPP. Only an authenticated oid (item 8's
+        // MAC) closes this.
+        let spatial = spp_store_with(TagConfig::phoenix(), 1 << 22, 256);
+        spatial.put(&key(1), &value).unwrap();
+        for kv in [&kv, &spatial] {
+            let (get, scan) = size_word(kv, 4000, 0);
+            assert_eq!(get.unwrap().len(), 4000);
+            assert_eq!(scan.unwrap(), 1);
         }
     }
 
@@ -1376,16 +1574,8 @@ mod tests {
             at: u64,
             word: u64,
         ) -> [SppError; 2] {
-            let (b, stripe) = kv.bucket_of(&key(1));
-            {
-                let held = kv.locks[stripe].write();
-                let node = kv.find(b, &key(1), &held).unwrap().unwrap();
-                node.obj.write_u64(kv.layout.value + at, word).unwrap();
-            }
-            let mut out = b"kept".to_vec();
-            let get = kv.get(&key(1), &mut out).unwrap_err();
-            assert_eq!(out, b"kept", "a failed get must leave `out` alone");
-            [get, kv.for_each(|_, _| Ok(())).unwrap_err()]
+            let (get, scan) = read_with_word(kv, kv.layout.value_fields().1 + at, word);
+            [get.unwrap_err(), scan.unwrap_err()]
         }
         let value = [7u8; 100];
         // A size past the 64 MiB cap that would wrap the tag to 100 bytes,
@@ -1434,7 +1624,7 @@ mod tests {
             let held = kv.locks[stripe].write();
             let head = kv.find(b, &key(2), &held).unwrap().unwrap();
             let shrunk = PmemOid {
-                size: kv.layout.vlen,
+                size: kv.layout.value,
                 ..head.next
             };
             head.obj.write_oid(kv.layout.next, shrunk).unwrap();
@@ -1507,12 +1697,11 @@ mod tests {
         // array's handle, so `open` validates it first.
         let kv = spp_store(1 << 22, 16);
         kv.put(&key(1), b"v").unwrap();
-        let (policy, meta) = (Arc::clone(kv.policy()), kv.meta());
-        let os = kv.layout.os;
+        let (policy, meta, l) = (Arc::clone(kv.policy()), kv.meta(), kv.layout);
         let nbuckets_field = |n: u64| {
-            ObjRef::new(&*policy, meta, os + 8, &meta)
+            ObjRef::new(&*policy, meta, l.meta_size(), &meta)
                 .unwrap()
-                .write_u64(os, n)
+                .write_u64(l.meta_nbuckets(), n)
                 .unwrap()
         };
         for n in [0, u64::MAX, 1 << 20] {
@@ -1535,5 +1724,60 @@ mod tests {
         let kv = KvStore::open(policy, meta).unwrap();
         assert_eq!(kv.count().unwrap(), 1);
         assert!(KvStore::create(Arc::clone(kv.policy()), 0).is_err());
+    }
+
+    /// Rewrite the layout word of `kv`'s meta block through the pool, then
+    /// reopen: every word but the store's own is refused, naming the
+    /// layout found and the layout expected, and the refusal changes
+    /// nothing.
+    fn refuses_another_layout<P: MemoryPolicy>(kv: KvStore<P>) {
+        kv.put(&key(1), b"v").unwrap();
+        let (policy, meta, l) = (Arc::clone(kv.policy()), kv.meta(), kv.layout);
+        drop(kv);
+        let pool = Arc::clone(policy.pool());
+        let other = NodeLayout::new(match l.kind {
+            OidKind::Spp => OidKind::Pmdk,
+            OidKind::Pmdk => OidKind::Spp,
+        });
+        let older = l.word() & !(0xff << 48) | (1 << 48);
+        for word in [0, other.word(), older, u64::MAX] {
+            pool.write_u64(meta.off + META_LAYOUT, word).unwrap();
+            let err = KvStore::open(Arc::clone(&policy), meta).err();
+            let Some(SppError::Pmdk(PmdkError::BadPool(msg))) = err else {
+                panic!("layout word {word:#x}: {err:?}");
+            };
+            let (found, expected) = (layout_name(word), layout_name(l.word()));
+            assert!(
+                msg.contains(&format!("{found} found, {expected} expected")),
+                "{msg}"
+            );
+        }
+        pool.write_u64(meta.off + META_LAYOUT, l.word()).unwrap();
+        let kv = KvStore::open(policy, meta).unwrap();
+        let mut out = Vec::new();
+        assert!(kv.get(&key(1), &mut out).unwrap());
+        assert_eq!((out.as_slice(), kv.count().unwrap()), (&b"v"[..], 1));
+    }
+
+    #[test]
+    fn open_refuses_a_store_of_another_layout() {
+        refuses_another_layout(spp_store(1 << 22, 16));
+        refuses_another_layout(
+            KvStore::create(Arc::new(PmdkPolicy::new(small_pool())), 16).unwrap(),
+        );
+        let safepm = SafePmPolicy::create(small_pool()).unwrap();
+        refuses_another_layout(KvStore::create(Arc::new(safepm), 16).unwrap());
+    }
+
+    #[test]
+    fn layout_words_name_themselves() {
+        let (spp, pmdk) = (
+            NodeLayout::new(OidKind::Spp),
+            NodeLayout::new(OidKind::Pmdk),
+        );
+        assert_eq!((spp.size, pmdk.size), (64, 56));
+        assert_eq!(layout_name(spp.word()), "kvnode v2 (24-byte oids)");
+        assert_eq!(layout_name(pmdk.word()), "kvnode v2 (16-byte oids)");
+        assert_eq!(layout_name(0), "none (word 0x0)");
     }
 }

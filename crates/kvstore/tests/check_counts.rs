@@ -2,7 +2,8 @@
 //! `direct` + one `resolve` per node a walk visits and per value it reads
 //! or writes, no GEP anywhere, and nothing per bucket-slot access (the
 //! bucket array is checked once, at create/open). A change that goes back
-//! to per-field checks fails here.
+//! to per-field checks fails here. An overwrite also takes exactly one
+//! undo snapshot of store data: the node's value reference is one field.
 //!
 //! The counts come from a small counting decorator over each policy, which
 //! forwards every method the policies implement themselves, so each check
@@ -13,9 +14,9 @@ use std::sync::Arc;
 
 use spp_core::{MemoryPolicy, PmdkPolicy, Result, SppPolicy, TagConfig};
 use spp_kvstore::{BatchOp, KvStore, KEY_SIZE};
-use spp_pm::{PmPool, PoolConfig};
+use spp_pm::{Mode, PmEvent, PmPool, PoolConfig};
 use spp_pmdk::{ObjPool, OidDest, OidKind, PmemOid, PoolOpts, Tx};
-use spp_safepm::SafePmPolicy;
+use spp_safepm::{SafePmPolicy, Shadow};
 
 /// Policy calls made so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -138,6 +139,32 @@ fn calls_of<P: MemoryPolicy>(kv: &KvStore<Counting<P>>, op: impl FnOnce()) -> Ca
     }
 }
 
+/// The undo snapshots `op` takes of store data: every `tx_add` but those
+/// of SafePM's shadow, which its transactional allocator snapshots too.
+fn data_snapshots<P: MemoryPolicy>(kv: &KvStore<Counting<P>>, op: impl FnOnce()) -> usize {
+    let pool = kv.policy().pool();
+    let pm = pool.pm();
+    let shadow = match pool.user_slot().unwrap() {
+        0 => 0..0,
+        at => at..at + Shadow::required_size(pm.size()),
+    };
+    pm.reset_tracking();
+    op();
+    pm.event_log()
+        .unwrap()
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            PmEvent::Mark { label, .. } => label.strip_prefix("tx_add:"),
+            _ => None,
+        })
+        .filter(|range| {
+            let off: u64 = range.split(':').next().unwrap().parse().unwrap();
+            !shadow.contains(&off)
+        })
+        .count()
+}
+
 /// `checks` nodes and values checked, with `allocs` and `frees`.
 fn expect(checks: u64, allocs: u64, frees: u64) -> Calls {
     Calls {
@@ -170,9 +197,11 @@ fn check_policy<P: MemoryPolicy>(policy: P) {
         assert_eq!(got, expect(visited + 1, 0, 0), "get of key {i}");
         assert_eq!(out, [i as u8; 100]);
         // An overwrite: the new value, then the walk to the node; the old
-        // value is freed.
+        // value is freed, and the value reference is snapshotted once.
         let got = calls_of(&kv, || kv.put(&key(i), &[0xAB; 100]).unwrap());
         assert_eq!(got, expect(visited + 1, 1, 1), "overwrite of key {i}");
+        let taken = data_snapshots(&kv, || kv.put(&key(i), &[0xCD; 100]).unwrap());
+        assert_eq!(taken, 1, "undo snapshots of overwrite of key {i}");
     }
     // A miss walks every node and reads no value.
     let got = calls_of(&kv, || assert!(!kv.get(&key(N), &mut out).unwrap()));
@@ -206,7 +235,7 @@ fn check_policy<P: MemoryPolicy>(policy: P) {
 }
 
 fn pool() -> Arc<ObjPool> {
-    let pm = Arc::new(PmPool::new(PoolConfig::new(4 << 20)));
+    let pm = Arc::new(PmPool::new(PoolConfig::new(4 << 20).mode(Mode::Tracked)));
     Arc::new(ObjPool::create(pm, PoolOpts::new().lanes(2)).unwrap())
 }
 

@@ -6,6 +6,14 @@
 //! allocations, PM re-reads and shared counters, so it proves none of that
 //! moved a single store, flush or fence.
 //!
+//! The golden changes only with a reviewed diff. Its one regeneration came
+//! with the 64-byte SPP node, whose value oid's size word is the value
+//! length: the node's `tx_alloc` went 144 → 80 bytes, its `vlen` store
+//! went, each overwrite lost its `vlen` snapshot (a `tx_add` of 8 bytes
+//! with its undo-entry stores, flushes and fences), and flush widths moved
+//! with line alignment; fences went 186 → 178. That diff, with offsets
+//! masked, is kept under `results/` as `pm_traffic.masked.diff`.
+//!
 //! On a mismatch the actual trace is written next to the temp dir's
 //! `pm_traffic.actual` for diffing.
 

@@ -127,15 +127,22 @@ impl MemoryPolicy for SafePmPolicy {
         } else {
             tx.alloc(padded)?
         };
+        // The shadow follows the transaction: snapshotted before it
+        // changes, so an abort or a crash before commit re-poisons the
+        // block along with freeing it.
+        self.shadow.snapshot(tx, oid.off, size)?;
         self.shadow.unpoison(&self.pool, oid.off, size)?;
         Ok(PmemOid::new(oid.pool_uuid, oid.off, size))
     }
 
     fn tx_free(&self, tx: &mut spp_pmdk::Tx<'_>, oid: PmemOid) -> Result<()> {
-        // Poison eagerly. (If the transaction aborts after a tx_free, the
-        // surviving object stays poisoned — a conservative false positive;
-        // SafePM proper re-unpoisons via its tx callbacks.)
+        // Poison eagerly, after snapshotting the shadow in the same
+        // transaction: an abort or a crash before commit restores the
+        // surviving object's shadow with its data. Deferring the poison to
+        // after commit instead would leave a window where a crash keeps the
+        // freed block unpoisoned.
         let usable = self.pool.usable_size(oid)?;
+        self.shadow.snapshot(tx, oid.off, usable)?;
         self.shadow.poison(&self.pool, oid.off, usable)?;
         tx.free(PmemOid::new(oid.pool_uuid, oid.off, usable))?;
         Ok(())
@@ -294,6 +301,40 @@ mod tests {
         assert!(p.load_u64(p.direct(obj)).unwrap_err().is_violation());
         // New bounds enforced at byte... granule precision.
         assert!(p.store(p.gep(p.direct(new), 128), &[1]).is_err());
+    }
+
+    #[test]
+    fn an_aborted_tx_free_leaves_the_object_readable() {
+        let p = policy();
+        let oid = p.zalloc(64).unwrap();
+        let ptr = p.direct(oid);
+        p.store_u64(ptr, 7).unwrap();
+        let mut h = p.pool().tx_begin().unwrap();
+        p.tx_free(h.tx(), oid).unwrap();
+        h.rollback().unwrap();
+        assert_eq!(p.load_u64(ptr).unwrap(), 7);
+        assert_eq!(p.load_u64(p.gep(ptr, 56)).unwrap(), 0);
+    }
+
+    #[test]
+    fn an_aborted_tx_alloc_leaves_the_block_poisoned() {
+        let p = policy();
+        let mut h = p.pool().tx_begin().unwrap();
+        let oid = p.tx_alloc(h.tx(), 64, false).unwrap();
+        let ptr = p.direct(oid);
+        p.store_u64(ptr, 1).unwrap();
+        h.rollback().unwrap();
+        let err = p.load_u64(ptr).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SppError::OverflowDetected {
+                    mechanism: "shadow",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The persistent shadow region and its poisoning operations.
 
 use spp_core::{Result, SppError};
-use spp_pmdk::ObjPool;
+use spp_pmdk::{ObjPool, Tx};
 
 /// Bytes of application memory covered by one shadow byte.
 pub const SHADOW_GRANULE: u64 = 8;
@@ -115,6 +115,18 @@ impl Shadow {
         pool.pm().fill(start, 0, granules as usize)?;
         pool.persist(start, granules.max(1) as usize)?;
         Ok(())
+    }
+
+    /// Snapshot into `tx`'s undo log the shadow bytes that
+    /// [`Self::unpoison`] or [`Self::poison`] of `[off, off + size)`
+    /// change, so an abort or recovery restores them with the data.
+    ///
+    /// # Errors
+    ///
+    /// Undo-log errors.
+    pub fn snapshot(&self, tx: &mut Tx<'_>, off: u64, size: u64) -> Result<()> {
+        let granules = size.div_ceil(SHADOW_GRANULE).max(1);
+        Ok(tx.snapshot(self.byte_of(off), granules)?)
     }
 
     /// Total application bytes covered.

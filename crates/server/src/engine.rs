@@ -534,11 +534,10 @@ mod tests {
 
     #[test]
     fn a_pool_opens_only_under_the_policy_that_created_it() {
-        // The meta block carries no policy descriptor, so `open` under
-        // another policy reads it in the wrong oid encoding: the bucket
-        // count from the wrong offset, or oids of the wrong width. Each
-        // such pair must be refused at open — never served, never a panic
-        // (a zero bucket count divides every hash).
+        // The meta block's layout word names the oid size its nodes were
+        // built for, and a SafePM pool records its shadow; there is no
+        // policy descriptor yet. Each cross pair must be refused at open —
+        // never served, never a panic.
         for create in PolicyKind::ALL {
             for open in PolicyKind::ALL {
                 let got = reopen_under(create, open);
@@ -558,6 +557,33 @@ mod tests {
                 assert_eq!(out, b"val-7");
                 assert!(engine.remove(&key(3)).unwrap());
                 engine.put(&key(99), b"new").unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn open_refuses_a_store_whose_layout_word_is_gone_or_altered() {
+        // The kv meta block begins with its node-layout word. Clear it, or
+        // alter one byte, and reopen: a typed bad-pool error, no engine.
+        for kind in PolicyKind::ALL {
+            for alter in [|_: u64| 0, |w: u64| w ^ (1 << 48)] {
+                let pool = fresh_server_pool(8 << 20, 4, false).unwrap();
+                let engine = KvEngine::create(Arc::clone(&pool), kind, 64).unwrap();
+                engine.put(&key(1), b"v").unwrap();
+                let meta = dispatch!(&engine, kv => kv.meta());
+                let word = pool.read_u64(meta.off).unwrap();
+                pool.write_u64(meta.off, alter(word)).unwrap();
+                let img = pool.pm().crash_image(CrashSpec::KeepAll);
+                drop(engine);
+                let pm2 = Arc::new(PmPool::from_image(img, PoolConfig::new(0)));
+                let err = KvEngine::open(Arc::new(ObjPool::open(pm2).unwrap()), kind).err();
+                assert!(
+                    matches!(
+                        &err,
+                        Some(SppError::Pmdk(spp_pmdk::PmdkError::BadPool(m))) if m.contains("node layout")
+                    ),
+                    "{kind:?}: {err:?}"
+                );
             }
         }
     }

@@ -459,8 +459,7 @@ fn group_commit_batches_survive_crash_whole_safepm() {
 }
 
 /// Deterministic all-or-nothing: while one engine write batch commits,
-/// reopen the drop-all crash image at every durability boundary (up to 64
-/// distinct images). At every
+/// reopen the drop-all crash image at every durability boundary. At every
 /// point the batch's fresh keys are all present or all absent, the
 /// overwritten key holds exactly its old or new value (never torn), and
 /// the overwrite flips together with the batch.
@@ -486,11 +485,9 @@ fn batched_commit_all_or_nothing_at_every_boundary() {
             }])
             .collect();
         let mut replies = Vec::new();
-        // 64 distinct drop-all states: every image the first 64
-        // boundaries yield, and more.
         let explored = explore(
             pool.pm(),
-            Plan::sampled(1, 64, 0),
+            Plan::drop_all(),
             || replies = engine.apply_write_batch(&ops),
             move |image| batch_is_whole(image, kind, &old, &new),
         )
