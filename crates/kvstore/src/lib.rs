@@ -493,11 +493,11 @@ impl<P: MemoryPolicy> KvStore<P> {
         Ok(())
     }
 
-    /// Insert or update. One transaction, one durability boundary: the
-    /// value and (for a new key) the node are flushed, and the commit's
-    /// fence makes them durable before the commit record — the same
-    /// flush/fence sequence as [`apply_batch`](Self::apply_batch) of one
-    /// put.
+    /// Insert or update. One transaction, one durability boundary: a new
+    /// value and node are flushed, an overwritten value is snapshotted, and
+    /// the commit's fence makes them durable before the commit record — the
+    /// same flush/fence sequence as [`apply_batch`](Self::apply_batch) of
+    /// one put.
     ///
     /// # Errors
     ///
@@ -508,21 +508,14 @@ impl<P: MemoryPolicy> KvStore<P> {
     /// Panics if `key` is not exactly [`KEY_SIZE`] bytes.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
         assert_eq!(key.len(), KEY_SIZE, "cmap engine uses fixed-size keys");
-        // Lane before stripe, uniformly. The value object — bounds checks,
-        // memcpy, flush: the expensive part of a put — is prepared before
-        // the stripe lock is taken; it is private to the transaction until
-        // linked.
+        // Lane before stripe, uniformly. The stripe lock must cover the
+        // commit — released earlier, a second writer could durably commit
+        // chain state built on this still-abortable edit, which recovery
+        // would then tear off.
         let mut h = self.policy.pool().tx_begin()?;
-        let val = match self.prep_value(&mut h, value) {
-            Ok(val) => val,
-            Err(e) => return Self::finish(h, Err(e)),
-        };
-        // The stripe lock must cover the commit — released earlier, a
-        // second writer could durably commit chain state built on this
-        // still-abortable edit, which recovery would then tear off.
         let (b, stripe) = self.bucket_of(key);
         let guard = self.locks[stripe].write();
-        let staged = self.stage_put(&mut h, b, key, value.len() as u64, val, &guard);
+        let staged = self.stage_put(&mut h, b, key, value, &guard);
         Self::finish(h, staged)
     }
 
@@ -568,23 +561,23 @@ impl<P: MemoryPolicy> KvStore<P> {
     }
 
     /// Apply a batch of mutations in **one transaction with one durability
-    /// boundary** (the group-commit path). All value objects are prepared
-    /// first under the transaction lane (no stripe locks — same phase
-    /// split as [`put`](Self::put)), then every touched stripe is
-    /// write-locked in sorted index order and the chain edits are staged
-    /// and committed together: one undo log, one flush+fence sweep, one
-    /// commit record. Crash semantics are all-or-nothing — recovery either
-    /// rolls the whole batch back (crash before the commit record is
-    /// durable) or keeps every member.
+    /// boundary** (the group-commit path). Every touched stripe is
+    /// write-locked in sorted index order, then each op is staged exactly
+    /// as its single-op writer stages it and the batch commits while all
+    /// of them are held: one undo log, one flush+fence sweep, one commit
+    /// record. Crash semantics are all-or-nothing — recovery either rolls
+    /// the whole batch back (crash before the commit record is durable) or
+    /// keeps every member.
     ///
     /// Lock ordering matches the single-op writers (lane before stripes)
     /// and the stripes themselves are acquired in ascending index order,
     /// so concurrent batches cannot deadlock each other. Ops apply in
     /// order, so a batch may legally contain multiple ops on one key.
     ///
-    /// The shared undo log bounds batch size: an oversized batch fails
-    /// with `UndoLogFull` and is rolled back (callers fall back to per-op
-    /// transactions). On any error nothing is applied.
+    /// The shared undo log bounds batch size: an overwrite that no longer
+    /// fits it moves its value instead, and a batch that still overflows
+    /// fails with `UndoLogFull` and is rolled back (callers fall back to
+    /// per-op transactions). On any error nothing is applied.
     ///
     /// # Errors
     ///
@@ -601,35 +594,19 @@ impl<P: MemoryPolicy> KvStore<P> {
         for op in ops {
             assert_eq!(op.key().len(), KEY_SIZE, "cmap engine uses fixed-size keys");
         }
-        // Lane before stripes, as everywhere.
+        // Lane before stripes, as everywhere; then every touched stripe,
+        // ascending, held until the commit.
         let mut h = self.policy.pool().tx_begin()?;
-        // Phase 1, no stripe locks: a value object per put, private to the
-        // transaction until linked.
-        let prep = ops
-            .iter()
-            .map(|op| match op {
-                BatchOp::Put { value, .. } => self.prep_value(&mut h, value).map(Some),
-                BatchOp::Del { .. } => Ok(None),
-            })
-            .collect::<Result<Vec<Option<PmemOid>>>>();
-        let vals = match prep {
-            Ok(vals) => vals,
-            Err(e) => return Self::finish(h, Err(e)),
-        };
-        // Phase 2: every touched stripe, ascending, then stage the chain
-        // edits and commit while all of them are held.
         let mut stripes: Vec<usize> = ops.iter().map(|op| self.bucket_of(op.key()).1).collect();
         stripes.sort_unstable();
         stripes.dedup();
         let guards: Vec<_> = stripes.iter().map(|&s| self.locks[s].write()).collect();
         let staged = ops
             .iter()
-            .zip(&vals)
-            .map(|(op, val)| match op {
+            .map(|op| match op {
                 BatchOp::Put { key, value } => {
-                    let val = val.expect("put prepared a value");
                     let b = self.bucket_of(key).0;
-                    self.stage_put(&mut h, b, key, value.len() as u64, val, &guards)?;
+                    self.stage_put(&mut h, b, key, value, &guards)?;
                     Ok(BatchOutcome::Put)
                 }
                 BatchOp::Del { key } => {
@@ -662,9 +639,8 @@ impl<P: MemoryPolicy> KvStore<P> {
     }
 
     /// Allocate and fill one put's value object inside `h`'s transaction.
-    /// No stripe lock is needed: the object is private until linked, and
-    /// the transaction — which frees it on abort — is what its handle
-    /// borrows.
+    /// The object is private until linked, and the transaction — which
+    /// frees it on abort — is what its handle borrows.
     fn prep_value(&self, h: &mut TxHandle<'_>, value: &[u8]) -> Result<PmemOid> {
         let p = &*self.policy;
         let len = value.len() as u64;
@@ -677,22 +653,34 @@ impl<P: MemoryPolicy> KvStore<P> {
         Ok(val)
     }
 
-    /// Stage one put's chain edit in bucket `b` into `h`'s transaction.
-    /// `held` is the caller's write guard on `b`'s stripe; `val` is the
-    /// prepared value object.
+    /// Stage one put into `h`'s transaction. `held` is the caller's write
+    /// guard on bucket `b`'s stripe. One walk finds `key`'s node. A value
+    /// of the node's length whose snapshot fits the undo log is written
+    /// over the old bytes where they lie: one snapshot, no allocator call.
+    /// Any other value moves: a new value object, then either a new node
+    /// at the bucket head or the old value freed and the node's value
+    /// reference rewritten.
     fn stage_put<G: ?Sized>(
         &self,
         h: &mut TxHandle<'_>,
         b: u64,
         key: &[u8],
-        vlen: u64,
-        val: PmemOid,
+        value: &[u8],
         held: &G,
     ) -> Result<()> {
         let p = &*self.policy;
         let l = &self.layout;
+        let vlen = value.len() as u64;
+        let found = self.find(b, key, held)?;
+        if let Some(node) = &found {
+            if node.vlen == vlen && h.tx().snapshot_fits(vlen) {
+                let val = ObjRef::new(p, node.value, vlen, &node.obj)?;
+                return val.tx_write(h.tx(), 0, value);
+            }
+        }
+        let val = self.prep_value(h, value)?;
         let value = l.encode_value(vlen, val);
-        if let Some(node) = self.find(b, key, held)? {
+        if let Some(node) = found {
             // One snapshot: the value reference is one field.
             p.tx_free(h.tx(), node.value)?;
             return node.obj.tx_write(h.tx(), l.value, &value);
@@ -1087,6 +1075,49 @@ mod tests {
                 assert_eq!(out, vec![t as u8; 48]);
             }
         }
+    }
+
+    /// Preload 16 keys of 100 B on a 1 MiB pool, overwrite each with the
+    /// same length 3 × 127 times — past the 126 lives a block gets — and
+    /// check nothing aged: no block parked at `GEN_MAX`, and live bytes and
+    /// the heap's high-water mark are what the preload left.
+    fn check_overwrites_do_not_age<P: MemoryPolicy>(policy: P) {
+        let kv = KvStore::create(Arc::new(policy), 16).unwrap();
+        let pool = Arc::clone(kv.policy().pool());
+        for i in 0..16 {
+            kv.put(&key(i), &[0; 100]).unwrap();
+        }
+        let preload = pool.stats();
+        for round in 1..=3 * 127u64 {
+            for i in 0..16 {
+                kv.put(&key(i), &[round as u8; 100]).unwrap();
+            }
+        }
+        let parked = pool
+            .walk_heap()
+            .unwrap()
+            .iter()
+            .filter(|b| b.gen == spp_pmdk::GEN_MAX)
+            .count();
+        let name = kv.policy().name();
+        assert_eq!(parked, 0, "{name}: blocks parked at GEN_MAX");
+        let after = pool.stats();
+        assert_eq!(after.live_bytes, preload.live_bytes, "{name}: live bytes");
+        assert_eq!(after.high_water, preload.high_water, "{name}: high water");
+        let mut out = Vec::new();
+        assert!(kv.get(&key(15), &mut out).unwrap());
+        assert_eq!(out, [(3 * 127) as u8; 100]);
+    }
+
+    #[test]
+    fn same_length_overwrites_do_not_age_the_store() {
+        let pool = || {
+            let pm = Arc::new(PmPool::new(PoolConfig::new(1 << 20)));
+            Arc::new(ObjPool::create(pm, PoolOpts::small()).unwrap())
+        };
+        check_overwrites_do_not_age(SppPolicy::new(pool(), TagConfig::default()).unwrap());
+        check_overwrites_do_not_age(PmdkPolicy::new(pool()));
+        check_overwrites_do_not_age(SafePmPolicy::create(pool()).unwrap());
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! or writes, no GEP anywhere, and nothing per bucket-slot access (the
 //! bucket array is checked once, at create/open). A change that goes back
 //! to per-field checks fails here. An overwrite also takes exactly one
-//! undo snapshot of store data: the node's value reference is one field.
+//! undo snapshot of store data: of the value bytes when the length stays
+//! (written in place, no allocator call), of the node's value reference
+//! when it changes (the value moves; the reference is one field).
 //!
 //! The counts come from a small counting decorator over each policy, which
 //! forwards every method the policies implement themselves, so each check
@@ -139,9 +141,10 @@ fn calls_of<P: MemoryPolicy>(kv: &KvStore<Counting<P>>, op: impl FnOnce()) -> Ca
     }
 }
 
-/// The undo snapshots `op` takes of store data: every `tx_add` but those
-/// of SafePM's shadow, which its transactional allocator snapshots too.
-fn data_snapshots<P: MemoryPolicy>(kv: &KvStore<Counting<P>>, op: impl FnOnce()) -> usize {
+/// The lengths of the undo snapshots `op` takes of store data: every
+/// `tx_add` but those of SafePM's shadow, which its transactional
+/// allocator snapshots too.
+fn data_snapshots<P: MemoryPolicy>(kv: &KvStore<Counting<P>>, op: impl FnOnce()) -> Vec<u64> {
     let pool = kv.policy().pool();
     let pm = pool.pm();
     let shadow = match pool.user_slot().unwrap() {
@@ -158,11 +161,13 @@ fn data_snapshots<P: MemoryPolicy>(kv: &KvStore<Counting<P>>, op: impl FnOnce())
             PmEvent::Mark { label, .. } => label.strip_prefix("tx_add:"),
             _ => None,
         })
-        .filter(|range| {
-            let off: u64 = range.split(':').next().unwrap().parse().unwrap();
-            !shadow.contains(&off)
+        .map(|range| {
+            let (off, len) = range.split_once(':').unwrap();
+            (off.parse::<u64>().unwrap(), len.parse::<u64>().unwrap())
         })
-        .count()
+        .filter(|(off, _)| !shadow.contains(off))
+        .map(|(_, len)| len)
+        .collect()
 }
 
 /// `checks` nodes and values checked, with `allocs` and `frees`.
@@ -196,17 +201,25 @@ fn check_policy<P: MemoryPolicy>(policy: P) {
         let got = calls_of(&kv, || assert!(kv.get(&key(i), &mut out).unwrap()));
         assert_eq!(got, expect(visited + 1, 0, 0), "get of key {i}");
         assert_eq!(out, [i as u8; 100]);
-        // An overwrite: the new value, then the walk to the node; the old
-        // value is freed, and the value reference is snapshotted once.
+        // A same-length overwrite: the walk to the node, then the value
+        // written where it lies under one snapshot of its bytes.
         let got = calls_of(&kv, || kv.put(&key(i), &[0xAB; 100]).unwrap());
-        assert_eq!(got, expect(visited + 1, 1, 1), "overwrite of key {i}");
+        assert_eq!(got, expect(visited + 1, 0, 0), "overwrite of key {i}");
         let taken = data_snapshots(&kv, || kv.put(&key(i), &[0xCD; 100]).unwrap());
-        assert_eq!(taken, 1, "undo snapshots of overwrite of key {i}");
+        assert_eq!(taken, [100], "undo snapshots of overwrite of key {i}");
+        // A length change moves the value: the new value, the walk to the
+        // node; the old value is freed, and the value reference is
+        // snapshotted once.
+        let got = calls_of(&kv, || kv.put(&key(i), &[0xEF; 60]).unwrap());
+        assert_eq!(got, expect(visited + 1, 1, 1), "resize of key {i}");
+        let taken = data_snapshots(&kv, || kv.put(&key(i), &[i as u8; 100]).unwrap());
+        assert_eq!(taken, [24], "undo snapshots of resize of key {i}");
     }
     // A miss walks every node and reads no value.
     let got = calls_of(&kv, || assert!(!kv.get(&key(N), &mut out).unwrap()));
     assert_eq!(got, expect(N, 0, 0), "missed get");
-    // A batch costs what its ops cost alone.
+    // A batch costs what its ops cost alone (`b"batched"` changes key 0's
+    // length, so its value moves).
     let (k0, k9) = (key(0), key(9));
     let batch = [
         BatchOp::Put {
@@ -234,6 +247,47 @@ fn check_policy<P: MemoryPolicy>(policy: P) {
     assert_eq!(got, expect(2 * N, 0, 0), "for_each");
 }
 
+/// A same-length overwrite snapshots the old bytes, so one whose snapshot
+/// no longer fits the lane's undo log (256 KiB under the default
+/// `PoolOpts`) moves its value as a length change does, instead of failing
+/// with `UndoLogFull`.
+fn check_undo_room_fallback<P: MemoryPolicy>(policy: P) {
+    let kv = KvStore::create(Arc::new(Counting::new(policy)), 16).unwrap();
+    let mut out = Vec::new();
+    let big = 300 << 10;
+    kv.put(&key(0), &vec![1; big]).unwrap();
+    let got = calls_of(&kv, || kv.put(&key(0), &vec![2; big]).unwrap());
+    assert_eq!((got.allocs, got.frees), (1, 1), "300 KiB overwrite");
+    assert!(kv.get(&key(0), &mut out).unwrap());
+    assert!(out == vec![2; big], "300 KiB overwrite reads back");
+    // One transaction: the first two snapshots fit, the last two ops move.
+    let keys = [1, 2, 3, 4].map(key);
+    for k in &keys {
+        kv.put(k, &vec![1; 100 << 10]).unwrap();
+    }
+    let value = vec![3; 100 << 10];
+    let batch: Vec<BatchOp<'_>> = keys
+        .iter()
+        .map(|k| BatchOp::Put {
+            key: k,
+            value: &value,
+        })
+        .collect();
+    let got = calls_of(&kv, || {
+        kv.apply_batch(&batch).unwrap();
+    });
+    assert_eq!(
+        (got.allocs, got.frees),
+        (2, 2),
+        "batch of four 100 KiB overwrites"
+    );
+    for k in &keys {
+        out.clear();
+        assert!(kv.get(k, &mut out).unwrap());
+        assert!(out == value, "batched overwrite reads back");
+    }
+}
+
 fn pool() -> Arc<ObjPool> {
     let pm = Arc::new(PmPool::new(PoolConfig::new(4 << 20).mode(Mode::Tracked)));
     Arc::new(ObjPool::create(pm, PoolOpts::new().lanes(2)).unwrap())
@@ -252,4 +306,11 @@ fn pmdk_checks_once_per_node_and_per_value() {
 #[test]
 fn safepm_checks_once_per_node_and_per_value() {
     check_policy(SafePmPolicy::create(pool()).unwrap());
+}
+
+#[test]
+fn an_overwrite_too_big_for_the_undo_log_moves_instead() {
+    check_undo_room_fallback(SppPolicy::new(pool(), TagConfig::default()).unwrap());
+    check_undo_room_fallback(PmdkPolicy::new(pool()));
+    check_undo_room_fallback(SafePmPolicy::create(pool()).unwrap());
 }

@@ -1,6 +1,8 @@
 //! Crash-consistency of the KV engine: every reachable crash state of a
 //! put/remove workload recovers to a store whose entries are a consistent
-//! subset, and the pmemcheck rules hold.
+//! subset, and the pmemcheck rules hold. The workload overwrites one key
+//! with a value of another length (the value moves) and one with a value
+//! of the same length (written in place under an undo snapshot).
 
 use std::sync::Arc;
 
@@ -33,8 +35,10 @@ fn kv_workload_recovers_consistently_in_every_crash_state() {
     let legal: Vec<(u64, Vec<Vec<u8>>)> = (0..5)
         .map(|i| {
             let mut vals = vec![format!("value-{i}").into_bytes()];
-            if i == 2 {
-                vals.push(b"value-2-updated".to_vec());
+            match i {
+                2 => vals.push(b"value-2-updated".to_vec()),
+                4 => vals.push(b"VALUE-4".to_vec()),
+                _ => {}
             }
             (i, vals)
         })
@@ -46,7 +50,10 @@ fn kv_workload_recovers_consistently_in_every_crash_state() {
             for i in 0..5u64 {
                 kv.put(&key(i), format!("value-{i}").as_bytes()).unwrap();
             }
+            // A length change moves the value; an equal length writes it
+            // in place.
             kv.put(&key(2), b"value-2-updated").unwrap();
+            kv.put(&key(4), b"VALUE-4").unwrap();
             kv.remove(&key(3)).unwrap();
         },
         move |img| {

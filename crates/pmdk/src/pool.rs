@@ -692,10 +692,9 @@ impl ObjPool {
     ///
     /// This is the building block under [`ObjPool::tx`]; use it directly
     /// when transaction scope and lock scope must interleave — e.g. the KV
-    /// store prepares a value object with no store-level lock held, *then*
-    /// takes its stripe lock, links the object, and commits while still
-    /// holding the stripe lock (so no other writer can build chain state on
-    /// top of uncommitted writes).
+    /// store takes its lane first, *then* its stripe lock, stages the
+    /// write, and commits while still holding the stripe lock (so no other
+    /// writer can build chain state on top of uncommitted writes).
     ///
     /// Dropping the handle without finishing it rolls the transaction back
     /// (and releases the lane), so an unwinding panic cannot leak an

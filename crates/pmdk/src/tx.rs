@@ -190,6 +190,13 @@ impl<'p> Tx<'p> {
         Ok(())
     }
 
+    /// Whether a snapshot of `len` bytes fits the lane's remaining undo
+    /// room, so a caller can take a path that snapshots less instead of
+    /// failing with [`PmdkError::UndoLogFull`].
+    pub fn snapshot_fits(&self, len: u64) -> bool {
+        self.ulog.room(len).is_ok()
+    }
+
     /// Snapshot a range and then overwrite it with `data` (convenience for
     /// the common snapshot-then-write pattern).
     ///

@@ -122,7 +122,7 @@ impl UndoLog {
     }
 
     /// The size of an entry with `len` data bytes, if it fits.
-    fn room(&self, len: u64) -> Result<u64> {
+    pub(crate) fn room(&self, len: u64) -> Result<u64> {
         let needed = len.saturating_add(ENTRY_HDR + 7) & !7;
         if needed > self.capacity - self.tail {
             return Err(PmdkError::UndoLogFull {

@@ -152,8 +152,7 @@ fn a_batch_allocates_only_the_stores_own_vectors() {
         kv.apply_batch(&batches[i as usize % batches.len()])
             .unwrap();
     });
-    // `apply_batch`'s own: the prepared values (collected through a
-    // `Result`, so without a size hint: one regrowth), the sorted stripes,
-    // their guards and the outcomes it returns. Nothing below the store.
-    assert_eq!(per_batch, 5.0);
+    // `apply_batch`'s own: the sorted stripes, their guards and the
+    // outcomes it returns. Nothing below the store.
+    assert_eq!(per_batch, 3.0);
 }

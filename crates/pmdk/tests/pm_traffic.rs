@@ -6,13 +6,22 @@
 //! allocations, PM re-reads and shared counters, so it proves none of that
 //! moved a single store, flush or fence.
 //!
-//! The golden changes only with a reviewed diff. Its one regeneration came
-//! with the 64-byte SPP node, whose value oid's size word is the value
-//! length: the node's `tx_alloc` went 144 → 80 bytes, its `vlen` store
-//! went, each overwrite lost its `vlen` snapshot (a `tx_add` of 8 bytes
-//! with its undo-entry stores, flushes and fences), and flush widths moved
-//! with line alignment; fences went 186 → 178. That diff, with offsets
-//! masked, is kept under `results/` as `pm_traffic.masked.diff`.
+//! The golden changes only with a reviewed diff; each diff, with offsets
+//! masked, is kept under `results/` as `pm_traffic.masked.diff`. It has
+//! been regenerated twice:
+//!
+//! * with the 64-byte SPP node, whose value oid's size word is the value
+//!   length: the node's `tx_alloc` went 144 → 80 bytes, its `vlen` store
+//!   went, each overwrite lost its `vlen` snapshot (a `tx_add` of 8 bytes
+//!   with its undo-entry stores, flushes and fences), and flush widths
+//!   moved with line alignment; fences went 186 → 178;
+//! * with same-length overwrites written in place: a resident PUT and the
+//!   batch's repeated keys lost the new value's `tx_alloc`, the old one's
+//!   free-on-commit entry and redo free, and the value reference's
+//!   `tx_add`, and gained one `tx_add` of the 100 value bytes. A resident
+//!   PUT went 19 → 8 fences, 20 → 8 flushes and 29 → 11 stores (364 →
+//!   272 bytes), the batch 103 → 48 fences and 119 → 59 flushes; the
+//!   fresh PUT, the DEL and the aborted transaction did not move.
 //!
 //! On a mismatch the actual trace is written next to the temp dir's
 //! `pm_traffic.actual` for diffing.

@@ -513,8 +513,11 @@ fn kv_key(i: u64) -> Vec<u8> {
     k
 }
 
+/// Version `version` of a key's value. The length changes every second
+/// version, so overwrites alternate between the path that writes the value
+/// in place (same length) and the one that moves it.
 fn kv_value(key_idx: u64, version: u64) -> Vec<u8> {
-    let len = 24 + (version % 3) as usize * 8;
+    let len = 24 + (version / 2 % 3) as usize * 8;
     (0..len)
         .map(|i| (key_idx as u8) ^ (version as u8).wrapping_add(i as u8))
         .collect()
