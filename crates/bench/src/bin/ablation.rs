@@ -8,7 +8,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use spp_bench::{banner, Args};
+use spp_bench::{banner, Args, Opt};
 use spp_core::TagConfig;
 use spp_instrument::{hoist_loop_checks, spp_transform, Function, Inst, Operand, Stmt, Vm, VmMode};
 use spp_pm::{PmPool, PoolConfig};
@@ -66,7 +66,7 @@ fn run(f: &Function, pool_bytes: u64) -> (f64, u64, u64, u64) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[Opt::flag("quick"), Opt::value::<u64>("iters")]);
     let quick = args.flag("quick");
     let iters: u64 = args.get("iters", if quick { 20_000 } else { 200_000 });
     let pool_bytes = (iters + 2) * 8 + (1 << 20);

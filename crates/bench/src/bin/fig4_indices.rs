@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use spp_bench::{
     banner, fresh_pool, pmdk_policy, safepm_policy, slowdown, spp_policy, timed, uniform_keys,
-    Args, Variant,
+    Args, Opt, Variant,
 };
 use spp_core::{MemoryPolicy, TagConfig};
 use spp_indices::{CTree, HashMapTx, Index, RTree, RbTree};
@@ -72,7 +72,11 @@ fn bench_structure(
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        Opt::flag("quick"),
+        Opt::value::<u64>("n"),
+        Opt::value::<u64>("rtree-n"),
+    ]);
     let quick = args.flag("quick");
     let n: u64 = args.get("n", if quick { 5_000 } else { 100_000 });
     let rtree_n: u64 = args.get("rtree-n", if quick { 2_000 } else { 20_000 });

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use spp_bench::{
     banner, fresh_pool, fresh_scaling_pool, pmdk_policy, safepm_policy, slowdown, spp_policy,
-    validate_rows, validate_scaling, write_results, write_text_artifact, Args, Json, Variant,
+    validate_rows, validate_scaling, write_results, write_text_artifact, Args, Json, Opt, Variant,
 };
 use spp_core::{MemoryPolicy, TagConfig};
 use spp_kvstore::workload::{preload, run_mix, Mix, WorkloadConfig};
@@ -44,7 +44,17 @@ fn scaling_throughput(pool_bytes: u64, flush_wait_ns: u32, cfg: &WorkloadConfig,
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        Opt::flag("smoke"),
+        Opt::flag("quick"),
+        Opt::value::<u64>("preload"),
+        Opt::value::<u64>("ops"),
+        Opt::value::<String>("threads"),
+        Opt::value::<u64>("pool-mb"),
+        Opt::value::<u64>("scaling-ops"),
+        Opt::value::<u64>("scaling-preload"),
+        Opt::value::<u32>("flush-wait-ns"),
+    ]);
     let smoke = args.flag("smoke");
     let quick = args.flag("quick") || smoke;
     let preload_keys: u64 = args.get(

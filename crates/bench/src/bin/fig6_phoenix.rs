@@ -4,13 +4,18 @@
 //! Usage: `fig6_phoenix [--scale 4] [--threads 8] [--quick]`
 
 use spp_bench::{
-    banner, fresh_low_pool, pmdk_policy, safepm_policy, slowdown, spp_policy, timed, Args,
+    banner, fresh_low_pool, pmdk_policy, safepm_policy, slowdown, spp_policy, timed, Args, Opt,
 };
 use spp_core::TagConfig;
 use spp_phoenix::{run, App, PhoenixConfig};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        Opt::flag("quick"),
+        Opt::value::<u64>("scale"),
+        Opt::value::<usize>("threads"),
+        Opt::value::<u64>("pool-mb"),
+    ]);
     let quick = args.flag("quick");
     let scale: u64 = args.get("scale", if quick { 1 } else { 4 });
     let threads: usize = args.get("threads", 8);

@@ -12,6 +12,7 @@ use std::sync::Arc;
 use spp_bench::{
     banner, fresh_pool, fresh_scaling_pool, pmdk_policy, slowdown, spp_policy, timed,
     validate_rows, validate_scaling, warm_pool, write_results, write_text_artifact, Args, Json,
+    Opt,
 };
 use spp_core::{MemoryPolicy, TagConfig};
 use spp_pm::contention;
@@ -132,7 +133,13 @@ fn scaling_storm(flush_wait_ns: u32, size: u64, pairs: u64, threads: u64) -> f64
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        Opt::flag("smoke"),
+        Opt::flag("quick"),
+        Opt::value::<u64>("ops"),
+        Opt::value::<u64>("scaling-pairs"),
+        Opt::value::<u32>("flush-wait-ns"),
+    ]);
     let smoke = args.flag("smoke");
     let quick = args.flag("quick") || smoke;
     let reps = if smoke { 2 } else { 5 };

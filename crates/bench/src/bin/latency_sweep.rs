@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use spp_bench::{banner, pmdk_policy, slowdown, spp_policy, timed, uniform_keys, Args};
+use spp_bench::{banner, pmdk_policy, slowdown, spp_policy, timed, uniform_keys, Args, Opt};
 use spp_core::{MemoryPolicy, TagConfig};
 use spp_indices::{CTree, Index};
 use spp_pm::{LatencyModel, PmPool, PoolConfig};
@@ -38,7 +38,7 @@ fn run<P: MemoryPolicy>(policy: Arc<P>, keys: &[u64]) -> f64 {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[Opt::flag("quick"), Opt::value::<u64>("n")]);
     let quick = args.flag("quick");
     let n: u64 = args.get("n", if quick { 3_000 } else { 20_000 });
     let keys = uniform_keys(n, 0x1A7);

@@ -31,7 +31,7 @@
 
 use std::process::ExitCode;
 
-use spp_bench::{Args, JsonValue};
+use spp_bench::{Args, JsonValue, Opt};
 
 /// Accumulates PASS/FAIL lines; any FAIL turns the exit code red.
 struct Gate {
@@ -242,7 +242,14 @@ fn gate_idle(gate: &mut Gate, doc: &JsonValue, idle_floor: f64) {
 }
 
 fn run() -> ExitCode {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        Opt::value::<String>("results"),
+        Opt::value::<String>("baselines"),
+        Opt::value::<f64>("tolerance"),
+        Opt::value::<f64>("pipeline-floor"),
+        Opt::value::<f64>("idle-floor"),
+        Opt::value::<String>("only"),
+    ]);
     let results: String = args.get("results", "results".to_string());
     let baselines: String = args.get("baselines", "ci/baselines".to_string());
     let tol: f64 = args.get("tolerance", 0.5);

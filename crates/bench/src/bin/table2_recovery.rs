@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use spp_bench::{banner, Args};
+use spp_bench::{banner, Args, Opt};
 use spp_pm::{CrashSpec, Mode, PmPool, PoolConfig};
 use spp_pmdk::{ObjPool, OidKind, PmemOid, PoolOpts};
 
@@ -63,7 +63,11 @@ fn recovery_ms(n: u64, kind: OidKind, runs: u64) -> f64 {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        Opt::flag("quick"),
+        Opt::value::<u64>("max"),
+        Opt::value::<u64>("runs"),
+    ]);
     let quick = args.flag("quick");
     let max: u64 = args.get("max", if quick { 10_000 } else { 100_000 });
     let runs: u64 = args.get("runs", if quick { 3 } else { 10 });

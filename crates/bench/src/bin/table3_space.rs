@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use spp_bench::{banner, fresh_pool, pmdk_policy, spp_policy, uniform_keys, Args};
+use spp_bench::{banner, fresh_pool, pmdk_policy, spp_policy, uniform_keys, Args, Opt};
 use spp_core::{MemoryPolicy, TagConfig};
 use spp_indices::{CTree, HashMapTx, Index, RTree, RbTree};
 
@@ -38,7 +38,11 @@ fn row(name: &str, n: u64, pool_bytes: u64, f: impl Fn(bool, &[u64]) -> u64) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        Opt::flag("quick"),
+        Opt::value::<u64>("n"),
+        Opt::value::<u64>("rtree-n"),
+    ]);
     let quick = args.flag("quick");
     let n: u64 = args.get("n", if quick { 5_000 } else { 100_000 });
     let rtree_n: u64 = args.get("rtree-n", if quick { 2_000 } else { 20_000 });

@@ -1,11 +1,11 @@
 //! Table IV: RIPE buffer-overflow attack outcomes under each protection
 //! mechanism.
 //!
-//! Usage: `table4_ripe`
+//! Usage: `table4_ripe [--quick]`
 
 use std::sync::Arc;
 
-use spp_bench::banner;
+use spp_bench::{banner, Args, Opt};
 use spp_core::{PmdkPolicy, SppPolicy, TagConfig};
 use spp_pm::{PmPool, PoolConfig};
 use spp_pmdk::{ObjPool, PoolOpts};
@@ -18,6 +18,8 @@ fn fresh_pool() -> Arc<ObjPool> {
 }
 
 fn main() {
+    // `--quick` is accepted like every harness's; the matrix has one size.
+    Args::parse(&[Opt::flag("quick")]);
     banner("Table IV: RIPE attacks using different protection mechanisms");
     let suite = generate_suite();
     println!("attack forms: {}", suite.len());

@@ -3,7 +3,8 @@
 //! Every binary prints the same rows/series the paper reports; see
 //! `EXPERIMENTS.md` at the workspace root for the recorded paper-vs-measured
 //! comparison. Each binary accepts `--quick` (tiny sizes for smoke runs)
-//! and simple `--key value` overrides.
+//! and simple `--key value` overrides, declared once per binary ([`Args`]):
+//! `--help` prints them, and anything else refuses to run.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -125,35 +126,173 @@ pub fn slowdown(t: f64, baseline: f64) -> f64 {
     }
 }
 
-/// Minimal `--key value` / `--flag` argument scanning.
+/// One option a binary reads: a bare `--name` flag, or `--name VALUE`
+/// whose value must parse as the type the binary reads it as.
+#[derive(Debug, Clone, Copy)]
+pub struct Opt {
+    name: &'static str,
+    /// For a valued option: its type's name and the check its value passes.
+    value: Option<(&'static str, Parses)>,
+}
+
+/// Whether a value parses as an option's type.
+type Parses = fn(&str) -> bool;
+
+impl Opt {
+    /// The bare flag `--name`.
+    pub const fn flag(name: &'static str) -> Opt {
+        Opt { name, value: None }
+    }
+
+    /// `--name VALUE`, read with [`Args::get::<T>`](Args::get).
+    pub fn value<T: std::str::FromStr>(name: &'static str) -> Opt {
+        fn parses<T: std::str::FromStr>(v: &str) -> bool {
+            v.parse::<T>().is_ok()
+        }
+        Opt {
+            name,
+            value: Some((std::any::type_name::<T>(), parses::<T>)),
+        }
+    }
+
+    fn type_name(&self) -> Option<&'static str> {
+        self.value.map(|(t, _)| t)
+    }
+}
+
+/// Why `Args::try_parse` did not return arguments.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum ArgsError {
+    /// `--help` or `-h`: print the usage and exit 0.
+    Help,
+    /// An unknown option, a missing value or one that does not parse.
+    Bad(String),
+}
+
+/// `--key value` / `--flag` arguments, checked against the options the
+/// binary declares, so a mistyped flag or value refuses to run instead of
+/// running the defaults.
 #[derive(Debug, Clone)]
 pub struct Args {
-    raw: Vec<String>,
+    /// Each option passed, in order, with its value if it takes one.
+    given: Vec<(&'static str, Option<String>)>,
+    opts: Vec<Opt>,
 }
 
 impl Args {
-    /// Parse the process arguments.
-    pub fn parse() -> Self {
-        Args {
-            raw: std::env::args().skip(1).collect(),
+    /// Parse the process arguments against `opts`. On `--help`/`-h` prints
+    /// the usage and exits 0; on an unknown option or a bad value
+    /// prints the reason and the usage to stderr and exits 2 — before the
+    /// binary does any work or writes any file.
+    pub fn parse(opts: &[Opt]) -> Self {
+        match Self::try_parse(std::env::args().skip(1), opts) {
+            Ok(args) => args,
+            Err(ArgsError::Help) => {
+                println!("{}", usage(opts));
+                std::process::exit(0)
+            }
+            Err(ArgsError::Bad(why)) => {
+                eprintln!("error: {why}\n{}", usage(opts));
+                std::process::exit(2)
+            }
         }
+    }
+
+    /// Check `argv` (without the program name) against `opts`: every token
+    /// must be a declared `--name`, and a valued option's next token must
+    /// parse as its type.
+    fn try_parse(argv: impl IntoIterator<Item = String>, opts: &[Opt]) -> Result<Self, ArgsError> {
+        let mut given = Vec::new();
+        let mut it = argv.into_iter();
+        while let Some(a) = it.next() {
+            if a == "--help" || a == "-h" {
+                return Err(ArgsError::Help);
+            }
+            let opt = a
+                .strip_prefix("--")
+                .and_then(|name| opts.iter().find(|o| o.name == name))
+                .ok_or_else(|| ArgsError::Bad(format!("unknown argument {a:?}")))?;
+            let value = match opt.value {
+                None => None,
+                Some((ty, parses)) => {
+                    let v = it
+                        .next()
+                        .ok_or_else(|| ArgsError::Bad(format!("{a} needs a value")))?;
+                    if !parses(&v) {
+                        return Err(ArgsError::Bad(format!("{a} {v:?}: not a {}", short(ty))));
+                    }
+                    Some(v)
+                }
+            };
+            given.push((opt.name, value));
+        }
+        Ok(Args {
+            given,
+            opts: opts.to_vec(),
+        })
+    }
+
+    fn declared(&self, name: &str) -> &Opt {
+        self.opts
+            .iter()
+            .find(|o| o.name == name)
+            .unwrap_or_else(|| panic!("--{name} is read but not declared"))
     }
 
     /// Whether `--name` was passed.
     pub fn flag(&self, name: &str) -> bool {
-        self.raw.iter().any(|a| a == &format!("--{name}"))
+        assert!(
+            self.declared(name).value.is_none(),
+            "--{name} is not a flag"
+        );
+        self.given.iter().any(|(n, _)| *n == name)
     }
 
-    /// The value after `--name`, parsed, or `default`.
+    /// The value after `--name`, parsed, or `default` when it is absent.
     pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        let key = format!("--{name}");
-        self.raw
+        let declared = self.declared(name).type_name();
+        assert_eq!(
+            declared,
+            Some(std::any::type_name::<T>()),
+            "--{name} is read as another type than declared"
+        );
+        match self
+            .given
             .iter()
-            .position(|a| a == &key)
-            .and_then(|i| self.raw.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+            .find_map(|(n, v)| v.as_ref().filter(|_| *n == name))
+        {
+            // `try_parse` checked the value with this very type.
+            Some(v) => v
+                .parse()
+                .unwrap_or_else(|_| unreachable!("checked by try_parse")),
+            None => default,
+        }
     }
+}
+
+/// The last path segment of a type name: `u64`, `String`, `PolicyKind`.
+fn short(ty: &str) -> &str {
+    ty.rsplit("::").next().unwrap_or(ty)
+}
+
+/// `usage: <program> [--flag] [--name <type>] ...`
+fn usage(opts: &[Opt]) -> String {
+    let prog = std::env::args()
+        .next()
+        .and_then(|p| {
+            std::path::Path::new(&p)
+                .file_name()
+                .map(|f| f.to_string_lossy().into_owned())
+        })
+        .unwrap_or_default();
+    let mut out = format!("usage: {prog}");
+    for o in opts {
+        match o.type_name() {
+            None => out.push_str(&format!(" [--{}]", o.name)),
+            Some(ty) => out.push_str(&format!(" [--{} <{}>]", o.name, short(ty))),
+        }
+    }
+    out
 }
 
 /// Uniform pseudo-random keys (pmembench's uniform 8-byte keys).
@@ -627,6 +766,71 @@ pub fn write_results(name: &str, doc: &Json) -> std::path::PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn opts() -> Vec<Opt> {
+        vec![
+            Opt::flag("smoke"),
+            Opt::value::<u64>("ops"),
+            Opt::value::<String>("addr"),
+        ]
+    }
+
+    fn parse(argv: &[&str]) -> Result<Args, ArgsError> {
+        Args::try_parse(argv.iter().map(|a| a.to_string()), &opts())
+    }
+
+    fn refused(argv: &[&str]) -> String {
+        match parse(argv) {
+            Err(ArgsError::Bad(why)) => why,
+            other => panic!("{argv:?} was not refused: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn args_read_declared_options() {
+        let a = parse(&["--ops", "7", "--smoke", "--addr", "--ops"]).unwrap();
+        assert!(a.flag("smoke"));
+        assert_eq!(a.get("ops", 1u64), 7);
+        // A value is a value even when it looks like an option.
+        assert_eq!(a.get("addr", String::new()), "--ops");
+        let a = parse(&[]).unwrap();
+        assert!(!a.flag("smoke"));
+        assert_eq!(a.get("ops", 1u64), 1);
+    }
+
+    #[test]
+    fn args_refuse_unknown_options_and_bad_values() {
+        assert!(refused(&["--no-such-flag"]).contains("--no-such-flag"));
+        assert!(refused(&["--smoke", "extra"]).contains("extra"));
+        assert!(refused(&["-s"]).contains("-s"));
+        assert!(refused(&["--ops", "abc"]).contains("not a u64"));
+        assert!(refused(&["--ops", "-1"]).contains("not a u64"));
+        assert!(refused(&["--ops"]).contains("needs a value"));
+    }
+
+    #[test]
+    fn args_help_wins_wherever_it_stands() {
+        for argv in [
+            &["--help"][..],
+            &["-h"],
+            &["--ops", "3", "--help"],
+            &["--smoke", "-h"],
+        ] {
+            assert_eq!(parse(argv).unwrap_err(), ArgsError::Help, "{argv:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "read but not declared")]
+    fn args_reading_an_undeclared_option_panics() {
+        parse(&[]).unwrap().get("threads", 1usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "another type than declared")]
+    fn args_reading_as_another_type_panics() {
+        parse(&[]).unwrap().get("ops", 1u32);
+    }
 
     fn row(v: f64) -> Json {
         Json::Obj(vec![("x", Json::Num(v)), ("n", Json::Int(3))])

@@ -1,7 +1,7 @@
 //! `oracle` — run the differential oracle from the command line.
 //!
 //! ```text
-//! oracle [--traces N] [--ops N] [--seed S] [--out DIR]
+//! oracle [--traces N] [--ops N] [--seed S] [--out DIR] [--max-failures N]
 //!        [--smoke] [--break-matrix] [--break-temporal]
 //! ```
 //!
@@ -14,11 +14,20 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use spp_bench::{validate_rows, Args, Json};
+use spp_bench::{validate_rows, Args, Json, Opt};
 use spp_oracle::{run, RunConfig};
 
 fn main() -> ExitCode {
-    let a = Args::parse();
+    let a = Args::parse(&[
+        Opt::value::<u64>("traces"),
+        Opt::value::<usize>("ops"),
+        Opt::value::<u64>("seed"),
+        Opt::value::<PathBuf>("out"),
+        Opt::value::<u64>("max-failures"),
+        Opt::flag("smoke"),
+        Opt::flag("break-matrix"),
+        Opt::flag("break-temporal"),
+    ]);
     let smoke = a.flag("smoke");
     let cfg = RunConfig {
         seed: a.get("seed", 0x0D1F_F0DD),

@@ -69,6 +69,34 @@ impl Media {
         }
     }
 
+    /// Ask the cache for every line of `[off, off + len)`, ahead of the
+    /// reads that will need them. A hint, not an access: nothing is copied,
+    /// and on a target without a stable prefetch intrinsic it does nothing.
+    ///
+    /// Caller must have validated bounds.
+    pub(crate) fn prefetch(&self, off: usize, len: usize) {
+        debug_assert!(off + len <= self.len);
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            let end = self.ptr.wrapping_add(off + len);
+            let first = self.ptr.wrapping_add(off);
+            // From the start of the line holding `off`, so a range that
+            // begins mid-line still covers its last line.
+            let mut line = first.wrapping_sub(first as usize % 64);
+            while line < end {
+                // SAFETY: `PREFETCHT0` is a hint: it never faults and is
+                // not a load in the memory model, so `line` need not be
+                // dereferenceable (the first line may begin before the
+                // allocation); `wrapping_*` keeps the arithmetic defined.
+                unsafe { _mm_prefetch::<_MM_HINT_T0>(line as *const i8) };
+                line = line.wrapping_add(64);
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = (off, len);
+    }
+
     /// Snapshot the entire media contents.
     pub(crate) fn snapshot(&self) -> Vec<u8> {
         let mut out = vec![0u8; self.len];

@@ -298,6 +298,19 @@ impl PmPool {
         Ok(())
     }
 
+    /// Hint that `[off, off + len)` will be read soon, so its cache lines
+    /// can be in flight before the [`read`](Self::read)s that need them.
+    ///
+    /// Not an access: it records no stats, logs no event, fires no boundary
+    /// tap and charges no latency. The range is clamped to the pool, so an
+    /// out-of-range hint is not an error.
+    pub fn prefetch(&self, off: PoolOffset, len: u64) {
+        let end = off.saturating_add(len).min(self.size);
+        if off < end {
+            self.media.prefetch(off as usize, (end - off) as usize);
+        }
+    }
+
     /// Store `data` at pool offset `off`.
     ///
     /// In [`Mode::Tracked`], the store is recorded as *dirty*: it is not
@@ -988,5 +1001,45 @@ mod tests {
         assert_eq!(s.bytes_read(), 16);
         assert_eq!(s.flushes(), 1);
         assert_eq!(s.fences(), 1);
+    }
+
+    #[test]
+    fn prefetch_is_not_an_access() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        let pool = tracked_pool();
+        pool.write(128, &[0xC3; 200]).unwrap();
+        let taps = Arc::new(AtomicUsize::new(0));
+        let t = Arc::clone(&taps);
+        pool.set_boundary_tap(Box::new(move |_, _| {
+            t.fetch_add(1, Ordering::Relaxed);
+        }));
+        let events = pool.event_log().unwrap().events().to_vec();
+        let dirty = pool.unpersisted_seqs();
+        let (reads, bytes) = (pool.stats().reads(), pool.stats().bytes_read());
+
+        pool.prefetch(0, 4096);
+        pool.prefetch(130, 100);
+
+        assert_eq!(pool.event_log().unwrap().events(), &events[..]);
+        assert_eq!(pool.unpersisted_seqs(), dirty);
+        assert_eq!(pool.stats().reads(), reads);
+        assert_eq!(pool.stats().bytes_read(), bytes);
+        assert_eq!(taps.load(Ordering::Relaxed), 0);
+        // The tap is live: a real boundary reaches it.
+        pool.flush(128, 200).unwrap();
+        assert_eq!(taps.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn prefetch_clamps_to_the_pool() {
+        let pool = tracked_pool();
+        let size = pool.size();
+        pool.prefetch(size - 1, 4096);
+        pool.prefetch(size, 64);
+        pool.prefetch(size + 64, 64);
+        pool.prefetch(u64::MAX - 8, 64);
+        pool.prefetch(0, u64::MAX);
+        assert_eq!(pool.stats().reads(), 0);
     }
 }

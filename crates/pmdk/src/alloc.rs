@@ -289,6 +289,10 @@ fn read_header(pm: &PmPool, off: u64) -> Result<(u64, u64)> {
     Ok((word(BH_SIZE as usize), word(BH_STATE as usize)))
 }
 
+/// How far past the header being read [`walk_heap`] keeps the heap in
+/// flight: one page. The reopen time was flat from 1 to 32 KiB.
+const WALK_PREFETCH: u64 = 4096;
+
 /// Walk the durable header chain from `heap_off`, validating each header
 /// and handing it to `visit`, until the wilderness (a zero size word) or
 /// `heap_end`. Returns the offset the wilderness begins at.
@@ -301,7 +305,17 @@ fn walk_heap(
     mut visit: impl FnMut(BlockInfo),
 ) -> Result<u64> {
     let mut off = heap_off;
+    // Each header's address comes from the one before it, so a cold walk
+    // would wait out one memory miss per block; keeping the next page in
+    // flight turns that chain into a stream. `ahead` is where the hinted
+    // range ends, so every line is hinted once.
+    let mut ahead = heap_off;
     while off + BLOCK_HEADER_SIZE <= heap_end {
+        let want = (off + WALK_PREFETCH).min(heap_end);
+        if want > ahead {
+            pm.prefetch(ahead, want - ahead);
+            ahead = want;
+        }
         let (size, word) = read_header(pm, off)?;
         if size == 0 {
             break; // wilderness begins

@@ -105,6 +105,13 @@ fn oom_reported() {
         }
     }
     assert!(!oids.is_empty());
+    // Reopening the exhausted pool walks the header chain to its last byte,
+    // prefetch window included, and rebuilds exactly what was live.
+    let img = pool.pm().crash_image(CrashSpec::DropUnpersisted);
+    let pm = Arc::new(PmPool::from_image(img, PoolConfig::new(0)));
+    let reopened = ObjPool::open(pm).unwrap();
+    assert_eq!(reopened.walk_heap().unwrap(), pool.walk_heap().unwrap());
+    assert_eq!(reopened.stats(), pool.stats());
     // Freeing makes room again.
     pool.free(oids.pop().unwrap()).unwrap();
     pool.alloc(4096).unwrap();

@@ -4,7 +4,7 @@
 //! ```text
 //! spp-loadgen [--addr HOST:PORT] [--policy pmdk|spp|safepm]
 //!             [--conns 4] [--ops 20000] [--value-size 100] [--read-pct 50]
-//!             [--pool-mb 64] [--nbuckets 4096]
+//!             [--pool-mb 64] [--nbuckets 4096] [--max-conns 64]
 //!             [--smoke] [--shutdown] [--inject-garbage]
 //!             [--sweep-threads 1,2,4,8] [--flush-wait-ns 15000]
 //!             [--pipeline 8] [--throttle-us 0]
@@ -56,7 +56,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use spp_bench::{banner, validate_rows, write_text_artifact, Args, Json};
+use spp_bench::{banner, validate_rows, write_text_artifact, Args, Json, Opt};
 use spp_pm::contention;
 use spp_server::{
     fresh_server_pool, fresh_server_pool_wait, raise_nofile_limit, Client, KvEngine, PolicyKind,
@@ -1062,7 +1062,28 @@ fn run_idle(args: &Args, idle_conns: u32) -> Result<(), String> {
 }
 
 fn run() -> Result<(), String> {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        Opt::value::<String>("addr"),
+        Opt::value::<PolicyKind>("policy"),
+        Opt::value::<u32>("conns"),
+        Opt::value::<u64>("ops"),
+        Opt::value::<usize>("value-size"),
+        Opt::value::<u32>("read-pct"),
+        Opt::value::<u64>("pool-mb"),
+        Opt::value::<u64>("nbuckets"),
+        Opt::value::<usize>("max-conns"),
+        Opt::flag("smoke"),
+        Opt::flag("shutdown"),
+        Opt::flag("inject-garbage"),
+        Opt::value::<String>("sweep-threads"),
+        Opt::value::<u32>("flush-wait-ns"),
+        Opt::value::<usize>("pipeline"),
+        Opt::value::<u64>("throttle-us"),
+        Opt::value::<usize>("reactors"),
+        Opt::value::<u32>("idle-conns"),
+        Opt::value::<String>("addrs"),
+        Opt::value::<u32>("local-shards"),
+    ]);
     let sweep_csv: String = args.get("sweep-threads", String::new());
     if !sweep_csv.is_empty() {
         return run_sweep(&args, &sweep_csv);

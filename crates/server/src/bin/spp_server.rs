@@ -40,7 +40,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use spp_bench::Args;
+use spp_bench::{Args, Opt};
 use spp_pm::{PmPool, PoolConfig};
 use spp_pmdk::ObjPool;
 use spp_server::{
@@ -61,7 +61,23 @@ fn write_ready_file(path: &str, addr: &std::net::SocketAddr) -> std::io::Result<
 }
 
 fn run() -> Result<(), String> {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        Opt::value::<String>("addr"),
+        Opt::value::<u16>("port"),
+        Opt::value::<PolicyKind>("policy"),
+        Opt::value::<u64>("pool-mb"),
+        Opt::value::<usize>("lanes"),
+        Opt::value::<u64>("nbuckets"),
+        Opt::value::<usize>("shards"),
+        Opt::value::<usize>("max-conns"),
+        Opt::value::<usize>("group-max-batch"),
+        Opt::value::<usize>("reactors"),
+        Opt::value::<u64>("idle-timeout-ms"),
+        Opt::value::<String>("pool-file"),
+        Opt::value::<String>("ready-file"),
+        Opt::value::<String>("repl-to"),
+        Opt::value::<ReplAckMode>("repl-ack-mode"),
+    ]);
     let addr: String = args.get("addr", "127.0.0.1".to_string());
     let port: u16 = args.get("port", 7877);
     let policy: PolicyKind = args.get("policy", PolicyKind::Spp);
