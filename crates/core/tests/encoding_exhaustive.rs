@@ -10,8 +10,17 @@
 //! consequences: no in-bounds access is flagged, every upper overflow
 //! with reach <= 2^8 is caught, and the only misses are underflows and
 //! upper reaches from 2^8 + 1 to 2^9.
+//!
+//! The adapted `pmemobj_direct` is exhausted the same way: every oid size
+//! up to twice the largest object against every offset of a small pool
+//! and one cache line past it, where a forged oid must become a pointer
+//! that never resolves.
 
-use spp_core::{TagConfig, OVERFLOW_BIT};
+use std::sync::Arc;
+
+use spp_core::{MemoryPolicy, SppError, SppPolicy, TagConfig, OVERFLOW_BIT, PM_BIT};
+use spp_pm::{PmPool, PoolConfig, CACHE_LINE};
+use spp_pmdk::{ObjPool, PmemOid, PoolOpts};
 
 const VA: u64 = 0x10_000;
 
@@ -76,4 +85,50 @@ fn width_8_check_bound_is_exact() {
     // 1-byte object at offset 2 with a 256-byte access (reach 257).
     assert!(cfg.check_bound(cfg.offset(cfg.make_tagged(VA, 1), 2), 256) & OVERFLOW_BIT == 0);
     assert!(upper_missed > 0 && underflow_missed > 0);
+}
+
+#[test]
+fn width_8_direct_refuses_exactly_the_forged_oids() {
+    let cfg = TagConfig::new(8).unwrap();
+    let pm = Arc::new(PmPool::new(PoolConfig::new(32 << 10)));
+    let pool = Arc::new(ObjPool::create(pm, PoolOpts::small()).unwrap());
+    let spp = SppPolicy::new(Arc::clone(&pool), cfg).unwrap();
+    let (base, pool_size, uuid) = (pool.pm().base(), pool.pm().size(), pool.uuid());
+    let max = cfg.max_object_size(); // 256
+                                     // Keys the 7-bit field carries, and two it truncates to untracked.
+    let gens = [0u8, 1, 63, cfg.gen_mask() as u8, 128, 255];
+    let mut forged = 0u64;
+    for off in 0..pool_size + CACHE_LINE {
+        let va = base + off;
+        // Only the PM and overflow bits and the address: the tag and the
+        // generation field are empty, so no oid field spills into them.
+        let refused = PM_BIT | OVERFLOW_BIT | (va & cfg.va_mask());
+        for size in 0..=2 * max {
+            let gen = gens[((off + size) % gens.len() as u64) as usize];
+            let p = spp.direct(PmemOid::new(uuid, off, size).with_gen(gen));
+            let expect = if off == 0 {
+                0 // the null oid
+            } else if off >= pool_size || size > max {
+                forged += 1;
+                refused
+            } else {
+                // Size 0 is a stock oid's: untracked, the full-range tag.
+                cfg.make_tagged_gen(va, if size == 0 { max } else { size }, gen)
+            };
+            assert_eq!(p, expect, "off {off} size {size} gen {gen}");
+        }
+        // Every length fails; past `max` all lengths take one branch.
+        if off != 0 {
+            for len in (1..=max + 1).chain([u64::MAX]) {
+                assert!(
+                    matches!(
+                        spp.resolve(refused, len),
+                        Err(SppError::OverflowDetected { .. })
+                    ),
+                    "off {off} len {len}"
+                );
+            }
+        }
+    }
+    assert_eq!(forged, (pool_size - 1) * max + CACHE_LINE * (2 * max + 1));
 }

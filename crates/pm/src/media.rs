@@ -97,12 +97,75 @@ impl Media {
         let _ = (off, len);
     }
 
+    /// Ask for `[off, off + len)` to be backed by huge pages; see
+    /// [`advise_huge`]. A hint, not an access.
+    ///
+    /// Caller must have validated bounds.
+    pub(crate) fn advise_huge(&self, off: usize, len: usize) {
+        debug_assert!(off + len <= self.len);
+        advise_huge(self.ptr.wrapping_add(off), len);
+    }
+
     /// Snapshot the entire media contents.
     pub(crate) fn snapshot(&self) -> Vec<u8> {
-        let mut out = vec![0u8; self.len];
+        let mut out = image_buffer(self.len);
         self.read(0, &mut out);
         out
     }
+}
+
+/// Bytes in a transparent huge page: the unit in which the kernel backs a
+/// range advised with `MADV_HUGEPAGE`, and the alignment PMDK gives a DAX
+/// pool's mapping so that it can.
+const HUGE_PAGE: usize = 2 << 20;
+
+/// The whole huge pages inside the addresses `[start, end)`: `start`
+/// rounded up and `end` rounded down to [`HUGE_PAGE`]; empty when no whole
+/// page fits.
+fn huge_span(start: usize, end: usize) -> std::ops::Range<usize> {
+    let hi = end - end % HUGE_PAGE;
+    match start.checked_next_multiple_of(HUGE_PAGE) {
+        Some(lo) if lo < hi => lo..hi,
+        _ => 0..0,
+    }
+}
+
+/// Ask the kernel to back the whole huge pages inside `[start, start + len)`
+/// with huge pages (`MADV_HUGEPAGE`), as a DAX pool's 2 MiB-aligned mapping
+/// is; a range holding no whole page makes no call. A hint, not an access:
+/// nothing is read or written, the contents stay as they are, and a kernel
+/// with transparent huge pages off ignores it. Other targets have no such
+/// call and do nothing.
+pub(crate) fn advise_huge(start: *const u8, len: usize) {
+    let span = huge_span(start as usize, (start as usize).saturating_add(len));
+    if span.is_empty() {
+        return;
+    }
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
+    {
+        use std::ffi::c_void;
+        extern "C" {
+            fn madvise(addr: *mut c_void, len: usize, advice: i32) -> i32;
+        }
+        const MADV_HUGEPAGE: i32 = 14;
+        // SAFETY: `span` lies inside `[start, start + len)`, memory the
+        // caller owns, so the advice flags no page of anyone else's.
+        // `MADV_HUGEPAGE` changes no contents and unmaps nothing; its
+        // result is ignored because a refused hint changes nothing.
+        unsafe { madvise(span.start as *mut c_void, span.len(), MADV_HUGEPAGE) };
+    }
+}
+
+/// A zeroed buffer of `len` bytes that the caller is about to fill
+/// completely, advised onto huge pages before the first write. The fill
+/// touches every page anyway, so the advice adds no residency.
+pub(crate) fn image_buffer(len: usize) -> Vec<u8> {
+    let buf = vec![0u8; len];
+    advise_huge(buf.as_ptr(), buf.len());
+    buf
 }
 
 impl Drop for Media {
@@ -149,6 +212,48 @@ mod tests {
         let mut b = [0u8; 32];
         m.read(0, &mut b);
         assert!(b.iter().all(|&x| x == 7));
+    }
+
+    const MIB: usize = 1 << 20;
+
+    #[test]
+    fn huge_span_is_empty_below_one_huge_page() {
+        assert!(huge_span(0, 2 * MIB - 1).is_empty());
+        assert!(huge_span(4096, 4096 + 2 * MIB - 4096).is_empty());
+        assert!(huge_span(0, 0).is_empty());
+    }
+
+    #[test]
+    fn huge_span_is_empty_inside_one_huge_page() {
+        // Spans 2 MiB and more, but crosses a boundary without holding a
+        // whole page on either side of it.
+        assert!(huge_span(3 * MIB, 5 * MIB).is_empty());
+        assert!(huge_span(2 * MIB + 16, 4 * MIB).is_empty());
+        assert!(huge_span(2 * MIB, 4 * MIB - 1).is_empty());
+        assert!(huge_span(2 * MIB + 1, 6 * MIB - 1).is_empty());
+    }
+
+    #[test]
+    fn huge_span_is_exact_at_aligned_and_unaligned_ends() {
+        assert_eq!(huge_span(0, 2 * MIB), 0..2 * MIB);
+        assert_eq!(huge_span(2 * MIB, 8 * MIB), 2 * MIB..8 * MIB);
+        // Unaligned ends shrink to the whole pages inside.
+        assert_eq!(huge_span(16, 8 * MIB + 16), 2 * MIB..8 * MIB);
+        assert_eq!(huge_span(2 * MIB - 1, 6 * MIB + 1), 2 * MIB..6 * MIB);
+        // No overflow at the top of the address space.
+        assert!(huge_span(usize::MAX - 1, usize::MAX).is_empty());
+    }
+
+    #[test]
+    fn advise_huge_keeps_the_contents() {
+        let m = Media::zeroed(6 * MIB);
+        m.fill(MIB, 0xA5, 4 * MIB);
+        m.advise_huge(0, 6 * MIB);
+        m.advise_huge(100, 3);
+        let snap = m.snapshot();
+        assert!(snap[..MIB].iter().all(|&b| b == 0));
+        assert!(snap[MIB..5 * MIB].iter().all(|&b| b == 0xA5));
+        assert!(snap[5 * MIB..].iter().all(|&b| b == 0));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::error::PmError;
 use crate::events::{EventLog, PmEvent, StoreState};
 use crate::image::CrashImage;
 use crate::latency::LatencyModel;
-use crate::media::Media;
+use crate::media::{self, Media};
 use crate::stats::PmStats;
 use crate::{PoolOffset, Result, VirtAddr, DEFAULT_POOL_BASE};
 
@@ -311,6 +311,21 @@ impl PmPool {
         }
     }
 
+    /// Hint that `[off, off + len)` is dense, long-lived memory that should
+    /// sit on 2 MiB pages, as a DAX pool's mapping does: on Linux, the whole
+    /// huge pages inside the range's memory are advised `MADV_HUGEPAGE`
+    /// (a range holding none makes no call); elsewhere it does nothing.
+    ///
+    /// Not an access: it records no stats, logs no event, fires no boundary
+    /// tap and charges no latency. The range is clamped to the pool, so an
+    /// out-of-range hint is not an error.
+    pub fn advise_huge(&self, off: PoolOffset, len: u64) {
+        let end = off.saturating_add(len).min(self.size);
+        if off < end {
+            self.media.advise_huge(off as usize, (end - off) as usize);
+        }
+    }
+
     /// Store `data` at pool offset `off`.
     ///
     /// In [`Mode::Tracked`], the store is recorded as *dirty*: it is not
@@ -575,7 +590,9 @@ impl PmPool {
     ///
     /// Persisted stores always survive. Unpersisted stores survive according
     /// to `spec`. In [`Mode::Fast`] every store is durable, so the image is
-    /// simply the current contents.
+    /// simply the current contents. The image's buffer is advised onto huge
+    /// pages before it is filled, so a pool reopened from it sits on the
+    /// same kind of pages as one [`advise_huge`](Self::advise_huge)d.
     pub fn crash_image(&self, spec: CrashSpec) -> CrashImage {
         let t = self.track.lock();
         let mut bytes = self.media.snapshot();
@@ -625,15 +642,34 @@ impl PmPool {
     /// real DAX file). Writes the *durable* bytes, as a clean shutdown
     /// would leave them.
     ///
+    /// The image goes to the sibling `<path>.tmp` first, is synced, and
+    /// only then renamed over `path`: a save that fails or is killed
+    /// part-way leaves the previous image at `path` as it was.
+    ///
     /// # Errors
     ///
-    /// I/O errors.
+    /// I/O errors; on any of them `path` is untouched.
     pub fn save_to_file(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
+        use std::io::Write;
+        let path = path.as_ref();
         let img = self.crash_image(CrashSpec::KeepAll);
-        std::fs::write(path, img.bytes())
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = std::path::PathBuf::from(tmp);
+        let mut file = std::fs::File::create(&tmp)?;
+        let saved = file
+            .write_all(img.bytes())
+            .and_then(|()| file.sync_all())
+            .and_then(|()| std::fs::rename(&tmp, path));
+        if saved.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        saved
     }
 
     /// Load a device image previously written by [`PmPool::save_to_file`].
+    /// The buffer it is read into is advised onto huge pages first (see
+    /// [`advise_huge`](Self::advise_huge)), as a restarted DAX pool is mapped.
     ///
     /// # Errors
     ///
@@ -642,7 +678,10 @@ impl PmPool {
         path: impl AsRef<std::path::Path>,
         cfg: PoolConfig,
     ) -> std::io::Result<Self> {
-        let bytes = std::fs::read(path)?;
+        use std::io::Read;
+        let mut file = std::fs::File::open(path)?;
+        let mut bytes = media::image_buffer(file.metadata()?.len() as usize);
+        file.read_exact(&mut bytes)?;
         Ok(PmPool::from_image(CrashImage::from_bytes(bytes), cfg))
     }
 }
@@ -906,6 +945,67 @@ mod tests {
         let _ = std::fs::remove_file(dir);
     }
 
+    /// A temporary path unique to this process and test.
+    fn temp_file(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("spp_pm_{}_{name}", std::process::id()))
+    }
+
+    #[test]
+    fn failed_save_keeps_the_previous_image() {
+        let path = temp_file("failed_save.img");
+        let tmp = temp_file("failed_save.img.tmp");
+        let old = PmPool::new(PoolConfig::new(4096));
+        old.write(100, b"first").unwrap();
+        old.save_to_file(&path).unwrap();
+        let before = std::fs::read(&path).unwrap();
+
+        // A directory where the temporary goes: the save fails before its
+        // rename, and the image it would have replaced stays as it was.
+        std::fs::create_dir(&tmp).unwrap();
+        let new = PmPool::new(PoolConfig::new(8192));
+        new.write(100, b"second").unwrap();
+        assert!(new.save_to_file(&path).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        let loaded = PmPool::load_from_file(&path, PoolConfig::new(0)).unwrap();
+        assert_eq!(loaded.size(), 4096);
+        let mut b = [0u8; 5];
+        loaded.read(100, &mut b).unwrap();
+        assert_eq!(&b, b"first");
+
+        std::fs::remove_dir(&tmp).unwrap();
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn save_leaves_no_temporary() {
+        let path = temp_file("clean_save.img");
+        let pool = PmPool::new(PoolConfig::new(4096));
+        pool.save_to_file(&path).unwrap();
+        pool.save_to_file(&path).unwrap();
+        assert!(!temp_file("clean_save.img.tmp").exists());
+        assert_eq!(std::fs::read(&path).unwrap().len(), 4096);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn multi_huge_page_image_roundtrips_byte_identical() {
+        let size = 6u64 << 20;
+        let pool = PmPool::new(PoolConfig::new(size).mode(Mode::Tracked));
+        pool.advise_huge(0, size);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for off in (0..size).step_by(4096) {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            pool.write(off + x % 4088, &x.to_le_bytes()).unwrap();
+        }
+        pool.persist(0, size as usize).unwrap();
+        let img = pool.crash_image(CrashSpec::DropUnpersisted);
+        let reopened = PmPool::from_image(img, PoolConfig::new(0));
+        assert_eq!(reopened.size(), size);
+        assert!(reopened.contents() == pool.contents());
+    }
+
     #[test]
     fn boundary_tap_fires_on_flush_and_fence() {
         use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1029,6 +1129,70 @@ mod tests {
         // The tap is live: a real boundary reaches it.
         pool.flush(128, 200).unwrap();
         assert_eq!(taps.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn advise_huge_is_not_an_access() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        // Large enough to hold whole huge pages, so the advice is issued.
+        let size = 8u64 << 20;
+        let pool = PmPool::new(PoolConfig::new(size).mode(Mode::Tracked));
+        pool.write(128, &[0xC3; 200]).unwrap();
+        pool.persist(128, 64).unwrap();
+        let taps = Arc::new(AtomicUsize::new(0));
+        let t = Arc::clone(&taps);
+        pool.set_boundary_tap(Box::new(move |_, _| {
+            t.fetch_add(1, Ordering::Relaxed);
+        }));
+        let events = pool.event_log().unwrap().events().to_vec();
+        let dirty = pool.unpersisted_seqs();
+        let s = pool.stats();
+        let before = (
+            s.reads(),
+            s.bytes_read(),
+            s.bytes_written(),
+            s.flushes(),
+            s.fences(),
+        );
+
+        pool.advise_huge(0, size);
+        pool.advise_huge(4096, 5 << 20);
+        pool.advise_huge(130, 100);
+
+        assert_eq!(pool.event_log().unwrap().events(), &events[..]);
+        assert_eq!(pool.unpersisted_seqs(), dirty);
+        let s = pool.stats();
+        assert_eq!(
+            (
+                s.reads(),
+                s.bytes_read(),
+                s.bytes_written(),
+                s.flushes(),
+                s.fences()
+            ),
+            before
+        );
+        assert_eq!(taps.load(Ordering::Relaxed), 0);
+        let mut b = [0u8; 200];
+        pool.read(128, &mut b).unwrap();
+        assert_eq!(b, [0xC3; 200]);
+        // The tap is live: a real boundary reaches it.
+        pool.flush(128, 200).unwrap();
+        assert_eq!(taps.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn advise_huge_clamps_to_the_pool() {
+        let size = 4u64 << 20;
+        let pool = PmPool::new(PoolConfig::new(size));
+        pool.advise_huge(size - 1, 4 << 20);
+        pool.advise_huge(size, 64);
+        pool.advise_huge(size + 64, 64);
+        pool.advise_huge(u64::MAX - 8, 64);
+        pool.advise_huge(0, u64::MAX);
+        assert_eq!(pool.stats().reads(), 0);
+        assert_eq!(pool.stats().bytes_written(), 0);
     }
 
     #[test]

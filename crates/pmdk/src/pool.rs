@@ -165,6 +165,10 @@ impl ObjPool {
             )));
         }
         hdr.write_to(&pm)?;
+        // The heap fills densely from its bottom, so it goes on huge pages,
+        // as a DAX pool's mapping is; the lane logs, touched a few lines per
+        // lane, stay on small ones.
+        pm.advise_huge(hdr.heap_off, hdr.pool_size - hdr.heap_off);
         let alloc = Arenas::new(hdr.heap_off, hdr.pool_size, opts.lane_count);
         Ok(ObjPool {
             pm,

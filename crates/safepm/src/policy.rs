@@ -93,7 +93,14 @@ impl MemoryPolicy for SafePmPolicy {
 
     fn alloc_oid(&self, dest: Option<OidDest>, size: u64, zero: bool) -> Result<PmemOid> {
         // Allocate payload + redzone, unpoison the payload, then publish —
-        // so a crash never leaves a reachable-but-poisoned object.
+        // so a crash never leaves a reachable-but-poisoned object. Each
+        // step is durable on its own (the allocation and the publish are
+        // redo-logged, the shadow update is persisted), so a crash falls
+        // between two of them. After the allocation the block is poisoned
+        // and unreferenced; after the unpoison it is allocated, addressable
+        // and unreferenced. Either is a leak, the one stock PMDK's atomic
+        // API has when its caller crashes before publishing, and neither
+        // makes a poisoned object reachable or a free block addressable.
         let padded = Self::padded(size);
         let oid = if zero {
             self.pool.zalloc(padded)?
@@ -109,7 +116,14 @@ impl MemoryPolicy for SafePmPolicy {
     }
 
     fn free_oid(&self, dest: Option<OidDest>, oid: PmemOid) -> Result<()> {
-        // Unpublish first (no dangling valid oid), then poison, then free.
+        // Unpublish first (no dangling valid oid), then poison, then free:
+        // `alloc_oid`'s order reversed. A crash after the unpublish leaves
+        // an allocated, unreferenced block (a leak); after the poison, the
+        // same block poisoned. The block is poisoned while it is still
+        // allocated, so no crash state holds a free block whose shadow says
+        // addressable. Freeing first would: a durable stale oid into it
+        // would then pass the check, and so would an overflow into the
+        // redzone of a smaller object allocated there later.
         if let Some(d) = dest {
             self.pool.unpublish_oid(d)?;
         }
@@ -149,6 +163,14 @@ impl MemoryPolicy for SafePmPolicy {
     }
 
     fn realloc_oid(&self, dest: OidDest, oid: PmemOid, new_size: u64) -> Result<PmemOid> {
+        // Crash-safe in this order: the new object is allocated, unpoisoned
+        // and filled (a leak until published), then one redo-logged publish
+        // switches `dest` from the old object to the complete new one, and
+        // only then is the old one retired, poisoned before it is freed as
+        // in `free_oid`. So at every crash point `dest` names exactly one
+        // whole, unpoisoned object (the old one before the publish, the new
+        // one after), no free block is addressable, and at most one block
+        // leaks.
         let new = self.alloc_oid(None, new_size, false)?;
         let old_usable = self.pool.usable_size(oid)?;
         let copy = (old_usable - REDZONE_BYTES.min(old_usable)).min(new_size);
