@@ -8,7 +8,10 @@
 //! release builds, because recording is *owner-local*: each thread keeps
 //! its own cell per counter and bumps it with a relaxed load and store — no
 //! `lock`-prefixed read-modify-write, no cache line shared with another
-//! recording thread. Wall-clock timing only happens on the contended path.
+//! recording thread. The thread finds its cells through one cached pointer
+//! in a const thread-local; registering them, and recording after they
+//! were folded at thread exit, are the cold path. Wall-clock timing only
+//! happens on the contended path.
 //!
 //! Readers see exact totals. [`snapshot`] and [`dump`] sum, under the
 //! registry lock, each counter's *base* and the cells of every live thread;
@@ -31,6 +34,7 @@
 //! * `events` — subsystem-specific event count for non-lock counters
 //!   (e.g. `pm.flush` / `pm.fence` boundary totals).
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex as StdMutex, MutexGuard as StdMutexGuard, OnceLock};
 use std::time::{Duration, Instant};
@@ -90,12 +94,15 @@ impl LocalCells {
     fn register() -> Self {
         let cells = Arc::new(ThreadCells::default());
         registry().threads.push(Arc::clone(&cells));
+        OWN_CELLS.set(Arc::as_ptr(&cells));
         LocalCells(cells)
     }
 }
 
 impl Drop for LocalCells {
     fn drop(&mut self) {
+        // From here on this thread records into the bases, on the cold path.
+        OWN_CELLS.set(std::ptr::null());
         let mut reg = registry();
         for c in &reg.counters {
             if let Some(cell) = self.0 .0.get(c.id) {
@@ -110,6 +117,11 @@ impl Drop for LocalCells {
 
 thread_local! {
     static CELLS: LocalCells = LocalCells::register();
+    /// The cells `CELLS` holds while it lives: null before the thread's
+    /// first recording and after its `LocalCells` dropped. Const and
+    /// destructor-free, so reading it is one thread-local load with no
+    /// lazy-initialisation or teardown state to check.
+    static OWN_CELLS: Cell<*const ThreadCells> = const { Cell::new(std::ptr::null()) };
 }
 
 /// A named contention counter.
@@ -135,20 +147,32 @@ impl LockCounter {
     /// Add `n` to count `k` in the calling thread's cell.
     #[inline]
     fn record(&self, k: usize, n: u64) {
+        let cells = OWN_CELLS.get();
+        if cells.is_null() || self.id >= MAX_COUNTERS {
+            return self.record_cold(k, n);
+        }
+        // SAFETY: a non-null `OWN_CELLS` was set by this thread's
+        // `LocalCells::register` from the `Arc` that `LocalCells` holds, and
+        // `LocalCells::drop` nulls it before that `Arc` is released. The
+        // pointer is thread-local, so while this thread reads it non-null its
+        // `LocalCells` is alive and the cells it points to are too.
+        bump(unsafe { &(*cells).0[self.id][k] }, n);
+    }
+
+    /// Record from a thread without cached cells: register them at its
+    /// first recording; a thread with no cell to write (one past
+    /// [`MAX_COUNTERS`], or recording from a thread-local destructor after
+    /// its cells were folded) adds to the base instead.
+    #[cold]
+    #[inline(never)]
+    fn record_cold(&self, k: usize, n: u64) {
         let owned = self.id < MAX_COUNTERS
             && CELLS
                 .try_with(|cells| bump(&cells.0 .0[self.id][k], n))
                 .is_ok();
         if !owned {
-            self.record_shared(k, n);
+            self.base[k].fetch_add(n, Ordering::Relaxed);
         }
-    }
-
-    /// A thread with no cell to write (one past [`MAX_COUNTERS`], or
-    /// recording from a thread-local destructor) adds to the base instead.
-    #[cold]
-    fn record_shared(&self, k: usize, n: u64) {
-        self.base[k].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Record an acquisition that succeeded on the first try.
@@ -329,11 +353,18 @@ impl<T> ProfiledMutex<T> {
     }
 
     /// Lock, recording whether the acquisition was contended.
+    #[inline]
     pub fn lock(&self) -> MutexGuard<'_, T> {
         if let Some(g) = self.inner.try_lock() {
             self.counter.record_uncontended();
             return g;
         }
+        self.lock_contended()
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn lock_contended(&self) -> MutexGuard<'_, T> {
         let start = Instant::now();
         let g = self.inner.lock();
         self.counter.record_contended(start.elapsed());
@@ -379,11 +410,18 @@ impl<T> ProfiledRwLock<T> {
     }
 
     /// Shared lock, recording whether the acquisition was contended.
+    #[inline]
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
         if let Some(g) = self.inner.try_read() {
             self.counter.record_uncontended();
             return g;
         }
+        self.read_contended()
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn read_contended(&self) -> RwLockReadGuard<'_, T> {
         let start = Instant::now();
         let g = self.inner.read();
         self.counter.record_contended(start.elapsed());
@@ -391,11 +429,18 @@ impl<T> ProfiledRwLock<T> {
     }
 
     /// Exclusive lock, recording whether the acquisition was contended.
+    #[inline]
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         if let Some(g) = self.inner.try_write() {
             self.counter.record_uncontended();
             return g;
         }
+        self.write_contended()
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn write_contended(&self) -> RwLockWriteGuard<'_, T> {
         let start = Instant::now();
         let g = self.inner.write();
         self.counter.record_contended(start.elapsed());
@@ -532,6 +577,64 @@ mod tests {
         assert_eq!(s.acquisitions - base.acquisitions, 1);
         assert_eq!(s.contended - base.contended, 1);
         assert_eq!(s.wait_ns - base.wait_ns, 7);
+    }
+
+    /// Records `n` events into its counter when its thread-local dies.
+    struct RecordOnDrop(Cell<Option<(&'static LockCounter, u64)>>);
+
+    impl Drop for RecordOnDrop {
+        fn drop(&mut self) {
+            if let Some((c, n)) = self.0.get() {
+                for _ in 0..n {
+                    c.record_event();
+                }
+            }
+        }
+    }
+
+    thread_local! {
+        static RECORD_AT_EXIT: RecordOnDrop = const { RecordOnDrop(Cell::new(None)) };
+    }
+
+    /// Arm this thread's exit recorder for `n` events into `c`.
+    fn record_at_exit(c: &'static LockCounter, n: u64) {
+        RECORD_AT_EXIT.with(|r| r.0.set(Some((c, n))));
+    }
+
+    #[test]
+    fn records_at_thread_exit_count_exactly_once() {
+        let _serial = registry_test_lock();
+        let c = counter("test.exit_order");
+        let base = c.snapshot();
+        // Thread-local destructors run in reverse order of registration,
+        // so which of the recorder and the thread's cells dies first
+        // depends on which of them the thread touched first.
+        std::thread::spawn(move || {
+            // The recorder first: its destructor runs after the cells have
+            // been folded, and records into the base.
+            record_at_exit(c, 3);
+            c.record_uncontended();
+        })
+        .join()
+        .unwrap();
+        std::thread::spawn(move || {
+            // The cells first: the destructor records into the cells,
+            // which are folded after it.
+            c.record_uncontended();
+            record_at_exit(c, 5);
+        })
+        .join()
+        .unwrap();
+        std::thread::spawn(move || {
+            // No recording before exit: the destructor's first record
+            // registers the thread's cells.
+            record_at_exit(c, 7);
+        })
+        .join()
+        .unwrap();
+        let s = c.snapshot();
+        assert_eq!(s.acquisitions - base.acquisitions, 2, "{s:?}");
+        assert_eq!(s.events - base.events, 3 + 5 + 7, "{s:?}");
     }
 
     #[test]

@@ -83,7 +83,10 @@ impl LatencyModel {
         *self == Self::default()
     }
 
-    #[inline]
+    // The hooks stay out of line: a pool without a model skips them on one
+    // flag, and keeps its access paths small enough to inline, while a
+    // priced access pays a device wait that dwarfs the call.
+    #[inline(never)]
     pub(crate) fn on_read(&self, len: usize) {
         if self.read_spins != 0 || self.per_line_spins != 0 {
             spin(self.read_spins + self.per_line_spins * (len as u32).div_ceil(64));
@@ -93,7 +96,7 @@ impl LatencyModel {
         }
     }
 
-    #[inline]
+    #[inline(never)]
     pub(crate) fn on_write(&self, len: usize) {
         if self.write_spins != 0 || self.per_line_spins != 0 {
             spin(self.write_spins + self.per_line_spins * (len as u32).div_ceil(64));
@@ -103,7 +106,7 @@ impl LatencyModel {
         }
     }
 
-    #[inline]
+    #[inline(never)]
     pub(crate) fn on_drain(&self) {
         if self.flush_wait_ns != 0 {
             wait(self.flush_wait_ns);

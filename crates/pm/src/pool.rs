@@ -267,18 +267,25 @@ impl PmPool {
         self.base + off
     }
 
+    #[inline]
     fn check_range(&self, off: PoolOffset, len: usize) -> Result<()> {
         if off
             .checked_add(len as u64)
             .is_none_or(|end| end > self.size)
         {
-            return Err(PmError::OutOfRange {
-                off,
-                len,
-                pool_size: self.size,
-            });
+            return Err(self.out_of_range(off, len));
         }
         Ok(())
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn out_of_range(&self, off: PoolOffset, len: usize) -> PmError {
+        PmError::OutOfRange {
+            off,
+            len,
+            pool_size: self.size,
+        }
     }
 
     /// Load `buf.len()` bytes from pool offset `off`.
@@ -286,6 +293,7 @@ impl PmPool {
     /// # Errors
     ///
     /// Returns [`PmError::OutOfRange`] if the range exceeds the pool.
+    #[inline]
     pub fn read(&self, off: PoolOffset, buf: &mut [u8]) -> Result<()> {
         self.check_range(off, buf.len())?;
         if self.latency_active() {
@@ -334,6 +342,7 @@ impl PmPool {
     /// # Errors
     ///
     /// Returns [`PmError::OutOfRange`] if the range exceeds the pool.
+    #[inline]
     pub fn write(&self, off: PoolOffset, data: &[u8]) -> Result<()> {
         self.check_range(off, data.len())?;
         if self.latency_active() {
@@ -343,22 +352,31 @@ impl PmPool {
             self.stats.record_write(data.len());
         }
         if self.mode == Mode::Tracked {
-            let mut t = self.track.lock();
-            let mut old = vec![0u8; data.len()];
-            self.media.read(off as usize, &mut old);
-            t.log.push(|seq| PmEvent::Store {
-                seq,
-                off,
-                old: old.into_boxed_slice(),
-                new: data.to_vec().into_boxed_slice(),
-                state: StoreState::Dirty,
-            });
-            let idx = t.log.events.len() - 1;
-            t.unflushed
-                .push((idx, vec![(off, off + data.len() as u64)]));
+            self.track_store(off, data);
         }
         self.media.write(off as usize, data);
         Ok(())
+    }
+
+    /// Log a store about to overwrite `[off, off + data.len())` as dirty,
+    /// keeping the bytes it replaces. Tracked mode only, before the media
+    /// write.
+    #[cold]
+    #[inline(never)]
+    fn track_store(&self, off: PoolOffset, data: &[u8]) {
+        let mut t = self.track.lock();
+        let mut old = vec![0u8; data.len()];
+        self.media.read(off as usize, &mut old);
+        t.log.push(|seq| PmEvent::Store {
+            seq,
+            off,
+            old: old.into_boxed_slice(),
+            new: data.to_vec().into_boxed_slice(),
+            state: StoreState::Dirty,
+        });
+        let idx = t.log.events.len() - 1;
+        t.unflushed
+            .push((idx, vec![(off, off + data.len() as u64)]));
     }
 
     /// Store a fill pattern, equivalent to `memset`.
@@ -393,6 +411,7 @@ impl PmPool {
     /// # Errors
     ///
     /// Returns [`PmError::OutOfRange`] if the range exceeds the pool.
+    #[inline]
     pub fn flush(&self, off: PoolOffset, len: usize) -> Result<()> {
         self.check_range(off, len)?;
         self.c_flush.record_event();
@@ -402,9 +421,17 @@ impl PmPool {
         if self.record_stats {
             self.stats.record_flush();
         }
-        if self.mode != Mode::Tracked {
-            return Ok(());
+        if self.mode == Mode::Tracked {
+            self.track_flush(off, len);
         }
+        Ok(())
+    }
+
+    /// Log a flush of the lines covering `[off, off + len)`, mark every
+    /// store it completes as flushed, then fire the tap. Tracked mode only.
+    #[cold]
+    #[inline(never)]
+    fn track_flush(&self, off: PoolOffset, len: usize) {
         let lo = off / CACHE_LINE * CACHE_LINE;
         let hi = (off + len as u64).div_ceil(CACHE_LINE) * CACHE_LINE;
         {
@@ -430,7 +457,6 @@ impl PmPool {
             }
         }
         self.fire_tap(Boundary::Flush);
-        Ok(())
     }
 
     /// Issue a store fence (`SFENCE` analogue): all flushed stores become
@@ -439,6 +465,7 @@ impl PmPool {
     /// On latency-modelled media the fence waits for the write-pending queue
     /// to drain: one `flush_wait_ns` if this thread flushed since its last
     /// fence, nothing otherwise.
+    #[inline]
     pub fn fence(&self) {
         self.c_fence.record_event();
         if self.latency_active() && DRAIN_OWED.replace(false) {
@@ -447,9 +474,16 @@ impl PmPool {
         if self.record_stats {
             self.stats.record_fence();
         }
-        if self.mode != Mode::Tracked {
-            return;
+        if self.mode == Mode::Tracked {
+            self.track_fence();
         }
+    }
+
+    /// Log a fence, promote every flushed store to persisted, then fire the
+    /// tap. Tracked mode only.
+    #[cold]
+    #[inline(never)]
+    fn track_fence(&self) {
         {
             let mut t = self.track.lock();
             t.log.push(|seq| PmEvent::Fence { seq });
@@ -530,6 +564,7 @@ impl PmPool {
     /// # Errors
     ///
     /// Returns [`PmError::OutOfRange`] if the range exceeds the pool.
+    #[inline]
     pub fn persist(&self, off: PoolOffset, len: usize) -> Result<()> {
         self.flush(off, len)?;
         self.fence();
@@ -538,11 +573,16 @@ impl PmPool {
 
     /// Record an application-level marker in the event log (no-op in
     /// [`Mode::Fast`]).
+    #[inline]
     pub fn mark(&self, label: impl Into<String>) {
-        if self.mode != Mode::Tracked {
-            return;
+        if self.mode == Mode::Tracked {
+            self.track_mark(label.into());
         }
-        let label = label.into();
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn track_mark(&self, label: String) {
         let mut t = self.track.lock();
         t.log.push(|seq| PmEvent::Mark { seq, label });
     }

@@ -39,8 +39,12 @@ struct StatShard {
 /// Lock-free access counters for a pool, sharded per thread.
 ///
 /// Used by the space-overhead accounting (Table III), by tests asserting
-/// that optimizations actually remove accesses, and by the contention
-/// profile (flush/fence totals). Recording picks the calling thread's
+/// that optimizations actually remove accesses, and by the per-operation
+/// traffic counts of traced benchmark runs. Pools built with
+/// `record_stats(false)` record nothing here. The contention profile's
+/// `pm.flush` / `pm.fence` rows do not come from these counters: they are
+/// [`LockCounter`](crate::LockCounter) events the pool records on every
+/// flush and fence either way. Recording picks the calling thread's
 /// shard; accessors sum across shards, so totals are exact once writers
 /// quiesce (and monotone under concurrency).
 #[derive(Debug, Default)]
@@ -53,28 +57,31 @@ impl PmStats {
         Self::default()
     }
 
-    #[inline]
+    // Recording stays out of line: a pool built with `record_stats(false)`
+    // skips it on one flag and keeps its access paths small enough to
+    // inline; one that records pays two shared atomic adds anyway.
+    #[inline(never)]
     pub(crate) fn record_read(&self, len: usize) {
         let s = &self.shards[shard_idx()];
         s.reads.fetch_add(1, Ordering::Relaxed);
         s.bytes_read.fetch_add(len as u64, Ordering::Relaxed);
     }
 
-    #[inline]
+    #[inline(never)]
     pub(crate) fn record_write(&self, len: usize) {
         let s = &self.shards[shard_idx()];
         s.writes.fetch_add(1, Ordering::Relaxed);
         s.bytes_written.fetch_add(len as u64, Ordering::Relaxed);
     }
 
-    #[inline]
+    #[inline(never)]
     pub(crate) fn record_flush(&self) {
         self.shards[shard_idx()]
             .flushes
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    #[inline]
+    #[inline(never)]
     pub(crate) fn record_fence(&self) {
         self.shards[shard_idx()]
             .fences

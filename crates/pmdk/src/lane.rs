@@ -40,6 +40,8 @@ thread_local! {
     static LAST_LANE: Cell<usize> = const { Cell::new(usize::MAX) };
 }
 
+#[cold]
+#[inline(never)]
 fn thread_ticket() -> usize {
     TICKET.with(|t| {
         if t.get() == usize::MAX {
@@ -142,6 +144,7 @@ impl<T> Lanes<T> {
     /// displaced from its ticket lane settles on whatever lane it won
     /// instead of re-fighting the same loser's battle on every operation —
     /// the profiled `pmdk.lane` contended rate is what this buys down.
+    #[inline]
     fn preferred(&self) -> usize {
         let last = LAST_LANE.with(Cell::get);
         if last != usize::MAX {
@@ -151,6 +154,7 @@ impl<T> Lanes<T> {
         }
     }
 
+    #[inline]
     fn won<'a>(
         &self,
         idx: usize,
@@ -173,6 +177,7 @@ impl<T> Lanes<T> {
     /// another such thread — some lane always frees up. Parking uses a
     /// timeout for the same reason: a waiter must eventually re-scan even
     /// if it misses a wakeup.
+    #[inline]
     pub(crate) fn acquire(&self) -> (usize, LaneGuard<'_, T>) {
         let pref = self.preferred();
         // Fast path: the affinity lane is free (the common case whenever
@@ -187,6 +192,14 @@ impl<T> Lanes<T> {
                 None,
             );
         }
+        self.acquire_contended(pref)
+    }
+
+    /// The affinity lane `pref` was taken: rotate over the others with
+    /// backoff, then park until a holder leaves.
+    #[cold]
+    #[inline(never)]
+    fn acquire_contended(&self, pref: usize) -> (usize, LaneGuard<'_, T>) {
         let wait_start = Instant::now();
         // Bounded spinning with exponential backoff.
         for round in 0..SPIN_ROUNDS {

@@ -53,11 +53,17 @@ impl From<WireError> for ClientError {
     }
 }
 
+/// Bytes one socket read asks for.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// A blocking connection to an `spp-server`.
 pub struct Client {
     stream: TcpStream,
     rbuf: Vec<u8>,
     wbuf: Vec<u8>,
+    /// Every socket read lands here first: allocated and zeroed once per
+    /// connection, not per read.
+    chunk: Box<[u8]>,
 }
 
 impl Client {
@@ -73,7 +79,23 @@ impl Client {
             stream,
             rbuf: Vec::with_capacity(4096),
             wbuf: Vec::with_capacity(4096),
+            chunk: vec![0u8; READ_CHUNK].into_boxed_slice(),
         })
+    }
+
+    /// Append the bytes of one socket read to `rbuf`, through the
+    /// connection's read buffer; a closed socket is an `UnexpectedEof`
+    /// saying `eof`.
+    fn read_more(&mut self, eof: &str) -> Result<(), ClientError> {
+        let n = self.stream.read(&mut self.chunk)?;
+        if n == 0 {
+            return Err(ClientError::Io(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                eof,
+            )));
+        }
+        self.rbuf.extend_from_slice(&self.chunk[..n]);
+        Ok(())
     }
 
     /// Connect with retries until `deadline` elapses — for racing a server
@@ -120,15 +142,7 @@ impl Client {
                 self.rbuf.drain(..consumed);
                 return result;
             }
-            let mut chunk = [0u8; 16 * 1024];
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(ClientError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed connection mid-response",
-                )));
-            }
-            self.rbuf.extend_from_slice(&chunk[..n]);
+            self.read_more("server closed connection mid-response")?;
         }
     }
 
@@ -288,15 +302,7 @@ impl Client {
                 self.rbuf.drain(..consumed);
                 return reply.map_err(ClientError::from);
             }
-            let mut chunk = [0u8; 16 * 1024];
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(ClientError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed connection mid-response",
-                )));
-            }
-            self.rbuf.extend_from_slice(&chunk[..n]);
+            self.read_more("server closed connection mid-response")?;
         }
     }
 
@@ -390,15 +396,7 @@ impl Client {
                 self.rbuf.drain(..consumed);
                 return kind.map_err(ClientError::from);
             }
-            let mut chunk = [0u8; 4096];
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(ClientError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed connection",
-                )));
-            }
-            self.rbuf.extend_from_slice(&chunk[..n]);
+            self.read_more("server closed connection")?;
         }
     }
 }

@@ -365,15 +365,15 @@ impl Conn {
     }
 
     /// Drain readable bytes into `rbuf` until the socket would block (or a
-    /// cap per round, to keep one chatty peer from starving the rest).
+    /// cap per round, to keep one chatty peer from starving the rest),
+    /// reading through `chunk`, the reactor's one read buffer.
     /// Returns `Ok(true)` if any bytes arrived, `Ok(false)` if none;
     /// `Err(())` means the socket is dead.
-    pub(crate) fn pump_reads(&mut self, now: Instant) -> Result<bool, ()> {
+    pub(crate) fn pump_reads(&mut self, now: Instant, chunk: &mut [u8]) -> Result<bool, ()> {
         const ROUND_CAP: usize = 64 * 1024;
-        let mut chunk = [0u8; 16 * 1024];
         let mut got = 0usize;
         loop {
-            match self.stream.read(&mut chunk) {
+            match self.stream.read(chunk) {
                 Ok(0) => {
                     self.peer_eof = true;
                     break;

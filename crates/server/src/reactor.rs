@@ -58,6 +58,9 @@ const TOKEN_LISTENER: u64 = u64::MAX - 1;
 /// Grace period for flushing send backlogs during shutdown drain.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
+/// Bytes one socket read asks for.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// Whether a turn yields the CPU: every second turn that handed off a
 /// one-request run (`yielded` alternates); pipelined runs never yield. On a
 /// shared CPU the fair scheduler's `sched_yield` pushes the yielder's
@@ -140,6 +143,9 @@ struct Reactor {
     draining: bool,
     drain_deadline: Option<Instant>,
     last_idle_sweep: Instant,
+    /// The buffer every connection's socket reads go through, allocated
+    /// and zeroed once per reactor rather than per read.
+    read_chunk: Box<[u8]>,
 }
 
 /// Body of one reactor thread. Runs until shutdown has been triggered and
@@ -170,6 +176,7 @@ pub(crate) fn reactor_main(
         draining: false,
         drain_deadline: None,
         last_idle_sweep: Instant::now(),
+        read_chunk: vec![0u8; READ_CHUNK].into_boxed_slice(),
     };
     r.epoll
         .add(r.me.wake.raw(), EPOLLIN, TOKEN_WAKE)
@@ -342,7 +349,8 @@ impl Reactor {
             if !dead && events & EPOLLOUT != 0 {
                 dead = !conn.pump_writes(now);
             }
-            if !dead && events & EPOLLIN != 0 && conn.pump_reads(now).is_err() {
+            if !dead && events & EPOLLIN != 0 && conn.pump_reads(now, &mut self.read_chunk).is_err()
+            {
                 dead = true;
             }
             if !dead && events & EPOLLHUP != 0 {

@@ -379,6 +379,50 @@ fn pipelined_frames_are_answered_in_order() {
     server.shutdown();
 }
 
+/// `len` bytes that differ with `seed` and along the value, so a chunk
+/// lost, repeated or reordered at any read boundary shows as a mismatch.
+fn patterned(seed: u64, len: usize) -> Vec<u8> {
+    (0..len as u64)
+        .map(|i| (i.wrapping_mul(31) ^ seed.wrapping_mul(0x9E37_79B9)) as u8)
+        .collect()
+}
+
+#[test]
+fn values_and_pipelines_spanning_many_reads_arrive_intact() {
+    let server = start(PolicyKind::Spp, ServerConfig::default());
+    let mut c = connect(&server);
+
+    // One value sixteen times the size of a socket read, both ways.
+    let big = patterned(7, 256 << 10);
+    c.put(&key(1), &big).unwrap();
+    let mut out = Vec::new();
+    assert!(c.get(&key(1), &mut out).unwrap());
+    assert!(out == big, "256 KiB value came back altered");
+
+    // One pipelined run of 160 KiB, more than a reactor reads from one
+    // connection per round, whose GET replies are as long again.
+    let keys: Vec<[u8; 16]> = (100..140).map(key).collect();
+    let values: Vec<Vec<u8>> = (0..40).map(|i| patterned(i, 4096)).collect();
+    let mut reqs: Vec<Request<'_>> = Vec::new();
+    for (k, v) in keys.iter().zip(&values) {
+        reqs.push(Request::Put { key: k, value: v });
+    }
+    for k in &keys {
+        reqs.push(Request::Get { key: k });
+    }
+    let replies = c.pipeline(&reqs).unwrap();
+    assert_eq!(replies.len(), reqs.len());
+    let (puts, gets) = replies.split_at(keys.len());
+    assert!(puts.iter().all(|r| matches!(r, Reply::Ok)), "{puts:?}");
+    for (i, (reply, want)) in gets.iter().zip(&values).enumerate() {
+        match reply {
+            Reply::Value(v) => assert!(v == want, "GET {i} out of order or altered"),
+            other => panic!("GET {i}: {other:?}"),
+        }
+    }
+    server.shutdown();
+}
+
 #[test]
 fn fragmented_byte_at_a_time_frames_are_served() {
     // Reactor-style ingestion must reassemble frames split at arbitrary
