@@ -13,7 +13,8 @@ use std::sync::Arc;
 
 use spp_bench::{
     banner, fresh_pool, fresh_scaling_pool, pmdk_policy, safepm_policy, slowdown, spp_policy,
-    validate_rows, validate_scaling, write_results, write_text_artifact, Args, Json, Opt, Variant,
+    validate_rows, validate_scaling, write_results, write_text_artifact, Args, Json, List, Opt,
+    Variant,
 };
 use spp_core::{MemoryPolicy, TagConfig};
 use spp_kvstore::workload::{preload, run_mix, Mix, WorkloadConfig};
@@ -49,7 +50,7 @@ fn main() {
         Opt::flag("quick"),
         Opt::value::<u64>("preload"),
         Opt::value::<u64>("ops"),
-        Opt::value::<String>("threads"),
+        Opt::value::<List<u64>>("threads"),
         Opt::value::<u64>("pool-mb"),
         Opt::value::<u64>("scaling-ops"),
         Opt::value::<u64>("scaling-preload"),
@@ -77,18 +78,10 @@ fn main() {
             100_000
         },
     );
-    let threads_csv: String = args.get(
+    let List(threads) = args.get(
         "threads",
-        if smoke {
-            "1,2".to_string()
-        } else {
-            "1,2,4,8".to_string()
-        },
+        List(if smoke { vec![1, 2] } else { vec![1, 2, 4, 8] }),
     );
-    let threads: Vec<u64> = threads_csv
-        .split(',')
-        .filter_map(|t| t.parse().ok())
-        .collect();
     let pool_bytes: u64 = args.get(
         "pool-mb",
         if smoke {

@@ -248,6 +248,11 @@ impl Args {
         self.given.iter().any(|(n, _)| *n == name)
     }
 
+    /// The names of the options passed, in order.
+    pub fn passed(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.given.iter().map(|(n, _)| *n)
+    }
+
     /// The value after `--name`, parsed, or `default` when it is absent.
     pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
         let declared = self.declared(name).type_name();
@@ -270,9 +275,28 @@ impl Args {
     }
 }
 
-/// The last path segment of a type name: `u64`, `String`, `PolicyKind`.
-fn short(ty: &str) -> &str {
-    ty.rsplit("::").next().unwrap_or(ty)
+/// A comma-separated list option, `--threads 1,2,4`: every entry must
+/// parse as `T`, so one bad entry refuses the whole value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct List<T>(pub Vec<T>);
+
+impl<T: std::str::FromStr> std::str::FromStr for List<T> {
+    type Err = T::Err;
+
+    fn from_str(s: &str) -> Result<Self, T::Err> {
+        s.split(',')
+            .map(|t| t.trim().parse())
+            .collect::<Result<_, _>>()
+            .map(List)
+    }
+}
+
+/// A type name without its module paths: `u64`, `PolicyKind`,
+/// `List<SocketAddr>`.
+fn short(ty: &str) -> String {
+    ty.split_inclusive(['<', ','])
+        .map(|seg| seg.rsplit("::").next().unwrap_or(seg))
+        .collect()
 }
 
 /// `usage: <program> [--flag] [--name <type>] ...`
@@ -818,6 +842,22 @@ mod tests {
         ] {
             assert_eq!(parse(argv).unwrap_err(), ArgsError::Help, "{argv:?}");
         }
+    }
+
+    #[test]
+    fn list_options_parse_every_entry_or_refuse() {
+        let opts = [Opt::value::<List<u32>>("threads"), Opt::flag("smoke")];
+        let parse = |argv: &[&str]| Args::try_parse(argv.iter().map(|a| a.to_string()), &opts);
+        let a = parse(&["--smoke", "--threads", "1, 2,8"]).unwrap();
+        assert_eq!(a.get("threads", List(vec![])), List(vec![1u32, 2, 8]));
+        assert_eq!(a.passed().collect::<Vec<_>>(), ["smoke", "threads"]);
+        for bad in ["1,x,2", "1,,2", "", "1,-2"] {
+            let Err(ArgsError::Bad(why)) = parse(&["--threads", bad]) else {
+                panic!("{bad:?} was not refused");
+            };
+            assert!(why.contains("not a List<u32>"), "{why}");
+        }
+        assert!(usage(&opts).contains("[--threads <List<u32>>]"));
     }
 
     #[test]

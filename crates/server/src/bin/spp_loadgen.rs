@@ -12,51 +12,53 @@
 //!             [--addrs HOST:PORT,HOST:PORT,...] [--local-shards N]
 //! ```
 //!
-//! `--addrs a,b,c` switches to multi-endpoint mode (see [`run_multi`]):
-//! the loadgen builds the same consistent-hash [`Ring`] the server crate
-//! uses — from nothing but the endpoint count — and routes every key to
-//! its owning endpoint, exactly as a smart client fronts a sharded
-//! deployment. The report breaks throughput down per shard and records
-//! the skew (max/mean ops); `--local-shards N` spawns N in-process
-//! single-shard servers instead, for the self-contained CI smoke.
+//! Every mode runs one closed loop. Each connection draws its operations
+//! from one seeded generator ([`OpMix`]): `--read-pct`% GETs over keys the
+//! connection already wrote, the rest durable PUTs, so a connection id
+//! issues the same operations in every mode. One worker ([`run_conn`])
+//! ships them as plain round trips, or at a depth as batches that
+//! alternate a `MULTI` frame (one atomic, group-committed unit) and raw
+//! pipelined frames; over several endpoints it routes each key through the
+//! consistent-hash [`Ring`] the server crate uses, rebuilt from nothing but
+//! the endpoint count. One driver ([`run_phase`]) runs `--conns` workers
+//! and merges their latency histograms per endpoint and operation class.
+//! An admitted connection is never answered `BUSY`, so one is an error.
 //!
-//! `--reactors` sizes the in-process server's front end for any mode.
-//! `--idle-conns N` switches to idle-scaling mode (see [`run_idle`]): N
-//! open-but-quiet connections are parked on the server while a small hot
-//! core drives pipelined load; the run reports process thread count and
-//! RSS with the idle fleet attached, and self-validates that threads
-//! stayed O(reactors), not O(connections).
+//! The modes differ in the servers a phase drives and in what they report.
+//! Without `--addr`/`--addrs` each phase gets fresh in-process servers
+//! (ephemeral ports, `--policy`, sized by `--pool-mb`, `--nbuckets`,
+//! `--max-conns` and `--reactors`):
 //!
-//! `--sweep-threads` switches to thread-sweep mode: one fresh in-process
-//! server per connection count on device-wait media, where each fence that
-//! drains its thread's flushes waits `--flush-wait-ns`, reporting ops/s per
-//! point and the throughput knee (see [`run_sweep`]).
+//! - default: one round-trip phase, then `STATS`; writes
+//!   `results/server_loadgen.json`.
+//! - `--pipeline N`: a round-trip phase, then a depth-`N` phase, and their
+//!   throughput ratio, which must clear a floor (2.0x full, 1.5x smoke)
+//!   unless `--throttle-us` slows the pipelined phase on purpose (the
+//!   perf-gate self-test that proves the gate is not blind).
+//! - `--sweep-threads 1,2,4,8`: one server per connection count on
+//!   device-wait media, where each fence that drains its thread's flushes
+//!   waits `--flush-wait-ns`; reports ops/s per point, the throughput knee
+//!   and `results/contention_loadgen.txt`.
+//! - `--idle-conns N`: N open-but-quiet connections parked on one server
+//!   while `--conns` hot connections run at depth `--pipeline` (8); the
+//!   run checks that process threads stayed O(reactors), not
+//!   O(connections), and writes `results/server_loadgen_idle.json`.
+//! - `--addrs a,b,c` / `--local-shards N`: several endpoints through the
+//!   client-side ring; reports per-shard throughput and the skew (max/mean
+//!   ops), and a shard that saw no traffic fails the run.
 //!
-//! `--pipeline N` switches to pipeline-comparison mode (see
-//! [`run_pipeline`]): a closed-loop round-trip phase, then a phase where
-//! each connection ships batches of `N` operations — alternating `MULTI`
-//! frames (one atomic group-committed batch) and raw pipelined frames —
-//! and the report records round-trip vs pipelined throughput plus their
-//! ratio. The run self-validates that ratio against a floor unless
-//! `--throttle-us` deliberately slows the pipelined phase (the hook CI's
-//! perf-gate self-test uses to prove the gate is not blind).
-//!
-//! Without `--addr`, an in-process server (ephemeral port, `--policy`) is
-//! spawned and measured — the one-command mode CI and `EXPERIMENTS.md`
-//! use. Each connection runs a closed loop of `--ops` operations
-//! (`--read-pct`% GETs over previously-written keys, the rest durable
-//! PUTs); an admitted connection is never answered `BUSY`, so one is an
-//! error like any other. The run reports throughput and p50/p95/p99
-//! latency per operation class, writes `results/server_loadgen.json`, and
-//! self-validates the rows through `spp-bench`'s `validate_rows` — empty
-//! or non-finite results exit nonzero (`--inject-garbage` deliberately
-//! poisons a row so CI can prove that path stays red).
+//! The command line is checked once, before any socket, thread or file
+//! write: a flag the chosen mode would not read, a bad list entry or an
+//! out-of-range count exits 2. Every report self-validates its rows
+//! through `spp-bench`'s `validate_rows`; `--inject-garbage` poisons a
+//! round-trip row so CI can prove that path stays red.
 
+use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use spp_bench::{banner, validate_rows, write_text_artifact, Args, Json, Opt};
+use spp_bench::{banner, validate_rows, write_text_artifact, Args, Json, List, Opt};
 use spp_pm::contention;
 use spp_server::{
     fresh_server_pool, fresh_server_pool_wait, raise_nofile_limit, Client, KvEngine, PolicyKind,
@@ -144,11 +146,6 @@ impl Lats {
     }
 }
 
-struct ConnResult {
-    puts: Lats,
-    gets: Lats,
-}
-
 fn key_of(conn: u32, seq: u64) -> [u8; KEY_SIZE] {
     let mut k = [0u8; KEY_SIZE];
     k[..4].copy_from_slice(&conn.to_be_bytes());
@@ -156,482 +153,440 @@ fn key_of(conn: u32, seq: u64) -> [u8; KEY_SIZE] {
     k
 }
 
-/// Closed-loop worker: `ops` operations, `read_pct`% GETs over keys this
-/// connection already wrote.
-fn run_conn(
-    addr: std::net::SocketAddr,
+/// One connection's operations, from a per-connection xorshift: a GET of a
+/// key this connection already wrote with probability `read_pct`%, else a
+/// PUT of the next fresh key. The seed and the order of the `rng` calls
+/// fix each connection's sequence in every mode; CI reads the first key of
+/// connection 0 back from a reopened pool.
+struct OpMix {
     conn_id: u32,
-    ops: u64,
-    value: &[u8],
-    read_pct: u32,
-) -> Result<ConnResult, String> {
-    let mut client = Client::connect_retry(addr, Duration::from_secs(5))
-        .map_err(|e| format!("conn {conn_id}: connect: {e}"))?;
-    let mut res = ConnResult {
-        puts: Lats::default(),
-        gets: Lats::default(),
-    };
-    let mut written: u64 = 0;
-    // Per-connection xorshift for the op mix and GET key choice.
-    let mut x: u64 = 0x9e37_79b9 ^ u64::from(conn_id) << 17 | 1;
-    let mut rng = move || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        x
-    };
-    let mut out = Vec::with_capacity(value.len());
-    for _ in 0..ops {
-        let is_get = written > 0 && (rng() % 100) < u64::from(read_pct);
-        if is_get {
-            let key = key_of(conn_id, rng() % written);
-            let start = Instant::now();
-            out.clear();
-            let hit = client
-                .get(&key, &mut out)
-                .map_err(|e| format!("conn {conn_id}: GET: {e}"))?;
-            res.gets.push(start.elapsed());
-            if !hit {
-                return Err(format!("conn {conn_id}: GET missed an acked key"));
-            }
-        } else {
-            let key = key_of(conn_id, written);
-            let start = Instant::now();
-            client
-                .put(&key, value)
-                .map_err(|e| format!("conn {conn_id}: PUT: {e}"))?;
-            res.puts.push(start.elapsed());
-            written += 1;
-        }
-    }
-    Ok(res)
+    read_pct: u64,
+    x: u64,
+    written: u64,
 }
 
-/// Pipelined worker: the same op mix as [`run_conn`], but shipped in
-/// batches of `depth` without waiting per op. Batches alternate between a
-/// `MULTI` frame (one atomic, group-committed unit) and raw back-to-back
-/// pipelined frames, so both framings are measured. Batch latency is
-/// attributed evenly across the batch's ops.
-fn run_conn_pipelined(
-    addr: std::net::SocketAddr,
-    conn_id: u32,
+impl OpMix {
+    fn new(conn_id: u32, read_pct: u32) -> OpMix {
+        let x = 0x9e37_79b9 ^ u64::from(conn_id) << 17 | 1;
+        OpMix {
+            conn_id,
+            read_pct: u64::from(read_pct),
+            x,
+            written: 0,
+        }
+    }
+
+    fn rng(&mut self) -> u64 {
+        self.x ^= self.x << 13;
+        self.x ^= self.x >> 7;
+        self.x ^= self.x << 17;
+        self.x
+    }
+}
+
+impl Iterator for OpMix {
+    /// `(is_get, key)`.
+    type Item = (bool, [u8; KEY_SIZE]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let is_get = self.written > 0 && (self.rng() % 100) < self.read_pct;
+        let seq = if is_get {
+            self.rng() % self.written
+        } else {
+            self.written += 1;
+            self.written - 1
+        };
+        Some((is_get, key_of(self.conn_id, seq)))
+    }
+}
+
+/// The closed loop each connection of a phase runs.
+#[derive(Clone)]
+struct Work {
+    conns: u32,
     ops: u64,
-    value: &[u8],
     read_pct: u32,
+    value: Vec<u8>,
+    /// 0: one round trip per operation; N: batches of N.
     depth: usize,
+    /// Sleep after each batch: the perf-gate self-test's degraded run.
     throttle: Duration,
-) -> Result<ConnResult, String> {
-    let mut client = Client::connect_retry(addr, Duration::from_secs(5))
-        .map_err(|e| format!("conn {conn_id}: connect: {e}"))?;
-    let mut res = ConnResult {
-        puts: Lats::default(),
-        gets: Lats::default(),
-    };
-    let mut written: u64 = 0;
-    let mut x: u64 = 0x9e37_79b9 ^ u64::from(conn_id) << 17 | 1;
-    let mut rng = move || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        x
-    };
-    let mut done: u64 = 0;
-    let mut batch_no: u64 = 0;
-    while done < ops {
-        let n = depth.min((ops - done) as usize).max(1);
-        // Plan the batch up front: a GET may target a key whose PUT sits
-        // earlier in the same batch — the server's run execution
-        // guarantees reads observe earlier writes of the run.
-        let mut plan: Vec<(bool, [u8; KEY_SIZE])> = Vec::with_capacity(n);
-        let mut w = written;
-        for _ in 0..n {
-            let is_get = w > 0 && (rng() % 100) < u64::from(read_pct);
-            if is_get {
-                plan.push((true, key_of(conn_id, rng() % w)));
-            } else {
-                plan.push((false, key_of(conn_id, w)));
-                w += 1;
-            }
-        }
-        let reqs: Vec<Request<'_>> = plan
-            .iter()
-            .map(|(is_get, key)| {
-                if *is_get {
-                    Request::Get { key }
-                } else {
-                    Request::Put { key, value }
-                }
-            })
-            .collect();
-        let start = Instant::now();
-        let replies = if batch_no.is_multiple_of(2) {
-            client.multi(&reqs)
-        } else {
-            client.pipeline(&reqs)
-        }
-        .map_err(|e| format!("conn {conn_id}: batch: {e}"))?;
-        let per_op = start.elapsed() / n as u32;
-        for ((is_get, _), reply) in plan.iter().zip(&replies) {
-            match (is_get, reply) {
-                (true, Reply::Value(v)) if v == value => res.gets.push(per_op),
-                (false, Reply::Ok) => res.puts.push(per_op),
-                _ => {
-                    return Err(format!(
-                        "conn {conn_id}: unexpected batch reply {reply:?} (get={is_get})"
-                    ))
-                }
-            }
-        }
-        written = w;
-        done += n as u64;
-        batch_no += 1;
-        if throttle > Duration::ZERO {
-            std::thread::sleep(throttle);
-        }
-    }
-    Ok(res)
 }
 
-/// Multi-endpoint worker: the [`run_conn`] op mix, but each key is routed
-/// through the client-side [`Ring`] to the endpoint that owns it — one
-/// open connection per endpoint. Routing is deterministic, so a GET for a
-/// previously-acked key always lands on the endpoint that took the PUT.
-/// Returns the all-op latency distribution per endpoint, in endpoint order.
-fn run_conn_multi(
-    endpoints: Arc<Vec<std::net::SocketAddr>>,
-    ring: Arc<Ring>,
-    conn_id: u32,
-    ops: u64,
-    value: &[u8],
-    read_pct: u32,
-) -> Result<Vec<Lats>, String> {
+/// Latencies per endpoint, split by class: `[puts, gets]`.
+type PerEndpoint = Vec<[Lats; 2]>;
+
+/// One connection: `w.ops` operations of its [`OpMix`] over one client per
+/// endpoint. At depth 0 each operation is a round trip, routed through the
+/// ring when there are several endpoints (a GET of an acked key lands where
+/// its PUT did). At depth N they go to the first endpoint in batches of N,
+/// alternating `MULTI` and raw pipelined frames, and a batch's latency is
+/// attributed evenly to its operations.
+fn run_conn(endpoints: &[SocketAddr], conn_id: u32, w: &Work) -> Result<PerEndpoint, String> {
     let mut clients = Vec::with_capacity(endpoints.len());
-    for (s, addr) in endpoints.iter().enumerate() {
+    for addr in endpoints {
         clients.push(
             Client::connect_retry(*addr, Duration::from_secs(5))
-                .map_err(|e| format!("conn {conn_id}: connect shard {s} ({addr}): {e}"))?,
+                .map_err(|e| format!("conn {conn_id}: connect {addr}: {e}"))?,
         );
     }
-    let mut per_shard: Vec<Lats> = (0..endpoints.len()).map(|_| Lats::default()).collect();
-    let mut written: u64 = 0;
-    let mut x: u64 = 0x9e37_79b9 ^ u64::from(conn_id) << 17 | 1;
-    let mut rng = move || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        x
-    };
-    let mut out = Vec::with_capacity(value.len());
-    for _ in 0..ops {
-        let is_get = written > 0 && (rng() % 100) < u64::from(read_pct);
-        let key = if is_get {
-            key_of(conn_id, rng() % written)
-        } else {
-            key_of(conn_id, written)
-        };
-        let shard = ring.shard_of(&key) as usize;
-        let client = &mut clients[shard];
-        let start = Instant::now();
-        if is_get {
-            out.clear();
-            let hit = client
-                .get(&key, &mut out)
-                .map_err(|e| format!("conn {conn_id}: GET shard {shard}: {e}"))?;
-            if !hit {
-                return Err(format!(
-                    "conn {conn_id}: shard {shard} missed an acked key — \
-                     client ring disagrees with placement"
-                ));
+    let ring = (endpoints.len() > 1).then(|| Ring::new(endpoints.len() as u32));
+    let mut lats: PerEndpoint = endpoints.iter().map(|_| Default::default()).collect();
+    let mut mix = OpMix::new(conn_id, w.read_pct);
+    if w.depth == 0 {
+        let mut out = Vec::with_capacity(w.value.len());
+        for (is_get, key) in mix.take(w.ops as usize) {
+            let ep = ring.as_ref().map_or(0, |r| r.shard_of(&key) as usize);
+            let start = Instant::now();
+            let hit = if is_get {
+                out.clear();
+                clients[ep].get(&key, &mut out)
+            } else {
+                clients[ep].put(&key, &w.value).map(|()| true)
+            };
+            lats[ep][usize::from(is_get)].push(start.elapsed());
+            let op = if is_get { "GET" } else { "PUT" };
+            let addr = endpoints[ep];
+            if !hit.map_err(|e| format!("conn {conn_id}: {op} {addr}: {e}"))? {
+                return Err(format!("conn {conn_id}: GET {addr} missed an acked key"));
             }
-        } else {
-            client
-                .put(&key, value)
-                .map_err(|e| format!("conn {conn_id}: PUT shard {shard}: {e}"))?;
-            written += 1;
         }
-        per_shard[shard].push(start.elapsed());
+        return Ok(lats);
     }
-    Ok(per_shard)
-}
-
-/// Multi-endpoint mode (`--addrs a,b,c` / `--local-shards N`): drive a
-/// sharded deployment through a client-side ring and report how evenly
-/// the ring spread real traffic. One row per shard; the headline skew is
-/// `max/mean` of per-shard op counts (1.0 = perfectly even). The run
-/// self-validates through `validate_rows` and fails if any shard saw no
-/// traffic — a starved shard means client and server rings disagree.
-fn run_multi(
-    args: &Args,
-    endpoints: Vec<std::net::SocketAddr>,
-    mut local: Vec<Server>,
-) -> Result<(), String> {
-    let smoke = args.flag("smoke");
-    let policy: PolicyKind = args.get("policy", PolicyKind::Spp);
-    let conns: u32 = args.get("conns", if smoke { 2 } else { 4 });
-    let ops: u64 = args.get("ops", if smoke { 500 } else { 20_000 });
-    let value_size: usize = args.get("value-size", if smoke { 64 } else { 100 });
-    let read_pct: u32 = args.get("read-pct", 50).min(100);
-    let nshards = endpoints.len();
-
-    banner(&format!(
-        "spp-loadgen multi: {nshards} endpoints conns={conns} ops/conn={ops} \
-         value={value_size}B reads={read_pct}%"
-    ));
-    for (s, addr) in endpoints.iter().enumerate() {
-        println!("  shard {s} -> {addr}");
-    }
-
-    let endpoints = Arc::new(endpoints);
-    let ring = Arc::new(Ring::new(nshards as u32));
-    let value = vec![0xA5u8; value_size];
-    let start = Instant::now();
-    let handles: Vec<_> = (0..conns)
-        .map(|conn_id| {
-            let endpoints = Arc::clone(&endpoints);
-            let ring = Arc::clone(&ring);
-            let value = value.clone();
-            std::thread::spawn(move || {
-                run_conn_multi(endpoints, ring, conn_id, ops, &value, read_pct)
+    let mut left = w.ops;
+    let mut multi = true;
+    while left > 0 {
+        let n = w.depth.min(left as usize);
+        // Planned up front: a GET may name a key whose PUT sits earlier in
+        // the same batch — the server's run execution guarantees reads
+        // observe earlier writes of the run.
+        let plan: Vec<_> = mix.by_ref().take(n).collect();
+        let reqs: Vec<Request<'_>> = plan
+            .iter()
+            .map(|(is_get, key)| match is_get {
+                true => Request::Get { key },
+                false => Request::Put {
+                    key,
+                    value: &w.value,
+                },
             })
-        })
-        .collect();
-    let mut per_shard: Vec<Lats> = (0..nshards).map(|_| Lats::default()).collect();
-    for h in handles {
-        let r = h.join().map_err(|_| "loadgen thread panicked")??;
-        for (acc, lats) in per_shard.iter_mut().zip(&r) {
-            acc.merge(lats);
+            .collect();
+        let send = if multi {
+            Client::multi
+        } else {
+            Client::pipeline
+        };
+        let start = Instant::now();
+        let replies =
+            send(&mut clients[0], &reqs).map_err(|e| format!("conn {conn_id}: batch: {e}"))?;
+        let per_op = start.elapsed() / n as u32;
+        for ((is_get, _), reply) in plan.iter().zip(&replies) {
+            let ok = match reply {
+                Reply::Value(v) => *is_get && *v == w.value,
+                Reply::Ok => !is_get,
+                _ => false,
+            };
+            if !ok {
+                let why = format!("unexpected batch reply {reply:?} (get={is_get})");
+                return Err(format!("conn {conn_id}: {why}"));
+            }
+            lats[0][usize::from(*is_get)].push(per_op);
+        }
+        left -= n as u64;
+        multi = !multi;
+        if w.throttle > Duration::ZERO {
+            std::thread::sleep(w.throttle);
         }
     }
-    let elapsed = start.elapsed().as_secs_f64();
-
-    let counts: Vec<u64> = per_shard.iter().map(|l| l.count).collect();
-    let total: u64 = counts.iter().sum();
-    let mean = total as f64 / nshards as f64;
-    let skew = counts.iter().copied().max().unwrap_or(0) as f64 / mean;
-    for (s, lats) in per_shard.iter().enumerate() {
-        println!(
-            "  shard {s}: {:>8} ops  {:>10.0} ops/s  p50={:.1}us p99={:.1}us",
-            lats.count,
-            lats.count as f64 / elapsed,
-            lats.percentile_us(0.50),
-            lats.percentile_us(0.99),
-        );
-    }
-    println!(
-        "total: {total} ops in {elapsed:.3}s = {:.0} ops/s  shard skew (max/mean): {skew:.2}",
-        total as f64 / elapsed
-    );
-    if let Some(starved) = counts.iter().position(|&c| c == 0) {
-        return Err(format!(
-            "shard {starved} received no traffic — client ring and deployment disagree"
-        ));
-    }
-
-    let mut rows = Vec::with_capacity(nshards);
-    for (s, lats) in per_shard.iter().enumerate() {
-        let mut row = lat_row(policy, "multi_shard", lats, elapsed);
-        if let Json::Obj(fields) = &mut row {
-            fields.insert(2, ("shard", Json::Int(s as u64)));
-        }
-        rows.push(row);
-    }
-    for row in &rows {
-        println!("{}", row.render());
-    }
-    validate_rows(
-        &rows,
-        &["throughput_ops_s", "p50_us", "p95_us", "p99_us", "ops"],
-    )
-    .map_err(|e| format!("result validation failed: {e}"))?;
-
-    let doc = Json::Obj(vec![
-        ("name", Json::Str("server_loadgen".to_string())),
-        ("mode", Json::Str("multi".to_string())),
-        ("policy", Json::Str(policy.label().to_string())),
-        ("shards", Json::Int(nshards as u64)),
-        ("conns", Json::Int(u64::from(conns))),
-        ("ops_per_conn", Json::Int(ops)),
-        ("value_size", Json::Int(value_size as u64)),
-        ("read_pct", Json::Int(u64::from(read_pct))),
-        ("elapsed_s", Json::Num(elapsed)),
-        ("total_ops_s", Json::Num(total as f64 / elapsed)),
-        (
-            "shard_ops",
-            Json::Arr(counts.iter().map(|&c| Json::Int(c)).collect()),
-        ),
-        ("shard_skew_max_over_mean", Json::Num(skew)),
-        ("rows", Json::Arr(rows)),
-    ]);
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir).map_err(|e| format!("create results/: {e}"))?;
-    let path = dir.join("server_loadgen.json");
-    std::fs::write(&path, doc.render() + "\n").map_err(|e| format!("write {path:?}: {e}"))?;
-    println!("wrote {}", path.display());
-
-    if args.flag("shutdown") && local.is_empty() {
-        for addr in endpoints.iter() {
-            let mut c = Client::connect_retry(*addr, Duration::from_secs(5))
-                .map_err(|e| format!("shutdown connect {addr}: {e}"))?;
-            c.shutdown().map_err(|e| format!("SHUTDOWN {addr}: {e}"))?;
-        }
-    }
-    for server in local.drain(..) {
-        server.shutdown();
-    }
-    Ok(())
+    Ok(lats)
 }
 
-/// An in-process server on an ephemeral port over a fresh pool of
-/// `--pool-mb` (default `pool_mb`), tuned by the shared flags.
-fn local_server(args: &Args, policy: PolicyKind, pool_mb: u64) -> Result<Server, String> {
-    let pool = fresh_server_pool(args.get("pool-mb", pool_mb) << 20, 16, false)
-        .map_err(|e| format!("pool create: {e}"))?;
-    let engine = KvEngine::create(pool, policy, args.get("nbuckets", 4096))
-        .map_err(|e| format!("engine create: {e}"))?;
-    let cfg = ServerConfig {
-        max_conns: args.get("max-conns", 64),
-        reactors: args.get("reactors", 2),
-        ..ServerConfig::default()
-    };
-    Server::start(Arc::new(engine), ("127.0.0.1", 0), cfg)
-        .map_err(|e| format!("in-process server: {e}"))
+/// The servers a phase drives: external endpoints, or in-process servers
+/// this run started.
+struct Target {
+    endpoints: Vec<SocketAddr>,
+    local: Vec<Server>,
 }
 
-struct PhaseOut {
-    elapsed_s: f64,
-    puts: Lats,
-    gets: Lats,
+impl Target {
+    /// Quiesce the in-process servers; idempotent with a wire `SHUTDOWN`.
+    fn shutdown(self) {
+        for server in self.local {
+            server.shutdown();
+        }
+    }
+}
+
+/// What one phase measured.
+struct Phase {
+    secs: f64,
+    lats: PerEndpoint,
     /// `(batches, ops)` group-commit counters — in-process servers only.
     group: Option<(u64, u64)>,
 }
 
-/// Run one measurement phase: `depth == 0` is the closed-loop round-trip
-/// baseline, `depth > 0` ships pipelined batches. Spawns a fresh in-process
-/// server unless `addr_arg` names an external one (then `conn_base` keeps
-/// the phases' keyspaces disjoint).
-#[allow(clippy::too_many_arguments)]
-fn run_phase(
-    args: &Args,
-    policy: PolicyKind,
-    addr_arg: &str,
-    conn_base: u32,
-    conns: u32,
-    ops: u64,
-    value: &[u8],
-    read_pct: u32,
-    depth: usize,
-    throttle: Duration,
-) -> Result<PhaseOut, String> {
-    let mut local: Option<Server> = None;
-    let addr: std::net::SocketAddr = if addr_arg.is_empty() {
-        let server = local_server(args, policy, 64)?;
-        let addr = server.local_addr();
-        local = Some(server);
-        addr
-    } else {
-        addr_arg
-            .parse()
-            .map_err(|e| format!("bad --addr `{addr_arg}`: {e}"))?
-    };
+impl Phase {
+    /// Every operation on endpoint `ep`, both classes.
+    fn all(&self, ep: usize) -> Lats {
+        let mut all = Lats::default();
+        all.merge(&self.lats[ep][0]);
+        all.merge(&self.lats[ep][1]);
+        all
+    }
 
-    let start = Instant::now();
-    let handles: Vec<_> = (0..conns)
-        .map(|i| {
-            let value = value.to_vec();
-            std::thread::spawn(move || {
-                if depth == 0 {
-                    run_conn(addr, conn_base + i, ops, &value, read_pct)
-                } else {
-                    run_conn_pipelined(addr, conn_base + i, ops, &value, read_pct, depth, throttle)
-                }
-            })
-        })
-        .collect();
-    let mut puts = Lats::default();
-    let mut gets = Lats::default();
-    for h in handles {
-        let r = h.join().map_err(|_| "loadgen thread panicked")??;
-        puts.merge(&r.puts);
-        gets.merge(&r.gets);
+    fn ops_per_s(&self) -> f64 {
+        let ops: u64 = self.lats.iter().flatten().map(|l| l.count).sum();
+        ops as f64 / self.secs
     }
-    let elapsed_s = start.elapsed().as_secs_f64();
-    let group = local.as_ref().map(Server::group_stats);
-    if let Some(server) = local.take() {
-        server.shutdown();
+
+    /// `put` and, if any GET ran, `get` rows of a one-endpoint phase.
+    fn rows(&self, r: &Run, put: &'static str, get: &'static str) -> (Json, Option<Json>) {
+        let [puts, gets] = &self.lats[0];
+        let get = (gets.count > 0).then(|| r.row(get, None, gets, self.secs));
+        (r.row(put, None, puts, self.secs), get)
     }
-    Ok(PhaseOut {
-        elapsed_s,
-        puts,
-        gets,
-        group,
-    })
 }
 
-/// Pipeline-comparison mode (`--pipeline N`): round-trip baseline phase,
-/// then a pipelined phase at depth `N`, reporting both throughputs and
-/// their ratio. Exits nonzero if the speedup misses the floor (2.0x full,
-/// 1.5x smoke) — unless `--throttle-us` is deliberately degrading the run
-/// for the perf-gate's injected-regression self-test.
-fn run_pipeline(args: &Args, depth: usize) -> Result<(), String> {
-    let smoke = args.flag("smoke");
-    let policy: PolicyKind = args.get("policy", PolicyKind::Spp);
-    let conns: u32 = args.get("conns", if smoke { 2 } else { 4 });
-    let ops: u64 = args.get("ops", if smoke { 500 } else { 20_000 });
-    let value_size: usize = args.get("value-size", if smoke { 64 } else { 100 });
-    let read_pct: u32 = args.get("read-pct", 50).min(100);
-    let addr_arg: String = args.get("addr", String::new());
-    let throttle = Duration::from_micros(args.get("throttle-us", 0u64));
+/// Run `w.conns` workers, connection ids from `conn_base`, against
+/// `target`; `during` runs on this thread while they do. Phases that share
+/// an external server use disjoint bases so their keyspaces stay apart.
+fn run_phase(t: &Target, conn_base: u32, w: &Work, during: impl FnOnce()) -> Result<Phase, String> {
+    let endpoints = &t.endpoints[..];
+    let start = Instant::now();
+    let per_conn = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..w.conns)
+            .map(|i| s.spawn(move || run_conn(endpoints, conn_base + i, w)))
+            .collect();
+        during();
+        let joined = handles
+            .into_iter()
+            .map(|h| h.join().map_err(|_| "loadgen thread panicked"));
+        joined.collect::<Result<Vec<_>, _>>()
+    })?;
+    let secs = start.elapsed().as_secs_f64();
+    let mut lats: PerEndpoint = endpoints.iter().map(|_| Default::default()).collect();
+    for conn in per_conn {
+        for (acc, l) in lats.iter_mut().zip(conn?) {
+            acc[0].merge(&l[0]);
+            acc[1].merge(&l[1]);
+        }
+    }
+    let group = t.local.first().map(Server::group_stats);
+    Ok(Phase { secs, lats, group })
+}
 
-    banner(&format!(
-        "spp-loadgen pipeline: policy={} depth={depth} conns={conns} ops/conn={ops} \
-         value={value_size}B reads={read_pct}%",
-        policy.label()
-    ));
-    let value = vec![0xA5u8; value_size];
+/// What an invocation runs.
+enum Mode {
+    /// Round trips, then `STATS`; `true` poisons a row (`--inject-garbage`).
+    RoundTrip(bool),
+    /// A round-trip phase, then one at `--pipeline` depth.
+    Pipeline,
+    /// `--sweep-threads` connection counts, and `--flush-wait-ns`.
+    Sweep(Vec<u32>, u32),
+    /// `--idle-conns` parked connections under a pipelined hot phase.
+    Idle(u32),
+    /// `--addrs` or `--local-shards` endpoints through the client ring.
+    Multi,
+}
 
-    let rt = run_phase(
-        args,
-        policy,
-        &addr_arg,
-        0,
-        conns,
-        ops,
-        &value,
-        read_pct,
-        0,
-        Duration::ZERO,
-    )?;
-    let rt_tput = (rt.puts.count + rt.gets.count) as f64 / rt.elapsed_s;
-    println!(
-        "round-trip: {rt_tput:>10.0} ops/s  p50={:.1}us p99={:.1}us",
-        rt.puts.percentile_us(0.50),
-        rt.puts.percentile_us(0.99),
-    );
+/// A checked command line.
+struct Run {
+    mode: Mode,
+    smoke: bool,
+    policy: PolicyKind,
+    work: Work,
+    /// `--addr`, or the `--addrs` list; empty for in-process servers.
+    addrs: Vec<SocketAddr>,
+    pool_mb: u64,
+    nbuckets: u64,
+    max_conns: usize,
+    reactors: usize,
+    local_shards: u32,
+    shutdown: bool,
+}
 
-    let pl = run_phase(
-        args,
-        policy,
-        &addr_arg,
-        1 << 20,
-        conns,
-        ops,
-        &value,
-        read_pct,
-        depth,
-        throttle,
-    )?;
-    let pl_tput = (pl.puts.count + pl.gets.count) as f64 / pl.elapsed_s;
-    println!(
-        "pipelined:  {pl_tput:>10.0} ops/s  p50={:.1}us p99={:.1}us",
-        pl.puts.percentile_us(0.50),
-        pl.puts.percentile_us(0.99),
-    );
-    if let Some((batches, gops)) = pl.group {
-        let avg = if batches > 0 {
-            gops as f64 / batches as f64
-        } else {
-            0.0
+type Field = (&'static str, Json);
+type Res = Result<(), String>;
+
+impl Run {
+    /// An in-process server on an ephemeral port over a fresh pool: plain
+    /// media, or device-wait media whose draining fences wait
+    /// `flush_wait_ns` from the moment the server is up (pool and engine
+    /// creation run at DRAM speed).
+    fn local_server(&self, flush_wait_ns: Option<u32>) -> Result<Server, String> {
+        let bytes = self.pool_mb << 20;
+        let pool = match flush_wait_ns {
+            None => fresh_server_pool(bytes, 16, false),
+            Some(ns) => fresh_server_pool_wait(bytes, 16, ns),
+        }
+        .map_err(|e| format!("pool create: {e}"))?;
+        let pm = Arc::clone(pool.pm());
+        let engine = KvEngine::create(pool, self.policy, self.nbuckets)
+            .map_err(|e| format!("engine create: {e}"))?;
+        let (max_conns, reactors) = (self.max_conns, self.reactors);
+        let cfg = ServerConfig {
+            max_conns,
+            reactors,
+            ..ServerConfig::default()
         };
+        let server = Server::start(Arc::new(engine), ("127.0.0.1", 0), cfg)
+            .map_err(|e| format!("in-process server: {e}"))?;
+        pm.set_latency_enabled(flush_wait_ns.is_some());
+        Ok(server)
+    }
+
+    /// The servers a phase drives: the external endpoints, or `n` fresh
+    /// in-process servers (on device-wait media given `flush_wait_ns`).
+    fn target(&self, n: u32, flush_wait_ns: Option<u32>) -> Result<Target, String> {
+        let n = if self.addrs.is_empty() { n } else { 0 };
+        let local = (0..n)
+            .map(|_| self.local_server(flush_wait_ns))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut endpoints = self.addrs.clone();
+        endpoints.extend(local.iter().map(Server::local_addr));
+        Ok(Target { endpoints, local })
+    }
+
+    /// One phase on a fresh target, torn down after.
+    fn fresh_phase(&self, conn_base: u32, w: &Work, wait: Option<u32>) -> Result<Phase, String> {
+        let target = self.target(1, wait)?;
+        let phase = run_phase(&target, conn_base, w, || {})?;
+        target.shutdown();
+        Ok(phase)
+    }
+
+    /// `--shutdown`: stop every external server the run drove.
+    fn shutdown_external(&self) -> Result<(), String> {
+        if !self.shutdown {
+            return Ok(());
+        }
+        for addr in &self.addrs {
+            let mut c = Client::connect_retry(*addr, Duration::from_secs(5))
+                .map_err(|e| format!("shutdown connect {addr}: {e}"))?;
+            c.shutdown().map_err(|e| format!("SHUTDOWN {addr}: {e}"))?;
+        }
+        Ok(())
+    }
+
+    fn banner(&self, mode: &str, detail: &str) {
+        let (policy, w) = (self.policy.label(), &self.work);
+        let (ops, value, reads) = (w.ops, w.value.len(), w.read_pct);
+        banner(&format!(
+            "spp-loadgen{mode}: policy={policy} {detail}ops/conn={ops} value={value}B reads={reads}%"
+        ));
+    }
+
+    fn row(&self, op: &'static str, tag: Option<(&'static str, u64)>, l: &Lats, s: f64) -> Json {
+        let mut row = vec![("policy", text(self.policy.label())), ("op", text(op))];
+        row.extend(tag.map(|(k, v)| (k, Json::Int(v))));
+        row.extend([
+            ("ops", Json::Int(l.count)),
+            ("throughput_ops_s", Json::Num(l.count as f64 / s)),
+            ("p50_us", Json::Num(l.percentile_us(0.50))),
+            ("p95_us", Json::Num(l.percentile_us(0.95))),
+            ("p99_us", Json::Num(l.percentile_us(0.99))),
+        ]);
+        Json::Obj(row)
+    }
+
+    /// Print the rows, check them through `validate_rows` (each row's
+    /// throughput, percentiles, op count and sweep `conns` must be finite
+    /// and > 0), then write `results/<file>`: `name`, `lead`, the op mix,
+    /// `tail`, then the rows.
+    fn report(&self, file: &str, lead: Vec<Field>, tail: Vec<Field>, rows: Vec<Json>) -> Res {
+        for row in &rows {
+            println!("{}", row.render());
+        }
+        let mut positive = vec!["throughput_ops_s", "p50_us", "p95_us", "p99_us", "ops"];
+        positive.extend(matches!(self.mode, Mode::Sweep(..)).then_some("conns"));
+        validate_rows(&rows, &positive).map_err(|e| format!("result validation failed: {e}"))?;
+        let w = &self.work;
+        let mut doc = vec![("name", text("server_loadgen"))];
+        doc.extend(lead);
+        doc.extend([
+            ("ops_per_conn", Json::Int(w.ops)),
+            ("value_size", Json::Int(w.value.len() as u64)),
+            ("read_pct", Json::Int(u64::from(w.read_pct))),
+        ]);
+        doc.extend(tail);
+        doc.push(("rows", Json::Arr(rows)));
+        let path = write_text_artifact(file, &(Json::Obj(doc).render() + "\n"));
+        println!("wrote {}", path.display());
+        Ok(())
+    }
+}
+
+fn text(s: &str) -> Json {
+    Json::Str(s.to_string())
+}
+
+/// `p50=..us p99=..us` of `l`.
+fn pcts(l: &Lats) -> String {
+    let (p50, p99) = (l.percentile_us(0.50), l.percentile_us(0.99));
+    format!("p50={p50:.1}us p99={p99:.1}us")
+}
+
+/// Round-trip mode: one phase, then `STATS` (and `--shutdown`) over a
+/// fresh connection.
+fn run_round_trip(r: &Run, inject_garbage: bool) -> Res {
+    let w = &r.work;
+    r.banner("", &format!("conns={} ", w.conns));
+    let target = r.target(1, None)?;
+    if let [server] = &target.local[..] {
+        println!("spawned in-process server on {}", server.local_addr());
+    }
+    let phase = run_phase(&target, 0, w, || {})?;
+
+    // Server-side introspection after the run (also exercises STATS).
+    let mut client = Client::connect_retry(target.endpoints[0], Duration::from_secs(5))
+        .map_err(|e| format!("stats: {e}"))?;
+    let stats = client.stats().map_err(|e| format!("STATS: {e}"))?;
+    println!("--- server stats ---\n{stats}--------------------");
+    if r.shutdown {
+        client.shutdown().map_err(|e| format!("SHUTDOWN: {e}"))?;
+    }
+    target.shutdown();
+
+    let (ops, elapsed) = (phase.all(0).count, phase.secs);
+    let tput = phase.ops_per_s();
+    println!("total: {ops} ops in {elapsed:.3}s = {tput:.0} ops/s");
+    let (put, get) = phase.rows(r, "put", "get");
+    let mut rows = vec![put];
+    rows.extend(get);
+    if inject_garbage {
+        // Negative CI hook: a poisoned row must make validation fail.
+        rows.push(r.row("garbage", None, &Lats::default(), f64::NAN));
+    }
+    let lead = vec![
+        ("policy", text(r.policy.label())),
+        ("conns", Json::Int(w.conns.into())),
+    ];
+    let tail = vec![("elapsed_s", Json::Num(elapsed))];
+    r.report("server_loadgen.json", lead, tail, rows)
+}
+
+/// Pipeline-comparison mode: a round-trip phase, then the depth-N phase.
+/// Exits nonzero if the speedup misses the floor — unless `--throttle-us`
+/// degrades the run for the perf gate's injected-regression self-test.
+fn run_pipeline(r: &Run) -> Res {
+    let w = &r.work;
+    let detail = format!("depth={} conns={} ", w.depth, w.conns);
+    r.banner(" pipeline", &detail);
+    let round_trips = Work {
+        depth: 0,
+        throttle: Duration::ZERO,
+        ..w.clone()
+    };
+    let rt = r.fresh_phase(0, &round_trips, None)?;
+    let rt_tput = rt.ops_per_s();
+    let rt_pcts = pcts(&rt.lats[0][0]);
+    println!("round-trip: {rt_tput:>10.0} ops/s  {rt_pcts}");
+    let pl = r.fresh_phase(1 << 20, w, None)?;
+    let pl_tput = pl.ops_per_s();
+    let pl_pcts = pcts(&pl.lats[0][0]);
+    println!("pipelined:  {pl_tput:>10.0} ops/s  {pl_pcts}");
+    if let Some((batches, gops)) = pl.group {
+        let avg = gops as f64 / batches.max(1) as f64;
         println!(
             "group commit: {gops} write ops over {batches} boundaries ({avg:.1} ops/boundary)"
         );
@@ -639,8 +594,9 @@ fn run_pipeline(args: &Args, depth: usize) -> Result<(), String> {
 
     let speedup = pl_tput / rt_tput;
     println!("pipeline speedup: {speedup:.2}x");
-    let floor = if smoke { 1.5 } else { 2.0 };
-    if throttle > Duration::ZERO {
+    let floor = if r.smoke { 1.5 } else { 2.0 };
+    if w.throttle > Duration::ZERO {
+        let throttle = w.throttle;
         println!("throttled run ({throttle:?}/batch): speedup floor check skipped");
     } else if speedup < floor {
         return Err(format!(
@@ -648,163 +604,57 @@ fn run_pipeline(args: &Args, depth: usize) -> Result<(), String> {
         ));
     }
 
-    let mut rows = vec![
-        lat_row(policy, "put_roundtrip", &rt.puts, rt.elapsed_s),
-        lat_row(policy, "put_pipelined", &pl.puts, pl.elapsed_s),
-    ];
-    if rt.gets.count > 0 {
-        rows.push(lat_row(policy, "get_roundtrip", &rt.gets, rt.elapsed_s));
-    }
-    if pl.gets.count > 0 {
-        rows.push(lat_row(policy, "get_pipelined", &pl.gets, pl.elapsed_s));
-    }
-    for row in &rows {
-        println!("{}", row.render());
-    }
-    validate_rows(
-        &rows,
-        &["throughput_ops_s", "p50_us", "p95_us", "p99_us", "ops"],
-    )
-    .map_err(|e| format!("result validation failed: {e}"))?;
-
+    let (rt_put, rt_get) = rt.rows(r, "put_roundtrip", "get_roundtrip");
+    let (pl_put, pl_get) = pl.rows(r, "put_pipelined", "get_pipelined");
+    let mut rows = vec![rt_put, pl_put];
+    rows.extend(rt_get.into_iter().chain(pl_get));
     let (group_batches, group_ops) = pl.group.unwrap_or((0, 0));
-    let doc = Json::Obj(vec![
-        ("name", Json::Str("server_loadgen".to_string())),
-        ("mode", Json::Str("pipeline".to_string())),
-        ("policy", Json::Str(policy.label().to_string())),
-        ("pipeline_depth", Json::Int(depth as u64)),
-        ("conns", Json::Int(u64::from(conns))),
-        ("ops_per_conn", Json::Int(ops)),
-        ("value_size", Json::Int(value_size as u64)),
-        ("read_pct", Json::Int(u64::from(read_pct))),
-        ("throttle_us", Json::Int(throttle.as_micros() as u64)),
+    let lead = vec![
+        ("mode", text("pipeline")),
+        ("policy", text(r.policy.label())),
+        ("pipeline_depth", Json::Int(w.depth as u64)),
+        ("conns", Json::Int(w.conns.into())),
+    ];
+    let tail = vec![
+        ("throttle_us", Json::Int(w.throttle.as_micros() as u64)),
         ("roundtrip_ops_s", Json::Num(rt_tput)),
         ("pipelined_ops_s", Json::Num(pl_tput)),
         ("pipeline_speedup", Json::Num(speedup)),
         ("group_batches", Json::Int(group_batches)),
         ("group_batched_ops", Json::Int(group_ops)),
-        ("rows", Json::Arr(rows)),
-    ]);
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir).map_err(|e| format!("create results/: {e}"))?;
-    let path = dir.join("server_loadgen.json");
-    std::fs::write(&path, doc.render() + "\n").map_err(|e| format!("write {path:?}: {e}"))?;
-    println!("wrote {}", path.display());
-
-    // Both phases already tore down their in-process servers; --shutdown
-    // only matters against an external --addr server (the CI smoke job
-    // ends each policy's serving round through this).
-    if args.flag("shutdown") && !addr_arg.is_empty() {
-        let mut client = Client::connect_retry(&addr_arg, Duration::from_secs(5))
-            .map_err(|e| format!("shutdown connect: {e}"))?;
-        client.shutdown().map_err(|e| format!("SHUTDOWN: {e}"))?;
-    }
-    Ok(())
+    ];
+    r.report("server_loadgen.json", lead, tail, rows)?;
+    r.shutdown_external()
 }
 
-fn lat_row(policy: PolicyKind, op: &'static str, lats: &Lats, elapsed_s: f64) -> Json {
-    Json::Obj(vec![
-        ("policy", Json::Str(policy.label().to_string())),
-        ("op", Json::Str(op.to_string())),
-        ("ops", Json::Int(lats.count)),
-        ("throughput_ops_s", Json::Num(lats.count as f64 / elapsed_s)),
-        ("p50_us", Json::Num(lats.percentile_us(0.50))),
-        ("p95_us", Json::Num(lats.percentile_us(0.95))),
-        ("p99_us", Json::Num(lats.percentile_us(0.99))),
-    ])
-}
-
-/// Thread-sweep mode (`--sweep-threads 1,2,4,8`): one fresh in-process
-/// server per connection count, all on device-wait media, reporting where
-/// the throughput knee sits. Each point's row lands in
-/// `results/server_loadgen.json` with `op: "sweep"`; the contention profile
-/// accumulated across the sweep is dumped to
-/// `results/contention_loadgen.txt`.
-fn run_sweep(args: &Args, sweep_csv: &str) -> Result<(), String> {
-    let smoke = args.flag("smoke");
-    let policy: PolicyKind = args.get("policy", PolicyKind::Pmdk);
-    let ops: u64 = args.get("ops", if smoke { 300 } else { 4_000 });
-    let value_size: usize = args.get("value-size", if smoke { 64 } else { 100 });
-    let read_pct: u32 = args.get("read-pct", 50).min(100);
-    let flush_wait_ns: u32 = args.get("flush-wait-ns", 15_000);
-    let conn_counts: Vec<u32> = sweep_csv
-        .split(',')
-        .filter_map(|t| t.parse().ok())
-        .collect();
-    if conn_counts.len() < 2 {
-        return Err(format!(
-            "--sweep-threads needs >= 2 counts, got `{sweep_csv}`"
-        ));
-    }
-
-    banner(&format!(
-        "spp-loadgen sweep: policy={} conns={conn_counts:?} ops/conn={ops} \
-         value={value_size}B reads={read_pct}% flush-wait={flush_wait_ns}ns",
-        policy.label()
-    ));
-
+/// Thread-sweep mode: one fresh device-wait server per connection count,
+/// reporting where the throughput knee sits, plus the contention profile
+/// accumulated across the sweep.
+fn run_sweep(r: &Run, counts: &[u32], flush_wait_ns: u32) -> Res {
+    let detail = format!("conns={counts:?} flush-wait={flush_wait_ns}ns ");
+    r.banner(" sweep", &detail);
     contention::reset_all();
-    let value = vec![0xA5u8; value_size];
     let mut rows = Vec::new();
     let mut tputs: Vec<f64> = Vec::new();
-    for &conns in &conn_counts {
-        let pool = fresh_server_pool_wait(args.get("pool-mb", 64u64) << 20, 16, flush_wait_ns)
-            .map_err(|e| format!("pool create: {e}"))?;
-        let pm = Arc::clone(pool.pm());
-        let engine = Arc::new(
-            KvEngine::create(pool, policy, args.get("nbuckets", 4096))
-                .map_err(|e| format!("engine create: {e}"))?,
-        );
-        let cfg = ServerConfig {
-            max_conns: args.get("max-conns", 64),
-            reactors: args.get("reactors", 2),
-            ..ServerConfig::default()
+    for &conns in counts {
+        let w = Work {
+            conns,
+            ..r.work.clone()
         };
-        let server = Server::start(engine, ("127.0.0.1", 0), cfg)
-            .map_err(|e| format!("in-process server: {e}"))?;
-        let addr = server.local_addr();
-        pm.set_latency_enabled(true);
-
-        let start = Instant::now();
-        let handles: Vec<_> = (0..conns)
-            .map(|conn_id| {
-                let value = value.clone();
-                std::thread::spawn(move || run_conn(addr, conn_id, ops, &value, read_pct))
-            })
-            .collect();
-        let mut all = Lats::default();
-        for h in handles {
-            let r = h.join().map_err(|_| "loadgen thread panicked")??;
-            all.merge(&r.puts);
-            all.merge(&r.gets);
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        server.shutdown();
-
-        let tput = all.count as f64 / elapsed;
-        println!(
-            "  conns={conns:<3} {tput:>10.0} ops/s  p50={:>8.1}us  p99={:>8.1}us",
-            all.percentile_us(0.50),
-            all.percentile_us(0.99),
-        );
-        let mut row = lat_row(policy, "sweep", &all, elapsed);
-        if let Json::Obj(fields) = &mut row {
-            fields.insert(2, ("conns", Json::Int(u64::from(conns))));
-        }
-        rows.push(row);
+        let phase = r.fresh_phase(0, &w, Some(flush_wait_ns))?;
+        let (all, tput) = (phase.all(0), phase.ops_per_s());
+        println!("  conns={conns:<3} {tput:>10.0} ops/s  {}", pcts(&all));
+        let tag = Some(("conns", u64::from(conns)));
+        rows.push(r.row("sweep", tag, &all, phase.secs));
         tputs.push(tput);
     }
 
     // The knee: the last connection count that still bought >= 10% more
     // throughput than the previous point.
-    let mut knee = conn_counts[0];
-    for i in 1..tputs.len() {
-        if tputs[i] >= tputs[i - 1] * 1.10 {
-            knee = conn_counts[i];
-        } else {
-            break;
-        }
-    }
+    let knee = (1..tputs.len())
+        .take_while(|&i| tputs[i] >= tputs[i - 1] * 1.10)
+        .last()
+        .map_or(counts[0], |i| counts[i]);
     println!("throughput knee at {knee} connections");
     println!("top contended locks during the sweep:");
     for snap in contention::top_contended(3) {
@@ -819,49 +669,16 @@ fn run_sweep(args: &Args, sweep_csv: &str) -> Result<(), String> {
     let dump_path = write_text_artifact("contention_loadgen.txt", &contention::dump());
     println!("contention dump written to {}", dump_path.display());
 
-    validate_rows(
-        &rows,
-        &[
-            "throughput_ops_s",
-            "p50_us",
-            "p95_us",
-            "p99_us",
-            "ops",
-            "conns",
-        ],
-    )
-    .map_err(|e| format!("sweep validation failed: {e}"))?;
-
-    let doc = Json::Obj(vec![
-        ("name", Json::Str("server_loadgen".to_string())),
-        ("mode", Json::Str("sweep".to_string())),
-        ("policy", Json::Str(policy.label().to_string())),
-        ("ops_per_conn", Json::Int(ops)),
-        ("value_size", Json::Int(value_size as u64)),
-        ("read_pct", Json::Int(u64::from(read_pct))),
-        ("flush_wait_ns", Json::Int(u64::from(flush_wait_ns))),
-        (
-            "sweep_conns",
-            Json::Arr(
-                conn_counts
-                    .iter()
-                    .map(|&c| Json::Int(u64::from(c)))
-                    .collect(),
-            ),
-        ),
-        (
-            "sweep_ops_per_s",
-            Json::Arr(tputs.iter().map(|&v| Json::Num(v)).collect()),
-        ),
-        ("knee_conns", Json::Int(u64::from(knee))),
-        ("rows", Json::Arr(rows)),
-    ]);
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir).map_err(|e| format!("create results/: {e}"))?;
-    let path = dir.join("server_loadgen.json");
-    std::fs::write(&path, doc.render() + "\n").map_err(|e| format!("write {path:?}: {e}"))?;
-    println!("wrote {}", path.display());
-    Ok(())
+    let lead = vec![("mode", text("sweep")), ("policy", text(r.policy.label()))];
+    let conns = Json::Arr(counts.iter().map(|&c| Json::Int(c.into())).collect());
+    let tputs = Json::Arr(tputs.into_iter().map(Json::Num).collect());
+    let tail = vec![
+        ("flush_wait_ns", Json::Int(flush_wait_ns.into())),
+        ("sweep_conns", conns),
+        ("sweep_ops_per_s", tputs),
+        ("knee_conns", Json::Int(knee.into())),
+    ];
+    r.report("server_loadgen.json", lead, tail, rows)
 }
 
 /// `(threads, vm_rss_kb)` for this process, from `/proc/self/status`;
@@ -882,54 +699,26 @@ fn proc_status() -> (u64, u64) {
     (field("Threads:"), field("VmRSS:"))
 }
 
-/// Idle-scaling mode (`--idle-conns N`): park N open-but-quiet
-/// connections on a fresh in-process server, then drive pipelined load
-/// over a small hot core and report what the idle fleet actually cost —
-/// process thread count and RSS with the fleet attached, plus hot-path
-/// p50/p99 — and finally ping every idle connection to prove the fleet
-/// stayed serviceable. The run **self-validates** the headline claim:
-/// total threads stay within `reactors + hot + slack`: O(reactors), not
-/// O(connections) nor O(shards).
-fn run_idle(args: &Args, idle_conns: u32) -> Result<(), String> {
-    let smoke = args.flag("smoke");
-    let policy: PolicyKind = args.get("policy", PolicyKind::Spp);
-    let reactors: usize = args.get("reactors", 2);
-    let hot: u32 = args.get("conns", 2);
-    let ops: u64 = args.get("ops", if smoke { 400 } else { 4_000 });
-    let depth: usize = args.get("pipeline", 8usize).max(1);
-    let value_size: usize = args.get("value-size", if smoke { 64 } else { 100 });
-    let read_pct: u32 = args.get("read-pct", 50).min(100);
-
+/// Idle-scaling mode: park `idle_conns` open-but-quiet connections on one
+/// server, run the hot pipelined phase over them and report what the idle
+/// fleet cost — process threads and RSS with it attached — then ping every
+/// idle connection to prove the fleet stayed serviceable. The run
+/// **self-validates** that threads stay within `reactors + hot + 8`:
+/// O(reactors), not O(connections) nor O(shards).
+fn run_idle(r: &Run, idle_conns: u32) -> Res {
+    let (w, reactors) = (&r.work, r.reactors);
     // The fd limit, not memory, is the usual first wall at thousands of
     // sockets; raise it before opening anything.
     let nofile = raise_nofile_limit();
-    let need = u64::from(idle_conns) + u64::from(hot) + 64;
+    let need = u64::from(idle_conns) + u64::from(w.conns) + 64;
     if nofile < need {
         return Err(format!(
             "RLIMIT_NOFILE {nofile} too low for {idle_conns} idle connections (need ~{need})"
         ));
     }
-
-    banner(&format!(
-        "spp-loadgen idle-scaling: policy={} idle={idle_conns} hot={hot} \
-         depth={depth} ops/hot-conn={ops}",
-        policy.label()
-    ));
-
-    let pool = fresh_server_pool(args.get("pool-mb", 64u64) << 20, 16, false)
-        .map_err(|e| format!("pool create: {e}"))?;
-    let engine = Arc::new(
-        KvEngine::create(pool, policy, args.get("nbuckets", 4096))
-            .map_err(|e| format!("engine create: {e}"))?,
-    );
-    let cfg = ServerConfig {
-        max_conns: idle_conns as usize + hot as usize + 8,
-        reactors,
-        ..ServerConfig::default()
-    };
-    let server = Server::start(engine, ("127.0.0.1", 0), cfg)
-        .map_err(|e| format!("in-process server: {e}"))?;
-    let addr = server.local_addr();
+    let detail = format!("idle={idle_conns} hot={} depth={} ", w.conns, w.depth);
+    r.banner(" idle-scaling", &detail);
+    let target = r.target(1, None)?;
     let (threads_base, rss_base_kb) = proc_status();
 
     // Park the idle fleet. Each connection proves it was admitted and
@@ -937,7 +726,7 @@ fn run_idle(args: &Args, idle_conns: u32) -> Result<(), String> {
     let open_start = Instant::now();
     let mut idle: Vec<Client> = Vec::with_capacity(idle_conns as usize);
     for i in 0..idle_conns {
-        let mut c = Client::connect_retry(addr, Duration::from_secs(10))
+        let mut c = Client::connect_retry(target.endpoints[0], Duration::from_secs(10))
             .map_err(|e| format!("idle conn {i}: connect: {e}"))?;
         c.ping().map_err(|e| format!("idle conn {i}: ping: {e}"))?;
         idle.push(c);
@@ -949,43 +738,19 @@ fn run_idle(args: &Args, idle_conns: u32) -> Result<(), String> {
          {threads_idle}  rss {rss_base_kb} -> {rss_idle_kb} kB"
     );
 
-    // Hot pipelined core over the parked fleet.
-    let value = vec![0xA5u8; value_size];
-    let start = Instant::now();
-    let handles: Vec<_> = (0..hot)
-        .map(|i| {
-            let value = value.clone();
-            std::thread::spawn(move || {
-                run_conn_pipelined(
-                    addr,
-                    (1 << 20) + i,
-                    ops,
-                    &value,
-                    read_pct,
-                    depth,
-                    Duration::ZERO,
-                )
-            })
-        })
-        .collect();
     // Sample the thread count while the hot core is actually running —
     // that is the moment the claim is about.
-    std::thread::sleep(Duration::from_millis(50));
-    let (threads_load, rss_load_kb) = proc_status();
-    let mut puts = Lats::default();
-    let mut gets = Lats::default();
-    for h in handles {
-        let r = h.join().map_err(|_| "loadgen thread panicked")??;
-        puts.merge(&r.puts);
-        gets.merge(&r.gets);
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    let tput = (puts.count + gets.count) as f64 / elapsed;
+    let mut load = (0, 0);
+    let hot = run_phase(&target, 1 << 20, w, || {
+        std::thread::sleep(Duration::from_millis(50));
+        load = proc_status();
+    })?;
+    let (threads_load, rss_load_kb) = load;
+    let tput = hot.ops_per_s();
     println!(
-        "hot core: {tput:>10.0} ops/s  p50={:.1}us p99={:.1}us  \
-         threads under load: {threads_load}  rss: {rss_load_kb} kB",
-        puts.percentile_us(0.50),
-        puts.percentile_us(0.99),
+        "hot core: {tput:>10.0} ops/s  {}  threads under load: {threads_load}  \
+         rss: {rss_load_kb} kB",
+        pcts(&hot.lats[0][0])
     );
 
     // The fleet must still be alive and serviceable after the load ran.
@@ -995,50 +760,38 @@ fn run_idle(args: &Args, idle_conns: u32) -> Result<(), String> {
     }
     println!("all {idle_conns} idle connections still answer PING");
     drop(idle);
-    server.shutdown();
+    target.shutdown();
 
-    // Self-validation: idle connections are epoll registrations, so total
-    // threads are bounded by the reactors (which also commit), the hot
-    // clients and slack for main and runtime helpers — no room for an
-    // O(conns) regression to hide behind 5000 idle conns.
-    let budget = (reactors + hot as usize + 8) as u64;
+    // Idle connections are epoll registrations, so total threads are
+    // bounded by the reactors (which also commit), the hot clients and
+    // slack for main and runtime helpers — no room for an O(conns)
+    // regression to hide behind 5000 idle conns.
+    let budget = (reactors + w.conns as usize + 8) as u64;
     if threads_load == 0 {
         return Err("procfs unavailable: cannot validate the thread budget".into());
     }
     if threads_load > budget {
         return Err(format!(
-            "thread count {threads_load} exceeds budget {budget} \
-             (reactors={reactors} hot={hot}): \
-             threads are scaling with connections"
+            "thread count {threads_load} exceeds budget {budget} (reactors={reactors} hot={}): \
+             threads are scaling with connections",
+            w.conns
         ));
     }
     println!("thread budget holds: {threads_load} <= {budget}");
 
-    let mut rows = vec![lat_row(policy, "idle_hot_put", &puts, elapsed)];
-    if gets.count > 0 {
-        rows.push(lat_row(policy, "idle_hot_get", &gets, elapsed));
-    }
-    for row in &rows {
-        println!("{}", row.render());
-    }
-    validate_rows(
-        &rows,
-        &["throughput_ops_s", "p50_us", "p95_us", "p99_us", "ops"],
-    )
-    .map_err(|e| format!("result validation failed: {e}"))?;
-
-    let doc = Json::Obj(vec![
-        ("name", Json::Str("server_loadgen".to_string())),
-        ("mode", Json::Str("idle_scaling".to_string())),
-        ("io_mode", Json::Str("epoll".to_string())),
-        ("policy", Json::Str(policy.label().to_string())),
-        ("idle_conns", Json::Int(u64::from(idle_conns))),
-        ("hot_conns", Json::Int(u64::from(hot))),
+    let (put, get) = hot.rows(r, "idle_hot_put", "idle_hot_get");
+    let mut rows = vec![put];
+    rows.extend(get);
+    let lead = vec![
+        ("mode", text("idle_scaling")),
+        ("io_mode", text("epoll")),
+        ("policy", text(r.policy.label())),
+        ("idle_conns", Json::Int(idle_conns.into())),
+        ("hot_conns", Json::Int(w.conns.into())),
         ("reactors", Json::Int(reactors as u64)),
-        ("pipeline_depth", Json::Int(depth as u64)),
-        ("ops_per_conn", Json::Int(ops)),
-        ("value_size", Json::Int(value_size as u64)),
-        ("read_pct", Json::Int(u64::from(read_pct))),
+        ("pipeline_depth", Json::Int(w.depth as u64)),
+    ];
+    let tail = vec![
         ("open_fleet_s", Json::Num(open_s)),
         ("os_threads_base", Json::Int(threads_base)),
         ("os_threads_idle", Json::Int(threads_idle)),
@@ -1048,22 +801,225 @@ fn run_idle(args: &Args, idle_conns: u32) -> Result<(), String> {
         ("vm_rss_kb_idle", Json::Int(rss_idle_kb)),
         ("vm_rss_kb_load", Json::Int(rss_load_kb)),
         ("hot_ops_s", Json::Num(tput)),
-        ("rows", Json::Arr(rows)),
-    ]);
-    // A sibling artifact, not `server_loadgen.json`: the pipeline and
-    // sweep artifacts live there, and the perf gate pins that file to
-    // `mode: "pipeline"` — idle-scaling results must not clobber them.
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir).map_err(|e| format!("create results/: {e}"))?;
-    let path = dir.join("server_loadgen_idle.json");
-    std::fs::write(&path, doc.render() + "\n").map_err(|e| format!("write {path:?}: {e}"))?;
-    println!("wrote {}", path.display());
+    ];
+    // A sibling artifact: `server_loadgen.json` holds the pipeline and
+    // sweep results, and the perf gate pins it to `mode: "pipeline"`.
+    r.report("server_loadgen_idle.json", lead, tail, rows)
+}
+
+/// Multi-endpoint mode: drive a sharded deployment through the client-side
+/// ring and report how evenly it spread real traffic — one row per shard,
+/// and the skew `max/mean` of per-shard op counts (1.0 = even). A shard
+/// that saw no traffic means client and deployment rings disagree.
+fn run_multi(r: &Run) -> Res {
+    let w = &r.work;
+    let target = r.target(r.local_shards, None)?;
+    let nshards = target.endpoints.len();
+    r.banner(" multi", &format!("endpoints={nshards} conns={} ", w.conns));
+    for (s, addr) in target.endpoints.iter().enumerate() {
+        println!("  shard {s} -> {addr}");
+    }
+    let phase = run_phase(&target, 0, w, || {})?;
+    let elapsed = phase.secs;
+    let per_shard: Vec<Lats> = (0..nshards).map(|s| phase.all(s)).collect();
+    let counts: Vec<u64> = per_shard.iter().map(|l| l.count).collect();
+    let total: u64 = counts.iter().sum();
+    let skew = counts.iter().copied().max().unwrap_or(0) as f64 / (total as f64 / nshards as f64);
+    for (s, lats) in per_shard.iter().enumerate() {
+        let (n, pcts) = (lats.count, pcts(lats));
+        println!(
+            "  shard {s}: {n:>8} ops  {:>10.0} ops/s  {pcts}",
+            n as f64 / elapsed
+        );
+    }
+    let tput = phase.ops_per_s();
+    println!(
+        "total: {total} ops in {elapsed:.3}s = {tput:.0} ops/s  shard skew (max/mean): {skew:.2}"
+    );
+    if let Some(starved) = counts.iter().position(|&c| c == 0) {
+        return Err(format!(
+            "shard {starved} received no traffic — client ring and deployment disagree"
+        ));
+    }
+
+    let rows = per_shard
+        .iter()
+        .enumerate()
+        .map(|(s, l)| r.row("multi_shard", Some(("shard", s as u64)), l, elapsed))
+        .collect();
+    let lead = vec![
+        ("mode", text("multi")),
+        ("policy", text(r.policy.label())),
+        ("shards", Json::Int(nshards as u64)),
+        ("conns", Json::Int(w.conns.into())),
+    ];
+    let tail = vec![
+        ("elapsed_s", Json::Num(elapsed)),
+        ("total_ops_s", Json::Num(tput)),
+        (
+            "shard_ops",
+            Json::Arr(counts.into_iter().map(Json::Int).collect()),
+        ),
+        ("shard_skew_max_over_mean", Json::Num(skew)),
+    ];
+    r.report("server_loadgen.json", lead, tail, rows)?;
+    r.shutdown_external()?;
+    target.shutdown();
     Ok(())
 }
 
-fn run() -> Result<(), String> {
+/// `Err` naming `flag` unless `lo <= v <= hi`.
+fn in_range(flag: &str, v: u64, lo: u64, hi: u64) -> Res {
+    if (lo..=hi).contains(&v) {
+        Ok(())
+    } else if hi == u64::MAX {
+        Err(format!("--{flag} {v}: must be at least {lo}"))
+    } else {
+        Err(format!("--{flag} {v}: must be in {lo}..={hi}"))
+    }
+}
+
+/// The sweep's connection counts: at least two, strictly increasing, each
+/// in `1..=max_conns` — one client thread per connection, against a server
+/// that would answer the excess `BUSY`.
+fn check_sweep(counts: &[u32], max_conns: usize) -> Res {
+    if counts.len() < 2 {
+        return Err(format!("--sweep-threads needs >= 2 counts, got {counts:?}"));
+    }
+    if !counts.windows(2).all(|p| p[0] < p[1]) {
+        return Err(format!(
+            "--sweep-threads must strictly increase: {counts:?}"
+        ));
+    }
+    let max = max_conns as u64;
+    counts
+        .iter()
+        .try_for_each(|&c| in_range("sweep-threads", c.into(), 1, max))
+}
+
+/// `Err` for the first flag in `passed` that the space-separated `reads`
+/// does not name: the mode would silently ignore it.
+fn refuse_unread<'a>(passed: impl IntoIterator<Item = &'a str>, reads: &str, mode: &str) -> Res {
+    match passed
+        .into_iter()
+        .find(|f| !reads.split(' ').any(|r| r == *f))
+    {
+        Some(flag) => Err(format!("--{flag} has no effect in {mode}")),
+        None => Ok(()),
+    }
+}
+
+/// Check the command line once: pick the mode, refuse every flag it would
+/// not read, and refuse out-of-range values instead of rewriting them.
+fn parse(args: &Args) -> Result<Run, String> {
+    let given = |name: &str| args.passed().any(|f| f == name);
+    let smoke = args.flag("smoke");
+    let mode = if given("sweep-threads") {
+        let counts = args.get("sweep-threads", List(Vec::new())).0;
+        Mode::Sweep(counts, args.get("flush-wait-ns", 15_000))
+    } else if given("idle-conns") {
+        Mode::Idle(args.get("idle-conns", 0))
+    } else if given("pipeline") {
+        Mode::Pipeline
+    } else if given("addrs") || given("local-shards") {
+        Mode::Multi
+    } else {
+        Mode::RoundTrip(args.flag("inject-garbage"))
+    };
+    let external = given("addr") || given("addrs");
+    // What each mode reads besides the op mix: an external server takes
+    // `--shutdown`, in-process ones are sized (SIZE), and idle mode sizes
+    // `--max-conns` to its fleet itself.
+    let (name, reads) = match (&mode, external) {
+        (Mode::RoundTrip(_), true) => ("round-trip", "conns inject-garbage shutdown addr"),
+        (Mode::RoundTrip(_), false) => {
+            ("round-trip", "conns inject-garbage shutdown SIZE max-conns")
+        }
+        (Mode::Pipeline, true) => ("pipeline", "conns pipeline throttle-us addr shutdown"),
+        (Mode::Pipeline, false) => ("pipeline", "conns pipeline throttle-us SIZE max-conns"),
+        (Mode::Multi, true) => ("multi-endpoint", "conns addrs shutdown"),
+        (Mode::Multi, false) => ("multi-endpoint", "conns local-shards SIZE max-conns"),
+        (Mode::Sweep(..), _) => ("sweep", "sweep-threads flush-wait-ns SIZE max-conns"),
+        (Mode::Idle(_), _) => ("idle-scaling", "idle-conns conns pipeline SIZE"),
+    };
+    let reads = format!("policy ops value-size read-pct smoke {reads}")
+        .replace("SIZE", "pool-mb nbuckets reactors");
+    let place = if external {
+        "against an external server"
+    } else {
+        "with in-process servers"
+    };
+    refuse_unread(args.passed(), &reads, &format!("{name} mode {place}"))?;
+
+    let idle = matches!(mode, Mode::Idle(_));
+    let sweep = matches!(mode, Mode::Sweep(..));
+    let conns: u32 = args.get("conns", if smoke || idle { 2 } else { 4 });
+    let (policy, [full_ops, smoke_ops]) = match mode {
+        Mode::Sweep(..) => (PolicyKind::Pmdk, [4_000, 300]),
+        Mode::Idle(_) => (PolicyKind::Spp, [4_000, 400]),
+        _ => (PolicyKind::Spp, [20_000, 500]),
+    };
+    let ops: u64 = args.get("ops", if smoke { smoke_ops } else { full_ops });
+    let read_pct: u32 = args.get("read-pct", 50);
+    let depth: usize = args.get("pipeline", if idle { 8 } else { 0 });
+    let multi_local = matches!(mode, Mode::Multi) && !external;
+    let pool_mb = args.get("pool-mb", if multi_local { 32 } else { 64 });
+    let max_conns = match mode {
+        Mode::Idle(idle_conns) => idle_conns as usize + conns as usize + 8,
+        _ => args.get("max-conns", 64),
+    };
+    let mut addrs: Vec<SocketAddr> = args.get("addrs", List(Vec::new())).0;
+    if given("addr") {
+        addrs.push(args.get("addr", SocketAddr::from(([127, 0, 0, 1], 0))));
+    }
+    let local_shards: u32 = args.get("local-shards", 0);
+
+    in_range("read-pct", read_pct.into(), 0, 100)?;
+    in_range("ops", ops, 1, u64::MAX)?;
+    let capped = !(external || idle);
+    let conns_max = if capped { max_conns as u64 } else { u64::MAX };
+    if !sweep {
+        in_range("conns", conns.into(), 1, conns_max)?;
+    }
+    if matches!(mode, Mode::Pipeline | Mode::Idle(_)) {
+        in_range("pipeline", depth as u64, 1, u64::MAX)?;
+    }
+    match &mode {
+        Mode::Sweep(counts, _) => check_sweep(counts, max_conns)?,
+        Mode::Idle(idle_conns) => in_range("idle-conns", (*idle_conns).into(), 1, u64::MAX)?,
+        Mode::Multi if external && addrs.len() < 2 => {
+            return Err("--addrs needs at least 2 endpoints (use --addr for one)".to_string())
+        }
+        Mode::Multi if !external => in_range("local-shards", local_shards.into(), 1, u64::MAX)?,
+        _ => {}
+    }
+    let value_size = args.get("value-size", if smoke { 64 } else { 100 });
+    let throttle = Duration::from_micros(args.get("throttle-us", 0));
+    Ok(Run {
+        policy: args.get("policy", policy),
+        work: Work {
+            conns,
+            ops,
+            read_pct,
+            value: vec![0xA5u8; value_size],
+            depth,
+            throttle,
+        },
+        mode,
+        smoke,
+        addrs,
+        pool_mb,
+        nbuckets: args.get("nbuckets", 4096),
+        max_conns,
+        reactors: args.get("reactors", 2),
+        local_shards,
+        shutdown: args.flag("shutdown"),
+    })
+}
+
+fn main() -> ExitCode {
     let args = Args::parse(&[
-        Opt::value::<String>("addr"),
+        Opt::value::<SocketAddr>("addr"),
         Opt::value::<PolicyKind>("policy"),
         Opt::value::<u32>("conns"),
         Opt::value::<u64>("ops"),
@@ -1075,172 +1031,31 @@ fn run() -> Result<(), String> {
         Opt::flag("smoke"),
         Opt::flag("shutdown"),
         Opt::flag("inject-garbage"),
-        Opt::value::<String>("sweep-threads"),
+        Opt::value::<List<u32>>("sweep-threads"),
         Opt::value::<u32>("flush-wait-ns"),
         Opt::value::<usize>("pipeline"),
         Opt::value::<u64>("throttle-us"),
         Opt::value::<usize>("reactors"),
         Opt::value::<u32>("idle-conns"),
-        Opt::value::<String>("addrs"),
+        Opt::value::<List<SocketAddr>>("addrs"),
         Opt::value::<u32>("local-shards"),
     ]);
-    let sweep_csv: String = args.get("sweep-threads", String::new());
-    if !sweep_csv.is_empty() {
-        return run_sweep(&args, &sweep_csv);
-    }
-    let idle_conns: u32 = args.get("idle-conns", 0u32);
-    if idle_conns > 0 {
-        return run_idle(&args, idle_conns);
-    }
-    let pipeline_depth: usize = args.get("pipeline", 0usize);
-    if pipeline_depth > 0 {
-        return run_pipeline(&args, pipeline_depth);
-    }
-    let addrs_csv: String = args.get("addrs", String::new());
-    let local_shards: u32 = args.get("local-shards", 0u32);
-    if !addrs_csv.is_empty() {
-        let endpoints: Vec<std::net::SocketAddr> = addrs_csv
-            .split(',')
-            .map(|t| {
-                t.trim()
-                    .parse()
-                    .map_err(|e| format!("bad --addrs entry `{t}`: {e}"))
-            })
-            .collect::<Result<_, _>>()?;
-        if endpoints.len() < 2 {
-            return Err("--addrs needs at least 2 endpoints (use --addr for one)".to_string());
-        }
-        return run_multi(&args, endpoints, Vec::new());
-    }
-    if local_shards > 0 {
-        // Self-contained sharded deployment: one in-process single-shard
-        // server per endpoint, each with its own pool.
-        let policy: PolicyKind = args.get("policy", PolicyKind::Spp);
-        let mut servers = Vec::with_capacity(local_shards as usize);
-        let mut endpoints = Vec::with_capacity(local_shards as usize);
-        for s in 0..local_shards {
-            let server = local_server(&args, policy, 32).map_err(|e| format!("shard {s}: {e}"))?;
-            endpoints.push(server.local_addr());
-            servers.push(server);
-        }
-        return run_multi(&args, endpoints, servers);
-    }
-    let smoke = args.flag("smoke");
-    let policy: PolicyKind = args.get("policy", PolicyKind::Spp);
-    let conns: u32 = args.get("conns", if smoke { 2 } else { 4 });
-    let ops: u64 = args.get("ops", if smoke { 500 } else { 20_000 });
-    let value_size: usize = args.get("value-size", if smoke { 64 } else { 100 });
-    let read_pct: u32 = args.get("read-pct", 50).min(100);
-    let addr_arg: String = args.get("addr", String::new());
-    let want_shutdown = args.flag("shutdown");
-    let inject_garbage = args.flag("inject-garbage");
-
-    banner(&format!(
-        "spp-loadgen: policy={} conns={conns} ops/conn={ops} value={value_size}B reads={read_pct}%",
-        policy.label()
-    ));
-
-    // Either measure an external server or spawn one in-process.
-    let mut local: Option<Server> = None;
-    let addr: std::net::SocketAddr = if addr_arg.is_empty() {
-        let server = local_server(&args, policy, 64)?;
-        let addr = server.local_addr();
-        println!("spawned in-process server on {addr}");
-        local = Some(server);
-        addr
-    } else {
-        addr_arg
-            .parse()
-            .map_err(|e| format!("bad --addr `{addr_arg}`: {e}"))?
+    // A refused command line exits 2, before any socket, thread or file.
+    let (code, result) = match parse(&args) {
+        Err(why) => (2, Err(why)),
+        Ok(r) => match &r.mode {
+            Mode::RoundTrip(inject_garbage) => (1, run_round_trip(&r, *inject_garbage)),
+            Mode::Pipeline => (1, run_pipeline(&r)),
+            Mode::Sweep(counts, flush_wait_ns) => (1, run_sweep(&r, counts, *flush_wait_ns)),
+            Mode::Idle(idle_conns) => (1, run_idle(&r, *idle_conns)),
+            Mode::Multi => (1, run_multi(&r)),
+        },
     };
-
-    let value = vec![0xA5u8; value_size];
-    let start = Instant::now();
-    let handles: Vec<_> = (0..conns)
-        .map(|conn_id| {
-            let value = value.clone();
-            std::thread::spawn(move || run_conn(addr, conn_id, ops, &value, read_pct))
-        })
-        .collect();
-    let mut puts = Lats::default();
-    let mut gets = Lats::default();
-    for h in handles {
-        let r = h.join().map_err(|_| "loadgen thread panicked")??;
-        puts.merge(&r.puts);
-        gets.merge(&r.gets);
+    if let Err(msg) = result {
+        eprintln!("spp-loadgen: {msg}");
+        return ExitCode::from(code);
     }
-    let elapsed = start.elapsed().as_secs_f64();
-
-    // Server-side introspection after the run (also exercises STATS).
-    let mut client =
-        Client::connect_retry(addr, Duration::from_secs(5)).map_err(|e| format!("stats: {e}"))?;
-    let stats = client.stats().map_err(|e| format!("STATS: {e}"))?;
-    println!("--- server stats ---\n{stats}--------------------");
-
-    if want_shutdown {
-        client.shutdown().map_err(|e| format!("SHUTDOWN: {e}"))?;
-    }
-    if let Some(server) = local.take() {
-        // Idempotent with a wire-initiated SHUTDOWN; quiesces the pool.
-        server.shutdown();
-    }
-
-    let total_ops = (puts.count + gets.count) as f64;
-    println!(
-        "total: {total_ops:.0} ops in {elapsed:.3}s = {:.0} ops/s",
-        total_ops / elapsed
-    );
-    let mut rows = vec![lat_row(policy, "put", &puts, elapsed)];
-    if gets.count > 0 {
-        rows.push(lat_row(policy, "get", &gets, elapsed));
-    }
-    for row in &rows {
-        println!("{}", row.render());
-    }
-    if inject_garbage {
-        // Negative CI hook: a poisoned row must make validation fail.
-        rows.push(Json::Obj(vec![
-            ("policy", Json::Str(policy.label().to_string())),
-            ("op", Json::Str("garbage".to_string())),
-            ("ops", Json::Int(0)),
-            ("throughput_ops_s", Json::Num(f64::NAN)),
-            ("p50_us", Json::Num(f64::NAN)),
-            ("p95_us", Json::Num(f64::NAN)),
-            ("p99_us", Json::Num(f64::NAN)),
-        ]));
-    }
-    validate_rows(
-        &rows,
-        &["throughput_ops_s", "p50_us", "p95_us", "p99_us", "ops"],
-    )
-    .map_err(|e| format!("result validation failed: {e}"))?;
-
-    let doc = Json::Obj(vec![
-        ("name", Json::Str("server_loadgen".to_string())),
-        ("policy", Json::Str(policy.label().to_string())),
-        ("conns", Json::Int(u64::from(conns))),
-        ("ops_per_conn", Json::Int(ops)),
-        ("value_size", Json::Int(value_size as u64)),
-        ("read_pct", Json::Int(u64::from(read_pct))),
-        ("elapsed_s", Json::Num(elapsed)),
-        ("rows", Json::Arr(rows)),
-    ]);
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir).map_err(|e| format!("create results/: {e}"))?;
-    let path = dir.join("server_loadgen.json");
-    std::fs::write(&path, doc.render() + "\n").map_err(|e| format!("write {path:?}: {e}"))?;
-    println!("wrote {}", path.display());
-    Ok(())
-}
-
-fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("spp-loadgen: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]
@@ -1311,5 +1126,59 @@ mod tests {
     #[test]
     fn empty_histogram_yields_nan() {
         assert!(Lats::default().percentile_us(0.5).is_nan());
+    }
+
+    #[test]
+    fn op_mix_opens_with_key_0_0_and_reads_only_written_keys() {
+        let mut mix = OpMix::new(0, 50);
+        assert_eq!(mix.next(), Some((false, key_of(0, 0))));
+        let (mut written, mut gets) = (1u64, 0);
+        for (is_get, key) in mix.take(999) {
+            assert_eq!(key[..4], [0; 4]);
+            let seq = u64::from_be_bytes(key[4..12].try_into().unwrap());
+            if is_get {
+                assert!(seq < written, "GET of unwritten seq {seq}");
+                gets += 1;
+            } else {
+                assert_eq!(seq, written);
+                written += 1;
+            }
+        }
+        assert!((400..600).contains(&gets), "gets = {gets}");
+    }
+
+    #[test]
+    fn out_of_range_counts_are_refused() {
+        assert!(in_range("read-pct", 100, 0, 100).is_ok());
+        assert_eq!(
+            in_range("read-pct", 101, 0, 100).unwrap_err(),
+            "--read-pct 101: must be in 0..=100"
+        );
+        assert_eq!(
+            in_range("conns", 0, 1, u64::MAX).unwrap_err(),
+            "--conns 0: must be at least 1"
+        );
+        assert!(check_sweep(&[1, 2, 4], 4).is_ok());
+        assert!(check_sweep(&[1, 2, 4, 8], 4)
+            .unwrap_err()
+            .contains("--sweep-threads 8: must be in 1..=4"));
+        assert!(check_sweep(&[0, 1], 4)
+            .unwrap_err()
+            .contains("--sweep-threads 0"));
+        for unordered in [&[2, 1][..], &[2, 2]] {
+            assert!(check_sweep(unordered, 4)
+                .unwrap_err()
+                .contains("strictly increase"));
+        }
+        assert!(check_sweep(&[2], 4).unwrap_err().contains(">= 2 counts"));
+    }
+
+    #[test]
+    fn a_flag_the_mode_does_not_read_is_refused() {
+        assert!(refuse_unread(["conns", "ops"], "ops conns", "m").is_ok());
+        assert_eq!(
+            refuse_unread(["ops", "addr", "shutdown"], "ops conns", "sweep mode").unwrap_err(),
+            "--addr has no effect in sweep mode"
+        );
     }
 }
