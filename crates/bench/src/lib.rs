@@ -55,7 +55,7 @@ pub fn fresh_scaling_pool(bytes: u64, lanes: usize, flush_wait_ns: u32) -> Arc<O
     let pm = Arc::new(PmPool::new(
         PoolConfig::new(bytes)
             .record_stats(false)
-            .latency(LatencyModel::device_wait(0, flush_wait_ns)),
+            .latency(LatencyModel::device_wait(flush_wait_ns)),
     ));
     pm.set_latency_enabled(false);
     Arc::new(ObjPool::create(pm, PoolOpts::new().lanes(lanes)).expect("pool create"))

@@ -1296,7 +1296,7 @@ mod tests {
     /// Wall-clock time `op` takes on a fresh device-wait store that already
     /// holds `key(1)`; setup runs with the device wait switched off.
     fn device_time(op: impl FnOnce(&KvStore<SppPolicy>)) -> std::time::Duration {
-        let wait = spp_pm::LatencyModel::device_wait(0, 1_000_000);
+        let wait = spp_pm::LatencyModel::device_wait(1_000_000);
         let pm = Arc::new(PmPool::new(PoolConfig::new(1 << 22).latency(wait)));
         pm.set_latency_enabled(false);
         let pool = Arc::new(ObjPool::create(Arc::clone(&pm), PoolOpts::new().lanes(1)).unwrap());

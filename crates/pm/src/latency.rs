@@ -13,7 +13,7 @@
 //!   cost and is what the overhead-shape experiments use. It cannot model
 //!   concurrency: a spinning thread occupies a core, so N threads spinning
 //!   serialize on an oversubscribed machine.
-//! * **Wait latency** (`*_wait_ns`) stalls for wall-clock time while
+//! * **Wait latency** (`flush_wait_ns`) stalls for wall-clock time while
 //!   *yielding the core*. It models *device-side* latency — the time a real
 //!   PM DIMM's write-pending queue takes to drain — during which other
 //!   threads can run. This is what makes thread-scaling measurable: N
@@ -37,10 +37,6 @@ pub struct LatencyModel {
     pub write_spins: u32,
     /// Extra spin iterations per 64 bytes accessed (bandwidth modelling).
     pub per_line_spins: u32,
-    /// Wall-clock nanoseconds of overlappable device wait per read access.
-    pub read_wait_ns: u32,
-    /// Wall-clock nanoseconds of overlappable device wait per write access.
-    pub write_wait_ns: u32,
     /// Wall-clock nanoseconds of overlappable device wait per drain: paid
     /// by a fence (`SFENCE`) whose thread has flushed since its previous
     /// fence — the dominant durability cost. Flushes themselves are posted.
@@ -67,12 +63,11 @@ impl LatencyModel {
 
     /// Overlappable device-wait profile for thread-scaling experiments:
     /// a fence that drains this thread's flushes pays `flush_ns` of
-    /// wall-clock wait (yielding the core), reads pay `read_ns`. Writes and
-    /// flushes are posted (buffered) and free — their cost lands on the
-    /// fence that makes them durable, as on real PM.
-    pub fn device_wait(read_ns: u32, flush_ns: u32) -> Self {
+    /// wall-clock wait (yielding the core). Reads, writes and flushes are
+    /// free — the cost of posted (buffered) writes lands on the fence that
+    /// makes them durable, as on real PM.
+    pub fn device_wait(flush_ns: u32) -> Self {
         LatencyModel {
-            read_wait_ns: read_ns,
             flush_wait_ns: flush_ns,
             ..Self::default()
         }
@@ -91,18 +86,12 @@ impl LatencyModel {
         if self.read_spins != 0 || self.per_line_spins != 0 {
             spin(self.read_spins + self.per_line_spins * (len as u32).div_ceil(64));
         }
-        if self.read_wait_ns != 0 {
-            wait(self.read_wait_ns);
-        }
     }
 
     #[inline(never)]
     pub(crate) fn on_write(&self, len: usize) {
         if self.write_spins != 0 || self.per_line_spins != 0 {
             spin(self.write_spins + self.per_line_spins * (len as u32).div_ceil(64));
-        }
-        if self.write_wait_ns != 0 {
-            wait(self.write_wait_ns);
         }
     }
 
@@ -161,7 +150,7 @@ mod tests {
 
     #[test]
     fn device_wait_stalls_wall_clock() {
-        let m = LatencyModel::device_wait(0, 200_000); // 200µs drain
+        let m = LatencyModel::device_wait(200_000); // 200µs drain
         assert!(!m.is_none());
         let start = Instant::now();
         m.on_drain();
@@ -178,7 +167,7 @@ mod tests {
         // waiters yield the core, they overlap even on one CPU and the
         // whole scope finishes far sooner. The margin is wide so parallel
         // test load cannot flake it.
-        let m = LatencyModel::device_wait(0, 20_000_000);
+        let m = LatencyModel::device_wait(20_000_000);
         let start = Instant::now();
         std::thread::scope(|s| {
             for _ in 0..4 {

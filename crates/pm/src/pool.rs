@@ -770,7 +770,7 @@ mod tests {
 
     fn wait_pool() -> PmPool {
         let ns = DRAIN.as_nanos() as u32;
-        PmPool::new(PoolConfig::new(4096).latency(LatencyModel::device_wait(0, ns)))
+        PmPool::new(PoolConfig::new(4096).latency(LatencyModel::device_wait(ns)))
     }
 
     fn timed(f: impl FnOnce()) -> std::time::Duration {

@@ -49,9 +49,10 @@
 //!
 //! The command line is checked once, before any socket, thread or file
 //! write: a flag the chosen mode would not read, a bad list entry or an
-//! out-of-range count exits 2. Every report self-validates its rows
-//! through `spp-bench`'s `validate_rows`; `--inject-garbage` poisons a
-//! round-trip row so CI can prove that path stays red.
+//! out-of-range count exits 2. `--shutdown` stops every external server
+//! after the run, whether it passed or not. Every report self-validates
+//! its rows through `spp-bench`'s `validate_rows`; `--inject-garbage`
+//! poisons a round-trip row so CI can prove that path stays red.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -61,8 +62,8 @@ use std::time::{Duration, Instant};
 use spp_bench::{banner, validate_rows, write_text_artifact, Args, Json, List, Opt};
 use spp_pm::contention;
 use spp_server::{
-    fresh_server_pool, fresh_server_pool_wait, raise_nofile_limit, Client, KvEngine, PolicyKind,
-    Reply, Request, Ring, Server, ServerConfig,
+    fresh_server_pool, fresh_server_pool_wait, raise_nofile_limit, Client, ClientError, KvEngine,
+    PolicyKind, Reply, Request, Ring, Server, ServerConfig,
 };
 
 const KEY_SIZE: usize = 16;
@@ -455,15 +456,26 @@ impl Run {
         Ok(phase)
     }
 
-    /// `--shutdown`: stop every external server the run drove.
-    fn shutdown_external(&self) -> Result<(), String> {
+    /// `--shutdown`: stop every external server the run drove. The run's
+    /// own connections may hold every slot for a moment after they close,
+    /// so a `BUSY` is retried for a few seconds.
+    fn shutdown_external(&self) -> Res {
         if !self.shutdown {
             return Ok(());
         }
         for addr in &self.addrs {
-            let mut c = Client::connect_retry(*addr, Duration::from_secs(5))
-                .map_err(|e| format!("shutdown connect {addr}: {e}"))?;
-            c.shutdown().map_err(|e| format!("SHUTDOWN {addr}: {e}"))?;
+            let deadline = Instant::now() + Duration::from_secs(5);
+            loop {
+                let mut c = Client::connect_retry(*addr, Duration::from_secs(5))
+                    .map_err(|e| format!("shutdown connect {addr}: {e}"))?;
+                match c.shutdown() {
+                    Ok(()) => break,
+                    Err(ClientError::Busy) if Instant::now() < deadline => {
+                        std::thread::sleep(Duration::from_millis(20));
+                    }
+                    Err(e) => return Err(format!("SHUTDOWN {addr}: {e}")),
+                }
+            }
         }
         Ok(())
     }
@@ -526,8 +538,9 @@ fn pcts(l: &Lats) -> String {
     format!("p50={p50:.1}us p99={p99:.1}us")
 }
 
-/// Round-trip mode: one phase, then `STATS` (and `--shutdown`) over a
-/// fresh connection.
+/// Round-trip mode: one phase, then `STATS` over a fresh connection (and
+/// `--shutdown` over it to an in-process server; `main` stops an external
+/// one).
 fn run_round_trip(r: &Run, inject_garbage: bool) -> Res {
     let w = &r.work;
     r.banner("", &format!("conns={} ", w.conns));
@@ -542,7 +555,7 @@ fn run_round_trip(r: &Run, inject_garbage: bool) -> Res {
         .map_err(|e| format!("stats: {e}"))?;
     let stats = client.stats().map_err(|e| format!("STATS: {e}"))?;
     println!("--- server stats ---\n{stats}--------------------");
-    if r.shutdown {
+    if r.shutdown && r.addrs.is_empty() {
         client.shutdown().map_err(|e| format!("SHUTDOWN: {e}"))?;
     }
     target.shutdown();
@@ -623,8 +636,7 @@ fn run_pipeline(r: &Run) -> Res {
         ("group_batches", Json::Int(group_batches)),
         ("group_batched_ops", Json::Int(group_ops)),
     ];
-    r.report("server_loadgen.json", lead, tail, rows)?;
-    r.shutdown_external()
+    r.report("server_loadgen.json", lead, tail, rows)
 }
 
 /// Thread-sweep mode: one fresh device-wait server per connection count,
@@ -863,7 +875,6 @@ fn run_multi(r: &Run) -> Res {
         ("shard_skew_max_over_mean", Json::Num(skew)),
     ];
     r.report("server_loadgen.json", lead, tail, rows)?;
-    r.shutdown_external()?;
     target.shutdown();
     Ok(())
 }
@@ -1043,13 +1054,22 @@ fn main() -> ExitCode {
     // A refused command line exits 2, before any socket, thread or file.
     let (code, result) = match parse(&args) {
         Err(why) => (2, Err(why)),
-        Ok(r) => match &r.mode {
-            Mode::RoundTrip(inject_garbage) => (1, run_round_trip(&r, *inject_garbage)),
-            Mode::Pipeline => (1, run_pipeline(&r)),
-            Mode::Sweep(counts, flush_wait_ns) => (1, run_sweep(&r, counts, *flush_wait_ns)),
-            Mode::Idle(idle_conns) => (1, run_idle(&r, *idle_conns)),
-            Mode::Multi => (1, run_multi(&r)),
-        },
+        Ok(r) => {
+            let ran = match &r.mode {
+                Mode::RoundTrip(inject_garbage) => run_round_trip(&r, *inject_garbage),
+                Mode::Pipeline => run_pipeline(&r),
+                Mode::Sweep(counts, flush_wait_ns) => run_sweep(&r, counts, *flush_wait_ns),
+                Mode::Idle(idle_conns) => run_idle(&r, *idle_conns),
+                Mode::Multi => run_multi(&r),
+            };
+            // Whatever the run's outcome, so a failed run never leaves a
+            // daemon serving; the exit code stays the run's.
+            let stopped = r.shutdown_external();
+            if let (Err(_), Err(why)) = (&ran, &stopped) {
+                eprintln!("spp-loadgen: {why}");
+            }
+            (1, ran.and(stopped))
+        }
     };
     if let Err(msg) = result {
         eprintln!("spp-loadgen: {msg}");

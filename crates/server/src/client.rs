@@ -1,5 +1,11 @@
 //! A blocking wire-protocol client: one TCP connection, closed-loop
 //! request/response. Used by the load generator and the integration tests.
+//!
+//! Every reply is read through one loop: the typed calls (`put`, `get`,
+//! ...) look at the frame where it lies in the read buffer, so a GET's
+//! value is copied once, into the caller's vector; [`Client::read_reply`]
+//! returns an owned [`Reply`], for [`Client::pipeline`] and for frames
+//! sent with [`Client::send_raw`].
 
 use std::fmt;
 use std::io::{Read, Write};
@@ -83,21 +89,6 @@ impl Client {
         })
     }
 
-    /// Append the bytes of one socket read to `rbuf`, through the
-    /// connection's read buffer; a closed socket is an `UnexpectedEof`
-    /// saying `eof`.
-    fn read_more(&mut self, eof: &str) -> Result<(), ClientError> {
-        let n = self.stream.read(&mut self.chunk)?;
-        if n == 0 {
-            return Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                eof,
-            )));
-        }
-        self.rbuf.extend_from_slice(&self.chunk[..n]);
-        Ok(())
-    }
-
     /// Connect with retries until `deadline` elapses — for racing a server
     /// that is still binding its listener.
     ///
@@ -118,31 +109,56 @@ impl Client {
         }
     }
 
+    /// Encode one request frame with `encode`, send it and read the
+    /// reply: `ERR` and `BUSY` are errors, anything else goes to `on_resp`.
+    fn exchange<R>(
+        &mut self,
+        encode: impl FnOnce(&mut Vec<u8>),
+        on_resp: impl FnOnce(Response<'_>) -> Result<R, ClientError>,
+    ) -> Result<R, ClientError> {
+        self.wbuf.clear();
+        encode(&mut self.wbuf);
+        self.stream.write_all(&self.wbuf)?;
+        self.read_frame(|resp| match resp {
+            Response::Err(m) => Err(ClientError::Remote(m.to_string())),
+            Response::Busy => Err(ClientError::Busy),
+            other => on_resp(other),
+        })
+    }
+
     fn roundtrip<R>(
         &mut self,
         req: &Request<'_>,
         on_resp: impl FnOnce(Response<'_>) -> Result<R, ClientError>,
     ) -> Result<R, ClientError> {
-        self.wbuf.clear();
-        encode_request(&mut self.wbuf, req);
-        self.stream.write_all(&self.wbuf)?;
-        // Pull bytes until one complete response frame is buffered. A
-        // leftover tail (the server never pipelines, but a malicious peer
-        // could) is preserved for the next call.
+        self.exchange(|buf| encode_request(buf, req), on_resp)
+    }
+
+    /// Pull bytes until one complete response frame is buffered, hand it
+    /// to `on_resp` as it lies in the buffer (a GET's value is copied out
+    /// once, by the caller), then drop the frame. A leftover tail (the
+    /// server never pipelines, but a malicious peer could) is kept for the
+    /// next call.
+    fn read_frame<R>(
+        &mut self,
+        on_resp: impl FnOnce(Response<'_>) -> Result<R, ClientError>,
+    ) -> Result<R, ClientError> {
         loop {
             if let Some(frame) = decode_frame(&self.rbuf)? {
                 let consumed = frame.consumed;
                 let result = parse_response(&frame)
                     .map_err(ClientError::from)
-                    .and_then(|resp| match resp {
-                        Response::Err(m) => Err(ClientError::Remote(m.to_string())),
-                        Response::Busy => Err(ClientError::Busy),
-                        other => on_resp(other),
-                    });
+                    .and_then(on_resp);
                 self.rbuf.drain(..consumed);
                 return result;
             }
-            self.read_more("server closed connection mid-response")?;
+            let n = self.stream.read(&mut self.chunk)?;
+            if n == 0 {
+                let eof = std::io::ErrorKind::UnexpectedEof;
+                let why = "server closed connection mid-response";
+                return Err(ClientError::Io(std::io::Error::new(eof, why)));
+            }
+            self.rbuf.extend_from_slice(&self.chunk[..n]);
         }
     }
 
@@ -251,21 +267,14 @@ impl Client {
     /// Panics (in the encoder) on an empty batch, a nested `Multi`, a
     /// `Shutdown`, or an oversized frame.
     pub fn multi(&mut self, reqs: &[Request<'_>]) -> Result<Vec<Reply>, ClientError> {
-        self.wbuf.clear();
-        encode_multi_request(&mut self.wbuf, reqs);
-        self.stream.write_all(&self.wbuf)?;
-        match self.read_reply()? {
-            Reply::Multi(rs) => {
-                if rs.len() == reqs.len() {
-                    Ok(rs)
-                } else {
-                    Err(ClientError::Unexpected("MULTI reply count mismatch"))
-                }
+        let encode = |buf: &mut Vec<u8>| encode_multi_request(buf, reqs);
+        self.exchange(encode, |resp| match resp {
+            Response::Multi(mb) if usize::from(mb.count()) == reqs.len() => {
+                Ok(mb.responses().map(|r| reply_of(&r)).collect())
             }
-            Reply::Busy => Err(ClientError::Busy),
-            Reply::Err(m) => Err(ClientError::Remote(m)),
+            Response::Multi(_) => Err(ClientError::Unexpected("MULTI reply count mismatch")),
             _ => Err(ClientError::Unexpected("MULTI wants MULTI_BODY")),
-        }
+        })
     }
 
     /// Pipelined send: write every request back-to-back without waiting,
@@ -293,19 +302,6 @@ impl Client {
         Ok(out)
     }
 
-    /// Read one response frame into an owned [`Reply`].
-    fn read_reply(&mut self) -> Result<Reply, ClientError> {
-        loop {
-            if let Some(frame) = decode_frame(&self.rbuf)? {
-                let consumed = frame.consumed;
-                let reply = parse_response(&frame).map(|r| reply_of(&r));
-                self.rbuf.drain(..consumed);
-                return reply.map_err(ClientError::from);
-            }
-            self.read_more("server closed connection mid-response")?;
-        }
-    }
-
     /// `REPL_BATCH`: ship one replicated write batch for `shard` with
     /// sequence number `seq`, blocking until the backup's `REPL_ACK` —
     /// i.e. until the batch is durable on the backup. Returns the echoed
@@ -325,15 +321,11 @@ impl Client {
         seq: u64,
         ops: &[ReplOp<'_>],
     ) -> Result<(u32, u64), ClientError> {
-        self.wbuf.clear();
-        encode_repl_batch(&mut self.wbuf, shard, seq, ops);
-        self.stream.write_all(&self.wbuf)?;
-        match self.read_reply()? {
-            Reply::ReplAck { shard, seq } => Ok((shard, seq)),
-            Reply::Busy => Err(ClientError::Busy),
-            Reply::Err(m) => Err(ClientError::Remote(m)),
+        let encode = |buf: &mut Vec<u8>| encode_repl_batch(buf, shard, seq, ops);
+        self.exchange(encode, |resp| match resp {
+            Response::ReplAck { shard, seq } => Ok((shard, seq)),
             _ => Err(ClientError::Unexpected("REPL_BATCH wants REPL_ACK")),
-        }
+        })
     }
 
     /// `REPL_HELLO`: announce this primary's shard count on a replication
@@ -373,59 +365,20 @@ impl Client {
         self.stream.write_all(bytes)
     }
 
-    /// Read one response frame after [`Client::send_raw`].
+    /// Read one response frame into an owned [`Reply`]: the next reply
+    /// of a [`Client::pipeline`], or the answer to [`Client::send_raw`].
+    /// `ERR` and `BUSY` are replies here, not errors.
     ///
     /// # Errors
     ///
-    /// [`ClientError`]; `ERR` bodies surface as [`ClientError::Remote`].
-    pub fn recv_response_kind(&mut self) -> Result<RespKind, ClientError> {
-        loop {
-            if let Some(frame) = decode_frame(&self.rbuf)? {
-                let consumed = frame.consumed;
-                let kind = parse_response(&frame).map(|resp| match resp {
-                    Response::Ok => RespKind::Ok,
-                    Response::Value(_) => RespKind::Value,
-                    Response::NotFound => RespKind::NotFound,
-                    Response::Err(m) => RespKind::Err(m.to_string()),
-                    Response::Busy => RespKind::Busy,
-                    Response::Stats(_) => RespKind::Stats,
-                    Response::Pong => RespKind::Pong,
-                    Response::Multi(_) => RespKind::Multi,
-                    Response::ReplAck { .. } => RespKind::ReplAck,
-                });
-                self.rbuf.drain(..consumed);
-                return kind.map_err(ClientError::from);
-            }
-            self.read_more("server closed connection")?;
-        }
+    /// Socket or codec failures only.
+    pub fn read_reply(&mut self) -> Result<Reply, ClientError> {
+        self.read_frame(|resp| Ok(reply_of(&resp)))
     }
 }
 
-/// Owned response discriminant for [`Client::recv_response_kind`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RespKind {
-    /// `OK`.
-    Ok,
-    /// `VALUE`.
-    Value,
-    /// `NOT_FOUND`.
-    NotFound,
-    /// `ERR` with its message.
-    Err(String),
-    /// `BUSY`.
-    Busy,
-    /// `STATS_BODY`.
-    Stats,
-    /// `PONG`.
-    Pong,
-    /// `MULTI_BODY`.
-    Multi,
-    /// `REPL_ACK`.
-    ReplAck,
-}
-
-/// An owned server reply, as returned by [`Client::multi`] and
-/// [`Client::pipeline`].
+/// An owned server reply, as returned by [`Client::multi`],
+/// [`Client::pipeline`] and [`Client::read_reply`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Reply {
     /// `OK` — for a write, durable before this was sent.

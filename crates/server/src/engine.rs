@@ -89,7 +89,7 @@ pub fn fresh_server_pool_wait(
     let pm = Arc::new(PmPool::new(
         PoolConfig::new(bytes)
             .record_stats(false)
-            .latency(spp_pm::LatencyModel::device_wait(0, flush_wait_ns)),
+            .latency(spp_pm::LatencyModel::device_wait(flush_wait_ns)),
     ));
     pm.set_latency_enabled(false);
     Ok(Arc::new(ObjPool::create(pm, PoolOpts::new().lanes(lanes))?))

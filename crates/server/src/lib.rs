@@ -33,7 +33,7 @@ pub mod ring;
 pub mod server;
 pub mod wire;
 
-pub use client::{Client, ClientError, Reply, RespKind};
+pub use client::{Client, ClientError, Reply};
 pub use engine::{
     fresh_server_pool, fresh_server_pool_wait, KvEngine, PolicyKind, WriteOp, WriteReply,
 };

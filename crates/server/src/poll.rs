@@ -1,14 +1,14 @@
-//! Minimal `libc`-free readiness shim: `epoll` + `eventfd` through raw
-//! Linux syscalls over [`std::os::fd`] types.
+//! Minimal readiness shim: `epoll` + `eventfd` through the C library over
+//! [`std::os::fd`] types.
 //!
 //! The workspace's no-external-registry rule means no `libc`/`mio`/
-//! `polling` crates; everything here goes straight to the kernel with
-//! `core::arch::asm!` and the stable syscall ABI (x86_64 and aarch64).
-//! The surface is deliberately tiny — exactly what [`crate::reactor`]
-//! needs:
+//! `polling` crates. std already links the C library, so the few calls
+//! needed here are declared in one `extern "C"` block, as `spp-pm`
+//! declares `madvise` and `spp-pmdk` `mmap`. The surface is deliberately
+//! tiny — exactly what [`crate::reactor`] needs:
 //!
-//! * [`Epoll`]: create / add / modify / delete interest, level-triggered
-//!   wait with a millisecond timeout and EINTR retry;
+//! * [`Epoll`]: create / add / modify interest, level-triggered wait with
+//!   a millisecond timeout and EINTR retry;
 //! * [`EventFd`]: a nonblocking counter fd used as the cross-thread wakeup
 //!   (worker completions, inbox hand-off, shutdown);
 //! * [`raise_nofile_limit`]: best-effort `RLIMIT_NOFILE` soft→hard bump so
@@ -18,154 +18,35 @@
 //! kernel removes closed fds from every epoll set automatically, so there
 //! is no deregistration bookkeeping to get wrong.
 
-use std::io;
+use std::ffi::{c_int, c_uint};
+use std::fs::File;
+use std::io::{self, Read, Write};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 
-// ---------------------------------------------------------------------------
-// Raw syscall plumbing
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "x86_64")]
-mod nr {
-    pub const EPOLL_CTL: usize = 233;
-    pub const EPOLL_WAIT: usize = 232;
-    pub const EPOLL_CREATE1: usize = 291;
-    pub const EVENTFD2: usize = 290;
-    pub const READ: usize = 0;
-    pub const WRITE: usize = 1;
-    pub const PRLIMIT64: usize = 302;
+extern "C" {
+    fn epoll_create1(flags: c_int) -> c_int;
+    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+    fn epoll_wait(epfd: c_int, events: *mut EpollEvent, max: c_int, timeout: c_int) -> c_int;
+    fn eventfd(initval: c_uint, flags: c_int) -> c_int;
+    fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
+    fn setrlimit(resource: c_int, rlim: *const RLimit) -> c_int;
 }
 
-#[cfg(target_arch = "aarch64")]
-mod nr {
-    pub const EPOLL_CTL: usize = 21;
-    /// aarch64 has no plain `epoll_wait`; `epoll_pwait` with a null sigmask
-    /// is identical.
-    pub const EPOLL_PWAIT: usize = 22;
-    pub const EPOLL_CREATE1: usize = 20;
-    pub const EVENTFD2: usize = 19;
-    pub const READ: usize = 63;
-    pub const WRITE: usize = 64;
-    pub const PRLIMIT64: usize = 261;
-}
-
-/// Raw syscall, returning the kernel's value (negative errno on failure).
-///
-/// # Safety
-///
-/// The caller must uphold the invoked syscall's contract (valid pointers,
-/// lengths, fds).
-#[cfg(target_arch = "x86_64")]
-unsafe fn syscall4(nr: usize, a1: usize, a2: usize, a3: usize, a4: usize) -> isize {
-    let ret: isize;
-    core::arch::asm!(
-        "syscall",
-        inlateout("rax") nr as isize => ret,
-        in("rdi") a1,
-        in("rsi") a2,
-        in("rdx") a3,
-        in("r10") a4,
-        lateout("rcx") _,
-        lateout("r11") _,
-        options(nostack),
-    );
-    ret
-}
-
-/// Raw syscall, returning the kernel's value (negative errno on failure).
-///
-/// # Safety
-///
-/// The caller must uphold the invoked syscall's contract (valid pointers,
-/// lengths, fds).
-#[cfg(target_arch = "aarch64")]
-unsafe fn syscall4(nr: usize, a1: usize, a2: usize, a3: usize, a4: usize) -> isize {
-    let ret: isize;
-    core::arch::asm!(
-        "svc 0",
-        in("x8") nr,
-        inlateout("x0") a1 as isize => ret,
-        in("x1") a2,
-        in("x2") a3,
-        in("x3") a4,
-        options(nostack),
-    );
-    ret
-}
-
-/// Six-argument variant (needed by `epoll_pwait` and `prlimit64`).
-///
-/// # Safety
-///
-/// As [`syscall4`].
-#[cfg(target_arch = "x86_64")]
-unsafe fn syscall6(
-    nr: usize,
-    a1: usize,
-    a2: usize,
-    a3: usize,
-    a4: usize,
-    a5: usize,
-    a6: usize,
-) -> isize {
-    let ret: isize;
-    core::arch::asm!(
-        "syscall",
-        inlateout("rax") nr as isize => ret,
-        in("rdi") a1,
-        in("rsi") a2,
-        in("rdx") a3,
-        in("r10") a4,
-        in("r8") a5,
-        in("r9") a6,
-        lateout("rcx") _,
-        lateout("r11") _,
-        options(nostack),
-    );
-    ret
-}
-
-/// Six-argument variant (needed by `epoll_pwait` and `prlimit64`).
-///
-/// # Safety
-///
-/// As [`syscall4`].
-#[cfg(target_arch = "aarch64")]
-unsafe fn syscall6(
-    nr: usize,
-    a1: usize,
-    a2: usize,
-    a3: usize,
-    a4: usize,
-    a5: usize,
-    a6: usize,
-) -> isize {
-    let ret: isize;
-    core::arch::asm!(
-        "svc 0",
-        in("x8") nr,
-        inlateout("x0") a1 as isize => ret,
-        in("x1") a2,
-        in("x2") a3,
-        in("x3") a4,
-        in("x4") a5,
-        in("x5") a6,
-        options(nostack),
-    );
-    ret
-}
-
-/// Convert a raw syscall return into `io::Result<usize>`.
-fn check(ret: isize) -> io::Result<usize> {
+/// `ret`, or the thread's `errno` when the C library returned `-1`.
+fn check(ret: c_int) -> io::Result<c_int> {
     if ret < 0 {
-        Err(io::Error::from_raw_os_error(-ret as i32))
+        Err(io::Error::last_os_error())
     } else {
-        Ok(ret as usize)
+        Ok(ret)
     }
 }
 
-const EINTR: i32 = 4;
-const EAGAIN: i32 = 11;
+/// Take ownership of the fd a C library call just returned.
+fn owned(ret: c_int) -> io::Result<OwnedFd> {
+    let raw = check(ret)?;
+    // SAFETY: a nonnegative return is a fresh fd that nothing else owns.
+    Ok(unsafe { OwnedFd::from_raw_fd(raw) })
+}
 
 // ---------------------------------------------------------------------------
 // epoll
@@ -180,9 +61,9 @@ pub(crate) const EPOLLERR: u32 = 0x008;
 /// Hangup (`EPOLLHUP`); always reported, never registered.
 pub(crate) const EPOLLHUP: u32 = 0x010;
 
-const EPOLL_CLOEXEC: usize = 0x80000;
-const EPOLL_CTL_ADD: usize = 1;
-const EPOLL_CTL_MOD: usize = 3;
+const EPOLL_CLOEXEC: c_int = 0x80000;
+const EPOLL_CTL_ADD: c_int = 1;
+const EPOLL_CTL_MOD: c_int = 3;
 
 /// One readiness record. Layout must match the kernel's `epoll_event`,
 /// which is packed on x86_64 (12 bytes) and naturally aligned elsewhere.
@@ -193,6 +74,11 @@ pub(crate) struct EpollEvent {
     events: u32,
     data: u64,
 }
+
+// The C library reads and writes arrays of these: pin the size it expects.
+const _: () = assert!(
+    std::mem::size_of::<EpollEvent>() == if cfg!(target_arch = "x86_64") { 12 } else { 16 }
+);
 
 impl EpollEvent {
     /// An empty record, for pre-sizing wait buffers.
@@ -219,29 +105,18 @@ pub(crate) struct Epoll {
 impl Epoll {
     /// Create a close-on-exec epoll instance.
     pub(crate) fn new() -> io::Result<Epoll> {
-        let raw = check(unsafe { syscall4(nr::EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0) })?;
-        // SAFETY: the kernel just returned this fd to us; nothing else owns
-        // it.
-        Ok(Epoll {
-            fd: unsafe { OwnedFd::from_raw_fd(raw as RawFd) },
-        })
+        // SAFETY: no pointers; the flag is a valid `epoll_create1` flag.
+        let fd = owned(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
+        Ok(Epoll { fd })
     }
 
-    fn ctl(&self, op: usize, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
-        let ev = EpollEvent {
+    fn ctl(&self, op: c_int, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
+        let mut ev = EpollEvent {
             events,
             data: token,
         };
         // SAFETY: `ev` lives across the call; fds are owned by the caller.
-        check(unsafe {
-            syscall4(
-                nr::EPOLL_CTL,
-                self.fd.as_raw_fd() as usize,
-                op,
-                fd as usize,
-                core::ptr::addr_of!(ev) as usize,
-            )
-        })?;
+        check(unsafe { epoll_ctl(self.fd.as_raw_fd(), op, fd, &mut ev) })?;
         Ok(())
     }
 
@@ -259,36 +134,14 @@ impl Epoll {
     /// valid. `timeout_ms < 0` blocks indefinitely; `0` polls. EINTR is
     /// retried internally.
     pub(crate) fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
+        let max = c_int::try_from(events.len()).unwrap_or(c_int::MAX);
         loop {
-            // SAFETY: `events` is valid writable memory of the stated
-            // length for the duration of the call.
-            let ret = unsafe {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    syscall4(
-                        nr::EPOLL_WAIT,
-                        self.fd.as_raw_fd() as usize,
-                        events.as_mut_ptr() as usize,
-                        events.len(),
-                        timeout_ms as usize,
-                    )
-                }
-                #[cfg(target_arch = "aarch64")]
-                {
-                    syscall6(
-                        nr::EPOLL_PWAIT,
-                        self.fd.as_raw_fd() as usize,
-                        events.as_mut_ptr() as usize,
-                        events.len(),
-                        timeout_ms as usize,
-                        0, // null sigmask: plain epoll_wait semantics
-                        0,
-                    )
-                }
-            };
-            match check(ret) {
-                Ok(n) => return Ok(n),
-                Err(e) if e.raw_os_error() == Some(EINTR) => continue,
+            let (epfd, buf) = (self.fd.as_raw_fd(), events.as_mut_ptr());
+            // SAFETY: `buf` is valid writable memory for `max` records for
+            // the duration of the call.
+            match check(unsafe { epoll_wait(epfd, buf, max, timeout_ms) }) {
+                Ok(n) => return Ok(n as usize),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
         }
@@ -299,24 +152,22 @@ impl Epoll {
 // eventfd
 // ---------------------------------------------------------------------------
 
-const EFD_CLOEXEC: usize = 0x80000;
-const EFD_NONBLOCK: usize = 0x800;
+const EFD_CLOEXEC: c_int = 0x80000;
+const EFD_NONBLOCK: c_int = 0x800;
 
 /// A nonblocking eventfd: the reactor's cross-thread doorbell. Writers
 /// [`signal`](EventFd::signal) from any thread; the owning reactor
 /// registers it `EPOLLIN` and [`drain`](EventFd::drain)s on wakeup.
 pub(crate) struct EventFd {
-    fd: OwnedFd,
+    fd: File,
 }
 
 impl EventFd {
     /// Create a nonblocking, close-on-exec eventfd with counter 0.
     pub(crate) fn new() -> io::Result<EventFd> {
-        let raw = check(unsafe { syscall4(nr::EVENTFD2, 0, EFD_CLOEXEC | EFD_NONBLOCK, 0, 0) })?;
-        // SAFETY: freshly returned fd, exclusively ours.
-        Ok(EventFd {
-            fd: unsafe { OwnedFd::from_raw_fd(raw as RawFd) },
-        })
+        // SAFETY: no pointers; the flags are valid `eventfd` flags.
+        let fd = owned(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
+        Ok(EventFd { fd: File::from(fd) })
     }
 
     /// The raw fd, for epoll registration.
@@ -328,39 +179,15 @@ impl EventFd {
     /// the only nonblocking failure is a counter at `u64::MAX - 1`, which
     /// still leaves the fd readable, so the wakeup is not lost.
     pub(crate) fn signal(&self) {
-        let one: u64 = 1;
-        // SAFETY: `one` is 8 valid bytes; eventfd writes are atomic.
-        let _ = check(unsafe {
-            syscall4(
-                nr::WRITE,
-                self.fd.as_raw_fd() as usize,
-                core::ptr::addr_of!(one) as usize,
-                8,
-                0,
-            )
-        });
+        let _ = (&self.fd).write(&1u64.to_ne_bytes());
     }
 
     /// Consume all pending signals (reset the counter to 0). Returns
-    /// `true` if at least one signal had been posted.
+    /// `true` if at least one signal had been posted; an empty counter
+    /// reads `WouldBlock`.
     pub(crate) fn drain(&self) -> bool {
-        let mut count: u64 = 0;
-        // SAFETY: `count` is 8 valid writable bytes.
-        let ret = unsafe {
-            syscall4(
-                nr::READ,
-                self.fd.as_raw_fd() as usize,
-                core::ptr::addr_of_mut!(count) as usize,
-                8,
-                0,
-            )
-        };
-        match check(ret) {
-            Ok(8) => count > 0,
-            Ok(_) => false,
-            Err(e) if e.raw_os_error() == Some(EAGAIN) => false,
-            Err(_) => false,
-        }
+        let mut count = [0u8; 8];
+        matches!((&self.fd).read(&mut count), Ok(8)) && u64::from_ne_bytes(count) > 0
     }
 }
 
@@ -368,11 +195,11 @@ impl EventFd {
 // RLIMIT_NOFILE
 // ---------------------------------------------------------------------------
 
-const RLIMIT_NOFILE: usize = 7;
+const RLIMIT_NOFILE: c_int = 7;
 
+/// `struct rlimit`: `rlim_t` is 64 bits on every 64-bit Linux target.
 #[repr(C)]
-#[derive(Clone, Copy)]
-struct RLimit64 {
+struct RLimit {
     cur: u64,
     max: u64,
 }
@@ -382,42 +209,20 @@ struct RLimit64 {
 /// default. Returns the resulting soft limit, or the current one if the
 /// bump failed (never an error — callers degrade gracefully).
 pub fn raise_nofile_limit() -> u64 {
-    let mut lim = RLimit64 { cur: 0, max: 0 };
-    // SAFETY: pid 0 = self; `lim` is valid writable memory.
-    let got = unsafe {
-        syscall6(
-            nr::PRLIMIT64,
-            0,
-            RLIMIT_NOFILE,
-            0,
-            core::ptr::addr_of_mut!(lim) as usize,
-            0,
-            0,
-        )
-    };
-    if check(got).is_err() {
+    let mut lim = RLimit { cur: 0, max: 0 };
+    // SAFETY: `lim` is valid writable memory for the call.
+    if check(unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) }).is_err() {
         return 1024;
     }
     if lim.cur >= lim.max {
         return lim.cur;
     }
-    let want = RLimit64 {
+    let want = RLimit {
         cur: lim.max,
         max: lim.max,
     };
     // SAFETY: `want` is valid readable memory for the call.
-    let set = unsafe {
-        syscall6(
-            nr::PRLIMIT64,
-            0,
-            RLIMIT_NOFILE,
-            core::ptr::addr_of!(want) as usize,
-            0,
-            0,
-            0,
-        )
-    };
-    if check(set).is_ok() {
+    if check(unsafe { setrlimit(RLIMIT_NOFILE, &want) }).is_ok() {
         lim.max
     } else {
         lim.cur

@@ -4,7 +4,8 @@
 //! deterministic, so the per-class op counts are pinned too.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Child, Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 use spp_bench::JsonValue;
 
@@ -402,5 +403,63 @@ fn refused_command_lines_exit_2_and_write_nothing() {
         0,
         "a refused run wrote a file"
     );
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// A daemon that is killed if the test ends before it exits.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// `--shutdown` stops the daemon whatever the run's outcome: a second
+/// connection over `--max-conns 1` is answered `BUSY`, so the run fails
+/// (exit 1), and the daemon still gets its `SHUTDOWN` and exits 0.
+#[test]
+fn failed_run_still_shuts_the_daemon_down() {
+    let dir = empty_dir("shutdown");
+    let ready = dir.join("srv.ready");
+    let mut daemon = Daemon(
+        Command::new(env!("CARGO_BIN_EXE_spp-server"))
+            .args(["--port", "0", "--max-conns", "1", "--pool-mb", "16"])
+            .arg("--ready-file")
+            .arg(&ready)
+            .current_dir(&dir)
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap(),
+    );
+    let start = Instant::now();
+    while !ready.exists() {
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "daemon never ready"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let addr = std::fs::read_to_string(&ready).unwrap();
+    let args = ["--addr", addr.trim(), "--conns", "2", "--pipeline", "8"];
+    let out = loadgen(&dir, &[&args[..], &["--smoke", "--shutdown"]].concat());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("server busy"), "{err}");
+
+    let start = Instant::now();
+    let status = loop {
+        if let Some(status) = daemon.0.try_wait().unwrap() {
+            break status;
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "daemon still serving 10 s after the failed run"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.success(), "daemon exit {status}");
     std::fs::remove_dir_all(dir).unwrap();
 }

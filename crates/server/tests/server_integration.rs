@@ -9,8 +9,7 @@ use std::time::{Duration, Instant};
 
 use spp_server::{
     fresh_server_pool, fresh_server_pool_wait, Client, ClientError, GroupConfig, KvEngine,
-    PolicyKind, ReplAckMode, ReplConfig, ReplOp, Reply, Request, RespKind, Response, Server,
-    ServerConfig,
+    PolicyKind, ReplAckMode, ReplConfig, ReplOp, Reply, Request, Response, Server, ServerConfig,
 };
 
 fn key(i: u64) -> [u8; 16] {
@@ -199,7 +198,7 @@ fn malformed_body_gets_err_and_stream_resyncs() {
         b
     })
     .unwrap();
-    assert!(matches!(c.recv_response_kind().unwrap(), RespKind::Err(_)));
+    assert!(matches!(c.read_reply().unwrap(), Reply::Err(_)));
     c.ping().unwrap();
 
     // PUT whose declared key length overruns the payload: ERR, resync.
@@ -211,7 +210,7 @@ fn malformed_body_gets_err_and_stream_resyncs() {
         b
     })
     .unwrap();
-    assert!(matches!(c.recv_response_kind().unwrap(), RespKind::Err(_)));
+    assert!(matches!(c.read_reply().unwrap(), Reply::Err(_)));
     c.ping().unwrap();
 
     // Wrong key size is an engine error, not a panic; still usable after.
@@ -229,11 +228,11 @@ fn envelope_garbage_closes_connection_with_err() {
     let mut c = connect(&server);
     // Length prefix far beyond MAX_FRAME: ERR, then the server hangs up.
     c.send_raw(&u32::MAX.to_le_bytes()).unwrap();
-    match c.recv_response_kind().unwrap() {
-        RespKind::Err(msg) => assert!(msg.contains("exceeds maximum"), "{msg}"),
+    match c.read_reply().unwrap() {
+        Reply::Err(msg) => assert!(msg.contains("exceeds maximum"), "{msg}"),
         other => panic!("expected Err, got {other:?}"),
     }
-    match c.recv_response_kind() {
+    match c.read_reply() {
         Err(ClientError::Io(_)) => {}
         other => panic!("expected closed connection, got {other:?}"),
     }
@@ -256,8 +255,8 @@ fn connection_limit_answers_busy() {
     first.ping().unwrap();
     // The slot is taken: the next connection is told BUSY and hung up on.
     let mut second = connect(&server);
-    match second.recv_response_kind().unwrap() {
-        RespKind::Busy => {}
+    match second.read_reply().unwrap() {
+        Reply::Busy => {}
         other => panic!("expected Busy, got {other:?}"),
     }
     // The admitted connection keeps full service.
@@ -442,9 +441,9 @@ fn fragmented_byte_at_a_time_frames_are_served() {
     for b in &bytes {
         c.send_raw(std::slice::from_ref(b)).unwrap();
     }
-    assert_eq!(c.recv_response_kind().unwrap(), RespKind::Ok);
-    assert_eq!(c.recv_response_kind().unwrap(), RespKind::Pong);
-    assert_eq!(c.recv_response_kind().unwrap(), RespKind::Value);
+    assert_eq!(c.read_reply().unwrap(), Reply::Ok);
+    assert_eq!(c.read_reply().unwrap(), Reply::Pong);
+    assert!(matches!(c.read_reply().unwrap(), Reply::Value(_)));
     server.shutdown();
 }
 
@@ -496,8 +495,8 @@ fn pending_commit_never_stalls_its_reactor() {
         "a's PUT rides the next batch"
     );
     acks.send(()).unwrap();
-    assert_eq!(lead.recv_response_kind().unwrap(), RespKind::Ok);
-    assert_eq!(a.recv_response_kind().unwrap(), RespKind::Ok);
+    assert_eq!(lead.read_reply().unwrap(), Reply::Ok);
+    assert_eq!(a.read_reply().unwrap(), Reply::Ok);
     let mut out = Vec::new();
     assert!(b.get(&ka, &mut out).unwrap());
     assert_eq!(out, b"pending");
@@ -542,7 +541,7 @@ fn a_backup_that_never_acks_stalls_only_the_leading_reactor() {
     for (name, mut c) in [("neighbour", neighbour), ("writer", writer)] {
         let answered = answered.clone();
         std::thread::spawn(move || {
-            let _ = answered.send((name, c.recv_response_kind()));
+            let _ = answered.send((name, c.read_reply()));
         });
     }
     // The other reactor still serves reads.
@@ -559,8 +558,8 @@ fn a_backup_that_never_acks_stalls_only_the_leading_reactor() {
     // The backup hangs up: the stalled batch and the one queued behind it
     // fail as not replicated, and the leading reactor's neighbour is served.
     drop(acks);
-    match lead.recv_response_kind().unwrap() {
-        RespKind::Err(m) => assert!(m.contains("not replicated"), "{m}"),
+    match lead.read_reply().unwrap() {
+        Reply::Err(m) => assert!(m.contains("not replicated"), "{m}"),
         other => panic!("an unreplicated PUT was acked: {other:?}"),
     }
     let mut got: Vec<_> = (0..2)
@@ -568,9 +567,9 @@ fn a_backup_that_never_acks_stalls_only_the_leading_reactor() {
         .collect();
     got.sort_by_key(|(name, _)| *name);
     assert_eq!(got[0].0, "neighbour");
-    assert_eq!(got[0].1.as_ref().unwrap(), &RespKind::Pong);
+    assert_eq!(got[0].1.as_ref().unwrap(), &Reply::Pong);
     assert!(
-        matches!(got[1].1.as_ref().unwrap(), RespKind::Err(m) if m.contains("not replicated")),
+        matches!(got[1].1.as_ref().unwrap(), Reply::Err(m) if m.contains("not replicated")),
         "{:?}",
         got[1]
     );
@@ -1147,7 +1146,7 @@ fn committer_closing_under_an_in_flight_run_fails_the_rest_cleanly() {
     .unwrap();
     let (tx, rx) = channel();
     let reader = std::thread::spawn(move || {
-        let kinds: Vec<_> = (0..4).map(|_| c.recv_response_kind()).collect();
+        let kinds: Vec<_> = (0..4).map(|_| c.read_reply()).collect();
         let _ = tx.send(kinds);
     });
     std::thread::scope(|s| {
@@ -1164,18 +1163,18 @@ fn committer_closing_under_an_in_flight_run_fails_the_rest_cleanly() {
     reader.join().unwrap();
     // Closing drains what the committer had accepted: run 1's PUT is
     // acked, and it really is durable.
-    assert_eq!(kinds[0].as_ref().unwrap(), &RespKind::Ok);
+    assert_eq!(kinds[0].as_ref().unwrap(), &Reply::Ok);
     let mut out = Vec::new();
     assert!(server.engine().get(&k1, &mut out).unwrap());
     // Run 2 reaches a closed committer: its PUT fails explicitly and was
     // not applied, its PING is answered in order, then the server hangs up.
     assert!(
-        matches!(kinds[1].as_ref().unwrap(), RespKind::Err(m) if m.contains("closed")),
+        matches!(kinds[1].as_ref().unwrap(), Reply::Err(m) if m.contains("closed")),
         "PUT after close must fail explicitly, got {:?}",
         kinds[1]
     );
     assert!(!server.engine().get(&k2, &mut out).unwrap());
-    assert_eq!(kinds[2].as_ref().unwrap(), &RespKind::Pong);
+    assert_eq!(kinds[2].as_ref().unwrap(), &Reply::Pong);
     assert!(
         matches!(kinds[3], Err(ClientError::Io(_))),
         "connection must close after the failed run, got {:?}",
@@ -1212,7 +1211,7 @@ fn a_panicking_leader_leaves_its_reactor_serving() {
     assert_eq!(batches.recv().unwrap(), (0, 1), "reactor 0 is shipping");
     server.debug_queue_leader_panic();
     acks.send(()).unwrap();
-    assert_eq!(lead.recv_response_kind().unwrap(), RespKind::Ok);
+    assert_eq!(lead.read_reply().unwrap(), Reply::Ok);
     let addr = server.local_addr();
     within_10s(move || {
         // Two new connections, dealt one to each reactor.

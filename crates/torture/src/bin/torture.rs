@@ -1,107 +1,137 @@
 //! `torture` — crash-consistency exploration CLI.
 //!
-//! Drives the workloads in `spp-torture` with a fixed seed, prints a
-//! per-workload summary, writes `summary.json`, and exits nonzero if any
-//! crash state violated an oracle (failing states are shrunk and dumped
-//! under the output directory).
+//! ```text
+//! torture [--seed N] [--steps N] [--per-boundary N] [--budget N]
+//!         [--stride N] [--workloads a,b,c] [--out DIR] [--smoke]
+//!         [--fault skip-redo-apply|skip-tx-rollback] [--list]
+//! ```
+//!
+//! Drives the workloads in `spp-torture` with a fixed seed (`--seed`,
+//! default 12648430) for `--steps` operations (28; smoke 14), sampling at
+//! most `--per-boundary` crash states per durability boundary (6) and
+//! `--budget` states per workload (3000; smoke 600), and re-checking
+//! recovery idempotence on every `--stride`-th state (8; 0 = off).
+//! `--workloads` picks a subset (default all; `--list` names them), and
+//! `--fault` injects a recovery fault, after which the run is *expected*
+//! to fail — that validates the oracles.
+//!
+//! Prints a per-workload summary, writes `summary.json` under `--out`
+//! (default `results/torture`), and exits 1 if any crash state violated an
+//! oracle (failing states are shrunk and dumped under the same directory).
+//! `--help` exits 0; an unknown flag, a bad value, an unknown workload or
+//! fault name, or a zero `--per-boundary`/`--budget` exits 2 before any
+//! file write.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 
-use spp_torture::{all_workloads, run, workload_names, write_summary_json, TortureConfig};
+use spp_bench::{Args, Json, List, Opt};
+use spp_pmdk::RecoveryFaults;
+use spp_torture::{all_workloads, run, workload_names, Summary, TortureConfig};
 
-const USAGE: &str = "usage: torture [options]
+/// `--fault NAME`: the recovery breakage the run must catch.
+struct Fault(RecoveryFaults);
 
-options:
-  --seed N            master seed (default 12648430)
-  --steps N           workload operations to drive (default 28; smoke 14)
-  --per-boundary N    max crash states sampled per durability boundary (default 6)
-  --budget N          total crash-state budget per workload (default 3000; smoke 600)
-  --stride N          check recovery idempotence every N-th state, 0=off (default 8)
-  --workloads a,b,c   comma-separated workload subset (default: all)
-  --out DIR           failure-dump / summary directory (default results/torture)
-  --smoke             CI-sized run (smaller budget, same coverage shape)
-  --fault NAME        inject a recovery fault: skip-redo-apply | skip-tx-rollback
-                      (the run is then EXPECTED to fail — validates the oracles)
-  --list              list workloads and exit
-  --help              this text";
+impl FromStr for Fault {
+    type Err = ();
 
-fn parse_args() -> Result<(TortureConfig, Vec<String>, bool), String> {
-    let mut cfg = TortureConfig::default();
-    let mut smoke = false;
-    let mut explicit: Vec<(String, String)> = Vec::new();
-    let mut names: Option<Vec<String>> = None;
-    let mut list = false;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            args.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            "--list" => list = true,
-            "--smoke" => smoke = true,
-            "--seed" | "--steps" | "--per-boundary" | "--budget" | "--stride" => {
-                let v = take(&arg)?;
-                explicit.push((arg, v));
-            }
-            "--workloads" => {
-                names = Some(
-                    take("--workloads")?
-                        .split(',')
-                        .map(str::to_string)
-                        .collect(),
-                );
-            }
-            "--out" => cfg.out_dir = PathBuf::from(take("--out")?),
-            "--fault" => match take("--fault")?.as_str() {
-                "skip-redo-apply" => cfg.faults.skip_redo_apply = true,
-                "skip-tx-rollback" => cfg.faults.skip_tx_rollback = true,
-                other => return Err(format!("unknown fault `{other}`\n\n{USAGE}")),
-            },
-            other => return Err(format!("unknown option `{other}`\n\n{USAGE}")),
+    fn from_str(name: &str) -> Result<Fault, ()> {
+        let mut faults = RecoveryFaults::default();
+        match name {
+            "skip-redo-apply" => faults.skip_redo_apply = true,
+            "skip-tx-rollback" => faults.skip_tx_rollback = true,
+            _ => return Err(()),
         }
+        Ok(Fault(faults))
     }
-    if smoke {
-        let out = std::mem::take(&mut cfg.out_dir);
-        let faults = cfg.faults;
-        cfg = TortureConfig::smoke();
-        cfg.out_dir = out;
-        cfg.faults = faults;
-    }
-    // Explicit numeric flags override the smoke defaults regardless of
-    // argument order.
-    for (flag, v) in explicit {
-        let n: u64 = v
-            .parse()
-            .map_err(|_| format!("{flag}: not a number: {v}"))?;
-        match flag.as_str() {
-            "--seed" => cfg.seed = n,
-            "--steps" => cfg.steps = n,
-            "--per-boundary" => cfg.per_boundary = n.max(1),
-            "--budget" => cfg.max_states = n.max(1),
-            "--stride" => cfg.idempotence_stride = n,
-            _ => unreachable!(),
-        }
-    }
-    let names = names.unwrap_or_else(|| workload_names().iter().map(|s| s.to_string()).collect());
-    Ok((cfg, names, list))
+}
+
+/// Print why the command line is refused; exit 2.
+fn refuse(why: &str) -> ExitCode {
+    eprintln!("torture: {why}");
+    ExitCode::from(2)
+}
+
+/// The run as `results/torture/summary.json` records it.
+fn summary_json(cfg: &TortureConfig, summary: &Summary) -> Json {
+    let failure = |f: &spp_torture::Failure| {
+        Json::Obj(vec![
+            ("boundary", Json::Int(f.boundary)),
+            ("state", Json::Int(f.state)),
+            ("seed", Json::Int(f.seed)),
+            ("message", Json::Str(f.message.clone())),
+            (
+                "dropped",
+                Json::Arr(f.dropped.iter().map(|&d| Json::Int(d)).collect()),
+            ),
+            ("dump_dir", Json::Str(f.dump_dir.clone())),
+        ])
+    };
+    let workloads = summary.results.iter().map(|r| {
+        Json::Obj(vec![
+            ("name", Json::Str(r.name.clone())),
+            ("boundaries", Json::Int(r.boundaries)),
+            ("states", Json::Int(r.states)),
+            (
+                "failures",
+                Json::Arr(r.failures.iter().map(failure).collect()),
+            ),
+        ])
+    });
+    Json::Obj(vec![
+        ("seed", Json::Int(cfg.seed)),
+        ("steps", Json::Int(cfg.steps)),
+        ("per_boundary", Json::Int(cfg.per_boundary)),
+        ("max_states", Json::Int(cfg.max_states)),
+        ("total_states", Json::Int(summary.total_states())),
+        ("total_failures", Json::Int(summary.total_failures() as u64)),
+        ("workloads", Json::Arr(workloads.collect())),
+    ])
 }
 
 fn main() -> ExitCode {
-    let (cfg, names, list) = match parse_args() {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if list {
+    let args = Args::parse(&[
+        Opt::value::<u64>("seed"),
+        Opt::value::<u64>("steps"),
+        Opt::value::<u64>("per-boundary"),
+        Opt::value::<u64>("budget"),
+        Opt::value::<u64>("stride"),
+        Opt::value::<List<String>>("workloads"),
+        Opt::value::<PathBuf>("out"),
+        Opt::flag("smoke"),
+        Opt::value::<Fault>("fault"),
+        Opt::flag("list"),
+    ]);
+    if args.flag("list") {
         for w in all_workloads() {
             println!("{:<10} {}", w.name, w.about);
         }
         return ExitCode::SUCCESS;
+    }
+    let base = if args.flag("smoke") {
+        TortureConfig::smoke()
+    } else {
+        TortureConfig::default()
+    };
+    let cfg = TortureConfig {
+        seed: args.get("seed", base.seed),
+        steps: args.get("steps", base.steps),
+        per_boundary: args.get("per-boundary", base.per_boundary),
+        max_states: args.get("budget", base.max_states),
+        idempotence_stride: args.get("stride", base.idempotence_stride),
+        out_dir: args.get("out", base.out_dir),
+        faults: args.get("fault", Fault(base.faults)).0,
+    };
+    if cfg.per_boundary == 0 || cfg.max_states == 0 {
+        return refuse("--per-boundary and --budget must be at least 1");
+    }
+    let known = workload_names();
+    let all = List(known.iter().map(|s| s.to_string()).collect());
+    let names = args.get("workloads", all).0;
+    if let Some(bad) = names.iter().find(|n| !known.contains(&n.as_str())) {
+        let have = known.join(", ");
+        return refuse(&format!("unknown workload `{bad}` (have: {have})"));
     }
 
     println!(
@@ -143,7 +173,10 @@ fn main() -> ExitCode {
             }
         }
     }
-    if let Err(e) = write_summary_json(&cfg, &summary) {
+    let doc = summary_json(&cfg, &summary).render() + "\n";
+    let written = std::fs::create_dir_all(&cfg.out_dir)
+        .and_then(|()| std::fs::write(cfg.out_dir.join("summary.json"), doc));
+    if let Err(e) = written {
         eprintln!("torture: failed to write summary.json: {e}");
     }
     println!(

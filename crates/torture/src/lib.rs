@@ -37,7 +37,6 @@ mod report;
 mod workloads;
 
 pub use oracle::{make_oracle, recover, Oracle, Recovered};
-pub use report::write_summary_json;
 pub use workloads::{all_workloads, workload_names, Workload};
 
 use std::path::PathBuf;
