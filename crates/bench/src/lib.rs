@@ -181,9 +181,9 @@ pub struct Args {
 
 impl Args {
     /// Parse the process arguments against `opts`. On `--help`/`-h` prints
-    /// the usage and exits 0; on an unknown option or a bad value
-    /// prints the reason and the usage to stderr and exits 2 — before the
-    /// binary does any work or writes any file.
+    /// the usage and exits 0; on an unknown option, a bad value or an
+    /// option passed twice prints the reason and the usage to stderr and
+    /// exits 2 — before the binary does any work or writes any file.
     pub fn parse(opts: &[Opt]) -> Self {
         match Self::try_parse(std::env::args().skip(1), opts) {
             Ok(args) => args,
@@ -199,8 +199,8 @@ impl Args {
     }
 
     /// Check `argv` (without the program name) against `opts`: every token
-    /// must be a declared `--name`, and a valued option's next token must
-    /// parse as its type.
+    /// must be a declared `--name` not passed before, and a valued option's
+    /// next token must parse as its type.
     fn try_parse(argv: impl IntoIterator<Item = String>, opts: &[Opt]) -> Result<Self, ArgsError> {
         let mut given = Vec::new();
         let mut it = argv.into_iter();
@@ -212,6 +212,9 @@ impl Args {
                 .strip_prefix("--")
                 .and_then(|name| opts.iter().find(|o| o.name == name))
                 .ok_or_else(|| ArgsError::Bad(format!("unknown argument {a:?}")))?;
+            if given.iter().any(|(n, _)| *n == opt.name) {
+                return Err(ArgsError::Bad(format!("{a} is given twice")));
+            }
             let value = match opt.value {
                 None => None,
                 Some((ty, parses)) => {
@@ -858,6 +861,25 @@ mod tests {
             assert!(why.contains("not a List<u32>"), "{why}");
         }
         assert!(usage(&opts).contains("[--threads <List<u32>>]"));
+    }
+
+    #[test]
+    fn args_refuse_an_option_passed_twice() {
+        for argv in [
+            &["--ops", "5", "--ops", "7"][..],
+            &["--ops", "5", "--ops", "5"],
+            &["--smoke", "--smoke"],
+            &["--smoke", "--ops", "5", "--smoke"],
+        ] {
+            let why = refused(argv);
+            assert!(why.contains("given twice"), "{argv:?}: {why}");
+        }
+        let opts = [Opt::value::<List<u32>>("threads")];
+        let twice = ["--threads", "1,2", "--threads", "8"].map(String::from);
+        let Err(ArgsError::Bad(why)) = Args::try_parse(twice, &opts) else {
+            panic!("a repeated list was not refused");
+        };
+        assert!(why.contains("--threads is given twice"), "{why}");
     }
 
     #[test]

@@ -45,3 +45,22 @@ fn bad_arguments_exit_2_and_help_exits_0_without_writing() {
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn an_option_passed_twice_exits_2_without_writing() {
+    let dir = empty_dir("fig7_twice");
+    for twice in [&["--ops", "5", "--ops", "7"][..], &["--smoke", "--smoke"]] {
+        let out = fig7(&dir, twice);
+        assert_eq!(out.status.code(), Some(2), "{twice:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("given twice"), "{twice:?}: {err}");
+        assert!(err.contains("usage: fig7_pm_ops"), "{twice:?}: {err}");
+        assert!(out.stdout.is_empty(), "{twice:?} did work");
+    }
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        0,
+        "a refused run wrote a file"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use spp_pm::{CrashSpec, Mode, PmPool, PoolConfig};
-use spp_pmdk::{ObjPool, OidDest, OidKind, PmdkError, PmemOid, PoolOpts};
+use spp_pmdk::{BlockState, ObjPool, OidDest, OidKind, PmdkError, PmemOid, PoolOpts};
 
 fn fresh(size: u64) -> ObjPool {
     let pm = Arc::new(PmPool::new(PoolConfig::new(size)));
@@ -56,6 +56,68 @@ fn open_reads_each_block_header_once() {
     for oid in oids {
         assert_eq!(reopened.gen_at_bound(oid.off + oid.size), oid.gen);
     }
+}
+
+#[test]
+fn open_after_the_period_breaks_rebuilds_exactly() {
+    // Node/value pairs (80 B + 1,040 B blocks) make the walk hint headers
+    // ahead instead of streaming pages; then the period breaks, and a last
+    // run of one size ends at the pool's end, so the hints point past the
+    // heap. None of it may change what the open rebuilds.
+    let pool = fresh(1 << 20);
+    let mut live = Vec::new();
+    for _ in 0..300 {
+        live.push(pool.alloc(64).unwrap());
+        live.push(pool.alloc(1024).unwrap());
+    }
+    // The break: a block freed below, one of another class, a large one.
+    let freed = pool.alloc(1024).unwrap();
+    live.push(pool.alloc(200).unwrap());
+    live.push(pool.alloc(20_000).unwrap());
+    // A transaction holds this thread's lane, so the allocation inside it
+    // refills the other arena with a chunk of its own: the first arena's
+    // span stops at a chunk remainder, and later blocks start past it.
+    let tx = pool.tx_begin().unwrap();
+    live.push(pool.alloc(64).unwrap());
+    tx.commit().unwrap();
+    // The run: 528 B blocks until the span reaches the heap's end, then
+    // as many as its tail holds. Allocating on until out of memory would
+    // steal the remainder back from the other arena.
+    while pool.stats().high_water < pool.stats().heap_size {
+        live.push(pool.alloc(512).unwrap());
+    }
+    let tail = pool.walk_heap().unwrap().pop().unwrap();
+    assert_eq!(tail.state, BlockState::Free);
+    for _ in 0..tail.size / 528 {
+        live.push(pool.alloc(512).unwrap());
+    }
+    pool.free(freed).unwrap();
+
+    let blocks = pool.walk_heap().unwrap();
+    let run_start = blocks.iter().position(|b| b.size == 528).unwrap();
+    let free_sizes: Vec<u64> = blocks[..run_start]
+        .iter()
+        .filter(|b| b.state == BlockState::Free)
+        .map(|b| b.size)
+        .collect();
+    assert!(free_sizes.len() >= 2, "no chunk remainder: {free_sizes:?}");
+    let run = &blocks[run_start..blocks.len() - 1];
+    assert!(run.iter().all(|b| b.size == 528), "the run is not one size");
+    let end = blocks.last().map(|b| b.off + b.size).unwrap();
+    assert_eq!(end, pool.pm().size(), "the chain stops short of the end");
+
+    let img = pool.pm().crash_image(CrashSpec::KeepAll);
+    let pm = Arc::new(PmPool::from_image(img, PoolConfig::new(0)));
+    let reopened = ObjPool::open(pm).unwrap();
+    assert_eq!(reopened.walk_heap().unwrap(), blocks);
+    assert_eq!(reopened.stats(), pool.stats());
+    for oid in &live {
+        assert_eq!(reopened.gen_at_bound(oid.off + oid.size), oid.gen);
+    }
+    // The freed block is back on a free list: allocating its class reaches
+    // it before the heap runs out.
+    let reused = std::iter::from_fn(|| reopened.alloc(1024).ok()).any(|o| o.off == freed.off);
+    assert!(reused, "the freed block was lost by the reopen");
 }
 
 #[test]

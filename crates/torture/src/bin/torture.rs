@@ -3,7 +3,7 @@
 //! ```text
 //! torture [--seed N] [--steps N] [--per-boundary N] [--budget N]
 //!         [--stride N] [--workloads a,b,c] [--out DIR] [--smoke]
-//!         [--fault skip-redo-apply|skip-tx-rollback] [--list]
+//!         [--fault skip-redo-apply,skip-tx-rollback] [--list]
 //! ```
 //!
 //! Drives the workloads in `spp-torture` with a fixed seed (`--seed`,
@@ -12,15 +12,15 @@
 //! `--budget` states per workload (3000; smoke 600), and re-checking
 //! recovery idempotence on every `--stride`-th state (8; 0 = off).
 //! `--workloads` picks a subset (default all; `--list` names them), and
-//! `--fault` injects a recovery fault, after which the run is *expected*
-//! to fail — that validates the oracles.
+//! `--fault` injects each recovery fault of its comma list, after which the
+//! run is *expected* to fail — that validates the oracles.
 //!
 //! Prints a per-workload summary, writes `summary.json` under `--out`
 //! (default `results/torture`), and exits 1 if any crash state violated an
 //! oracle (failing states are shrunk and dumped under the same directory).
-//! `--help` exits 0; an unknown flag, a bad value, an unknown workload or
-//! fault name, or a zero `--per-boundary`/`--budget` exits 2 before any
-//! file write.
+//! `--help` exits 0; an unknown flag, a flag given twice, a bad value, an
+//! unknown workload or fault name, or a zero `--per-boundary`/`--budget`
+//! exits 2 before any file write.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -30,21 +30,33 @@ use spp_bench::{Args, Json, List, Opt};
 use spp_pmdk::RecoveryFaults;
 use spp_torture::{all_workloads, run, workload_names, Summary, TortureConfig};
 
-/// `--fault NAME`: the recovery breakage the run must catch.
-struct Fault(RecoveryFaults);
+/// One entry of `--fault A,B`: a recovery breakage the run must catch.
+enum Fault {
+    SkipRedoApply,
+    SkipTxRollback,
+}
 
 impl FromStr for Fault {
     type Err = ();
 
     fn from_str(name: &str) -> Result<Fault, ()> {
-        let mut faults = RecoveryFaults::default();
         match name {
-            "skip-redo-apply" => faults.skip_redo_apply = true,
-            "skip-tx-rollback" => faults.skip_tx_rollback = true,
-            _ => return Err(()),
+            "skip-redo-apply" => Ok(Fault::SkipRedoApply),
+            "skip-tx-rollback" => Ok(Fault::SkipTxRollback),
+            _ => Err(()),
         }
-        Ok(Fault(faults))
     }
+}
+
+/// `base` with every listed fault injected.
+fn inject(base: RecoveryFaults, faults: &[Fault]) -> RecoveryFaults {
+    faults.iter().fold(base, |mut f, fault| {
+        match fault {
+            Fault::SkipRedoApply => f.skip_redo_apply = true,
+            Fault::SkipTxRollback => f.skip_tx_rollback = true,
+        }
+        f
+    })
 }
 
 /// Print why the command line is refused; exit 2.
@@ -100,7 +112,7 @@ fn main() -> ExitCode {
         Opt::value::<List<String>>("workloads"),
         Opt::value::<PathBuf>("out"),
         Opt::flag("smoke"),
-        Opt::value::<Fault>("fault"),
+        Opt::value::<List<Fault>>("fault"),
         Opt::flag("list"),
     ]);
     if args.flag("list") {
@@ -121,7 +133,7 @@ fn main() -> ExitCode {
         max_states: args.get("budget", base.max_states),
         idempotence_stride: args.get("stride", base.idempotence_stride),
         out_dir: args.get("out", base.out_dir),
-        faults: args.get("fault", Fault(base.faults)).0,
+        faults: inject(base.faults, &args.get("fault", List(vec![])).0),
     };
     if cfg.per_boundary == 0 || cfg.max_states == 0 {
         return refuse("--per-boundary and --budget must be at least 1");
@@ -189,5 +201,25 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_fault_list_injects_every_entry() {
+        let List(both) = "skip-redo-apply,skip-tx-rollback".parse().unwrap();
+        let f = inject(RecoveryFaults::default(), &both);
+        assert!(f.skip_redo_apply && f.skip_tx_rollback);
+        let List(one) = "skip-tx-rollback".parse().unwrap();
+        let f = inject(RecoveryFaults::default(), &one);
+        assert!(!f.skip_redo_apply && f.skip_tx_rollback);
+        assert_eq!(
+            inject(RecoveryFaults::default(), &[]),
+            RecoveryFaults::default()
+        );
+        assert!("skip-redo-apply,nope".parse::<List<Fault>>().is_err());
     }
 }
